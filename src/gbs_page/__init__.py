@@ -23,15 +23,13 @@ from .symplectic import symplectic_eigenvalues
 from .entropy import (
     renyi_entropy,
     renyi_entropy_factored,
+    renyi_mode_entropy,
     vn_mode_entropy,
     von_neumann_entropy,
 )
-from .specfun import SeriesResult, catalan, hyp2f1_terminating, hyp2f1_vn, G, H
 from .pagecurve import (
     ASYMPTOTIC,
     PageCurveValue,
-    TruncationCapError,
-    expected_trW,
     page_average,
     renyi2_average,
     renyi_average,
@@ -39,8 +37,6 @@ from .pagecurve import (
     renyi_small_s_limit,
     renyi_unequal_small,
     vn_large_s_limit,
-    vn_series_coefficients,
-    vn_series_constant,
     vn_small_s_limit,
     von_neumann_average,
 )
@@ -61,24 +57,16 @@ __version__ = "0.1.0"
 __all__ = [
     "ASYMPTOTIC",
     "ExperimentPlan",
-    "G",
-    "H",
     "PageCurveValue",
     "SampleFailure",
     "SampleRecord",
-    "SeriesResult",
     "SqueezingConfig",
     "Summary",
-    "TruncationCapError",
     "build_M",
     "build_W",
-    "catalan",
     "estimate_Vd",
-    "expected_trW",
     "full_covariance_general",
     "haar_unitary",
-    "hyp2f1_terminating",
-    "hyp2f1_vn",
     "page_average",
     "purity_symmetry_check",
     "reduce_modes",
@@ -88,6 +76,7 @@ __all__ = [
     "renyi_average",
     "renyi_entropy",
     "renyi_entropy_factored",
+    "renyi_mode_entropy",
     "renyi_large_s_limit",
     "renyi_small_s_limit",
     "renyi_unequal_small",
@@ -100,8 +89,6 @@ __all__ = [
     "variance_trend",
     "vn_large_s_limit",
     "vn_mode_entropy",
-    "vn_series_coefficients",
-    "vn_series_constant",
     "vn_small_s_limit",
     "von_neumann_average",
     "von_neumann_entropy",

@@ -8,9 +8,9 @@ Subcommands:
 * ``figure``    bundled analytic + simulated datasets for the three
                 standard figures, with a manifest recording every parameter.
 
-Exit codes: 0 success, 2 validation error, 3 analytic truncation cap,
-4 numerical failure in a sample. The environment variable GBS_PAGE_THREADS
-overrides ``--threads``. Numeric output is full-precision (17 significant
+Exit codes: 0 success, 2 validation error (including an analytic ``--tol``
+too small for float64), 4 numerical failure in a sample. The environment
+variable GBS_PAGE_THREADS overrides ``--threads``. Numeric output is full-precision (17 significant
 digits); identical invocations produce byte-identical files.
 """
 
@@ -28,7 +28,6 @@ from .montecarlo import ExperimentPlan, SampleFailure, run_experiment
 from .pagecurve import (
     ASYMPTOTIC,
     DEFAULT_TOL,
-    TruncationCapError,
     page_average,
     renyi_large_s_limit,
     renyi_small_s_limit,
@@ -41,12 +40,11 @@ __all__ = ["main", "build_parser"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_TRUNCATION = 3
 EXIT_NUMERICAL = 4
 
 THREADS_ENV = "GBS_PAGE_THREADS"
 
-ANALYTIC_COLUMNS = ["r", "alpha", "s", "n", "value", "per_mode_value", "i_max_used", "trunc_err"]
+ANALYTIC_COLUMNS = ["r", "alpha", "s", "n", "value", "per_mode_value", "nodes", "trunc_err"]
 SAMPLES_COLUMNS = ["sample_index", "alpha", "entropy"]
 LIMITS_COLUMNS = ["r", "alpha", "regime", "value", "normalization_label"]
 
@@ -170,7 +168,7 @@ def _analytic_rows(alphas, s, n, r_values, tol):
                     "n": n_field,
                     "value": total,
                     "per_mode_value": per_mode,
-                    "i_max_used": res.i_max_used,
+                    "nodes": res.nodes,
                     "trunc_err": res.trunc_err,
                     "realized_r": res.realized_r,
                 }
@@ -202,7 +200,7 @@ def cmd_analytic(args) -> int:
         table = [
             [_fmt(row["r"]), str(row["alpha"]), _fmt(row["s"]), row["n"],
              _fmt(row["value"]), _fmt(row["per_mode_value"]),
-             str(row["i_max_used"]), _fmt(row["trunc_err"])]
+             str(row["nodes"]), _fmt(row["trunc_err"])]
             for row in rows
         ]
         _write_rows(args.out, ANALYTIC_COLUMNS, table)
@@ -414,7 +412,7 @@ def run_fig1(out_dir, params: FigureParams, seed: int, threads: int, s: float = 
     analytic_rows = [
         [_fmt(row["r"]), str(row["alpha"]), _fmt(row["s"]), row["n"],
          _fmt(row["value"]), _fmt(row["per_mode_value"]),
-         str(row["i_max_used"]), _fmt(row["trunc_err"])]
+         str(row["nodes"]), _fmt(row["trunc_err"])]
         for row in analytic
     ]
     _write_rows(os.path.join(out_dir, "fig1_analytic.csv"), ANALYTIC_COLUMNS, analytic_rows)
@@ -504,23 +502,18 @@ def run_page_vs_s(out_dir, params: FigureParams, seed: int, threads: int,
                   r: float = 0.5, tol: float = DEFAULT_TOL, gnuplot: bool = False) -> dict:
     """Entropy over s n versus s, approaching 2 min(r, 1-r).
 
-    The analytic series caps out at strong squeezing; capped points are
-    omitted from the CSV and listed in the manifest, with Monte Carlo
-    covering the full range.
+    Analytic and Monte-Carlo points both default to s = 0.25:3.0:0.25.
     """
-    s_analytic = analytic_s_grid if analytic_s_grid is not None else _parse_grid("0.25:2.0:0.25")
-    s_mc = mc_s_grid if mc_s_grid is not None else _parse_grid("0.25:3.0:0.25")
+    default_grid = _parse_grid("0.25:3.0:0.25")
+    s_analytic = analytic_s_grid if analytic_s_grid is not None else default_grid
+    s_mc = mc_s_grid if mc_s_grid is not None else default_grid
     os.makedirs(out_dir, exist_ok=True)
     n = params.n
 
-    rows, skipped = [], []
+    rows = []
     for s in s_analytic:
         for alpha in alphas:
-            try:
-                res = page_average(alpha, n, s, r, tol)
-            except (TruncationCapError, ValueError):
-                skipped.append({"s": float(s), "alpha": alpha})
-                continue
+            res = page_average(alpha, n, s, r, tol)
             rows.append([_fmt(s), str(alpha), _fmt(res.value / (s * n)),
                          _fmt(renyi_large_s_limit(max(alpha, 2), r))])
     _write_rows(os.path.join(out_dir, "page_vs_s_analytic.csv"),
@@ -551,7 +544,6 @@ def run_page_vs_s(out_dir, params: FigureParams, seed: int, threads: int,
         "alphas": list(alphas),
         "analytic_s_grid": [float(s) for s in s_analytic],
         "mc_s_grid": [float(s) for s in s_mc],
-        "analytic_skipped": skipped,
         "seed": seed,
         "tol": tol,
         "files": files,
@@ -629,7 +621,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="mode count")
     p.add_argument("--asymptotic", action="store_true", help="n -> infinity (per-mode values)")
     p.add_argument("--r-grid", required=True, help="partition ratios, start:stop:step")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="truncation tolerance (nats)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="absolute tolerance (nats) of each value, met by doubling "
+                        "the quadrature nodes")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_analytic)
@@ -678,13 +672,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except TruncationCapError as exc:
-        print(
-            f"error: {exc}\nhint: 'gbs-page limits --regime large' gives the "
-            "strong-squeezing curve; 'gbs-page simulate' covers any regime",
-            file=sys.stderr,
-        )
-        return EXIT_TRUNCATION
     except SampleFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -24,6 +24,7 @@ import numpy as np
 __all__ = [
     "renyi_entropy",
     "renyi_entropy_factored",
+    "renyi_mode_entropy",
     "vn_mode_entropy",
     "von_neumann_entropy",
 ]
@@ -82,27 +83,36 @@ def von_neumann_entropy(nu) -> float:
     return float(np.sum(vn_mode_entropy(arr)))
 
 
-def renyi_entropy(nu, alpha: int) -> float:
-    """Renyi-alpha entropy of a spectrum for integer alpha >= 2.
+def renyi_mode_entropy(nu, alpha: int):
+    """Single-mode Renyi-alpha entropy for integer alpha >= 2, vectorized.
 
-    Each mode is evaluated in log space as
+    Evaluated in log space as
 
         [alpha ln((nu+1)/2) + ln(1 - ((nu-1)/(nu+1))^alpha)] / (alpha - 1),
 
     which never forms (nu+1)^alpha explicitly and therefore cannot overflow
-    for large alpha or strongly squeezed spectra.
+    for large alpha or strongly squeezed modes. Zero exactly at nu = 1.
     """
+    alpha = _check_alpha(alpha)
+    nu = np.atleast_1d(np.asarray(nu, dtype=float))
+    if nu.size and nu.min() < 1.0:
+        raise ValueError(f"symplectic eigenvalues must be >= 1, got min {nu.min()!r}")
+    # ln(ratio^alpha) via log1p stays accurate when ratio is within one ulp of
+    # 1, and 1 - ratio^alpha via expm1 when ratio^alpha is; u = -inf at nu = 1
+    # is intended and yields an exact zero.
+    with np.errstate(divide="ignore"):
+        u = alpha * np.log1p(-2.0 / (nu + 1.0))
+    out = (alpha * np.log(0.5 * (nu + 1.0)) + np.log(-np.expm1(u))) / (alpha - 1)
+    return out if out.size > 1 else float(out[0])
+
+
+def renyi_entropy(nu, alpha: int) -> float:
+    """Renyi-alpha entropy of a spectrum: sum of the per-mode entropies."""
     alpha = _check_alpha(alpha)
     arr = _as_spectrum(nu)
     if arr.size == 0:
         return 0.0
-    # ln(ratio^alpha) via log1p stays accurate when ratio is within one ulp of
-    # 1, and 1 - ratio^alpha via expm1 when ratio^alpha is; u = -inf at nu = 1
-    # is intended and yields an exact zero term.
-    with np.errstate(divide="ignore"):
-        u = alpha * np.log1p(-2.0 / (arr + 1.0))
-    per_mode = alpha * np.log(0.5 * (arr + 1.0)) + np.log(-np.expm1(u))
-    return float(np.sum(per_mode) / (alpha - 1))
+    return float(np.sum(renyi_mode_entropy(arr, alpha)))
 
 
 def renyi_entropy_factored(nu, alpha: int) -> float:

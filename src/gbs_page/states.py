@@ -116,17 +116,17 @@ def _w_block_eigenvalues(U: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.eigvalsh(x @ x.conj().T)
 
 
-def trW_moments(U: np.ndarray, k: int, i_max: int) -> np.ndarray:
-    """Power traces Tr W^i for i = 1..i_max.
+def trW_moments(U: np.ndarray, k: int, max_power: int) -> np.ndarray:
+    """Power traces Tr W^i for i = 1..max_power.
 
     Computed as power sums of the eigenvalues of the k x k Hermitian corner
-    of W, so the cost is a single eigensolve regardless of i_max.
+    of W, so the cost is a single eigensolve regardless of max_power.
     """
     _check_k(U, k)
-    if i_max < 1:
-        raise ValueError(f"i_max must be >= 1, got {i_max}")
+    if max_power < 1:
+        raise ValueError(f"max_power must be >= 1, got {max_power}")
     lam = _w_block_eigenvalues(U, k)
-    powers = np.arange(1, i_max + 1)
+    powers = np.arange(1, max_power + 1)
     return np.sum(lam[None, :] ** powers[:, None], axis=1)
 
 

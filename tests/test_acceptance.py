@@ -17,6 +17,7 @@ import os
 
 import numpy as np
 import pytest
+from series_oracle import vn_series_coefficients, vn_series_constant
 
 from gbs_page import (
     ExperimentPlan,
@@ -36,8 +37,6 @@ from gbs_page import (
     symplectic_form,
     variance_trend,
     vn_mode_entropy,
-    vn_series_coefficients,
-    vn_series_constant,
     von_neumann_average,
 )
 

@@ -2,12 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gbs_page
 from gbs_page.cli import (
     EXIT_NUMERICAL,
-    EXIT_TRUNCATION,
     EXIT_USAGE,
     FigureParams,
     main,
@@ -36,7 +39,7 @@ def test_analytic_zero_squeezing(capsys):
     assert code == 0
     header, rows = parse_csv(out)
     assert header == ["r", "alpha", "s", "n", "value", "per_mode_value",
-                      "i_max_used", "trunc_err"]
+                      "nodes", "trunc_err"]
     assert len(rows) == 5
     assert all(float(row[4]) == 0.0 for row in rows)
 
@@ -65,22 +68,26 @@ def test_analytic_asymptotic(capsys):
     assert float(rows[0][4]) == float(rows[0][5])  # per-mode value in both
 
 
-def test_analytic_truncation_cap_exit_code(capsys):
-    code, _, err = run_cli(
-        capsys, "analytic", "--alpha", "2", "--s", "3", "--n", "400",
-        "--r-grid", "0:1:0.1",
-    )
-    assert code == EXIT_TRUNCATION
-    assert "limits" in err and "simulate" in err
+def test_analytic_strong_and_weak_squeezing_answered(capsys):
+    for alpha, s in (("2", "3"), ("1", "3"), ("1", "0.005")):
+        code, out, _ = run_cli(
+            capsys, "analytic", "--alpha", alpha, "--s", s, "--n", "400",
+            "--r-grid", "0:1:0.1",
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 11
+        assert all(float(row[7]) <= 1e-3 for row in rows)
+        assert float(rows[5][4]) > 0 and int(rows[5][6]) > 0
 
 
-def test_analytic_vn_below_gate_is_usage_error(capsys):
+def test_analytic_tol_below_resolution_is_usage_error(capsys):
     code, _, err = run_cli(
-        capsys, "analytic", "--alpha", "1", "--s", "0.005", "--n", "100",
-        "--r-grid", "0:1:0.5",
+        capsys, "analytic", "--alpha", "1", "--s", "3", "--n", "400",
+        "--r-grid", "0.5:0.5:1", "--tol", "1e-13",
     )
     assert code == EXIT_USAGE
-    assert "vn_small_s_limit" in err
+    assert "float64 resolution" in err
 
 
 def test_analytic_flag_validation(capsys):
@@ -258,16 +265,18 @@ def test_figure_bundle_tiny(tmp_path):
     assert (out / "fig1_simulated.csv").read_bytes() == before
 
 
-def test_figure_page_vs_s_cap_skip(tmp_path):
+def test_figure_page_vs_s_strong_squeezing_rows(tmp_path):
     out = tmp_path / "pvs"
     manifest = run_page_vs_s(
         str(out), FigureParams(n=12, n_samples=4), seed=2, threads=1,
         alphas=(1, 2), analytic_s_grid=[0.5, 3.0], mc_s_grid=[0.5],
     )
-    skipped = manifest["analytic_skipped"]
-    assert {"s": 3.0, "alpha": 2} in skipped  # series capped at strong squeezing
-    header_rows = (out / "page_vs_s_analytic.csv").read_text().splitlines()
-    assert any(line.startswith("0.5,") for line in header_rows[1:])
+    assert "analytic_skipped" not in manifest
+    _, rows = parse_csv((out / "page_vs_s_analytic.csv").read_text())
+    assert [(row[0], row[1]) for row in rows] == [
+        ("0.5", "1"), ("0.5", "2"), ("3", "1"), ("3", "2")]
+    # S/(s n) below its strong-squeezing limit 2 min(r, 1-r) = 1
+    assert all(0 < float(row[2]) < float(row[3]) == 1.0 for row in rows)
 
 
 def test_figure_small_s_desk_cli(tmp_path, capsys, monkeypatch):
@@ -290,3 +299,13 @@ def test_unknown_figure_or_scale(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run_cli(capsys, "figure", "fig1", "--scale", "huge", "--out-dir", "x")
     assert code == EXIT_USAGE
+
+
+def test_cli_import_leaves_out_scipy():
+    # scipy is a test-only dependency; importing it roughly doubled start-up.
+    src = os.path.dirname(os.path.dirname(gbs_page.__file__))
+    code = "import sys, gbs_page.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True, timeout=60,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout.strip() == "False"

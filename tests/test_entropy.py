@@ -7,6 +7,7 @@ import pytest
 from gbs_page import (
     renyi_entropy,
     renyi_entropy_factored,
+    renyi_mode_entropy,
     vn_mode_entropy,
     von_neumann_entropy,
 )
@@ -66,6 +67,9 @@ def test_additive_over_concatenation():
     assert renyi_entropy(both, 3) == pytest.approx(
         renyi_entropy(nu1, 3) + renyi_entropy(nu2, 3), rel=1e-12
     )
+    per_mode = renyi_mode_entropy(both, 3)
+    assert per_mode.shape == both.shape
+    assert [renyi_entropy([x], 3) for x in both] == pytest.approx(per_mode, rel=1e-15)
 
 
 def test_mode_entropy_identity_on_grid():
@@ -116,5 +120,9 @@ def test_validation():
         renyi_entropy([2.0], 2.5)
     with pytest.raises(ValueError):
         renyi_entropy([0.5], 2)
+    with pytest.raises(ValueError):
+        renyi_mode_entropy([0.5, 2.0], 2)
+    with pytest.raises(ValueError):
+        renyi_mode_entropy([2.0], 1)
     with pytest.raises(ValueError):
         von_neumann_entropy([0.99])

@@ -1,12 +1,19 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from series_oracle import (
+    expected_trW,
+    series_average,
+    vn_series_coefficients,
+    vn_series_constant,
+)
 
 from gbs_page import (
     ASYMPTOTIC,
-    TruncationCapError,
-    expected_trW,
+    ExperimentPlan,
     haar_unitary,
-    hyp2f1_vn,
     page_average,
     renyi2_average,
     renyi_average,
@@ -15,11 +22,10 @@ from gbs_page import (
     renyi_small_s_limit,
     renyi_unequal_small,
     reduced_covariance_equal,
+    run_experiment,
     symplectic_eigenvalues,
     trW_moments,
     vn_large_s_limit,
-    vn_series_coefficients,
-    vn_series_constant,
     vn_small_s_limit,
     von_neumann_average,
     von_neumann_entropy,
@@ -50,12 +56,14 @@ def test_expected_trW_monte_carlo_oracle():
 
 def test_vn_coefficients_match_hypergeometric_form():
     # c_i = 1/(2i) - (1/3) sech^2(2s) tanh^{2i}(2s) 2F1(3/2, 1+i, 5/2, sech^2(2s))
+    mpmath.mp.dps = 30
     for s in (0.3, 0.5, 1.0):
         x = 1.0 / np.cosh(2 * s) ** 2
         t = np.tanh(2 * s) ** 2
         cs = vn_series_coefficients(200, s)
         for i in (1, 2, 3, 7, 20, 50, 120, 200):
-            direct = 1.0 / (2 * i) - (x / 3.0) * t**i * hyp2f1_vn(i, x, tol=1e-15).value
+            hyp = float(mpmath.hyp2f1(1.5, 1 + i, 2.5, x))
+            direct = 1.0 / (2 * i) - (x / 3.0) * t**i * hyp
             assert cs[i - 1] == pytest.approx(direct, rel=1e-9, abs=1e-16)
 
 
@@ -149,33 +157,74 @@ def test_asymptotic_per_mode_consistency():
     assert d400 / d800 == pytest.approx(2.0, rel=0.05)
 
 
-def test_truncation_cap_errors():
-    from gbs_page.pagecurve import DEFAULT_TOL
+@pytest.mark.parametrize("alpha", [1, 2, 3, 15])
+def test_quadrature_matches_series_oracle(alpha):
+    # Wherever the series meets its bound, the quadrature agrees with it
+    # within the two error estimates.
+    def check(s, r, n, tol):
+        oracle = series_average(alpha, n, s, r, tol)
+        if oracle is None:
+            return 0
+        res = page_average(alpha, n, s, r, tol)
+        assert res.trunc_err <= tol
+        slack = oracle[1] + res.trunc_err + 1e-12 * abs(res.value)
+        assert abs(res.value - oracle[0]) <= slack, (s, r, n)
+        return 1
 
-    with pytest.raises(TruncationCapError) as err:
-        renyi2_average(400, 3.0, 0.5)
-    assert err.value.partial_value > 0
-    assert err.value.error_bound > DEFAULT_TOL
-    with pytest.raises(TruncationCapError):
-        von_neumann_average(400, 1.0, 0.5, tol=1e-7)
+    compared = sum(check(s, r, n, 1e-6)
+                   for s in (0.05, 0.5, 1.0, 2.0, 3.0)
+                   for r in (0.05, 0.3, 0.5, 0.7, 0.95)
+                   for n in (100, 400, ASYMPTOTIC))
+    assert compared >= 60
+    if alpha > 1:
+        assert sum(check(s, r, n, 1e-10)
+                   for s in (0.05, 0.5, 1.0, 1.5)
+                   for r in (0.1, 0.5)
+                   for n in (100, 400, ASYMPTOTIC)) == 24
 
 
-def test_forced_i_max():
-    res = renyi2_average(100, 0.5, 0.5, i_max=50)
-    assert res.i_max_used == 50
-    loose = renyi2_average(100, 0.5, 0.5, tol=1e-12)
-    assert abs(res.value - loose.value) <= max(res.trunc_err, 1e-12)
-    with pytest.raises(TruncationCapError):
-        renyi2_average(100, 1.5, 0.5, tol=1e-10, i_max=100)
-    with pytest.raises(ValueError):
-        renyi2_average(100, 0.5, 0.5, i_max=0)
+@pytest.mark.parametrize("s", [1.5, 3.0])
+def test_strong_squeezing_matches_monte_carlo(s):
+    # The regime the series could not reach: r = 1/2 at s >= 1.5. The formula
+    # drops finite-n corrections that grow with s: at s = 3 the Monte-Carlo
+    # mean lies 0.38, 0.30, 0.18 and 0.08 nats above it at n = 50, 100, 200
+    # and 400 (about 0.1 % at n = 100), hence the 0.2 % allowance.
+    n, r, n_samples = 100, 0.5, 200
+    plan = ExperimentPlan.from_ratio(n=n, r=r, squeezing=s, alphas=(1, 2, 3),
+                                     n_samples=n_samples, master_seed=5150 + round(s))
+    _, summary = run_experiment(plan)
+    for alpha in (1, 2, 3):
+        pred = page_average(alpha, n, s, r, tol=1e-6).value
+        stats = summary.per_alpha[alpha]
+        assert abs(stats.mean - pred) <= 3 * stats.stderr + 2e-3 * pred, alpha
 
 
-def test_vn_small_s_gate():
-    with pytest.raises(ValueError, match="vn_small_s_limit"):
-        von_neumann_average(100, 0.01, 0.5)
-    # s exactly at the threshold is allowed
-    assert von_neumann_average(100, 0.02, 0.5).value > 0
+def test_strong_squeezing_approaches_large_s_law():
+    # value / (s n) -> 2 min(r, 1-r) from below, with O(1/s) deviations.
+    n, r = 100, 0.5
+    for alpha in (1, 2, 3):
+        devs = {s: vn_large_s_limit(r) - page_average(alpha, n, s, r).value / (s * n)
+                for s in (3.0, 5.0)}
+        assert all(0 < dev <= 1.0 / s for s, dev in devs.items())
+        assert devs[5.0] < devs[3.0]
+
+
+def test_vn_below_old_gate_follows_small_s_law():
+    # value / (n s^2 ln(1/s^2)) decreases toward r(1-r) as s -> 0.
+    n, r = 200, 0.5
+    ratios = [von_neumann_average(n, s, r, tol=1e-9).value / (n * s * s * math.log(1 / s**2))
+              for s in (0.01, 0.005, 0.001)]
+    assert all(a > b for a, b in zip(ratios, ratios[1:]))
+    assert ratios[-1] > vn_small_s_limit(r)
+
+
+def test_tol_below_float64_resolution_raises():
+    loose = von_neumann_average(400, 3.0, 0.5, tol=1e-3)
+    tight = von_neumann_average(400, 3.0, 0.5, tol=1e-8)
+    assert tight.nodes > loose.nodes and tight.trunc_err <= 1e-8
+    assert abs(tight.value - loose.value) <= loose.trunc_err
+    with pytest.raises(ValueError, match="float64 resolution"):
+        von_neumann_average(400, 3.0, 0.5, tol=1e-13)
 
 
 def test_limit_values():

@@ -1,11 +1,9 @@
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
-
-from gbs_page import G, H, catalan, hyp2f1_terminating, hyp2f1_vn
+from series_oracle import G, H, catalan, hyp2f1_terminating
 
 
 def exact_G(i: int, r: float) -> Fraction:
@@ -43,35 +41,6 @@ def test_hyp2f1_terminating_exact_rational_oracle():
         tot += term
         term *= Fraction((1 - i + m) * (i + m), (2 + i + m) * (m + 1)) * rq
     assert hyp2f1_terminating(i, r) == pytest.approx(float(tot), rel=1e-13)
-
-
-def test_hyp2f1_vn_at_zero():
-    res = hyp2f1_vn(4, 0.0)
-    assert res.value == 1.0 and res.tail_estimate == 0.0
-
-
-@pytest.mark.parametrize("i,x,rel", [(1, 0.5, 1e-12), (3, 0.9, 1e-9), (10, 0.3, 1e-11)])
-def test_hyp2f1_vn_against_mpmath(i, x, rel):
-    mpmath.mp.dps = 30
-    expect = float(mpmath.hyp2f1(1.5, 1 + i, 2.5, x))
-    assert hyp2f1_vn(i, x).value == pytest.approx(expect, rel=rel)
-
-
-def test_hyp2f1_vn_tail_estimate_is_a_bound():
-    coarse = hyp2f1_vn(3, 0.8, tol=1e-6)
-    fine = hyp2f1_vn(3, 0.8, tol=5e-7)
-    assert abs(fine.value - coarse.value) <= coarse.tail_estimate
-
-
-def test_hyp2f1_vn_domain_and_overflow():
-    with pytest.raises(ValueError):
-        hyp2f1_vn(2, 1.0)
-    with pytest.raises(ValueError):
-        hyp2f1_vn(2, -0.1)
-    with pytest.raises(ValueError):
-        hyp2f1_vn(0, 0.5)
-    with pytest.raises(OverflowError):
-        hyp2f1_vn(2000, 0.7)
 
 
 def test_G_low_orders():
