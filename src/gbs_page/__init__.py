@@ -11,7 +11,6 @@ from .haar import haar_unitary, sample_generator
 from .states import (
     SqueezingConfig,
     build_M,
-    build_W,
     full_covariance_general,
     reduce_modes,
     reduced_covariance_equal,
@@ -22,7 +21,6 @@ from .states import (
 from .symplectic import symplectic_eigenvalues
 from .entropy import (
     renyi_entropy,
-    renyi_entropy_factored,
     renyi_mode_entropy,
     vn_mode_entropy,
     von_neumann_entropy,
@@ -63,7 +61,6 @@ __all__ = [
     "SqueezingConfig",
     "Summary",
     "build_M",
-    "build_W",
     "estimate_Vd",
     "full_covariance_general",
     "haar_unitary",
@@ -75,7 +72,6 @@ __all__ = [
     "renyi2_average",
     "renyi_average",
     "renyi_entropy",
-    "renyi_entropy_factored",
     "renyi_mode_entropy",
     "renyi_large_s_limit",
     "renyi_small_s_limit",

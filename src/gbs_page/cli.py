@@ -8,10 +8,17 @@ Subcommands:
 * ``figure``    bundled analytic + simulated datasets for the three
                 standard figures, with a manifest recording every parameter.
 
+The three figures are entries of ``FIGURES`` run by one driver,
+``run_figure``.
+
+Worker threads come from ``--threads`` (default ``auto``, one per core) or
+from a ``simulate --config`` file's ``threads`` (default 1), which
+``--threads`` overrides. The thread count never changes results.
+
 Exit codes: 0 success, 2 validation error (including an analytic ``--tol``
-too small for float64), 4 numerical failure in a sample. The environment
-variable GBS_PAGE_THREADS overrides ``--threads``. Numeric output is full-precision (17 significant
-digits); identical invocations produce byte-identical files.
+too small for float64), 4 numerical failure in a sample. Numeric output is
+full-precision (17 significant digits); identical invocations produce
+byte-identical files.
 """
 
 import argparse
@@ -20,6 +27,7 @@ import io
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,18 +50,12 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 4
 
-THREADS_ENV = "GBS_PAGE_THREADS"
-
 ANALYTIC_COLUMNS = ["r", "alpha", "s", "n", "value", "per_mode_value", "nodes", "trunc_err"]
 SAMPLES_COLUMNS = ["sample_index", "alpha", "entropy"]
 LIMITS_COLUMNS = ["r", "alpha", "regime", "value", "normalization_label"]
 
 SIMULATE_CONFIG_KEYS = {"n", "k", "s", "alphas", "samples", "seed", "threads", "out_prefix"}
 SIMULATE_REQUIRED_KEYS = {"n", "k", "s", "alphas", "samples", "seed"}
-
-FIG1_ALPHAS = (1, 2, 3, 4, 5, 6, 7, 15)
-SMALL_S_ALPHAS = (2, 3, 4, 5, 15)
-PAGE_VS_S_ALPHAS = (1, 2, 3)
 
 
 class UsageError(Exception):
@@ -102,41 +104,21 @@ def _parse_squeezing(text: str):
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 
-def _resolve_threads(requested: str | None) -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        requested = env
-    if requested is None:
-        requested = "auto"
+def _resolve_threads(requested) -> int:
+    """Worker count from ``--threads`` or a config's ``threads``: an integer or 'auto'."""
     if requested == "auto":
         return os.cpu_count() or 1
     try:
         threads = int(requested)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"thread count must be an integer or 'auto', got {requested!r}") from exc
     if threads < 1:
         raise UsageError(f"thread count must be >= 1, got {threads}")
     return threads
 
 
-def _write_rows(path: str | None, columns: list[str], rows: list[list[str]]) -> None:
-    """CSV to a file, or to stdout when no path is given."""
-    def emit(stream):
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-
-    if path is None:
-        emit(sys.stdout)
-    else:
-        buf = io.StringIO()
-        emit(buf)
-        with open(path, "w") as fh:
-            fh.write(buf.getvalue())
-
-
-def _write_json(path: str | None, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write_text(path: str | None, text: str) -> None:
+    """Write to a file, or to stdout when no path is given."""
     if path is None:
         sys.stdout.write(text)
     else:
@@ -144,36 +126,41 @@ def _write_json(path: str | None, payload) -> None:
             fh.write(text)
 
 
+def _write_rows(path: str | None, columns: list[str], rows: list[list[str]]) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    _write_text(path, buf.getvalue())
+
+
+def _write_json(path: str | None, payload) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # analytic
 
-def _analytic_rows(alphas, s, n, r_values, tol):
-    rows = []
-    for r in r_values:
-        for alpha in alphas:
-            res = page_average(alpha, n, s, r, tol)
-            if n is ASYMPTOTIC:
-                per_mode = res.value
-                n_field = "inf"
-                total = res.value
-            else:
-                per_mode = res.value / n
-                n_field = str(n)
-                total = res.value
-            rows.append(
-                {
-                    "r": r,
-                    "alpha": alpha,
-                    "s": s,
-                    "n": n_field,
-                    "value": total,
-                    "per_mode_value": per_mode,
-                    "nodes": res.nodes,
-                    "trunc_err": res.trunc_err,
-                    "realized_r": res.realized_r,
-                }
-            )
-    return rows
+def _analytic_row(alpha, n, s, r, tol) -> dict:
+    """One quadrature cell as a JSON row; ASYMPTOTIC values are per mode."""
+    res = page_average(alpha, n, s, r, tol)
+    return {
+        "r": r,
+        "alpha": alpha,
+        "s": s,
+        "n": "inf" if n is ASYMPTOTIC else str(n),
+        "value": res.value,
+        "per_mode_value": res.value if n is ASYMPTOTIC else res.value / n,
+        "nodes": res.nodes,
+        "trunc_err": res.trunc_err,
+        "realized_r": res.realized_r,
+    }
+
+
+def _analytic_csv_row(row: dict) -> list[str]:
+    return [_fmt(row["r"]), str(row["alpha"]), _fmt(row["s"]), row["n"],
+            _fmt(row["value"]), _fmt(row["per_mode_value"]),
+            str(row["nodes"]), _fmt(row["trunc_err"])]
 
 
 def cmd_analytic(args) -> int:
@@ -190,20 +177,15 @@ def cmd_analytic(args) -> int:
     if args.tol <= 0:
         raise UsageError(f"--tol must be positive, got {args.tol}")
     try:
-        rows = _analytic_rows(alphas, args.s, n, r_values, args.tol)
+        rows = [_analytic_row(alpha, n, args.s, r, args.tol)
+                for r in r_values for alpha in alphas]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
     if args.format == "json":
         _write_json(args.out, {"rows": rows})
     else:
-        table = [
-            [_fmt(row["r"]), str(row["alpha"]), _fmt(row["s"]), row["n"],
-             _fmt(row["value"]), _fmt(row["per_mode_value"]),
-             str(row["nodes"]), _fmt(row["trunc_err"])]
-            for row in rows
-        ]
-        _write_rows(args.out, ANALYTIC_COLUMNS, table)
+        _write_rows(args.out, ANALYTIC_COLUMNS, [_analytic_csv_row(row) for row in rows])
     return EXIT_OK
 
 
@@ -242,7 +224,10 @@ def _simulate_config_from_args(args) -> dict:
         ]
         if conflicting:
             raise UsageError(f"--config cannot be combined with {', '.join(conflicting)}")
-        return _load_simulate_config(args.config)
+        config = _load_simulate_config(args.config)
+        requested = args.threads if args.threads is not None else config.get("threads", 1)
+        config["threads"] = _resolve_threads(requested)
+        return config
 
     for name, value in [("--n", args.n), ("--s", args.s), ("--alphas", args.alphas),
                         ("--samples", args.samples), ("--seed", args.seed)]:
@@ -258,7 +243,7 @@ def _simulate_config_from_args(args) -> dict:
         "alphas": list(_parse_int_list(args.alphas, minimum=1)),
         "samples": args.samples,
         "seed": args.seed,
-        "threads": _resolve_threads(args.threads),
+        "threads": _resolve_threads(args.threads if args.threads is not None else "auto"),
     }
     if args.out_prefix is not None:
         config["out_prefix"] = args.out_prefix
@@ -280,15 +265,12 @@ def _run_simulation(config: dict):
         )
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-    threads = int(config.get("threads", 1))
-    if os.environ.get(THREADS_ENV):
-        threads = _resolve_threads(None)
-    return plan, run_experiment(plan, threads=threads), threads
+    return plan, run_experiment(plan, threads=config["threads"])
 
 
 def cmd_simulate(args) -> int:
     config = _simulate_config_from_args(args)
-    plan, (records, summary), threads = _run_simulation(config)
+    plan, (records, summary) = _run_simulation(config)
 
     echo = {
         "n": plan.n,
@@ -297,7 +279,7 @@ def cmd_simulate(args) -> int:
         "alphas": [int(a) for a in plan.alphas],
         "samples": plan.n_samples,
         "seed": plan.master_seed,
-        "threads": threads,
+        "threads": config["threads"],
     }
     prefix = config.get("out_prefix")
     if prefix is not None:
@@ -314,21 +296,13 @@ def cmd_simulate(args) -> int:
             "n_samples": summary.n_samples,
             "realized_r": summary.realized_r,
             "per_alpha": {
-                str(a): {
-                    "mean": st.mean,
-                    "variance": st.variance,
-                    "stderr": st.stderr,
-                }
+                str(a): {"mean": st.mean, "variance": st.variance, "stderr": st.stderr}
                 for a, st in sorted(summary.per_alpha.items())
             },
         },
     }
-    if prefix is None:
-        _write_rows(None, SAMPLES_COLUMNS, sample_rows)
-        _write_json(None, summary_payload)
-    else:
-        _write_rows(f"{prefix}_samples.csv", SAMPLES_COLUMNS, sample_rows)
-        _write_json(f"{prefix}_summary.json", summary_payload)
+    _write_rows(None if prefix is None else f"{prefix}_samples.csv", SAMPLES_COLUMNS, sample_rows)
+    _write_json(None if prefix is None else f"{prefix}_summary.json", summary_payload)
     return EXIT_OK
 
 
@@ -366,10 +340,7 @@ def cmd_limits(args) -> int:
             else:
                 value, label = renyi_small_s_limit(args.alpha, r), "s^2 n"
         else:
-            if args.alpha == 1:
-                value = vn_large_s_limit(r)
-            else:
-                value = renyi_large_s_limit(args.alpha, r)
+            value = vn_large_s_limit(r) if args.alpha == 1 else renyi_large_s_limit(args.alpha, r)
             label = "s n"
         rows.append([_fmt(r), str(args.alpha), args.regime, _fmt(value), label])
     _write_rows(args.out, LIMITS_COLUMNS, rows)
@@ -385,224 +356,145 @@ class FigureParams:
     n_samples: int
 
 
-FIGURE_SCALES = {
-    "fig1": {"desk": FigureParams(100, 100), "full": FigureParams(400, 250)},
-    "small-s": {"desk": FigureParams(100, 100), "full": FigureParams(400, 250)},
-    "page-vs-s": {"desk": FigureParams(100, 100), "full": FigureParams(400, 250)},
+SCALES = {"desk": FigureParams(100, 100), "full": FigureParams(400, 250)}
+
+# Value of the parameter a figure holds fixed: s for a sweep over r, r for
+# a sweep over s.
+FIXED_PARAM = 0.5
+
+
+@dataclass(frozen=True)
+class FigureSpec:
+    """One standard figure: quadrature values and Monte-Carlo means on a sweep.
+
+    With ``norm`` set, both files hold entropies divided by ``norm(n, s)``
+    and the analytic file adds the limit law; without it the analytic file
+    is the ``analytic`` table. Every ``mc_stride``-th grid point is
+    simulated unless an explicit Monte-Carlo grid is given, which only a
+    figure with an ``mc_grid_key`` accepts.
+    """
+
+    stem: str
+    sweep: str
+    grid: str
+    alphas: tuple[int, ...]
+    mc_stride: int
+    norm: Callable[[int, float], float] | None
+    limit: Callable[[int, float], float] | None
+    ylabel: str
+    grid_key: str
+    mc_grid_key: str | None
+
+
+FIGURES = {
+    "fig1": FigureSpec(
+        "fig1", "r", "0.05:0.95:0.05", (1, 2, 3, 4, 5, 6, 7, 15), 1,
+        None, None, "entropy (nats)", "r_grid", None),
+    "small-s": FigureSpec(
+        "small_s", "s", "0.05:1.0:0.05", (2, 3, 4, 5, 15), 4,
+        lambda n, s: n * s * s, renyi_small_s_limit, "S/(n s^2)",
+        "s_grid", "mc_s_grid"),
+    "page-vs-s": FigureSpec(
+        "page_vs_s", "s", "0.25:3.0:0.25", (1, 2, 3), 1,
+        lambda n, s: s * n, lambda alpha, r: renyi_large_s_limit(max(alpha, 2), r),
+        "S/(s n)", "analytic_s_grid", "mc_s_grid"),
 }
 
 
-def _mc_curve(n, k, s, alphas, n_samples, seed, threads):
-    plan = ExperimentPlan(
-        n=n, k=k, squeezing=s, alphas=tuple(alphas),
-        n_samples=n_samples, master_seed=seed,
-    )
-    _, summary = run_experiment(plan, threads=threads)
-    return summary
+def run_figure(name, out_dir, params: FigureParams, seed: int, threads: int, *,
+               alphas=None, grid=None, mc_grid=None, tol: float = DEFAULT_TOL,
+               gnuplot: bool = False) -> dict:
+    """Write one figure's analytic and simulated CSVs and its manifest.
 
-
-def run_fig1(out_dir, params: FigureParams, seed: int, threads: int, s: float = 0.5,
-             alphas=FIG1_ALPHAS, r_grid=None, tol: float = DEFAULT_TOL,
-             gnuplot: bool = False) -> dict:
-    """Analytic curves plus simulated points of the entropy-vs-r figure."""
-    r_values = r_grid if r_grid is not None else _parse_grid("0.05:0.95:0.05")
-    os.makedirs(out_dir, exist_ok=True)
-
-    analytic = _analytic_rows(alphas, s, params.n, r_values, tol)
-    analytic_rows = [
-        [_fmt(row["r"]), str(row["alpha"]), _fmt(row["s"]), row["n"],
-         _fmt(row["value"]), _fmt(row["per_mode_value"]),
-         str(row["nodes"]), _fmt(row["trunc_err"])]
-        for row in analytic
-    ]
-    _write_rows(os.path.join(out_dir, "fig1_analytic.csv"), ANALYTIC_COLUMNS, analytic_rows)
-
-    mc_rows = []
-    for idx, r in enumerate(r_values):
-        summary = _mc_curve(params.n, round(r * params.n), s, alphas,
-                            params.n_samples, seed + idx, threads)
-        for alpha in alphas:
-            st = summary.per_alpha[alpha]
-            mc_rows.append([_fmt(r), str(alpha), _fmt(st.mean), _fmt(st.stderr),
-                            str(params.n_samples)])
-    _write_rows(os.path.join(out_dir, "fig1_simulated.csv"),
-                ["r", "alpha", "mean", "stderr", "n_samples"], mc_rows)
-
-    files = ["fig1_analytic.csv", "fig1_simulated.csv"]
-    if gnuplot:
-        _write_fig1_gnuplot(os.path.join(out_dir, "fig1.gp"), alphas)
-        files.append("fig1.gp")
-    manifest = {
-        "figure": "fig1",
-        "n": params.n,
-        "n_samples": params.n_samples,
-        "s": s,
-        "alphas": list(alphas),
-        "r_grid": [float(r) for r in r_values],
-        "seed": seed,
-        "tol": tol,
-        "files": files,
-    }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    return manifest
-
-
-def run_small_s(out_dir, params: FigureParams, seed: int, threads: int,
-                alphas=SMALL_S_ALPHAS, s_grid=None, mc_stride: int = 4,
-                r: float = 0.5, tol: float = DEFAULT_TOL, gnuplot: bool = False) -> dict:
-    """Renyi averages over s^2 versus s, with their weak-squeezing limits."""
-    s_values = s_grid if s_grid is not None else _parse_grid("0.05:1.0:0.05")
-    os.makedirs(out_dir, exist_ok=True)
-    n = params.n
-
-    rows = []
-    for s in s_values:
-        for alpha in alphas:
-            res = page_average(alpha, n, s, r, tol)
-            rows.append([_fmt(s), str(alpha), _fmt(res.value / (n * s * s)),
-                         _fmt(renyi_small_s_limit(alpha, r))])
-    _write_rows(os.path.join(out_dir, "small_s_analytic.csv"),
-                ["s", "alpha", "scaled_value", "limit_value"], rows)
-
-    mc_rows = []
-    for idx, s in enumerate(s_values[::mc_stride]):
-        summary = _mc_curve(n, round(r * n), s, alphas, params.n_samples,
-                            seed + idx, threads)
-        for alpha in alphas:
-            st = summary.per_alpha[alpha]
-            mc_rows.append([_fmt(s), str(alpha), _fmt(st.mean / (n * s * s)),
-                            _fmt(st.stderr / (n * s * s)), str(params.n_samples)])
-    _write_rows(os.path.join(out_dir, "small_s_simulated.csv"),
-                ["s", "alpha", "scaled_mean", "scaled_stderr", "n_samples"], mc_rows)
-
-    files = ["small_s_analytic.csv", "small_s_simulated.csv"]
-    if gnuplot:
-        _write_generic_gnuplot(os.path.join(out_dir, "small_s.gp"),
-                               "small_s_analytic.csv", "small_s_simulated.csv",
-                               alphas, "s", "S/(n s^2)")
-        files.append("small_s.gp")
-    manifest = {
-        "figure": "small-s",
-        "n": n,
-        "n_samples": params.n_samples,
-        "r": r,
-        "alphas": list(alphas),
-        "s_grid": [float(s) for s in s_values],
-        "mc_s_grid": [float(s) for s in s_values[::mc_stride]],
-        "seed": seed,
-        "tol": tol,
-        "files": files,
-    }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    return manifest
-
-
-def run_page_vs_s(out_dir, params: FigureParams, seed: int, threads: int,
-                  alphas=PAGE_VS_S_ALPHAS, analytic_s_grid=None, mc_s_grid=None,
-                  r: float = 0.5, tol: float = DEFAULT_TOL, gnuplot: bool = False) -> dict:
-    """Entropy over s n versus s, approaching 2 min(r, 1-r).
-
-    Analytic and Monte-Carlo points both default to s = 0.25:3.0:0.25.
+    Monte-Carlo point ``i`` uses seed ``seed + i``.
     """
-    default_grid = _parse_grid("0.25:3.0:0.25")
-    s_analytic = analytic_s_grid if analytic_s_grid is not None else default_grid
-    s_mc = mc_s_grid if mc_s_grid is not None else default_grid
-    os.makedirs(out_dir, exist_ok=True)
+    spec = FIGURES[name]
+    alphas = tuple(alphas) if alphas is not None else spec.alphas
+    grid = list(grid) if grid is not None else _parse_grid(spec.grid)
+    if mc_grid is None:
+        mc_grid = grid[::spec.mc_stride]
+    elif spec.mc_grid_key is None:
+        raise ValueError(f"figure {name} simulates its own grid; it takes no mc_grid")
     n = params.n
+    os.makedirs(out_dir, exist_ok=True)
 
+    def point(x):
+        return (FIXED_PARAM, x) if spec.sweep == "r" else (x, FIXED_PARAM)
+
+    prefix = "" if spec.norm is None else "scaled_"
     rows = []
-    for s in s_analytic:
+    for x in grid:
+        s, r = point(x)
         for alpha in alphas:
-            res = page_average(alpha, n, s, r, tol)
-            rows.append([_fmt(s), str(alpha), _fmt(res.value / (s * n)),
-                         _fmt(renyi_large_s_limit(max(alpha, 2), r))])
-    _write_rows(os.path.join(out_dir, "page_vs_s_analytic.csv"),
-                ["s", "alpha", "scaled_value", "limit_value"], rows)
+            row = _analytic_row(alpha, n, s, r, tol)
+            if spec.norm is None:
+                rows.append(_analytic_csv_row(row))
+            else:
+                rows.append([_fmt(x), str(alpha), _fmt(row["value"] / spec.norm(n, s)),
+                             _fmt(spec.limit(alpha, r))])
+    files = [f"{spec.stem}_analytic.csv", f"{spec.stem}_simulated.csv"]
+    _write_rows(os.path.join(out_dir, files[0]), ANALYTIC_COLUMNS if spec.norm is None
+                else [spec.sweep, "alpha", "scaled_value", "limit_value"], rows)
 
     mc_rows = []
-    for idx, s in enumerate(s_mc):
-        summary = _mc_curve(n, round(r * n), s, alphas, params.n_samples,
-                            seed + idx, threads)
+    for idx, x in enumerate(mc_grid):
+        s, r = point(x)
+        plan = ExperimentPlan(n=n, k=round(r * n), squeezing=s, alphas=alphas,
+                              n_samples=params.n_samples, master_seed=seed + idx)
+        _, summary = run_experiment(plan, threads=threads)
+        scale = 1.0 if spec.norm is None else spec.norm(n, s)
         for alpha in alphas:
             st = summary.per_alpha[alpha]
-            mc_rows.append([_fmt(s), str(alpha), _fmt(st.mean / (s * n)),
-                            _fmt(st.stderr / (s * n)), str(params.n_samples)])
-    _write_rows(os.path.join(out_dir, "page_vs_s_simulated.csv"),
-                ["s", "alpha", "scaled_mean", "scaled_stderr", "n_samples"], mc_rows)
+            mc_rows.append([_fmt(x), str(alpha), _fmt(st.mean / scale),
+                            _fmt(st.stderr / scale), str(params.n_samples)])
 
-    files = ["page_vs_s_analytic.csv", "page_vs_s_simulated.csv"]
+    _write_rows(os.path.join(out_dir, files[1]),
+                [spec.sweep, "alpha", prefix + "mean", prefix + "stderr", "n_samples"], mc_rows)
     if gnuplot:
-        _write_generic_gnuplot(os.path.join(out_dir, "page_vs_s.gp"),
-                               "page_vs_s_analytic.csv", "page_vs_s_simulated.csv",
-                               alphas, "s", "S/(s n)")
-        files.append("page_vs_s.gp")
+        files.append(f"{spec.stem}.gp")
+        _write_gnuplot(os.path.join(out_dir, files[2]), spec, alphas)
     manifest = {
-        "figure": "page-vs-s",
+        "figure": name,
         "n": n,
         "n_samples": params.n_samples,
-        "r": r,
+        "s" if spec.sweep == "r" else "r": FIXED_PARAM,
         "alphas": list(alphas),
-        "analytic_s_grid": [float(s) for s in s_analytic],
-        "mc_s_grid": [float(s) for s in s_mc],
+        spec.grid_key: [float(x) for x in grid],
         "seed": seed,
         "tol": tol,
         "files": files,
     }
+    if spec.mc_grid_key is not None:
+        manifest[spec.mc_grid_key] = [float(x) for x in mc_grid]
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
 
 
-def _write_fig1_gnuplot(path: str, alphas) -> None:
-    lines = [
-        "set datafile separator ','",
-        "set xlabel 'r'",
-        "set ylabel 'entropy (nats)'",
-        "set key outside",
-        "plot \\",
-    ]
+def _write_gnuplot(path: str, spec: FigureSpec, alphas) -> None:
+    """Curves and points per alpha; a dashed limit line when the figure is normalised."""
+    analytic, simulated = f"{spec.stem}_analytic.csv", f"{spec.stem}_simulated.csv"
+    value_col = ANALYTIC_COLUMNS.index("value") + 1 if spec.norm is None else 3
     parts = []
     for alpha in alphas:
-        parts.append(
-            f"  'fig1_analytic.csv' using 1:($2=={alpha}?$5:1/0) with lines title 'alpha={alpha}'"
-        )
-        parts.append(
-            f"  'fig1_simulated.csv' using 1:($2=={alpha}?$3:1/0) with points notitle"
-        )
-    lines.append(", \\\n".join(parts))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_generic_gnuplot(path: str, analytic_csv: str, mc_csv: str, alphas,
-                           xlabel: str, ylabel: str) -> None:
+        parts.append(f"  '{analytic}' using 1:($2=={alpha}?${value_col}:1/0) "
+                     f"with lines title 'alpha={alpha}'")
+        if spec.norm is not None:
+            parts.append(f"  '{analytic}' using 1:($2=={alpha}?$4:1/0) with lines dt 2 notitle")
+        parts.append(f"  '{simulated}' using 1:($2=={alpha}?$3:1/0) with points notitle")
     lines = [
         "set datafile separator ','",
-        f"set xlabel '{xlabel}'",
-        f"set ylabel '{ylabel}'",
+        f"set xlabel '{spec.sweep}'",
+        f"set ylabel '{spec.ylabel}'",
         "set key outside",
         "plot \\",
+        ", \\\n".join(parts),
     ]
-    parts = []
-    for alpha in alphas:
-        parts.append(
-            f"  '{analytic_csv}' using 1:($2=={alpha}?$3:1/0) with lines title 'alpha={alpha}'"
-        )
-        parts.append(
-            f"  '{analytic_csv}' using 1:($2=={alpha}?$4:1/0) with lines dt 2 notitle"
-        )
-        parts.append(
-            f"  '{mc_csv}' using 1:($2=={alpha}?$3:1/0) with points notitle"
-        )
-    lines.append(", \\\n".join(parts))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def cmd_figure(args) -> int:
-    params = FIGURE_SCALES[args.name][args.scale]
-    threads = _resolve_threads(args.threads)
-    runner = {"fig1": run_fig1, "small-s": run_small_s, "page-vs-s": run_page_vs_s}[args.name]
-    runner(args.out_dir, params, seed=args.seed, threads=threads, gnuplot=args.gnuplot)
+    run_figure(args.name, args.out_dir, SCALES[args.scale], args.seed,
+               _resolve_threads(args.threads), gnuplot=args.gnuplot)
     return EXIT_OK
 
 
@@ -638,7 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--threads", help="worker threads, integer or 'auto'")
     p.add_argument("--out-prefix", help="write <prefix>_samples.csv and <prefix>_summary.json")
-    p.add_argument("--config", help="JSON run config (exclusive with the other flags)")
+    p.add_argument("--config", help="JSON run config (exclusive with the other flags "
+                                    "except --threads, which overrides its 'threads')")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("limits", help="small/large squeezing limit curves")
@@ -650,11 +543,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("figure", help="reproduce a standard figure dataset")
-    p.add_argument("name", choices=sorted(FIGURE_SCALES))
-    p.add_argument("--scale", choices=["desk", "full"], default="desk")
+    p.add_argument("name", choices=sorted(FIGURES))
+    p.add_argument("--scale", choices=sorted(SCALES), default="desk")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--threads", help="worker threads, integer or 'auto'")
+    p.add_argument("--threads", default="auto", help="worker threads, integer or 'auto'")
     p.add_argument("--gnuplot", action="store_true", help="also emit a gnuplot script")
     p.set_defaults(func=cmd_figure)
 

@@ -9,21 +9,14 @@ and the Renyi-alpha entropy for integer alpha >= 2 is
 
     S_alpha = sum_j ln[((nu_j+1)^alpha - (nu_j-1)^alpha) / 2^alpha] / (alpha-1).
 
-``renyi_entropy_factored`` evaluates the same quantity through the root
-factorization
-
-    (nu+1)^alpha - (nu-1)^alpha
-        = 2 alpha nu^zeta prod_{m=1}^{floor((alpha-1)/2)} (nu^2 + cot^2(pi m / alpha)),
-
-with zeta = 1 for even alpha and 0 for odd, which serves as an independent
-cross-check of the direct form.
+Both are sums of vectorized per-mode entropies (``vn_mode_entropy``,
+``renyi_mode_entropy``), which the analytic quadrature integrates too.
 """
 
 import numpy as np
 
 __all__ = [
     "renyi_entropy",
-    "renyi_entropy_factored",
     "renyi_mode_entropy",
     "vn_mode_entropy",
     "von_neumann_entropy",
@@ -114,24 +107,3 @@ def renyi_entropy(nu, alpha: int) -> float:
         return 0.0
     return float(np.sum(renyi_mode_entropy(arr, alpha)))
 
-
-def renyi_entropy_factored(nu, alpha: int) -> float:
-    """Renyi-alpha entropy through the cotangent root factorization.
-
-    Agrees with ``renyi_entropy`` to full precision; kept as a separate code
-    path so the two can be checked against each other.
-    """
-    alpha = _check_alpha(alpha)
-    arr = _as_spectrum(nu)
-    if arr.size == 0:
-        return 0.0
-    zeta = 1 - (alpha % 2)
-    a = (alpha - 1) // 2
-    per_mode = np.full(arr.shape, np.log(alpha))
-    if zeta:
-        per_mode += np.log(arr)
-    if a:
-        m = np.arange(1, a + 1)
-        cot2 = 1.0 / np.tan(np.pi * m / alpha) ** 2
-        per_mode += np.sum(np.log(arr[:, None] ** 2 + cot2[None, :]), axis=1)
-    return float(np.sum(per_mode / (alpha - 1) - np.log(2.0)))

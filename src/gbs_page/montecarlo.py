@@ -59,9 +59,7 @@ class ExperimentPlan:
     directly in the 2k x 2k form) or a length-n sequence for the general
     case (reduction of the full-state construction to the first k modes).
     ``alphas`` may include 1, meaning the von Neumann entropy. ``trw_max``
-    requests per-sample power traces Tr W^i for i = 1..trw_max. With
-    ``emit_per_sample=False`` only the summary is kept and the records list
-    comes back empty.
+    requests per-sample power traces Tr W^i for i = 1..trw_max.
     """
 
     n: int
@@ -71,7 +69,6 @@ class ExperimentPlan:
     n_samples: int = 100
     master_seed: int = 0
     trw_max: int = 0
-    emit_per_sample: bool = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -194,7 +191,7 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple[list[SampleR
     summary = Summary(
         per_alpha=per_alpha, n_samples=plan.n_samples, realized_r=plan.realized_r
     )
-    return (records if plan.emit_per_sample else []), summary
+    return records, summary
 
 
 def purity_symmetry_check(U: np.ndarray, squeezing, k: int, alphas=(1, 2, 3), tol: float = 1e-8) -> bool:

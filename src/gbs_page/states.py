@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "SqueezingConfig",
     "build_M",
-    "build_W",
     "full_covariance_general",
     "reduce_modes",
     "reduced_covariance_equal",
@@ -66,10 +65,6 @@ class SqueezingConfig:
     def n(self) -> int:
         return len(self.s)
 
-    @property
-    def is_equal(self) -> bool:
-        return len(set(self.s)) == 1
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.s, dtype=float)
 
@@ -93,19 +88,6 @@ def build_M(U: np.ndarray, k: int) -> np.ndarray:
     _check_k(U, k)
     a = np.conj(U @ U.T)[:k, :k]
     return np.block([[a.real, a.imag], [a.imag, -a.real]])
-
-
-def build_W(U: np.ndarray, k: int) -> np.ndarray:
-    """Hermitian PSD matrix W = Pi X Pi X^dag Pi, X = U U^T, as n x n array.
-
-    Rank is at most k; eigenvalues lie in [0, 1]; Tr W^i = Tr M^{2i} / 2.
-    """
-    _check_k(U, k)
-    n = U.shape[0]
-    x = (U @ U.T)[:k, :k]
-    w = np.zeros((n, n), dtype=complex)
-    w[:k, :k] = x @ x.conj().T
-    return w
 
 
 def _w_block_eigenvalues(U: np.ndarray, k: int) -> np.ndarray:

@@ -17,6 +17,7 @@ import os
 
 import numpy as np
 import pytest
+from oracles import build_W, renyi_entropy_factored
 from series_oracle import vn_series_coefficients, vn_series_constant
 
 from gbs_page import (
@@ -24,12 +25,10 @@ from gbs_page import (
     estimate_Vd,
     haar_unitary,
     build_M,
-    build_W,
     page_average,
     purity_symmetry_check,
     renyi_average,
     renyi_entropy,
-    renyi_entropy_factored,
     renyi_small_s_limit,
     renyi_unequal_small,
     run_experiment,

@@ -14,9 +14,7 @@ from gbs_page.cli import (
     EXIT_USAGE,
     FigureParams,
     main,
-    run_fig1,
-    run_page_vs_s,
-    run_small_s,
+    run_figure,
 )
 
 
@@ -133,14 +131,12 @@ def test_simulate_byte_identical_reruns(tmp_path, capsys):
     assert s1 == s2
 
 
-def test_simulate_thread_count_does_not_change_results(tmp_path, capsys, monkeypatch):
+def test_simulate_thread_count_does_not_change_results(tmp_path, capsys):
     args = ["simulate", "--n", "8", "--k", "4", "--s", "0.5", "--alphas", "2",
             "--samples", "6", "--seed", "42"]
     p1, p2 = str(tmp_path / "t1"), str(tmp_path / "t2")
-    monkeypatch.setenv("GBS_PAGE_THREADS", "1")
-    assert run_cli(capsys, *args, "--out-prefix", p1)[0] == 0
-    monkeypatch.setenv("GBS_PAGE_THREADS", "3")
-    assert run_cli(capsys, *args, "--out-prefix", p2)[0] == 0
+    assert run_cli(capsys, *args, "--threads", "1", "--out-prefix", p1)[0] == 0
+    assert run_cli(capsys, *args, "--threads", "3", "--out-prefix", p2)[0] == 0
     assert (tmp_path / "t1_samples.csv").read_bytes() == (tmp_path / "t2_samples.csv").read_bytes()
     s1 = json.loads((tmp_path / "t1_summary.json").read_text())
     s2 = json.loads((tmp_path / "t2_summary.json").read_text())
@@ -165,6 +161,39 @@ def test_simulate_config_round_trip(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "orig_samples.csv").read_bytes() == original_samples
     assert summary_path.read_bytes() == original_summary
+
+
+def test_simulate_config_threads_flag_overrides(tmp_path, capsys):
+    config = {"n": 8, "k": 4, "s": 0.5, "alphas": [1, 2], "samples": 6, "seed": 42,
+              "threads": 1}
+    for name, threads in (("c1", 1), ("c2", 4)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**config, "threads": threads,
+                                    "out_prefix": str(tmp_path / name)}))
+    assert run_cli(capsys, "simulate", "--config", str(tmp_path / "c1.json"))[0] == 0
+    assert run_cli(capsys, "simulate", "--config", str(tmp_path / "c2.json"),
+                   "--threads", "2")[0] == 0
+    s1 = json.loads((tmp_path / "c1_summary.json").read_text())
+    s2 = json.loads((tmp_path / "c2_summary.json").read_text())
+    assert s2["config"]["threads"] == 2  # the flag, not the config's 4
+    assert s1["results"] == s2["results"]
+    assert (tmp_path / "c1_samples.csv").read_bytes() == (tmp_path / "c2_samples.csv").read_bytes()
+
+
+def test_simulate_config_threads_auto(tmp_path, capsys):
+    path = tmp_path / "auto.json"
+    path.write_text(json.dumps({"n": 6, "k": 3, "s": 0.5, "alphas": [2], "samples": 3,
+                                "seed": 1, "threads": "auto",
+                                "out_prefix": str(tmp_path / "auto")}))
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 0, err
+    summary = json.loads((tmp_path / "auto_summary.json").read_text())
+    assert summary["config"]["threads"] == (os.cpu_count() or 1)
+
+    path.write_text(json.dumps({"n": 6, "k": 3, "s": 0.5, "alphas": [2], "samples": 3,
+                                "seed": 1, "threads": "many"}))
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == EXIT_USAGE and "thread count" in err
 
 
 def test_simulate_config_strictness(tmp_path, capsys):
@@ -247,9 +276,9 @@ def test_limits_s_vector(tmp_path, capsys):
 
 def test_figure_bundle_tiny(tmp_path):
     out = tmp_path / "fig"
-    manifest = run_fig1(
-        str(out), FigureParams(n=12, n_samples=5), seed=3, threads=1,
-        alphas=(1, 2), r_grid=[0.25, 0.5], gnuplot=True,
+    manifest = run_figure(
+        "fig1", str(out), FigureParams(n=12, n_samples=5), seed=3, threads=1,
+        alphas=(1, 2), grid=[0.25, 0.5], gnuplot=True,
     )
     assert (out / "fig1_analytic.csv").exists()
     assert (out / "fig1_simulated.csv").exists()
@@ -260,16 +289,16 @@ def test_figure_bundle_tiny(tmp_path):
 
     # deterministic re-run
     before = (out / "fig1_simulated.csv").read_bytes()
-    run_fig1(str(out), FigureParams(n=12, n_samples=5), seed=3, threads=1,
-             alphas=(1, 2), r_grid=[0.25, 0.5], gnuplot=True)
+    run_figure("fig1", str(out), FigureParams(n=12, n_samples=5), seed=3, threads=1,
+               alphas=(1, 2), grid=[0.25, 0.5], gnuplot=True)
     assert (out / "fig1_simulated.csv").read_bytes() == before
 
 
 def test_figure_page_vs_s_strong_squeezing_rows(tmp_path):
     out = tmp_path / "pvs"
-    manifest = run_page_vs_s(
-        str(out), FigureParams(n=12, n_samples=4), seed=2, threads=1,
-        alphas=(1, 2), analytic_s_grid=[0.5, 3.0], mc_s_grid=[0.5],
+    manifest = run_figure(
+        "page-vs-s", str(out), FigureParams(n=12, n_samples=4), seed=2, threads=1,
+        alphas=(1, 2), grid=[0.5, 3.0], mc_grid=[0.5],
     )
     assert "analytic_skipped" not in manifest
     _, rows = parse_csv((out / "page_vs_s_analytic.csv").read_text())
@@ -279,11 +308,10 @@ def test_figure_page_vs_s_strong_squeezing_rows(tmp_path):
     assert all(0 < float(row[2]) < float(row[3]) == 1.0 for row in rows)
 
 
-def test_figure_small_s_desk_cli(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GBS_PAGE_THREADS", "1")
+def test_figure_small_s_desk_cli(tmp_path, capsys):
     out = tmp_path / "smalls"
     code, _, _ = run_cli(capsys, "figure", "small-s", "--scale", "desk",
-                         "--out-dir", str(out))
+                         "--threads", "1", "--out-dir", str(out))
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["n"] == 100 and manifest["n_samples"] == 100
@@ -292,6 +320,61 @@ def test_figure_small_s_desk_cli(tmp_path, capsys, monkeypatch):
     first = [row for row in rows if row[0] == "0.05"]
     for row in first:
         assert float(row[2]) == pytest.approx(float(row[3]), rel=0.05)
+
+
+FIGURE_SCHEMAS = {
+    "fig1": (
+        ["r", "alpha", "s", "n", "value", "per_mode_value", "nodes", "trunc_err"],
+        ["r", "alpha", "mean", "stderr", "n_samples"],
+        {"s", "r_grid"},
+    ),
+    "small-s": (
+        ["s", "alpha", "scaled_value", "limit_value"],
+        ["s", "alpha", "scaled_mean", "scaled_stderr", "n_samples"],
+        {"r", "s_grid", "mc_s_grid"},
+    ),
+    "page-vs-s": (
+        ["s", "alpha", "scaled_value", "limit_value"],
+        ["s", "alpha", "scaled_mean", "scaled_stderr", "n_samples"],
+        {"r", "analytic_s_grid", "mc_s_grid"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIGURE_SCHEMAS))
+def test_figure_schema(tmp_path, name):
+    analytic_header, simulated_header, grid_keys = FIGURE_SCHEMAS[name]
+    grid = [0.25, 0.5]
+    manifest = run_figure(name, str(tmp_path), FigureParams(n=12, n_samples=3), seed=5,
+                          threads=1, alphas=(2, 3), grid=grid, gnuplot=True)
+    analytic, simulated, script = manifest["files"]
+    header, rows = parse_csv((tmp_path / analytic).read_text())
+    assert header == analytic_header and len(rows) == 4
+    header, rows = parse_csv((tmp_path / simulated).read_text())
+    assert header == simulated_header
+    # the manifest names exactly the points each file holds
+    assert sorted({float(row[0]) for row in rows}) == manifest.get("mc_s_grid", grid)
+    assert json.loads((tmp_path / "manifest.json").read_text()) == manifest
+    common = {"figure", "n", "n_samples", "alphas", "seed", "tol", "files"}
+    assert set(manifest) == common | grid_keys
+    assert all(manifest[key] == grid for key in grid_keys - {"r", "s", "mc_s_grid"})
+
+    plot = (tmp_path / script).read_text().split("plot \\\n", 1)[1].split(", \\\n")
+    limit_lines = [line for line in plot if "dt 2" in line]
+    if name == "fig1":
+        assert limit_lines == [] and len(plot) == 4
+        assert all(f"'{analytic}' using 1:($2=={a}?$5:1/0) with lines title 'alpha={a}'"
+                   in plot[2 * i] for i, a in enumerate((2, 3)))
+    else:
+        assert len(limit_lines) == 2 and len(plot) == 6
+        assert all(f"'{analytic}' using 1:($2=={a}?$4:1/0) with lines dt 2"
+                   in plot[3 * i + 1] for i, a in enumerate((2, 3)))
+
+
+def test_figure_fig1_takes_no_mc_grid(tmp_path):
+    with pytest.raises(ValueError, match="mc_grid"):
+        run_figure("fig1", str(tmp_path), FigureParams(n=12, n_samples=3), seed=5,
+                   threads=1, grid=[0.5], mc_grid=[0.5])
 
 
 def test_unknown_figure_or_scale(capsys):

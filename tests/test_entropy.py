@@ -3,10 +3,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from oracles import renyi_entropy_factored
 
 from gbs_page import (
     renyi_entropy,
-    renyi_entropy_factored,
     renyi_mode_entropy,
     vn_mode_entropy,
     von_neumann_entropy,

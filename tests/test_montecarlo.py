@@ -79,19 +79,6 @@ def test_mean_matches_analytic():
     assert abs(stats.mean - pred) <= 3 * stats.stderr
 
 
-def test_emit_per_sample_off_keeps_summary():
-    plan = ExperimentPlan(n=8, k=3, squeezing=0.4, alphas=(2,), n_samples=6,
-                          master_seed=3, emit_per_sample=False)
-    records, summary = run_experiment(plan)
-    assert records == []
-    full_records, full_summary = run_experiment(
-        ExperimentPlan(n=8, k=3, squeezing=0.4, alphas=(2,), n_samples=6,
-                       master_seed=3)
-    )
-    assert len(full_records) == 6
-    assert summary == full_summary
-
-
 def test_trw_moments_recorded():
     plan = ExperimentPlan(n=12, k=6, squeezing=0.5, alphas=(2,), n_samples=3,
                           master_seed=13, trw_max=4)

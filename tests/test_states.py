@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from oracles import build_W
 
 from gbs_page import (
     SqueezingConfig,
     build_M,
-    build_W,
     full_covariance_general,
     haar_unitary,
     reduce_modes,
