@@ -7,18 +7,16 @@ and a seeded Monte-Carlo pipeline that cross-validates the formulas.
 All entropies are in nats.
 """
 
-from .haar import haar_unitary, sample_generator
+from .haar import haar_frame, haar_unitary, sample_generator
 from .states import (
     SqueezingConfig,
-    build_M,
     full_covariance_general,
     reduce_modes,
-    reduced_covariance_equal,
     reduced_covariance_general,
     symplectic_form,
     trW_moments,
 )
-from .symplectic import symplectic_eigenvalues
+from .symplectic import equal_squeezing_spectrum, symplectic_eigenvalues
 from .entropy import (
     renyi_entropy,
     renyi_mode_entropy,
@@ -60,14 +58,14 @@ __all__ = [
     "SampleRecord",
     "SqueezingConfig",
     "Summary",
-    "build_M",
+    "equal_squeezing_spectrum",
     "estimate_Vd",
     "full_covariance_general",
+    "haar_frame",
     "haar_unitary",
     "page_average",
     "purity_symmetry_check",
     "reduce_modes",
-    "reduced_covariance_equal",
     "reduced_covariance_general",
     "renyi2_average",
     "renyi_average",

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .montecarlo import ExperimentPlan, SampleFailure, run_experiment
+from .montecarlo import SAMPLER, ExperimentPlan, SampleFailure, run_experiment
 from .pagecurve import (
     ASYMPTOTIC,
     DEFAULT_TOL,
@@ -54,8 +54,8 @@ ANALYTIC_COLUMNS = ["r", "alpha", "s", "n", "value", "per_mode_value", "nodes", 
 SAMPLES_COLUMNS = ["sample_index", "alpha", "entropy"]
 LIMITS_COLUMNS = ["r", "alpha", "regime", "value", "normalization_label"]
 
-SIMULATE_CONFIG_KEYS = {"n", "k", "s", "alphas", "samples", "seed", "threads", "out_prefix"}
 SIMULATE_REQUIRED_KEYS = {"n", "k", "s", "alphas", "samples", "seed"}
+SIMULATE_CONFIG_KEYS = SIMULATE_REQUIRED_KEYS | {"threads", "out_prefix", "sampler"}
 
 
 class UsageError(Exception):
@@ -108,6 +108,8 @@ def _resolve_threads(requested) -> int:
     """Worker count from ``--threads`` or a config's ``threads``: an integer or 'auto'."""
     if requested == "auto":
         return os.cpu_count() or 1
+    if isinstance(requested, bool) or isinstance(requested, float) and requested % 1:
+        raise UsageError(f"thread count must be an integer or 'auto', got {requested!r}")
     try:
         threads = int(requested)
     except (TypeError, ValueError) as exc:
@@ -208,6 +210,9 @@ def _load_simulate_config(path: str) -> dict:
     missing = SIMULATE_REQUIRED_KEYS - set(payload)
     if missing:
         raise UsageError(f"missing config keys: {sorted(missing)}")
+    if payload.get("sampler", SAMPLER) != SAMPLER:
+        raise UsageError(f"config comes from sampler {payload['sampler']!r}, this program "
+                         f"runs sampler {SAMPLER}: its samples cannot be replayed")
     return payload
 
 
@@ -280,6 +285,7 @@ def cmd_simulate(args) -> int:
         "samples": plan.n_samples,
         "seed": plan.master_seed,
         "threads": config["threads"],
+        "sampler": SAMPLER,
     }
     prefix = config.get("out_prefix")
     if prefix is not None:

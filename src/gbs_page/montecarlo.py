@@ -13,20 +13,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import renyi_entropy, von_neumann_entropy
-from .haar import haar_unitary
+from .haar import haar_frame, haar_unitary
 from .states import (
     SqueezingConfig,
+    _power_sums,
+    _w_block_eigenvalues,
     full_covariance_general,
     reduce_modes,
-    reduced_covariance_equal,
     reduced_covariance_general,
     trW_moments,
 )
-from .symplectic import symplectic_eigenvalues
+from .symplectic import equal_squeezing_spectrum, symplectic_eigenvalues
 
 __all__ = [
     "AlphaStats",
     "ExperimentPlan",
+    "SAMPLER",
     "SampleFailure",
     "SampleRecord",
     "Summary",
@@ -40,6 +42,10 @@ __all__ = [
 
 # Per-sample slack for the exact monotonicity/positivity of entropies.
 _MONOTONE_TOL = 1e-9
+
+# Version of the map from (plan, sample_index) to samples. Sampler 2 draws
+# an n x k Haar frame per equal-squeezing sample (sampler 1 drew n x n).
+SAMPLER = 2
 
 
 class SampleFailure(RuntimeError):
@@ -55,9 +61,9 @@ class SampleFailure(RuntimeError):
 class ExperimentPlan:
     """Specification of one sampling experiment.
 
-    ``squeezing`` is a scalar for the equal case (reduced covariance built
-    directly in the 2k x 2k form) or a length-n sequence for the general
-    case (reduction of the full-state construction to the first k modes).
+    ``squeezing`` is a scalar for the equal case (spectrum from the W block
+    of an n x k Haar frame) or a length-n sequence for the general case
+    (n x n Haar unitary, full-state construction reduced to the first k).
     ``alphas`` may include 1, meaning the von Neumann entropy. ``trw_max``
     requests per-sample power traces Tr W^i for i = 1..trw_max.
     """
@@ -132,18 +138,21 @@ class Summary:
     realized_r: float
 
 
-def _sample_spectrum(plan: ExperimentPlan, index: int) -> tuple[np.ndarray, np.ndarray]:
-    U = haar_unitary(plan.n, plan.master_seed, index)
+def _sample_spectrum(plan: ExperimentPlan, index: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Symplectic spectrum of one sample and, if the plan asks, its Tr W^i."""
     if plan.equal_squeezing:
-        sigma = reduced_covariance_equal(U, float(plan.squeezing), plan.k)
-    else:
-        sigma = reduced_covariance_general(U, SqueezingConfig(s=plan.squeezing), plan.k)
-    return U, symplectic_eigenvalues(sigma)
+        lam = _w_block_eigenvalues(haar_frame(plan.n, plan.k, plan.master_seed, index))
+        trw = _power_sums(lam, plan.trw_max) if plan.trw_max else None
+        return equal_squeezing_spectrum(lam, plan.squeezing), trw
+    U = haar_unitary(plan.n, plan.master_seed, index)
+    sigma = reduced_covariance_general(U, SqueezingConfig(s=plan.squeezing), plan.k)
+    trw = trW_moments(U, plan.k, plan.trw_max) if plan.trw_max else None
+    return symplectic_eigenvalues(sigma), trw
 
 
 def _evaluate_sample(plan: ExperimentPlan, index: int) -> SampleRecord:
     try:
-        U, nu = _sample_spectrum(plan, index)
+        nu, trw = _sample_spectrum(plan, index)
         entropies = {}
         for a in plan.alphas:
             entropies[int(a)] = (
@@ -154,9 +163,7 @@ def _evaluate_sample(plan: ExperimentPlan, index: int) -> SampleRecord:
             raise FloatingPointError(f"negative entropy {min(ordered)!r}")
         if any(b > a + _MONOTONE_TOL for a, b in zip(ordered, ordered[1:])):
             raise FloatingPointError(f"entropies not monotone in alpha: {ordered!r}")
-        trw = None
-        if plan.trw_max:
-            trw = tuple(float(x) for x in trW_moments(U, plan.k, plan.trw_max))
+        trw = None if trw is None else tuple(float(x) for x in trw)
         return SampleRecord(sample_index=index, entropies=entropies, trw=trw)
     except SampleFailure:
         raise

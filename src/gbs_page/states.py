@@ -8,14 +8,15 @@ Conventions, fixed package-wide:
   and a single squeezed mode is diag(e^{2s}, e^{-2s}).
 
 For equal squeezing s the reduced covariance matrix of the first k modes
-takes the closed form
-
-    sigma = cosh(2s) I + sinh(2s) M,
-
-where M is built from the k x k corner of conj(U U^T). All dependence of
-the entropies on the circuit enters through the power traces of the
-positive-semidefinite matrix W = Pi X Pi X^dag Pi with X = U U^T and Pi
-the projector onto the first k modes; these obey Tr M^{2i} = 2 Tr W^i.
+is cosh(2s) I + sinh(2s) M, with M = [[Re A, Im A], [Im A, -Re A]] and A
+the k x k corner of conj(U U^T). All dependence of the entropies on the
+circuit enters through the spectrum lambda of the positive-semidefinite
+matrix W = Pi X Pi X^dag Pi with X = U U^T and Pi the projector onto the
+first k modes. Its nonzero part is the spectrum of x x^dag, where
+x = U_k U_k^T and U_k holds the first k rows of U, and the symplectic
+eigenvalues are nu_j = sqrt(cosh^2(2s) - sinh^2(2s) lambda_j). So equal
+squeezing needs only the n x k frame U_k^T and one k x k Hermitian
+eigensolve; no covariance matrix is formed.
 """
 
 from dataclasses import dataclass
@@ -24,10 +25,8 @@ import numpy as np
 
 __all__ = [
     "SqueezingConfig",
-    "build_M",
     "full_covariance_general",
     "reduce_modes",
-    "reduced_covariance_equal",
     "reduced_covariance_general",
     "symplectic_form",
     "trW_moments",
@@ -77,25 +76,18 @@ def _check_k(U: np.ndarray, k: int) -> None:
         raise ValueError(f"subsystem size k={k} out of range [1, {n}]")
 
 
-def build_M(U: np.ndarray, k: int) -> np.ndarray:
-    """Anticommuting block matrix of the k-mode reduced covariance.
+def _w_block_eigenvalues(frame: np.ndarray) -> np.ndarray:
+    """Nonzero spectrum of W, ascending, from the n x k frame F = U_k^T.
 
-    M = [[Re A, Im A], [Im A, -Re A]] with A the top-left k x k block of
-    conj(U) U^dag = conj(U U^T). It is symmetric, anticommutes with the
-    symplectic form, has eigenvalues in [-1, 1], and its odd power traces
-    vanish.
+    One Hermitian eigensolve of x x^dag with x = F^T F = U_k U_k^T.
     """
-    _check_k(U, k)
-    a = np.conj(U @ U.T)[:k, :k]
-    return np.block([[a.real, a.imag], [a.imag, -a.real]])
-
-
-def _w_block_eigenvalues(U: np.ndarray, k: int) -> np.ndarray:
-    """Nonzero spectrum of W via one Hermitian eigensolve of its k x k corner."""
-    if k == 0:
-        return np.empty(0)
-    x = (U @ U.T)[:k, :k]
+    x = frame.T @ frame
     return np.linalg.eigvalsh(x @ x.conj().T)
+
+
+def _power_sums(lam: np.ndarray, max_power: int) -> np.ndarray:
+    """sum_j lam_j^i for i = 1..max_power."""
+    return np.sum(lam[None, :] ** np.arange(1, max_power + 1)[:, None], axis=1)
 
 
 def trW_moments(U: np.ndarray, k: int, max_power: int) -> np.ndarray:
@@ -107,21 +99,7 @@ def trW_moments(U: np.ndarray, k: int, max_power: int) -> np.ndarray:
     _check_k(U, k)
     if max_power < 1:
         raise ValueError(f"max_power must be >= 1, got {max_power}")
-    lam = _w_block_eigenvalues(U, k)
-    powers = np.arange(1, max_power + 1)
-    return np.sum(lam[None, :] ** powers[:, None], axis=1)
-
-
-def reduced_covariance_equal(U: np.ndarray, s: float, k: int) -> np.ndarray:
-    """Covariance matrix of the first k output modes at equal squeezing s.
-
-    Returns cosh(2s) I_{2k} + sinh(2s) M(U, k); the full 2n x 2n state never
-    needs to be formed on this path.
-    """
-    _check_k(U, k)
-    if not np.isfinite(s):
-        raise ValueError("squeezing strength must be finite")
-    return np.cosh(2 * s) * np.eye(2 * k) + np.sinh(2 * s) * build_M(U, k)
+    return _power_sums(_w_block_eigenvalues(U[:k].T), max_power)
 
 
 def full_covariance_general(U: np.ndarray, cfg: SqueezingConfig) -> np.ndarray:
@@ -132,8 +110,8 @@ def full_covariance_general(U: np.ndarray, cfg: SqueezingConfig) -> np.ndarray:
     The global state is pure: det sigma = 1 and every symplectic eigenvalue
     equals one.
 
-    At equal squeezing the first-k reduction of this matrix reproduces
-    ``reduced_covariance_equal`` evaluated at conj(U); both orientation
+    At equal squeezing the first-k reduction of this matrix is
+    cosh(2s) I + sinh(2s) M evaluated at conj(U); both orientation
     conventions define the same Haar ensemble.
     """
     n = U.shape[0]

@@ -4,7 +4,7 @@ import numpy as np
 
 from .states import symplectic_form
 
-__all__ = ["symplectic_eigenvalues"]
+__all__ = ["equal_squeezing_spectrum", "symplectic_eigenvalues"]
 
 # Values within CLAMP_WINDOW below one are rounded up to exactly one so the
 # entropy functionals stay finite; anything below FAIL_TOL signals a matrix
@@ -47,11 +47,34 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     herm = 1j * sqrt_sigma @ symplectic_form(m) @ sqrt_sigma
     ev = np.linalg.eigvalsh(herm)
 
-    nu = ev[m:][::-1].copy()  # positive half, descending
+    return _physical_spectrum(ev[m:][::-1].copy())  # positive half, descending
+
+
+def equal_squeezing_spectrum(lam: np.ndarray, s: float) -> np.ndarray:
+    """Symplectic spectrum at equal squeezing s from the eigenvalues lam of W.
+
+    nu_j = sqrt(cosh^2(2s) - sinh^2(2s) lam_j), evaluated as
+    sqrt(1 + sinh^2(2s) (1 - lam_j)) so that strong squeezing does not
+    cancel two cosh^2(2s)-sized terms. Sorted descending and checked like
+    ``symplectic_eigenvalues``; a non-finite s or lam_j raises ValueError.
+    """
+    if not np.isfinite(s):
+        raise ValueError("squeezing strength must be finite")
+    lam = np.sort(np.asarray(lam, dtype=float))
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("eigenvalues of W must be finite")
+    nu2 = 1.0 + np.sinh(2 * s) ** 2 * (1.0 - lam)  # lam ascending, nu descending
+    return _physical_spectrum(np.sqrt(np.maximum(nu2, 0.0)))
+
+
+def _physical_spectrum(nu: np.ndarray) -> np.ndarray:
+    """Reject a non-finite or unphysical spectrum; round the clamp window to one."""
+    if not np.all(np.isfinite(nu)):
+        raise ValueError("symplectic eigenvalues must be finite")
     low = nu.min()
     if low < 1.0 - FAIL_TOL:
         raise ValueError(
-            f"symplectic eigenvalue {low!r} below 1 - {FAIL_TOL}: unphysical covariance matrix"
+            f"symplectic eigenvalue {low!r} below 1 - {FAIL_TOL}: unphysical state"
         )
     near_one = (nu < 1.0) & (nu >= 1.0 - CLAMP_WINDOW)
     nu[near_one] = 1.0

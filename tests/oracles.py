@@ -10,7 +10,10 @@ with zeta = 1 for even alpha and 0 for odd, a cross-check of the direct
 form in ``gbs_page.entropy``. ``build_W`` forms the full n x n matrix
 W = Pi X Pi X^dag Pi (X = U U^T, Pi the projector onto the first k modes)
 whose power traces ``gbs_page.states.trW_moments`` computes from its
-k x k corner.
+k x k corner. ``build_M`` and ``reduced_covariance_equal`` build the
+2k x 2k reduced covariance cosh(2s) I + sinh(2s) M of equal squeezing,
+whose ``symplectic_eigenvalues`` the Monte Carlo's equal-squeezing route
+(``equal_squeezing_spectrum`` of the eigenvalues of W) must reproduce.
 """
 
 import numpy as np
@@ -48,3 +51,28 @@ def build_W(U: np.ndarray, k: int) -> np.ndarray:
     w = np.zeros((n, n), dtype=complex)
     w[:k, :k] = x @ x.conj().T
     return w
+
+
+def build_M(U: np.ndarray, k: int) -> np.ndarray:
+    """Anticommuting block matrix of the k-mode reduced covariance.
+
+    M = [[Re A, Im A], [Im A, -Re A]] with A the top-left k x k block of
+    conj(U) U^dag = conj(U U^T). It is symmetric, anticommutes with the
+    symplectic form, has eigenvalues in [-1, 1], and its odd power traces
+    vanish.
+    """
+    _check_k(U, k)
+    a = np.conj(U @ U.T)[:k, :k]
+    return np.block([[a.real, a.imag], [a.imag, -a.real]])
+
+
+def reduced_covariance_equal(U: np.ndarray, s: float, k: int) -> np.ndarray:
+    """Covariance matrix of the first k output modes at equal squeezing s.
+
+    Returns cosh(2s) I_{2k} + sinh(2s) M(U, k); the full 2n x 2n state never
+    needs to be formed on this path.
+    """
+    _check_k(U, k)
+    if not np.isfinite(s):
+        raise ValueError("squeezing strength must be finite")
+    return np.cosh(2 * s) * np.eye(2 * k) + np.sinh(2 * s) * build_M(U, k)

@@ -17,14 +17,13 @@ import os
 
 import numpy as np
 import pytest
-from oracles import build_W, renyi_entropy_factored
+from oracles import build_M, build_W, renyi_entropy_factored
 from series_oracle import vn_series_coefficients, vn_series_constant
 
 from gbs_page import (
     ExperimentPlan,
     estimate_Vd,
     haar_unitary,
-    build_M,
     page_average,
     purity_symmetry_check,
     renyi_average,

@@ -196,6 +196,38 @@ def test_simulate_config_threads_auto(tmp_path, capsys):
     assert code == EXIT_USAGE and "thread count" in err
 
 
+@pytest.mark.parametrize("threads", [2.7, True])
+def test_simulate_config_threads_not_an_integer(tmp_path, capsys, threads):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 6, "k": 3, "s": 0.5, "alphas": [2], "samples": 3,
+                                "seed": 1, "threads": threads}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == EXIT_USAGE and "thread count" in err and out == ""
+
+
+def test_simulate_summary_records_sampler(tmp_path, capsys):
+    prefix = str(tmp_path / "run")
+    code, _, _ = run_cli(capsys, "simulate", "--n", "6", "--k", "3", "--s", "0.4",
+                         "--alphas", "2", "--samples", "2", "--seed", "3",
+                         "--threads", "1", "--out-prefix", prefix)
+    assert code == 0
+    summary = json.loads((tmp_path / "run_summary.json").read_text())
+    assert summary["config"]["sampler"] == gbs_page.montecarlo.SAMPLER == 2
+
+    summary["config"]["sampler"] = 1
+    old = tmp_path / "old_summary.json"
+    old.write_text(json.dumps(summary))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(old))
+    assert code == EXIT_USAGE and "sampler 1" in err and "replayed" in err and out == ""
+
+    # a config written before samplers were recorded runs under the current one
+    del summary["config"]["sampler"]
+    old.write_text(json.dumps(summary))
+    code, _, _ = run_cli(capsys, "simulate", "--config", str(old))
+    rerun = json.loads((tmp_path / "run_summary.json").read_text())
+    assert code == 0 and rerun["config"]["sampler"] == 2
+
+
 def test_simulate_config_strictness(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 5, "k": 2, "s": 0.5, "alphas": [2],

@@ -5,13 +5,16 @@ from gbs_page import (
     ExperimentPlan,
     SampleFailure,
     estimate_Vd,
+    haar_frame,
     haar_unitary,
     purity_symmetry_check,
     renyi2_average,
     run_experiment,
     s2_variance_identity,
+    trW_moments,
     variance_trend,
 )
+from gbs_page import montecarlo
 
 
 def test_full_partition_gives_zero():
@@ -89,6 +92,30 @@ def test_trw_moments_recorded():
         assert all(x >= y - 1e-12 for x, y in zip(rec.trw, rec.trw[1:]))
 
 
+def test_equal_trw_are_traces_of_the_sample_frame():
+    # The equal path takes Tr W^i from the sample's eigenvalues; compare with
+    # matrix powers of the k x k block x x^dag, x = F^T F, of the same frame.
+    plan = ExperimentPlan(n=9, k=4, squeezing=0.3, alphas=(2,), n_samples=3,
+                          master_seed=21, trw_max=5)
+    records, _ = run_experiment(plan)
+    for rec in records:
+        F = haar_frame(9, 4, master_seed=21, sample_index=rec.sample_index)
+        x = F.T @ F
+        block = x @ x.conj().T
+        want = [np.trace(np.linalg.matrix_power(block, i)).real for i in range(1, 6)]
+        assert np.allclose(rec.trw, want, rtol=0, atol=1e-12)
+
+
+def test_unequal_trw_match_trW_moments():
+    s = tuple(np.linspace(0.1, 0.4, 6))
+    plan = ExperimentPlan(n=6, k=2, squeezing=s, alphas=(2,), n_samples=2,
+                          master_seed=4, trw_max=3)
+    records, _ = run_experiment(plan)
+    for rec in records:
+        U = haar_unitary(6, master_seed=4, sample_index=rec.sample_index)
+        assert rec.trw == tuple(float(x) for x in trW_moments(U, 2, 3))
+
+
 def test_variance_trend_vacuum_is_zero():
     trend = variance_trend([10, 20], r=0.5, s=0.0, alpha=2, n_samples=30, seed=5)
     assert all(est.variance == 0.0 for est in trend)
@@ -138,6 +165,16 @@ def test_sample_failure_aborts_with_index():
     with pytest.raises(SampleFailure) as err:
         run_experiment(plan)
     assert err.value.sample_index == 0
+
+
+@pytest.mark.parametrize("lam", [[0.2, np.nan], [0.2, 1.5], [0.2, 1.0 + 1e-3]])
+def test_bad_w_spectrum_is_a_sample_failure(monkeypatch, lam):
+    monkeypatch.setattr(montecarlo, "_w_block_eigenvalues", lambda frame: np.array(lam))
+    plan = ExperimentPlan(n=4, k=2, squeezing=0.5, alphas=(1, 2), n_samples=2,
+                          master_seed=1)
+    with pytest.raises(SampleFailure) as err:
+        run_experiment(plan)
+    assert err.value.sample_index == 0 and isinstance(err.value.cause, ValueError)
 
 
 def test_plan_validation():

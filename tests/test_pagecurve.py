@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from oracles import reduced_covariance_equal
 from series_oracle import (
     expected_trW,
     series_average,
@@ -21,7 +22,6 @@ from gbs_page import (
     renyi_large_s_limit,
     renyi_small_s_limit,
     renyi_unequal_small,
-    reduced_covariance_equal,
     run_experiment,
     symplectic_eigenvalues,
     trW_moments,

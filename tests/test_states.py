@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
-from oracles import build_W
+from oracles import build_M, build_W, reduced_covariance_equal
 
 from gbs_page import (
     SqueezingConfig,
-    build_M,
     full_covariance_general,
     haar_unitary,
     reduce_modes,
-    reduced_covariance_equal,
     reduced_covariance_general,
     symplectic_eigenvalues,
     symplectic_form,

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from oracles import reduced_covariance_equal
 
 from gbs_page import (
     SqueezingConfig,
+    equal_squeezing_spectrum,
     full_covariance_general,
     haar_unitary,
-    reduced_covariance_equal,
+    renyi_entropy,
     symplectic_eigenvalues,
+    von_neumann_entropy,
 )
+from gbs_page.states import _w_block_eigenvalues
 
 
 def test_vacuum():
@@ -72,3 +76,36 @@ def test_global_purity_spot_check():
     cfg = SqueezingConfig(s=tuple(np.linspace(-0.5, 1.0, 10)))
     nu = symplectic_eigenvalues(full_covariance_general(U, cfg))
     assert np.abs(nu - 1.0).max() <= 1e-8
+
+
+@pytest.mark.parametrize("s", [0.0, 0.05, 0.5, 3.0])
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_equal_route_matches_covariance_oracle(n, s):
+    # Both routes resolve nu^2 only to about eps cosh^2(2s): at s = 3 either
+    # puts nu near one ~1e-11 off. So past cosh^2(2s) = 10 the bounds grow
+    # with it; below they are 1e-12 (nu) and 1e-10 (relative S).
+    scale = max(1.0, 0.1 * np.cosh(2 * s) ** 2)
+    U = haar_unitary(n, master_seed=61, sample_index=n)
+    for k in sorted({1, n // 2, n - 1, n} - {0}):
+        oracle = symplectic_eigenvalues(reduced_covariance_equal(U, s, k))
+        nu = equal_squeezing_spectrum(_w_block_eigenvalues(U[:k].T), s)
+        assert nu.shape == (k,) and np.all(np.diff(nu) <= 0)
+        assert np.abs(nu - oracle).max() <= 1e-12 * scale
+        for alpha in (1, 2, 15):
+            entropy = von_neumann_entropy if alpha == 1 else (
+                lambda v: renyi_entropy(v, alpha))
+            want = entropy(oracle)
+            assert abs(entropy(nu) - want) <= 1e-10 * max(1.0, abs(want)) * scale
+
+
+def test_equal_spectrum_checks():
+    assert np.array_equal(equal_squeezing_spectrum([0.2, 0.9], 0.0), [1.0, 1.0])
+    nu = equal_squeezing_spectrum([0.0, 1.0], 0.5)
+    assert np.allclose(nu, [np.cosh(1.0), 1.0], rtol=0, atol=1e-14)
+    # lam just above one lands in the clamp window and is rounded to one
+    t = 1e-9 / np.sinh(1.0) ** 2
+    assert equal_squeezing_spectrum([1.0 + t], 0.5)[0] == 1.0
+    for lam, s in [([0.5, np.nan], 0.5), ([np.inf], 0.5), ([1.5], 0.5),
+                   ([1.0 + 1e-4], 0.5), ([0.5], np.inf), ([0.5], np.nan)]:
+        with pytest.raises(ValueError):
+            equal_squeezing_spectrum(lam, s)
