@@ -14,7 +14,6 @@ from .states import (
     reduce_modes,
     reduced_covariance_general,
     symplectic_form,
-    trW_moments,
 )
 from .symplectic import equal_squeezing_spectrum, symplectic_eigenvalues
 from .entropy import (
@@ -79,7 +78,6 @@ __all__ = [
     "sample_generator",
     "symplectic_eigenvalues",
     "symplectic_form",
-    "trW_moments",
     "variance_trend",
     "vn_large_s_limit",
     "vn_mode_entropy",

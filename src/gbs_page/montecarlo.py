@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import renyi_entropy, von_neumann_entropy
-from .haar import haar_frame, haar_unitary
+from .haar import haar_frame
 from .states import (
     SqueezingConfig,
     _power_sums,
@@ -21,7 +21,6 @@ from .states import (
     full_covariance_general,
     reduce_modes,
     reduced_covariance_general,
-    trW_moments,
 )
 from .symplectic import equal_squeezing_spectrum, symplectic_eigenvalues
 
@@ -43,9 +42,10 @@ __all__ = [
 # Per-sample slack for the exact monotonicity/positivity of entropies.
 _MONOTONE_TOL = 1e-9
 
-# Version of the map from (plan, sample_index) to samples. Sampler 2 draws
-# an n x k Haar frame per equal-squeezing sample (sampler 1 drew n x n).
-SAMPLER = 2
+# Version of the map from (plan, sample_index) to samples. Sampler 3 draws
+# an n x k Haar frame per sample; sampler 2 drew one only for equal
+# squeezing (its equal-squeezing samples are unchanged), sampler 1 never.
+SAMPLER = 3
 
 
 class SampleFailure(RuntimeError):
@@ -63,7 +63,7 @@ class ExperimentPlan:
 
     ``squeezing`` is a scalar for the equal case (spectrum from the W block
     of an n x k Haar frame) or a length-n sequence for the general case
-    (n x n Haar unitary, full-state construction reduced to the first k).
+    (reduced covariance of the first k modes built from the same frame).
     ``alphas`` may include 1, meaning the von Neumann entropy. ``trw_max``
     requests per-sample power traces Tr W^i for i = 1..trw_max.
     """
@@ -140,14 +140,12 @@ class Summary:
 
 def _sample_spectrum(plan: ExperimentPlan, index: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Symplectic spectrum of one sample and, if the plan asks, its Tr W^i."""
+    frame = haar_frame(plan.n, plan.k, plan.master_seed, index)
+    lam = _w_block_eigenvalues(frame) if plan.equal_squeezing or plan.trw_max else None
+    trw = _power_sums(lam, plan.trw_max) if plan.trw_max else None
     if plan.equal_squeezing:
-        lam = _w_block_eigenvalues(haar_frame(plan.n, plan.k, plan.master_seed, index))
-        trw = _power_sums(lam, plan.trw_max) if plan.trw_max else None
         return equal_squeezing_spectrum(lam, plan.squeezing), trw
-    U = haar_unitary(plan.n, plan.master_seed, index)
-    sigma = reduced_covariance_general(U, SqueezingConfig(s=plan.squeezing), plan.k)
-    trw = trW_moments(U, plan.k, plan.trw_max) if plan.trw_max else None
-    return symplectic_eigenvalues(sigma), trw
+    return symplectic_eigenvalues(reduced_covariance_general(frame, plan.squeezing)), trw
 
 
 def _evaluate_sample(plan: ExperimentPlan, index: int) -> SampleRecord:

@@ -7,16 +7,20 @@ Conventions, fixed package-wide:
 * hbar-free normalization, so the vacuum covariance matrix is the identity
   and a single squeezed mode is diag(e^{2s}, e^{-2s}).
 
-For equal squeezing s the reduced covariance matrix of the first k modes
+Only the first k rows U_k of the Haar unitary U enter the state of the
+first k modes, so a sample needs just the n x k frame F = U_k^T. With
+per-mode squeezing s_i the reduced covariance is R D R^T, with
+D = diag(e^{2 s_i}) (+) diag(e^{-2 s_i}) and R the 2k rows of the
+orthogonal image of U that belong to those modes. At equal squeezing s it
 is cosh(2s) I + sinh(2s) M, with M = [[Re A, Im A], [Im A, -Re A]] and A
-the k x k corner of conj(U U^T). All dependence of the entropies on the
-circuit enters through the spectrum lambda of the positive-semidefinite
+the k x k corner of conj(U U^T); all dependence of the entropies on the
+circuit then enters through the spectrum lambda of the positive-semidefinite
 matrix W = Pi X Pi X^dag Pi with X = U U^T and Pi the projector onto the
 first k modes. Its nonzero part is the spectrum of x x^dag, where
-x = U_k U_k^T and U_k holds the first k rows of U, and the symplectic
-eigenvalues are nu_j = sqrt(cosh^2(2s) - sinh^2(2s) lambda_j). So equal
-squeezing needs only the n x k frame U_k^T and one k x k Hermitian
-eigensolve; no covariance matrix is formed.
+x = U_k U_k^T = F^T F, and the symplectic eigenvalues are
+nu_j = sqrt(cosh^2(2s) - sinh^2(2s) lambda_j). So equal squeezing needs one
+k x k Hermitian eigensolve and no covariance matrix; with either kind of
+squeezing Tr W^i are the power sums of lambda.
 """
 
 from dataclasses import dataclass
@@ -29,7 +33,6 @@ __all__ = [
     "reduce_modes",
     "reduced_covariance_general",
     "symplectic_form",
-    "trW_moments",
 ]
 
 
@@ -68,14 +71,6 @@ class SqueezingConfig:
         return np.asarray(self.s, dtype=float)
 
 
-def _check_k(U: np.ndarray, k: int) -> None:
-    n = U.shape[0]
-    if U.ndim != 2 or U.shape[1] != n:
-        raise ValueError(f"expected a square unitary, got shape {U.shape}")
-    if not 1 <= k <= n:
-        raise ValueError(f"subsystem size k={k} out of range [1, {n}]")
-
-
 def _w_block_eigenvalues(frame: np.ndarray) -> np.ndarray:
     """Nonzero spectrum of W, ascending, from the n x k frame F = U_k^T.
 
@@ -90,23 +85,12 @@ def _power_sums(lam: np.ndarray, max_power: int) -> np.ndarray:
     return np.sum(lam[None, :] ** np.arange(1, max_power + 1)[:, None], axis=1)
 
 
-def trW_moments(U: np.ndarray, k: int, max_power: int) -> np.ndarray:
-    """Power traces Tr W^i for i = 1..max_power.
-
-    Computed as power sums of the eigenvalues of the k x k Hermitian corner
-    of W, so the cost is a single eigensolve regardless of max_power.
-    """
-    _check_k(U, k)
-    if max_power < 1:
-        raise ValueError(f"max_power must be >= 1, got {max_power}")
-    return _power_sums(_w_block_eigenvalues(U[:k].T), max_power)
-
-
 def full_covariance_general(U: np.ndarray, cfg: SqueezingConfig) -> np.ndarray:
     """Full 2n x 2n output covariance for arbitrary per-mode squeezing.
 
     sigma = O D O^T with D = diag(e^{2 s_i}) (+) diag(e^{-2 s_i}) and
-    O = [[Re U, -Im U], [Im U, Re U]] the orthogonal symplectic image of U.
+    O = [[Re U, -Im U], [Im U, Re U]] the orthogonal symplectic image of U,
+    formed as H H^T with H = O D^{1/2} so that it is exactly symmetric.
     The global state is pure: det sigma = 1 and every symplectic eigenvalue
     equals one.
 
@@ -118,29 +102,28 @@ def full_covariance_general(U: np.ndarray, cfg: SqueezingConfig) -> np.ndarray:
     if cfg.n != n:
         raise ValueError(f"squeezing config has {cfg.n} modes, unitary has {n}")
     s = cfg.as_array()
-    ortho = np.block([[U.real, -U.imag], [U.imag, U.real]])
-    d = np.concatenate([np.exp(2 * s), np.exp(-2 * s)])
-    return (ortho * d) @ ortho.T
+    half = np.block([[U.real, -U.imag], [U.imag, U.real]]) * np.exp(np.concatenate([s, -s]))
+    return half @ half.T
 
 
-def reduced_covariance_general(U: np.ndarray, cfg: SqueezingConfig, k: int) -> np.ndarray:
+def reduced_covariance_general(frame: np.ndarray, s) -> np.ndarray:
     """First-k-modes reduction of ``full_covariance_general``, formed directly.
 
-    Builds only the needed 2k rows of the orthogonal image, so the cost is
-    O(k n^2) instead of O(n^3); equal to
-    ``reduce_modes(full_covariance_general(U, cfg), range(k))`` exactly.
+    ``frame`` is the n x k frame F = U_k^T (as drawn by ``haar.haar_frame``)
+    and ``s`` the n per-mode squeezing strengths. Builds only the 2k rows of
+    the orthogonal image that the first k modes use, so the cost is O(k n^2);
+    equal to ``reduce_modes(full_covariance_general(U, SqueezingConfig(s)),
+    range(k))`` for ``frame = U[:k].T``.
     """
-    n = U.shape[0]
-    _check_k(U, k)
-    if cfg.n != n:
-        raise ValueError(f"squeezing config has {cfg.n} modes, unitary has {n}")
-    s = cfg.as_array()
-    rows = np.vstack([
-        np.hstack([U.real[:k], -U.imag[:k]]),
-        np.hstack([U.imag[:k], U.real[:k]]),
-    ])
-    d = np.concatenate([np.exp(2 * s), np.exp(-2 * s)])
-    return (rows * d) @ rows.T
+    s = np.asarray(s, dtype=float)
+    if frame.ndim != 2 or s.shape != (frame.shape[0],) or frame.shape[1] > s.size:
+        raise ValueError(f"need an n x k frame with k <= n and n strengths, got "
+                         f"frame {frame.shape} and {s.shape} strengths")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("squeezing strengths must be finite")
+    u = frame.T
+    half = np.block([[u.real, -u.imag], [u.imag, u.real]]) * np.exp(np.concatenate([s, -s]))
+    return half @ half.T
 
 
 def reduce_modes(sigma: np.ndarray, mode_set) -> np.ndarray:

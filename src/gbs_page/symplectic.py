@@ -2,8 +2,6 @@
 
 import numpy as np
 
-from .states import symplectic_form
-
 __all__ = ["equal_squeezing_spectrum", "symplectic_eigenvalues"]
 
 # Values within CLAMP_WINDOW below one are rounded up to exactly one so the
@@ -20,14 +18,15 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     The spectrum of i Omega sigma consists of pairs +-nu_j with nu_j >= 1;
     this returns the m positive values for a 2m x 2m input.
 
-    Route: diagonalize sigma (symmetric positive definite), form its square
-    root S, and take the eigenvalues of the Hermitian matrix i S Omega S,
-    which is similar to i Omega sigma. This keeps the whole computation in
-    well-conditioned Hermitian eigensolves.
+    Route: factor sigma = L L^T (Cholesky), so that i Omega sigma is similar
+    to i L^T Omega L. The real antisymmetric matrix A = L^T Omega L has
+    singular values nu_j, each twice, so the spectrum is every other
+    singular value of A; Omega L is formed by swapping the two halves of L's
+    rows and negating one. One Cholesky and one real SVD, no eigenvectors.
 
     Raises:
-        ValueError: if sigma is not symmetric to tolerance, not positive
-            definite, or has a symplectic eigenvalue below 1 - 1e-6.
+        ValueError: if sigma is not finite, not symmetric to tolerance, not
+            positive definite, or has a symplectic eigenvalue below 1 - 1e-6.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
@@ -35,19 +34,19 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     m = sigma.shape[0] // 2
     if m == 0:
         return np.empty(0)
+    if not np.all(np.isfinite(sigma)):
+        raise ValueError("covariance matrix must be finite")
     scale = max(1.0, np.abs(sigma).max())
     asym = np.abs(sigma - sigma.T).max()
     if asym > SYMMETRY_TOL * scale:
         raise ValueError(f"covariance matrix not symmetric: max asymmetry {asym:.3e}")
 
-    w, v = np.linalg.eigh(sigma)
-    if w.min() <= 0:
-        raise ValueError(f"covariance matrix not positive definite: min eig {w.min():.3e}")
-    sqrt_sigma = (v * np.sqrt(w)) @ v.T
-    herm = 1j * sqrt_sigma @ symplectic_form(m) @ sqrt_sigma
-    ev = np.linalg.eigvalsh(herm)
-
-    return _physical_spectrum(ev[m:][::-1].copy())  # positive half, descending
+    try:
+        chol = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("covariance matrix not positive definite (no Cholesky factor)") from exc
+    a = chol.T @ np.vstack([chol[m:], -chol[:m]])
+    return _physical_spectrum(np.linalg.svd(a, compute_uv=False)[0::2])
 
 
 def equal_squeezing_spectrum(lam: np.ndarray, s: float) -> np.ndarray:

@@ -9,17 +9,30 @@ root factorization
 with zeta = 1 for even alpha and 0 for odd, a cross-check of the direct
 form in ``gbs_page.entropy``. ``build_W`` forms the full n x n matrix
 W = Pi X Pi X^dag Pi (X = U U^T, Pi the projector onto the first k modes)
-whose power traces ``gbs_page.states.trW_moments`` computes from its
-k x k corner. ``build_M`` and ``reduced_covariance_equal`` build the
-2k x 2k reduced covariance cosh(2s) I + sinh(2s) M of equal squeezing,
-whose ``symplectic_eigenvalues`` the Monte Carlo's equal-squeezing route
+whose power traces ``trW_moments`` computes from its k x k corner.
+``build_M`` and ``reduced_covariance_equal`` build the 2k x 2k reduced
+covariance cosh(2s) I + sinh(2s) M of equal squeezing, whose
+``symplectic_eigenvalues`` the Monte Carlo's equal-squeezing route
 (``equal_squeezing_spectrum`` of the eigenvalues of W) must reproduce.
+``symplectic_eigenvalues_eigh`` takes the symplectic spectrum through a
+symmetric eigendecomposition, the matrix square root S and the Hermitian
+eigenvalues of i S Omega S, a cross-check of the Cholesky and real-SVD
+route of ``gbs_page.symplectic``.
 """
 
 import numpy as np
 
 from gbs_page.entropy import _as_spectrum, _check_alpha
-from gbs_page.states import _check_k
+from gbs_page.states import _power_sums, _w_block_eigenvalues, symplectic_form
+from gbs_page.symplectic import SYMMETRY_TOL, _physical_spectrum
+
+
+def _check_k(U: np.ndarray, k: int) -> None:
+    n = U.shape[0]
+    if U.ndim != 2 or U.shape[1] != n:
+        raise ValueError(f"expected a square unitary, got shape {U.shape}")
+    if not 1 <= k <= n:
+        raise ValueError(f"subsystem size k={k} out of range [1, {n}]")
 
 
 def renyi_entropy_factored(nu, alpha: int) -> float:
@@ -76,3 +89,41 @@ def reduced_covariance_equal(U: np.ndarray, s: float, k: int) -> np.ndarray:
     if not np.isfinite(s):
         raise ValueError("squeezing strength must be finite")
     return np.cosh(2 * s) * np.eye(2 * k) + np.sinh(2 * s) * build_M(U, k)
+
+
+def trW_moments(U: np.ndarray, k: int, max_power: int) -> np.ndarray:
+    """Power traces Tr W^i for i = 1..max_power.
+
+    Computed as power sums of the eigenvalues of the k x k Hermitian corner
+    of W, so the cost is a single eigensolve regardless of max_power.
+    """
+    _check_k(U, k)
+    if max_power < 1:
+        raise ValueError(f"max_power must be >= 1, got {max_power}")
+    return _power_sums(_w_block_eigenvalues(U[:k].T), max_power)
+
+
+def symplectic_eigenvalues_eigh(sigma: np.ndarray) -> np.ndarray:
+    """Positive symplectic spectrum, descending, through Hermitian eigensolves.
+
+    Diagonalize sigma (symmetric positive definite), form its square root S,
+    and take the eigenvalues of the Hermitian matrix i S Omega S, which is
+    similar to i Omega sigma. Raises ValueError on the same inputs as
+    ``gbs_page.symplectic.symplectic_eigenvalues`` is meant to.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
+        raise ValueError(f"covariance matrix must be 2m x 2m, got {sigma.shape}")
+    m = sigma.shape[0] // 2
+    if m == 0:
+        return np.empty(0)
+    scale = max(1.0, np.abs(sigma).max())
+    asym = np.abs(sigma - sigma.T).max()
+    if asym > SYMMETRY_TOL * scale:
+        raise ValueError(f"covariance matrix not symmetric: max asymmetry {asym:.3e}")
+    w, v = np.linalg.eigh(sigma)
+    if w.min() <= 0:
+        raise ValueError(f"covariance matrix not positive definite: min eig {w.min():.3e}")
+    sqrt_sigma = (v * np.sqrt(w)) @ v.T
+    ev = np.linalg.eigvalsh(1j * sqrt_sigma @ symplectic_form(m) @ sqrt_sigma)
+    return _physical_spectrum(ev[m:][::-1].copy())  # positive half, descending

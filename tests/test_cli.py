@@ -212,20 +212,52 @@ def test_simulate_summary_records_sampler(tmp_path, capsys):
                          "--threads", "1", "--out-prefix", prefix)
     assert code == 0
     summary = json.loads((tmp_path / "run_summary.json").read_text())
-    assert summary["config"]["sampler"] == gbs_page.montecarlo.SAMPLER == 2
+    assert summary["config"]["sampler"] == gbs_page.montecarlo.SAMPLER == 3
 
-    summary["config"]["sampler"] = 1
-    old = tmp_path / "old_summary.json"
-    old.write_text(json.dumps(summary))
-    code, out, err = run_cli(capsys, "simulate", "--config", str(old))
-    assert code == EXIT_USAGE and "sampler 1" in err and "replayed" in err and out == ""
+    for old_sampler in (1, 2):
+        summary["config"]["sampler"] = old_sampler
+        old = tmp_path / "old_summary.json"
+        old.write_text(json.dumps(summary))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(old))
+        assert code == EXIT_USAGE and f"sampler {old_sampler}" in err
+        assert "replayed" in err and out == ""
 
     # a config written before samplers were recorded runs under the current one
     del summary["config"]["sampler"]
     old.write_text(json.dumps(summary))
     code, _, _ = run_cli(capsys, "simulate", "--config", str(old))
     rerun = json.loads((tmp_path / "run_summary.json").read_text())
-    assert code == 0 and rerun["config"]["sampler"] == 2
+    assert code == 0 and rerun["config"]["sampler"] == 3
+
+
+def test_simulate_equal_samples_unchanged_since_sampler_2(tmp_path, capsys):
+    # The samples CSV of this command under sampler 2: per-mode squeezing
+    # moved to the n x k frame, the equal-squeezing stream did not move.
+    sampler2 = """\
+0,1,1.0383787315100339
+0,2,0.60084321051114786
+0,3,0.47758851157773158
+1,1,0.52205421722885426
+1,2,0.27027548156425535
+1,3,0.21124419832681524
+2,1,0.72753539103987708
+2,2,0.40712124809842021
+2,3,0.32049592412109895
+3,1,0.92024235974801438
+3,2,0.53050904926020437
+3,3,0.42092861977317986
+"""
+    prefix = str(tmp_path / "run")
+    code, _, _ = run_cli(capsys, "simulate", "--n", "6", "--k", "3", "--s", "0.4",
+                         "--alphas", "1,2,3", "--samples", "4", "--seed", "3",
+                         "--threads", "1", "--out-prefix", prefix)
+    assert code == 0
+    header, rows = parse_csv((tmp_path / "run_samples.csv").read_text())
+    _, want = parse_csv("sample_index,alpha,entropy\n" + sampler2)
+    assert header == ["sample_index", "alpha", "entropy"] and len(rows) == len(want)
+    for got, ref in zip(rows, want):
+        assert got[:2] == ref[:2]
+        assert math.isclose(float(got[2]), float(ref[2]), rel_tol=1e-13, abs_tol=0)
 
 
 def test_simulate_config_strictness(tmp_path, capsys):

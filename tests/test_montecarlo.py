@@ -8,11 +8,14 @@ from gbs_page import (
     haar_frame,
     haar_unitary,
     purity_symmetry_check,
+    reduced_covariance_general,
     renyi2_average,
+    renyi_entropy,
     run_experiment,
     s2_variance_identity,
-    trW_moments,
+    symplectic_eigenvalues,
     variance_trend,
+    von_neumann_entropy,
 )
 from gbs_page import montecarlo
 
@@ -107,13 +110,29 @@ def test_equal_trw_are_traces_of_the_sample_frame():
 
 
 def test_unequal_trw_match_trW_moments():
+    # Per-mode squeezing draws the same n x k frame as the equal path, and
+    # its Tr W^i are traces of matrix powers of that frame's block x x^dag.
     s = tuple(np.linspace(0.1, 0.4, 6))
     plan = ExperimentPlan(n=6, k=2, squeezing=s, alphas=(2,), n_samples=2,
                           master_seed=4, trw_max=3)
     records, _ = run_experiment(plan)
     for rec in records:
-        U = haar_unitary(6, master_seed=4, sample_index=rec.sample_index)
-        assert rec.trw == tuple(float(x) for x in trW_moments(U, 2, 3))
+        F = haar_frame(6, 2, master_seed=4, sample_index=rec.sample_index)
+        x = F.T @ F
+        block = x @ x.conj().T
+        want = [np.trace(np.linalg.matrix_power(block, i)).real for i in range(1, 4)]
+        assert np.allclose(rec.trw, want, rtol=0, atol=1e-12)
+
+
+def test_unequal_sample_is_the_frame_covariance():
+    s = np.linspace(-0.2, 0.7, 8)
+    plan = ExperimentPlan(n=8, k=3, squeezing=tuple(s), alphas=(1, 2), n_samples=3,
+                          master_seed=6)
+    records, _ = run_experiment(plan)
+    for rec in records:
+        F = haar_frame(8, 3, master_seed=6, sample_index=rec.sample_index)
+        nu = symplectic_eigenvalues(reduced_covariance_general(F, s))
+        assert rec.entropies == {1: von_neumann_entropy(nu), 2: renyi_entropy(nu, 2)}
 
 
 def test_variance_trend_vacuum_is_zero():

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from oracles import reduced_covariance_equal
+from oracles import reduced_covariance_equal, trW_moments
 from series_oracle import (
     expected_trW,
     series_average,
@@ -24,7 +24,6 @@ from gbs_page import (
     renyi_unequal_small,
     run_experiment,
     symplectic_eigenvalues,
-    trW_moments,
     vn_large_s_limit,
     vn_small_s_limit,
     von_neumann_average,

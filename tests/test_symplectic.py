@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from oracles import reduced_covariance_equal
+from oracles import reduced_covariance_equal, symplectic_eigenvalues_eigh
 
 from gbs_page import (
     SqueezingConfig,
     equal_squeezing_spectrum,
     full_covariance_general,
     haar_unitary,
+    reduced_covariance_general,
     renyi_entropy,
     symplectic_eigenvalues,
     von_neumann_entropy,
@@ -109,3 +110,56 @@ def test_equal_spectrum_checks():
                    ([1.0 + 1e-4], 0.5), ([0.5], np.inf), ([0.5], np.nan)]:
         with pytest.raises(ValueError):
             equal_squeezing_spectrum(lam, s)
+
+
+def _outcome(route, sigma):
+    try:
+        return route(sigma)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("s_max", [0.0, 0.1, 1.0, 3.0])
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_cholesky_route_matches_eigh_oracle(n, s_max):
+    # Per-mode squeezing from +s_max to -s_max: sigma has condition number
+    # up to e^{4 s_max}, and both routes resolve nu to about eps times it.
+    # S_1 has an infinite slope at nu = 1, so that noise reaches it
+    # unshrunk (S_1 ~ 2e-10 for the pure k = n = 40 state at s_max = 3, in
+    # either route): its bound grows like nu's, those of S_2 and S_3 do not.
+    scale = max(1.0, np.exp(4 * s_max) / 10)
+    s = s_max * np.linspace(1.0, -1.0, n)
+    U = haar_unitary(n, master_seed=73, sample_index=n)
+    for k in sorted({1, n // 2, n - 1, n} - {0}):
+        sigma = reduced_covariance_general(U[:k].T, s)
+        oracle = symplectic_eigenvalues_eigh(sigma)
+        nu = symplectic_eigenvalues(sigma)
+        assert nu.shape == (k,) and np.all(np.diff(nu) <= 0)
+        assert np.abs(nu - oracle).max() <= 1e-12 * scale
+        for alpha in (1, 2, 3):
+            entropy = von_neumann_entropy if alpha == 1 else (
+                lambda v: renyi_entropy(v, alpha))
+            want = entropy(oracle)
+            bound = 1e-10 * max(1.0, abs(want)) * (scale if alpha == 1 else 1.0)
+            assert abs(entropy(nu) - want) <= bound
+
+
+@pytest.mark.parametrize("s_max", [7.0, 9.0])
+def test_cholesky_route_fails_where_eigh_oracle_fails(s_max):
+    # Near the end of float64 (condition number e^{4 s_max} up to 2e15) both
+    # routes must either succeed or raise on the same covariance matrix.
+    n = 40
+    U = haar_unitary(n, master_seed=73, sample_index=n)
+    sigma = reduced_covariance_general(U.T, s_max * np.linspace(1.0, -1.0, n))
+    oracle = _outcome(symplectic_eigenvalues_eigh, sigma)
+    nu = _outcome(symplectic_eigenvalues, sigma)
+    assert (oracle is None) == (nu is None)
+    for bad in (np.arange(16.0).reshape(4, 4), np.eye(3), -np.eye(4)):
+        assert _outcome(symplectic_eigenvalues_eigh, bad) is None
+        assert _outcome(symplectic_eigenvalues, bad) is None
+
+
+def test_rejects_non_finite_covariance():
+    for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 1.0])):
+        with pytest.raises(ValueError, match="must be finite"):
+            symplectic_eigenvalues(bad)
