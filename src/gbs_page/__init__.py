@@ -7,14 +7,8 @@ and a seeded Monte-Carlo pipeline that cross-validates the formulas.
 All entropies are in nats.
 """
 
-from .haar import haar_frame, haar_unitary, sample_generator
-from .states import (
-    SqueezingConfig,
-    full_covariance_general,
-    reduce_modes,
-    reduced_covariance_general,
-    symplectic_form,
-)
+from .haar import haar_frame, jacobi_transmissions, sample_generator
+from .states import reduced_covariance_general
 from .symplectic import equal_squeezing_spectrum, symplectic_eigenvalues
 from .entropy import (
     renyi_entropy,
@@ -41,7 +35,6 @@ from .montecarlo import (
     SampleRecord,
     Summary,
     estimate_Vd,
-    purity_symmetry_check,
     run_experiment,
     s2_variance_identity,
     variance_trend,
@@ -55,16 +48,12 @@ __all__ = [
     "PageCurveValue",
     "SampleFailure",
     "SampleRecord",
-    "SqueezingConfig",
     "Summary",
     "equal_squeezing_spectrum",
     "estimate_Vd",
-    "full_covariance_general",
     "haar_frame",
-    "haar_unitary",
+    "jacobi_transmissions",
     "page_average",
-    "purity_symmetry_check",
-    "reduce_modes",
     "reduced_covariance_general",
     "renyi2_average",
     "renyi_average",
@@ -77,7 +66,6 @@ __all__ = [
     "s2_variance_identity",
     "sample_generator",
     "symplectic_eigenvalues",
-    "symplectic_form",
     "variance_trend",
     "vn_large_s_limit",
     "vn_mode_entropy",

@@ -1,4 +1,4 @@
-"""Seedable sampling of Haar-random unitary matrices and their column frames.
+"""Seedable sampling of Haar-random column frames and of the spectrum they set.
 
 Every sample is a pure function of its shape, ``master_seed`` and
 ``sample_index``: each index gets its own counter-based stream, so a run
@@ -8,7 +8,7 @@ result bit for bit.
 
 import numpy as np
 
-__all__ = ["haar_frame", "haar_unitary", "sample_generator"]
+__all__ = ["haar_frame", "jacobi_transmissions", "sample_generator"]
 
 
 def sample_generator(master_seed: int, sample_index: int) -> np.random.Generator:
@@ -23,6 +23,15 @@ def sample_generator(master_seed: int, sample_index: int) -> np.random.Generator
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _check_shape(n: int, k: int, sample_index: int) -> None:
+    if n < 1:
+        raise ValueError(f"mode count must be >= 1, got {n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"subsystem size k={k} out of range [1, {n}]")
+    if sample_index < 0:
+        raise ValueError(f"sample_index must be >= 0, got {sample_index}")
+
+
 def haar_frame(n: int, k: int, master_seed: int, sample_index: int = 0) -> np.ndarray:
     """Draw the first k columns of an ``n x n`` Haar unitary: an ``n x k`` frame.
 
@@ -31,12 +40,7 @@ def haar_frame(n: int, k: int, master_seed: int, sample_index: int = 0) -> np.nd
     entry of R. The phase fix makes the law exactly that of k columns of a
     Haar unitary (Mezzadri, Notices AMS 54 (2007) 592); ``k = n`` is one.
     """
-    if n < 1:
-        raise ValueError(f"mode count must be >= 1, got {n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"frame width k={k} out of range [1, {n}]")
-    if sample_index < 0:
-        raise ValueError(f"sample_index must be >= 0, got {sample_index}")
+    _check_shape(n, k, sample_index)
     rng = sample_generator(master_seed, sample_index)
     z = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2)
     return _phase_fixed_q(z)
@@ -49,6 +53,36 @@ def _phase_fixed_q(z: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def haar_unitary(n: int, master_seed: int, sample_index: int = 0) -> np.ndarray:
-    """Draw an ``n x n`` unitary from the Haar measure on U(n): the full frame."""
-    return haar_frame(n, n, master_seed, sample_index)
+def jacobi_transmissions(n: int, k: int, master_seed: int, sample_index: int = 0) -> np.ndarray:
+    """Draw the m = min(k, n - k) transmission eigenvalues T of a Haar U, ascending.
+
+    With U_k the first k rows of an ``n x n`` Haar unitary, x = U_k U_k^T is
+    the k x k corner of the COE matrix U U^T, and the eigenvalues of
+    x x^dag are 1 - T for the m values T plus 2k - n exact ones when
+    k > n/2. The T are the transmission eigenvalues of a beta = 1
+    scattering matrix: a real Jacobi ensemble with weight
+    T^{(|n - 2k| - 1)/2} (Beenakker, RMP 69 (1997) 731). This draws them
+    from its bidiagonal model (Edelman & Sutton, Found. Comput. Math. 8
+    (2008) 259) with a = |n - 2k| and b = 1: c_i^2 ~ Beta((a+i)/2, (b+i)/2)
+    for i = 1..m, then c'_i^2 ~ Beta(i/2, (a+b+1+i)/2) for i = 1..m-1, and
+    T are the squared singular values of the upper bidiagonal B11 with
+    diagonal (c_m, c_{m-1} s'_{m-1}, ..., c_1 s'_1) and superdiagonal
+    (-s_m c'_{m-1}, ..., -s_2 c'_1), where s = sqrt(1 - c^2). One
+    eigensolve of the tridiagonal B11^T B11; an empty array when m = 0.
+    """
+    _check_shape(n, k, sample_index)
+    m = min(k, n - k)
+    if m == 0:
+        return np.empty(0)
+    a, b = abs(n - 2 * k), 1
+    i = np.arange(1, m + 1)
+    rng = sample_generator(master_seed, sample_index)
+    c2 = rng.beta((a + i) / 2, (b + i) / 2)
+    cp2 = rng.beta(i[:-1] / 2, (a + b + 1 + i[:-1]) / 2)
+    diag = np.sqrt(c2[::-1]) * np.sqrt(np.append(1.0, 1.0 - cp2[::-1]))
+    sup = -np.sqrt(1.0 - c2[:0:-1]) * np.sqrt(cp2[::-1])
+    gram = np.zeros((m, m))
+    gram.flat[:: m + 1] = diag * diag
+    gram.flat[m + 1 :: m + 1] += sup * sup
+    gram.flat[m :: m + 1] = diag[:-1] * sup  # lower triangle, the one eigvalsh reads
+    return np.linalg.eigvalsh(gram)

@@ -13,15 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import renyi_entropy, von_neumann_entropy
-from .haar import haar_frame
-from .states import (
-    SqueezingConfig,
-    _power_sums,
-    _w_block_eigenvalues,
-    full_covariance_general,
-    reduce_modes,
-    reduced_covariance_general,
-)
+from .haar import haar_frame, jacobi_transmissions
+from .states import _power_sums, _w_block_eigenvalues, reduced_covariance_general
 from .symplectic import equal_squeezing_spectrum, symplectic_eigenvalues
 
 __all__ = [
@@ -33,7 +26,6 @@ __all__ = [
     "Summary",
     "VarianceEstimate",
     "estimate_Vd",
-    "purity_symmetry_check",
     "run_experiment",
     "s2_variance_identity",
     "variance_trend",
@@ -42,10 +34,11 @@ __all__ = [
 # Per-sample slack for the exact monotonicity/positivity of entropies.
 _MONOTONE_TOL = 1e-9
 
-# Version of the map from (plan, sample_index) to samples. Sampler 3 draws
-# an n x k Haar frame per sample; sampler 2 drew one only for equal
-# squeezing (its equal-squeezing samples are unchanged), sampler 1 never.
-SAMPLER = 3
+# Version of the map from (plan, sample_index) to samples. Sampler 4 draws
+# the transmission eigenvalues for equal squeezing and an n x k Haar frame
+# for per-mode squeezing (those samples are sampler 3's). Sampler 3 drew the
+# frame for both, sampler 2 only for equal squeezing, sampler 1 never.
+SAMPLER = 4
 
 
 class SampleFailure(RuntimeError):
@@ -61,9 +54,9 @@ class SampleFailure(RuntimeError):
 class ExperimentPlan:
     """Specification of one sampling experiment.
 
-    ``squeezing`` is a scalar for the equal case (spectrum from the W block
-    of an n x k Haar frame) or a length-n sequence for the general case
-    (reduced covariance of the first k modes built from the same frame).
+    ``squeezing`` is a scalar for the equal case (spectrum from the drawn
+    transmission eigenvalues) or a length-n sequence for the general case
+    (reduced covariance of the first k modes built from an n x k Haar frame).
     ``alphas`` may include 1, meaning the von Neumann entropy. ``trw_max``
     requests per-sample power traces Tr W^i for i = 1..trw_max.
     """
@@ -140,12 +133,15 @@ class Summary:
 
 def _sample_spectrum(plan: ExperimentPlan, index: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Symplectic spectrum of one sample and, if the plan asks, its Tr W^i."""
-    frame = haar_frame(plan.n, plan.k, plan.master_seed, index)
-    lam = _w_block_eigenvalues(frame) if plan.equal_squeezing or plan.trw_max else None
-    trw = _power_sums(lam, plan.trw_max) if plan.trw_max else None
     if plan.equal_squeezing:
-        return equal_squeezing_spectrum(lam, plan.squeezing), trw
-    return symplectic_eigenvalues(reduced_covariance_general(frame, plan.squeezing)), trw
+        t = jacobi_transmissions(plan.n, plan.k, plan.master_seed, index)
+        lam = np.concatenate([1.0 - t, np.ones(plan.k - t.size)]) if plan.trw_max else None
+        nu = equal_squeezing_spectrum(t, plan.k, plan.squeezing)
+    else:
+        frame = haar_frame(plan.n, plan.k, plan.master_seed, index)
+        lam = _w_block_eigenvalues(frame) if plan.trw_max else None
+        nu = symplectic_eigenvalues(reduced_covariance_general(frame, plan.squeezing))
+    return nu, _power_sums(lam, plan.trw_max) if plan.trw_max else None
 
 
 def _evaluate_sample(plan: ExperimentPlan, index: int) -> SampleRecord:
@@ -197,35 +193,6 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple[list[SampleR
         per_alpha=per_alpha, n_samples=plan.n_samples, realized_r=plan.realized_r
     )
     return records, summary
-
-
-def purity_symmetry_check(U: np.ndarray, squeezing, k: int, alphas=(1, 2, 3), tol: float = 1e-8) -> bool:
-    """Check that the k-mode and (n-k)-mode reductions give equal entropies.
-
-    Both reductions are taken from the same full pure-state covariance, so
-    equality is a purity requirement, not a statistical statement. k may be
-    0 or n; the empty reduction has entropy zero.
-    """
-    n = U.shape[0]
-    if not 0 <= k <= n:
-        raise ValueError(f"subsystem size k={k} out of range [0, {n}]")
-    cfg = (
-        SqueezingConfig.equal(n, float(squeezing))
-        if np.ndim(squeezing) == 0
-        else SqueezingConfig(s=tuple(float(x) for x in squeezing))
-    )
-    sigma = full_covariance_general(U, cfg)
-    sides = []
-    for modes in (range(k), range(k, n)):
-        modes = list(modes)
-        if not modes:
-            sides.append({a: 0.0 for a in alphas})
-            continue
-        nu = symplectic_eigenvalues(reduce_modes(sigma, modes))
-        sides.append(
-            {a: von_neumann_entropy(nu) if a == 1 else renyi_entropy(nu, a) for a in alphas}
-        )
-    return all(abs(sides[0][a] - sides[1][a]) <= tol for a in alphas)
 
 
 @dataclass(frozen=True)

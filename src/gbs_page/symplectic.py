@@ -49,21 +49,25 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     return _physical_spectrum(np.linalg.svd(a, compute_uv=False)[0::2])
 
 
-def equal_squeezing_spectrum(lam: np.ndarray, s: float) -> np.ndarray:
-    """Symplectic spectrum at equal squeezing s from the eigenvalues lam of W.
+def equal_squeezing_spectrum(t: np.ndarray, k: int, s: float) -> np.ndarray:
+    """Symplectic spectrum of k modes at equal squeezing s from transmissions t.
 
-    nu_j = sqrt(cosh^2(2s) - sinh^2(2s) lam_j), evaluated as
-    sqrt(1 + sinh^2(2s) (1 - lam_j)) so that strong squeezing does not
-    cancel two cosh^2(2s)-sized terms. Sorted descending and checked like
-    ``symplectic_eigenvalues``; a non-finite s or lam_j raises ValueError.
+    ``t`` holds the m <= k transmission eigenvalues T_j (the eigenvalues
+    of W are 1 - T_j and k - m ones). nu_j = sqrt(1 + sinh^2(2s) T_j) for
+    those m, which needs no cancellation at strong squeezing, and exactly
+    1.0 for the other k - m modes. Sorted descending and checked like
+    ``symplectic_eigenvalues``; a non-finite s or T_j raises ValueError.
     """
     if not np.isfinite(s):
         raise ValueError("squeezing strength must be finite")
-    lam = np.sort(np.asarray(lam, dtype=float))
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("eigenvalues of W must be finite")
-    nu2 = 1.0 + np.sinh(2 * s) ** 2 * (1.0 - lam)  # lam ascending, nu descending
-    return _physical_spectrum(np.sqrt(np.maximum(nu2, 0.0)))
+    t = np.sort(np.asarray(t, dtype=float))[::-1]
+    if t.ndim != 1 or t.size > k:
+        raise ValueError(f"need at most k={k} transmission eigenvalues, got shape {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("transmission eigenvalues must be finite")
+    nu = np.ones(k)
+    nu[: t.size] = np.sqrt(np.maximum(1.0 + np.sinh(2 * s) ** 2 * t, 0.0))
+    return _physical_spectrum(nu)
 
 
 def _physical_spectrum(nu: np.ndarray) -> np.ndarray:

@@ -17,14 +17,137 @@ covariance cosh(2s) I + sinh(2s) M of equal squeezing, whose
 ``symplectic_eigenvalues_eigh`` takes the symplectic spectrum through a
 symmetric eigendecomposition, the matrix square root S and the Hermitian
 eigenvalues of i S Omega S, a cross-check of the Cholesky and real-SVD
-route of ``gbs_page.symplectic``.
+route of ``gbs_page.symplectic``. ``frame_transmissions`` takes the
+transmission eigenvalues T = 1 - lambda from the W block of a Haar frame,
+the law ``haar.jacobi_transmissions`` draws from directly.
+``full_covariance_general`` builds the whole 2n x 2n pure state, which
+``reduce_modes`` restricts to a mode set; ``purity_symmetry_check`` uses
+both to compare the entropies of the two sides of a cut.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from gbs_page.entropy import _as_spectrum, _check_alpha
-from gbs_page.states import _power_sums, _w_block_eigenvalues, symplectic_form
-from gbs_page.symplectic import SYMMETRY_TOL, _physical_spectrum
+from gbs_page.entropy import _as_spectrum, _check_alpha, renyi_entropy, von_neumann_entropy
+from gbs_page.haar import haar_frame
+from gbs_page.states import _power_sums, _w_block_eigenvalues
+from gbs_page.symplectic import SYMMETRY_TOL, _physical_spectrum, symplectic_eigenvalues
+
+
+def haar_unitary(n: int, master_seed: int, sample_index: int = 0) -> np.ndarray:
+    """Draw an ``n x n`` unitary from the Haar measure on U(n): the full frame."""
+    return haar_frame(n, n, master_seed, sample_index)
+
+
+def frame_transmissions(n: int, k: int, master_seed: int, sample_index: int = 0) -> np.ndarray:
+    """The m = min(k, n - k) largest T = 1 - lambda of a Haar frame, ascending.
+
+    lambda are the eigenvalues of x x^dag, x = F^T F, for the n x k frame
+    F; the k - m values of T dropped here are zero up to rounding.
+    """
+    t = np.sort(1.0 - _w_block_eigenvalues(haar_frame(n, k, master_seed, sample_index)))
+    return t[k - min(k, n - k):]
+
+
+def symplectic_form(m: int) -> np.ndarray:
+    """Return the 2m x 2m symplectic form [[0, I], [-I, 0]] in xxpp ordering."""
+    omega = np.zeros((2 * m, 2 * m))
+    omega[:m, m:] = np.eye(m)
+    omega[m:, :m] = -np.eye(m)
+    return omega
+
+
+@dataclass(frozen=True)
+class SqueezingConfig:
+    """Per-mode squeezing strengths of the input product state."""
+
+    s: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.s) == 0:
+            raise ValueError("squeezing config needs at least one mode")
+        if not all(np.isfinite(self.s)):
+            raise ValueError("squeezing strengths must be finite")
+
+    @classmethod
+    def equal(cls, n: int, s: float) -> "SqueezingConfig":
+        """All n modes squeezed with the same strength s."""
+        if n < 1:
+            raise ValueError(f"mode count must be >= 1, got {n}")
+        return cls(s=(float(s),) * n)
+
+    @property
+    def n(self) -> int:
+        return len(self.s)
+
+    def as_array(self) -> np.ndarray:
+        return np.asarray(self.s, dtype=float)
+
+
+def full_covariance_general(U: np.ndarray, cfg: SqueezingConfig) -> np.ndarray:
+    """Full 2n x 2n output covariance for arbitrary per-mode squeezing.
+
+    sigma = O D O^T with D = diag(e^{2 s_i}) (+) diag(e^{-2 s_i}) and
+    O = [[Re U, -Im U], [Im U, Re U]] the orthogonal symplectic image of U,
+    formed as H H^T with H = O D^{1/2} so that it is exactly symmetric.
+    The global state is pure: det sigma = 1 and every symplectic eigenvalue
+    equals one. Its first-k reduction is
+    ``reduced_covariance_general(U[:k].T, cfg.s)``.
+
+    At equal squeezing the first-k reduction of this matrix is
+    cosh(2s) I + sinh(2s) M evaluated at conj(U); both orientation
+    conventions define the same Haar ensemble.
+    """
+    n = U.shape[0]
+    if cfg.n != n:
+        raise ValueError(f"squeezing config has {cfg.n} modes, unitary has {n}")
+    s = cfg.as_array()
+    half = np.block([[U.real, -U.imag], [U.imag, U.real]]) * np.exp(np.concatenate([s, -s]))
+    return half @ half.T
+
+
+def reduce_modes(sigma: np.ndarray, mode_set) -> np.ndarray:
+    """Restrict a covariance matrix to the given modes, keeping xxpp order."""
+    m = sigma.shape[0] // 2
+    if sigma.shape != (2 * m, 2 * m):
+        raise ValueError(f"covariance matrix must be 2m x 2m, got {sigma.shape}")
+    modes = np.asarray(list(mode_set), dtype=int)
+    if modes.size != np.unique(modes).size:
+        raise ValueError("mode indices must be distinct")
+    if modes.size and (modes.min() < 0 or modes.max() >= m):
+        raise ValueError(f"mode index out of range [0, {m})")
+    idx = np.concatenate([modes, modes + m]) if modes.size else np.empty(0, dtype=int)
+    return sigma[np.ix_(idx, idx)]
+
+
+def purity_symmetry_check(U: np.ndarray, squeezing, k: int, alphas=(1, 2, 3), tol: float = 1e-8) -> bool:
+    """Check that the k-mode and (n-k)-mode reductions give equal entropies.
+
+    Both reductions are taken from the same full pure-state covariance, so
+    equality is a purity requirement, not a statistical statement. k may be
+    0 or n; the empty reduction has entropy zero.
+    """
+    n = U.shape[0]
+    if not 0 <= k <= n:
+        raise ValueError(f"subsystem size k={k} out of range [0, {n}]")
+    cfg = (
+        SqueezingConfig.equal(n, float(squeezing))
+        if np.ndim(squeezing) == 0
+        else SqueezingConfig(s=tuple(float(x) for x in squeezing))
+    )
+    sigma = full_covariance_general(U, cfg)
+    sides = []
+    for modes in (range(k), range(k, n)):
+        modes = list(modes)
+        if not modes:
+            sides.append({a: 0.0 for a in alphas})
+            continue
+        nu = symplectic_eigenvalues(reduce_modes(sigma, modes))
+        sides.append(
+            {a: von_neumann_entropy(nu) if a == 1 else renyi_entropy(nu, a) for a in alphas}
+        )
+    return all(abs(sides[0][a] - sides[1][a]) <= tol for a in alphas)
 
 
 def _check_k(U: np.ndarray, k: int) -> None:

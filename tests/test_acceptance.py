@@ -17,22 +17,26 @@ import os
 
 import numpy as np
 import pytest
-from oracles import build_M, build_W, renyi_entropy_factored
+from oracles import (
+    build_M,
+    build_W,
+    haar_unitary,
+    purity_symmetry_check,
+    renyi_entropy_factored,
+    symplectic_form,
+)
 from series_oracle import vn_series_coefficients, vn_series_constant
 
 from gbs_page import (
     ExperimentPlan,
     estimate_Vd,
-    haar_unitary,
     page_average,
-    purity_symmetry_check,
     renyi_average,
     renyi_entropy,
     renyi_small_s_limit,
     renyi_unequal_small,
     run_experiment,
     s2_variance_identity,
-    symplectic_form,
     variance_trend,
     vn_mode_entropy,
     von_neumann_average,

@@ -212,9 +212,9 @@ def test_simulate_summary_records_sampler(tmp_path, capsys):
                          "--threads", "1", "--out-prefix", prefix)
     assert code == 0
     summary = json.loads((tmp_path / "run_summary.json").read_text())
-    assert summary["config"]["sampler"] == gbs_page.montecarlo.SAMPLER == 3
+    assert summary["config"]["sampler"] == gbs_page.montecarlo.SAMPLER == 4
 
-    for old_sampler in (1, 2):
+    for old_sampler in (1, 2, 3):
         summary["config"]["sampler"] = old_sampler
         old = tmp_path / "old_summary.json"
         old.write_text(json.dumps(summary))
@@ -227,37 +227,67 @@ def test_simulate_summary_records_sampler(tmp_path, capsys):
     old.write_text(json.dumps(summary))
     code, _, _ = run_cli(capsys, "simulate", "--config", str(old))
     rerun = json.loads((tmp_path / "run_summary.json").read_text())
-    assert code == 0 and rerun["config"]["sampler"] == 3
+    assert code == 0 and rerun["config"]["sampler"] == 4
 
 
-def test_simulate_equal_samples_unchanged_since_sampler_2(tmp_path, capsys):
-    # The samples CSV of this command under sampler 2: per-mode squeezing
-    # moved to the n x k frame, the equal-squeezing stream did not move.
-    sampler2 = """\
-0,1,1.0383787315100339
-0,2,0.60084321051114786
-0,3,0.47758851157773158
-1,1,0.52205421722885426
-1,2,0.27027548156425535
-1,3,0.21124419832681524
-2,1,0.72753539103987708
-2,2,0.40712124809842021
-2,3,0.32049592412109895
-3,1,0.92024235974801438
-3,2,0.53050904926020437
-3,3,0.42092861977317986
+def _assert_samples_csv(path, pinned):
+    header, rows = parse_csv(path.read_text())
+    _, want = parse_csv("sample_index,alpha,entropy\n" + pinned)
+    assert header == ["sample_index", "alpha", "entropy"] and len(rows) == len(want)
+    for got, ref in zip(rows, want):
+        assert got[:2] == ref[:2]
+        assert math.isclose(float(got[2]), float(ref[2]), rel_tol=1e-13, abs_tol=0)
+
+
+def test_simulate_equal_samples_unchanged_since_sampler_4(tmp_path, capsys):
+    # The samples CSV of this command under sampler 4, which draws the
+    # transmission eigenvalues of each sample from the Jacobi bidiagonal model.
+    sampler4 = """\
+0,1,0.90109112563080651
+0,2,0.529779638592216
+0,3,0.42133293603547212
+1,1,0.73693245276506958
+1,2,0.40429385600179074
+1,3,0.31819997005953882
+2,1,0.31775413222274668
+2,2,0.14458082507697489
+2,3,0.11097015483982431
+3,1,0.80950443152852125
+3,2,0.4369108621079637
+3,3,0.3432022012271399
 """
     prefix = str(tmp_path / "run")
     code, _, _ = run_cli(capsys, "simulate", "--n", "6", "--k", "3", "--s", "0.4",
                          "--alphas", "1,2,3", "--samples", "4", "--seed", "3",
                          "--threads", "1", "--out-prefix", prefix)
     assert code == 0
-    header, rows = parse_csv((tmp_path / "run_samples.csv").read_text())
-    _, want = parse_csv("sample_index,alpha,entropy\n" + sampler2)
-    assert header == ["sample_index", "alpha", "entropy"] and len(rows) == len(want)
-    for got, ref in zip(rows, want):
-        assert got[:2] == ref[:2]
-        assert math.isclose(float(got[2]), float(ref[2]), rel_tol=1e-13, abs_tol=0)
+    _assert_samples_csv(tmp_path / "run_samples.csv", sampler4)
+
+
+def test_simulate_per_mode_samples_unchanged_since_sampler_3(tmp_path, capsys):
+    # The samples CSV of this per-mode config under sampler 3: sampler 4
+    # changed only the equal-squeezing draw.
+    sampler3 = """\
+0,1,0.96521942013629858
+0,2,0.57115220969707226
+0,3,0.45947973697831745
+1,1,0.67253322886075306
+1,2,0.34992004959215633
+1,3,0.27322474936772806
+2,1,0.9581204634149616
+2,2,0.58870035479332816
+2,3,0.47956321659606549
+3,1,0.77238499356086021
+3,2,0.43170681631074626
+3,3,0.34254779399103241
+"""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 7, "k": 3, "s": [0.1, 0.25, -0.3, 0.5, 0.0, 0.8, 0.35],
+                                  "alphas": [1, 2, 3], "samples": 4, "seed": 5, "threads": 1,
+                                  "out_prefix": str(tmp_path / "run")}))
+    code, _, _ = run_cli(capsys, "simulate", "--config", str(config))
+    assert code == 0
+    _assert_samples_csv(tmp_path / "run_samples.csv", sampler3)
 
 
 def test_simulate_config_strictness(tmp_path, capsys):
@@ -456,3 +486,17 @@ def test_cli_import_leaves_out_scipy():
                             text=True, check=True, timeout=60,
                             env={**os.environ, "PYTHONPATH": src})
     assert result.stdout.strip() == "False"
+
+
+def test_equal_simulate_leaves_out_scipy(tmp_path):
+    # A lazy import inside the sampling path would not show at import time.
+    src = os.path.dirname(os.path.dirname(gbs_page.__file__))
+    code = ("import sys, gbs_page.cli\n"
+            "argv = ['simulate', '--n', '12', '--k', '5', '--s', '0.5', '--alphas', '1,2',\n"
+            "        '--samples', '3', '--seed', '1', '--threads', '1',\n"
+            f"        '--out-prefix', {str(tmp_path / 'run')!r}]\n"
+            "print(gbs_page.cli.main(argv), 'scipy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True, timeout=60,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout.strip() == "0 False"

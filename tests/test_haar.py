@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from oracles import frame_transmissions, haar_unitary
+from scipy.special import digamma
 
-from gbs_page import haar_frame, haar_unitary, sample_generator
+from gbs_page import haar_frame, jacobi_transmissions, sample_generator
 from gbs_page.haar import _phase_fixed_q
 
 
@@ -94,3 +96,55 @@ def test_frame_first_moment_matches_haar():
     var = 2.0 / (n * (n + 1)) - 1.0 / n**2
     se = np.sqrt(var / n_samples)
     assert np.abs(mean - 1.0 / n).max() <= 3.5 * se
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (7, 3), (8, 4), (9, 6), (10, 10), (301, 140)])
+def test_transmissions_shape_and_range(n, k):
+    t = jacobi_transmissions(n, k, master_seed=8, sample_index=1)
+    assert t.shape == (min(k, n - k),)
+    assert np.all(np.diff(t) >= 0)
+    assert np.all(t >= -1e-14) and np.all(t <= 1 + 1e-14)
+    assert np.array_equal(t, jacobi_transmissions(n, k, master_seed=8, sample_index=1))
+    if t.size:
+        assert not np.array_equal(t, jacobi_transmissions(n, k, master_seed=8, sample_index=2))
+
+
+def test_transmissions_reject_bad_shape():
+    for n, k, index in [(4, 0, 0), (4, 5, 0), (0, 0, 0), (4, 2, -1)]:
+        with pytest.raises(ValueError):
+            jacobi_transmissions(n, k, master_seed=1, sample_index=index)
+
+
+def _z(values, exact):
+    return (values.mean() - exact) / (values.std(ddof=1) / np.sqrt(values.size))
+
+
+@pytest.mark.parametrize("n,k", [(40, 13), (12, 6), (9, 6), (7, 3), (10, 10)])
+def test_transmissions_match_exact_jacobi_moments(n, k):
+    # Real Jacobi law with weight T^{(a'-1)}, a' = (|n-2k|+1)/2, on m points:
+    # E sum T = m p/(p+m+1) with p = max(k, n-k), and from the Selberg
+    # integral E sum log T = sum_{j<m} [psi(a'+j/2) - psi(a'+1+(m+j-1)/2)].
+    m, p, a1 = min(k, n - k), max(k, n - k), (abs(n - 2 * k) + 1) / 2
+    draws = [jacobi_transmissions(n, k, master_seed=404, sample_index=i) for i in range(10000)]
+    if m == 0:
+        assert all(t.size == 0 for t in draws)
+        return
+    j = np.arange(m)
+    log_exact = np.sum(digamma(a1 + j / 2) - digamma(a1 + 1 + (m + j - 1) / 2))
+    assert abs(_z(np.array([t.sum() for t in draws]), m * p / (p + m + 1))) <= 4
+    assert abs(_z(np.array([np.log(t).sum() for t in draws]), log_exact)) <= 4
+
+
+@pytest.mark.parametrize("n,k", [(7, 3), (8, 4), (9, 6)])
+def test_transmissions_match_frame_oracle(n, k):
+    # Two-sample Kolmogorov-Smirnov distance between the pooled T of 3000
+    # draws per side. A draw's share of its m values below x is a [0, 1]
+    # variable with mean F(x), so its variance is at most F(1 - F), the
+    # variance of one indicator: the 0.1 % critical value for 3000 i.i.d.
+    # points per side, 1.95 sqrt(2/3000), bounds the pooled distance too.
+    draws = 3000
+    direct = np.concatenate([jacobi_transmissions(n, k, 515, i) for i in range(draws)])
+    frame = np.concatenate([frame_transmissions(n, k, 616, i) for i in range(draws)])
+    grid = np.sort(np.concatenate([direct, frame]))
+    ecdf = [np.searchsorted(np.sort(x), grid, side="right") / x.size for x in (direct, frame)]
+    assert np.abs(ecdf[0] - ecdf[1]).max() <= 1.95 * np.sqrt(2 / draws)

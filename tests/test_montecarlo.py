@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+from oracles import haar_unitary, purity_symmetry_check
 
 from gbs_page import (
     ExperimentPlan,
     SampleFailure,
     estimate_Vd,
     haar_frame,
-    haar_unitary,
-    purity_symmetry_check,
+    jacobi_transmissions,
     reduced_covariance_general,
     renyi2_average,
     renyi_entropy,
@@ -28,6 +28,15 @@ def test_full_partition_gives_zero():
         for val in rec.entropies.values():
             assert abs(val) <= 1e-8
     assert abs(summary.per_alpha[1].mean) <= 1e-8
+
+
+def test_pure_state_at_strong_squeezing_gives_exact_zero():
+    # k = n leaves no transmission eigenvalue: every nu is exactly one.
+    plan = ExperimentPlan(n=40, k=40, squeezing=3.0, alphas=(1, 2, 3), n_samples=5,
+                          master_seed=3)
+    records, summary = run_experiment(plan)
+    assert all(v == 0.0 for rec in records for v in rec.entropies.values())
+    assert all(st.mean == 0.0 for st in summary.per_alpha.values())
 
 
 def test_vacuum_gives_exact_zero():
@@ -95,18 +104,17 @@ def test_trw_moments_recorded():
         assert all(x >= y - 1e-12 for x, y in zip(rec.trw, rec.trw[1:]))
 
 
-def test_equal_trw_are_traces_of_the_sample_frame():
-    # The equal path takes Tr W^i from the sample's eigenvalues; compare with
-    # matrix powers of the k x k block x x^dag, x = F^T F, of the same frame.
-    plan = ExperimentPlan(n=9, k=4, squeezing=0.3, alphas=(2,), n_samples=3,
+def test_equal_trw_are_power_sums_of_the_sample_draw():
+    # The equal path takes Tr W^i from the sample's own transmission draw:
+    # lambda = 1 - T, padded with k - m ones. k > n/2 here, so m = 3 < k = 6.
+    plan = ExperimentPlan(n=9, k=6, squeezing=0.3, alphas=(2,), n_samples=3,
                           master_seed=21, trw_max=5)
     records, _ = run_experiment(plan)
     for rec in records:
-        F = haar_frame(9, 4, master_seed=21, sample_index=rec.sample_index)
-        x = F.T @ F
-        block = x @ x.conj().T
-        want = [np.trace(np.linalg.matrix_power(block, i)).real for i in range(1, 6)]
-        assert np.allclose(rec.trw, want, rtol=0, atol=1e-12)
+        t = jacobi_transmissions(9, 6, master_seed=21, sample_index=rec.sample_index)
+        lam = np.concatenate([1.0 - t, np.ones(3)])
+        want = [np.sum(lam ** i) for i in range(1, 6)]
+        assert t.size == 3 and np.allclose(rec.trw, want, rtol=0, atol=1e-12)
 
 
 def test_unequal_trw_match_trW_moments():
@@ -188,7 +196,9 @@ def test_sample_failure_aborts_with_index():
 
 @pytest.mark.parametrize("lam", [[0.2, np.nan], [0.2, 1.5], [0.2, 1.0 + 1e-3]])
 def test_bad_w_spectrum_is_a_sample_failure(monkeypatch, lam):
-    monkeypatch.setattr(montecarlo, "_w_block_eigenvalues", lambda frame: np.array(lam))
+    # The draw returns T = 1 - lambda: a NaN, -0.5 and -1e-3.
+    monkeypatch.setattr(montecarlo, "jacobi_transmissions",
+                        lambda n, k, seed, index: 1.0 - np.array(lam))
     plan = ExperimentPlan(n=4, k=2, squeezing=0.5, alphas=(1, 2), n_samples=2,
                           master_seed=1)
     with pytest.raises(SampleFailure) as err:

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from oracles import reduced_covariance_equal, trW_moments
+from oracles import haar_unitary, reduced_covariance_equal, trW_moments
 from series_oracle import (
     expected_trW,
     series_average,
@@ -14,7 +14,6 @@ from series_oracle import (
 from gbs_page import (
     ASYMPTOTIC,
     ExperimentPlan,
-    haar_unitary,
     page_average,
     renyi2_average,
     renyi_average,

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
-from oracles import build_M, build_W, reduced_covariance_equal, trW_moments
-
-from gbs_page import (
+from oracles import (
     SqueezingConfig,
+    build_M,
+    build_W,
     full_covariance_general,
     haar_unitary,
     reduce_modes,
-    reduced_covariance_general,
-    symplectic_eigenvalues,
+    reduced_covariance_equal,
     symplectic_form,
+    trW_moments,
 )
+
+from gbs_page import reduced_covariance_general, symplectic_eigenvalues
 
 
 def test_build_M_trivial_unitary():

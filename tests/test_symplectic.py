@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
-from oracles import reduced_covariance_equal, symplectic_eigenvalues_eigh
-
-from gbs_page import (
+from oracles import (
     SqueezingConfig,
-    equal_squeezing_spectrum,
     full_covariance_general,
     haar_unitary,
+    reduced_covariance_equal,
+    symplectic_eigenvalues_eigh,
+)
+
+from gbs_page import (
+    equal_squeezing_spectrum,
+    jacobi_transmissions,
     reduced_covariance_general,
     renyi_entropy,
     symplectic_eigenvalues,
@@ -89,7 +93,7 @@ def test_equal_route_matches_covariance_oracle(n, s):
     U = haar_unitary(n, master_seed=61, sample_index=n)
     for k in sorted({1, n // 2, n - 1, n} - {0}):
         oracle = symplectic_eigenvalues(reduced_covariance_equal(U, s, k))
-        nu = equal_squeezing_spectrum(_w_block_eigenvalues(U[:k].T), s)
+        nu = equal_squeezing_spectrum(1.0 - _w_block_eigenvalues(U[:k].T), k, s)
         assert nu.shape == (k,) and np.all(np.diff(nu) <= 0)
         assert np.abs(nu - oracle).max() <= 1e-12 * scale
         for alpha in (1, 2, 15):
@@ -100,16 +104,28 @@ def test_equal_route_matches_covariance_oracle(n, s):
 
 
 def test_equal_spectrum_checks():
-    assert np.array_equal(equal_squeezing_spectrum([0.2, 0.9], 0.0), [1.0, 1.0])
-    nu = equal_squeezing_spectrum([0.0, 1.0], 0.5)
+    assert np.array_equal(equal_squeezing_spectrum([0.8, 0.1], 2, 0.0), [1.0, 1.0])
+    nu = equal_squeezing_spectrum([0.0, 1.0], 2, 0.5)
     assert np.allclose(nu, [np.cosh(1.0), 1.0], rtol=0, atol=1e-14)
-    # lam just above one lands in the clamp window and is rounded to one
+    # T just below zero lands in the clamp window and is rounded to one
     t = 1e-9 / np.sinh(1.0) ** 2
-    assert equal_squeezing_spectrum([1.0 + t], 0.5)[0] == 1.0
-    for lam, s in [([0.5, np.nan], 0.5), ([np.inf], 0.5), ([1.5], 0.5),
-                   ([1.0 + 1e-4], 0.5), ([0.5], np.inf), ([0.5], np.nan)]:
+    assert equal_squeezing_spectrum([-t], 1, 0.5)[0] == 1.0
+    for t, k, s in [([0.5, np.nan], 2, 0.5), ([np.inf], 1, 0.5), ([-0.5], 1, 0.5),
+                    ([-1e-4], 1, 0.5), ([0.5], 1, np.inf), ([0.5], 1, np.nan),
+                    ([0.5, 0.2], 1, 0.5)]:
         with pytest.raises(ValueError):
-            equal_squeezing_spectrum(lam, s)
+            equal_squeezing_spectrum(t, k, s)
+
+
+@pytest.mark.parametrize("n,k", [(10, 7), (9, 8), (40, 40)])
+def test_equal_spectrum_pads_exact_ones(n, k):
+    # Past k = n/2 only m = n - k modes are entangled; the other k - m get
+    # nu = 1 exactly, however strong the squeezing.
+    t = jacobi_transmissions(n, k, master_seed=4, sample_index=1)
+    nu = equal_squeezing_spectrum(t, k, 3.0)
+    assert t.size == n - k and nu.shape == (k,)
+    assert np.all(nu[: n - k] > 1.0) and np.all(nu[n - k:] == 1.0)
+    assert von_neumann_entropy(nu[n - k:]) == 0.0
 
 
 def _outcome(route, sigma):
