@@ -5,40 +5,11 @@ entanglement entropies over Haar-random passive circuits acting on
 squeezed-vacuum inputs, the corresponding small/large squeezing limits,
 and a seeded Monte-Carlo pipeline that cross-validates the formulas.
 All entropies are in nats.
-"""
 
-from .haar import haar_frame, jacobi_transmissions, sample_generator
-from .states import reduced_covariance_general
-from .symplectic import equal_squeezing_spectrum, symplectic_eigenvalues
-from .entropy import (
-    renyi_entropy,
-    renyi_mode_entropy,
-    vn_mode_entropy,
-    von_neumann_entropy,
-)
-from .pagecurve import (
-    ASYMPTOTIC,
-    PageCurveValue,
-    page_average,
-    renyi2_average,
-    renyi_average,
-    renyi_large_s_limit,
-    renyi_small_s_limit,
-    renyi_unequal_small,
-    vn_large_s_limit,
-    vn_small_s_limit,
-    von_neumann_average,
-)
-from .montecarlo import (
-    ExperimentPlan,
-    SampleFailure,
-    SampleRecord,
-    Summary,
-    estimate_Vd,
-    run_experiment,
-    s2_variance_identity,
-    variance_trend,
-)
+The public names are imported from their submodules on first use, so
+``import gbs_page`` alone loads no numpy; ``gbs_page.cli`` relies on that
+to set the BLAS thread variables before numpy starts its BLAS.
+"""
 
 __version__ = "0.1.0"
 
@@ -73,3 +44,52 @@ __all__ = [
     "von_neumann_average",
     "von_neumann_entropy",
 ]
+
+_EXPORTS = {
+    "haar": ("haar_frame", "jacobi_transmissions", "sample_generator"),
+    "states": ("reduced_covariance_general",),
+    "symplectic": ("equal_squeezing_spectrum", "symplectic_eigenvalues"),
+    "entropy": ("renyi_entropy", "renyi_mode_entropy", "vn_mode_entropy",
+                "von_neumann_entropy"),
+    "pagecurve": (
+        "ASYMPTOTIC",
+        "PageCurveValue",
+        "page_average",
+        "renyi2_average",
+        "renyi_average",
+        "renyi_large_s_limit",
+        "renyi_small_s_limit",
+        "renyi_unequal_small",
+        "vn_large_s_limit",
+        "vn_small_s_limit",
+        "von_neumann_average",
+    ),
+    "montecarlo": (
+        "ExperimentPlan",
+        "SampleFailure",
+        "SampleRecord",
+        "Summary",
+        "estimate_Vd",
+        "run_experiment",
+        "s2_variance_identity",
+        "variance_trend",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name):
+    """Import a public name or a submodule on first use (PEP 562)."""
+    from importlib import import_module  # here, so that it stays out of dir()
+
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")  # the import binds it here too
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -11,9 +11,15 @@ Subcommands:
 The three figures are entries of ``FIGURES`` run by one driver,
 ``run_figure``.
 
-Worker threads come from ``--threads`` (default ``auto``, one per core) or
-from a ``simulate --config`` file's ``threads`` (default 1), which
-``--threads`` overrides. The thread count never changes results.
+Worker threads come from ``--threads`` (default ``auto``, one per CPU this
+process may run on) or from a ``simulate --config`` file's ``threads``
+(default 1), which ``--threads`` overrides. The thread count never changes
+results. The workers are the command's only parallelism: unless one of
+``BLAS_THREAD_VARS`` is already set, importing this module before numpy sets
+all of them to 1, so each worker's BLAS calls run on that worker's thread
+instead of starting BLAS threads that compete with the other workers. Once
+numpy has loaded, its BLAS has read them, and they are left alone. Library
+callers of ``run_experiment`` with several threads set them themselves.
 
 Exit codes: 0 success, 2 validation error (including an analytic ``--tol``
 too small for float64), 4 numerical failure in a sample. Numeric output is
@@ -21,12 +27,19 @@ full-precision (17 significant digits); identical invocations produce
 byte-identical files.
 """
 
+import os
+import sys
+
+# Before numpy loads: its BLAS reads these once, at load time.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+
 import argparse
 import csv
 import io
 import json
-import os
-import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -104,10 +117,19 @@ def _parse_squeezing(text: str):
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask), not the host's count."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13+
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _resolve_threads(requested) -> int:
     """Worker count from ``--threads`` or a config's ``threads``: an integer or 'auto'."""
     if requested == "auto":
-        return os.cpu_count() or 1
+        return _usable_cpus()
     if isinstance(requested, bool) or isinstance(requested, float) and requested % 1:
         raise UsageError(f"thread count must be an integer or 'auto', got {requested!r}")
     try:

@@ -11,6 +11,7 @@ and the Renyi-alpha entropy for integer alpha >= 2 is
 
 Both are sums of vectorized per-mode entropies (``vn_mode_entropy``,
 ``renyi_mode_entropy``), which the analytic quadrature integrates too.
+``spectrum_entropies`` evaluates several orders of one spectrum at once.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 __all__ = [
     "renyi_entropy",
     "renyi_mode_entropy",
+    "spectrum_entropies",
     "vn_mode_entropy",
     "von_neumann_entropy",
 ]
@@ -45,15 +47,8 @@ def _check_alpha(alpha) -> int:
     return alpha
 
 
-def vn_mode_entropy(nu):
-    """Single-mode von Neumann entropy g(nu), vectorized.
-
-    g(1) = 0 exactly; near nu = 1 the expansion (e/2)(1 - ln(e/2)) avoids
-    the cancellation between the two log terms.
-    """
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    if nu.size and nu.min() < 1.0:
-        raise ValueError(f"symplectic eigenvalues must be >= 1, got min {nu.min()!r}")
+def _vn_terms(nu: np.ndarray, log_plus: np.ndarray) -> np.ndarray:
+    """g per mode of a checked spectrum, given ``log_plus`` = ln((nu+1)/2)."""
     eps = nu - 1.0
     out = np.zeros_like(nu)
     tiny = (eps > 0) & (eps < _NEAR_ONE)
@@ -64,16 +59,38 @@ def vn_mode_entropy(nu):
     if np.any(big):
         ap = 0.5 * (nu[big] + 1.0)
         am = 0.5 * (nu[big] - 1.0)
-        out[big] = ap * np.log(ap) - am * np.log(am)
+        out[big] = ap * log_plus[big] - am * np.log(am)
+    return out
+
+
+def _renyi_terms(alpha: int, log_plus: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
+    """Renyi-alpha entropy per mode from ln((nu+1)/2) and ln((nu-1)/(nu+1))."""
+    return (alpha * log_plus + np.log(-np.expm1(alpha * log_ratio))) / (alpha - 1)
+
+
+def _log_plus(nu: np.ndarray) -> np.ndarray:
+    return np.log(0.5 * (nu + 1.0))
+
+
+def _log_ratio(nu: np.ndarray) -> np.ndarray:
+    # ln(ratio^alpha) via log1p stays accurate when ratio is within one ulp of
+    # 1, and 1 - ratio^alpha via expm1 when ratio^alpha is; -inf at nu = 1 is
+    # intended and yields an exact zero.
+    with np.errstate(divide="ignore"):
+        return np.log1p(-2.0 / (nu + 1.0))
+
+
+def vn_mode_entropy(nu):
+    """Single-mode von Neumann entropy g(nu), vectorized.
+
+    g(1) = 0 exactly; near nu = 1 the expansion (e/2)(1 - ln(e/2)) avoids
+    the cancellation between the two log terms.
+    """
+    nu = np.atleast_1d(np.asarray(nu, dtype=float))
+    if nu.size and nu.min() < 1.0:
+        raise ValueError(f"symplectic eigenvalues must be >= 1, got min {nu.min()!r}")
+    out = _vn_terms(nu, _log_plus(nu))
     return out if out.size > 1 else float(out[0])
-
-
-def von_neumann_entropy(nu) -> float:
-    """Von Neumann entropy of a spectrum: sum of g over the modes."""
-    arr = _as_spectrum(nu)
-    if arr.size == 0:
-        return 0.0
-    return float(np.sum(vn_mode_entropy(arr)))
 
 
 def renyi_mode_entropy(nu, alpha: int):
@@ -90,20 +107,36 @@ def renyi_mode_entropy(nu, alpha: int):
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     if nu.size and nu.min() < 1.0:
         raise ValueError(f"symplectic eigenvalues must be >= 1, got min {nu.min()!r}")
-    # ln(ratio^alpha) via log1p stays accurate when ratio is within one ulp of
-    # 1, and 1 - ratio^alpha via expm1 when ratio^alpha is; u = -inf at nu = 1
-    # is intended and yields an exact zero.
-    with np.errstate(divide="ignore"):
-        u = alpha * np.log1p(-2.0 / (nu + 1.0))
-    out = (alpha * np.log(0.5 * (nu + 1.0)) + np.log(-np.expm1(u))) / (alpha - 1)
+    out = _renyi_terms(alpha, _log_plus(nu), _log_ratio(nu))
     return out if out.size > 1 else float(out[0])
+
+
+def spectrum_entropies(nu, alphas) -> dict[int, float]:
+    """Entropies of one spectrum for each order in ``alphas`` (1 = von Neumann).
+
+    The spectrum is checked once, and ln((nu+1)/2) and ln((nu-1)/(nu+1)) are
+    computed once for all orders; each sum is the same per-mode sequence
+    and ``np.sum`` as for a single order.
+    """
+    orders = [1 if a == 1 else _check_alpha(a) for a in alphas]
+    arr = _as_spectrum(nu)
+    if arr.size == 0:
+        return dict.fromkeys(orders, 0.0)
+    log_plus = _log_plus(arr)
+    log_ratio = _log_ratio(arr) if any(a > 1 for a in orders) else None
+    return {
+        a: float(np.sum(_vn_terms(arr, log_plus) if a == 1
+                        else _renyi_terms(a, log_plus, log_ratio)))
+        for a in orders
+    }
+
+
+def von_neumann_entropy(nu) -> float:
+    """Von Neumann entropy of a spectrum: sum of g over the modes."""
+    return spectrum_entropies(nu, (1,))[1]
 
 
 def renyi_entropy(nu, alpha: int) -> float:
     """Renyi-alpha entropy of a spectrum: sum of the per-mode entropies."""
     alpha = _check_alpha(alpha)
-    arr = _as_spectrum(nu)
-    if arr.size == 0:
-        return 0.0
-    return float(np.sum(renyi_mode_entropy(arr, alpha)))
-
+    return spectrum_entropies(nu, (alpha,))[alpha]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import renyi_entropy, von_neumann_entropy
+from .entropy import spectrum_entropies
 from .haar import haar_frame, jacobi_transmissions
 from .states import _power_sums, _w_block_eigenvalues, reduced_covariance_general
 from .symplectic import equal_squeezing_spectrum, symplectic_eigenvalues
@@ -147,12 +147,8 @@ def _sample_spectrum(plan: ExperimentPlan, index: int) -> tuple[np.ndarray, np.n
 def _evaluate_sample(plan: ExperimentPlan, index: int) -> SampleRecord:
     try:
         nu, trw = _sample_spectrum(plan, index)
-        entropies = {}
-        for a in plan.alphas:
-            entropies[int(a)] = (
-                von_neumann_entropy(nu) if a == 1 else renyi_entropy(nu, int(a))
-            )
-        ordered = [entropies[int(a)] for a in sorted(set(int(a) for a in plan.alphas))]
+        entropies = spectrum_entropies(nu, [int(a) for a in plan.alphas])
+        ordered = [entropies[a] for a in sorted(entropies)]
         if any(e < -_MONOTONE_TOL for e in ordered):
             raise FloatingPointError(f"negative entropy {min(ordered)!r}")
         if any(b > a + _MONOTONE_TOL for a, b in zip(ordered, ordered[1:])):
@@ -169,7 +165,10 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple[list[SampleR
     """Run every sample of the plan and aggregate summary statistics.
 
     Records are returned (and aggregated) in sample-index order whatever the
-    thread count; identical plans give bit-identical records.
+    thread count; identical plans give bit-identical records. With several
+    threads, pin the process's BLAS to one thread before numpy loads (as
+    ``gbs_page.cli`` does), or each worker's BLAS calls start threads that
+    compete with the other workers.
     """
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")

@@ -20,9 +20,11 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
 
     Route: factor sigma = L L^T (Cholesky), so that i Omega sigma is similar
     to i L^T Omega L. The real antisymmetric matrix A = L^T Omega L has
-    singular values nu_j, each twice, so the spectrum is every other
-    singular value of A; Omega L is formed by swapping the two halves of L's
-    rows and negating one. One Cholesky and one real SVD, no eigenvectors.
+    singular values nu_j, each twice, so A^T A = -A^2 has eigenvalues
+    nu_j^2, each twice, and the spectrum is the square root of every other
+    one; Omega L is formed by swapping the two halves of L's rows and
+    negating one. One Cholesky, one product and one symmetric eigensolve
+    without eigenvectors (about half the time of A's values-only SVD).
 
     Raises:
         ValueError: if sigma is not finite, not symmetric to tolerance, not
@@ -46,7 +48,8 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ValueError("covariance matrix not positive definite (no Cholesky factor)") from exc
     a = chol.T @ np.vstack([chol[m:], -chol[:m]])
-    return _physical_spectrum(np.linalg.svd(a, compute_uv=False)[0::2])
+    nu_squared = np.linalg.eigvalsh(a.T @ a)[::-1][0::2]
+    return _physical_spectrum(np.sqrt(np.maximum(nu_squared, 0.0)))
 
 
 def equal_squeezing_spectrum(t: np.ndarray, k: int, s: float) -> np.ndarray:

@@ -16,8 +16,10 @@ covariance cosh(2s) I + sinh(2s) M of equal squeezing, whose
 (``equal_squeezing_spectrum`` of the eigenvalues of W) must reproduce.
 ``symplectic_eigenvalues_eigh`` takes the symplectic spectrum through a
 symmetric eigendecomposition, the matrix square root S and the Hermitian
-eigenvalues of i S Omega S, a cross-check of the Cholesky and real-SVD
-route of ``gbs_page.symplectic``. ``frame_transmissions`` takes the
+eigenvalues of i S Omega S, and ``symplectic_eigenvalues_svd`` through
+the Cholesky factor and every other singular value of L^T Omega L: two
+cross-checks of the Cholesky and symmetric-eigensolve route of
+``gbs_page.symplectic``. ``frame_transmissions`` takes the
 transmission eigenvalues T = 1 - lambda from the W block of a Haar frame,
 the law ``haar.jacobi_transmissions`` draws from directly.
 ``full_covariance_general`` builds the whole 2n x 2n pure state, which
@@ -250,3 +252,31 @@ def symplectic_eigenvalues_eigh(sigma: np.ndarray) -> np.ndarray:
     sqrt_sigma = (v * np.sqrt(w)) @ v.T
     ev = np.linalg.eigvalsh(1j * sqrt_sigma @ symplectic_form(m) @ sqrt_sigma)
     return _physical_spectrum(ev[m:][::-1].copy())  # positive half, descending
+
+
+def symplectic_eigenvalues_svd(sigma: np.ndarray) -> np.ndarray:
+    """Positive symplectic spectrum, descending, through a values-only real SVD.
+
+    Factor sigma = L L^T and take every other singular value of the real
+    antisymmetric A = L^T Omega L (each nu_j appears twice). This was the
+    package's route before it took the eigenvalues of A^T A instead; it
+    raises ValueError on the same inputs.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
+        raise ValueError(f"covariance matrix must be 2m x 2m, got {sigma.shape}")
+    m = sigma.shape[0] // 2
+    if m == 0:
+        return np.empty(0)
+    if not np.all(np.isfinite(sigma)):
+        raise ValueError("covariance matrix must be finite")
+    scale = max(1.0, np.abs(sigma).max())
+    asym = np.abs(sigma - sigma.T).max()
+    if asym > SYMMETRY_TOL * scale:
+        raise ValueError(f"covariance matrix not symmetric: max asymmetry {asym:.3e}")
+    try:
+        chol = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("covariance matrix not positive definite (no Cholesky factor)") from exc
+    a = chol.T @ np.vstack([chol[m:], -chol[:m]])
+    return _physical_spectrum(np.linalg.svd(a, compute_uv=False)[0::2])

@@ -144,6 +144,20 @@ def test_simulate_thread_count_does_not_change_results(tmp_path, capsys):
     assert s2["config"]["threads"] == 3
 
 
+def test_simulate_per_mode_thread_count_does_not_change_results(tmp_path, capsys):
+    config = {"n": 9, "k": 4, "s": [0.4, -0.2, 0.1, 0.7, 0.0, 0.3, -0.5, 0.2, 0.6],
+              "alphas": [1, 2, 3], "samples": 7, "seed": 11}
+    for name, threads in (("t1", "1"), ("t3", "3")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**config, "out_prefix": str(tmp_path / name)}))
+        assert run_cli(capsys, "simulate", "--config", str(path), "--threads", threads)[0] == 0
+    assert (tmp_path / "t1_samples.csv").read_bytes() == (tmp_path / "t3_samples.csv").read_bytes()
+    s1 = json.loads((tmp_path / "t1_summary.json").read_text())
+    s3 = json.loads((tmp_path / "t3_summary.json").read_text())
+    assert s1["results"] == s3["results"]
+    assert (s1["config"]["threads"], s3["config"]["threads"]) == (1, 3)
+
+
 def test_simulate_config_round_trip(tmp_path, capsys):
     prefix = str(tmp_path / "orig")
     code, _, _ = run_cli(
@@ -188,12 +202,31 @@ def test_simulate_config_threads_auto(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "--config", str(path))
     assert code == 0, err
     summary = json.loads((tmp_path / "auto_summary.json").read_text())
-    assert summary["config"]["threads"] == (os.cpu_count() or 1)
+    if hasattr(os, "process_cpu_count"):
+        usable = os.process_cpu_count()
+    elif hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count()
+    assert summary["config"]["threads"] == (usable or 1)
 
     path.write_text(json.dumps({"n": 6, "k": 3, "s": 0.5, "alphas": [2], "samples": 3,
                                 "seed": 1, "threads": "many"}))
     code, _, err = run_cli(capsys, "simulate", "--config", str(path))
     assert code == EXIT_USAGE and "thread count" in err
+
+
+def test_threads_auto_counts_the_cpus_this_process_may_use(tmp_path, capsys, monkeypatch):
+    # Under taskset or a cpuset the affinity mask is smaller than the host.
+    monkeypatch.delattr(os, "process_cpu_count", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    prefix = str(tmp_path / "run")
+    code, _, err = run_cli(capsys, "simulate", "--n", "6", "--k", "3", "--s", "0.5",
+                           "--alphas", "2", "--samples", "2", "--seed", "1",
+                           "--out-prefix", prefix)
+    assert code == 0, err
+    assert json.loads((tmp_path / "run_summary.json").read_text())["config"]["threads"] == 1
 
 
 @pytest.mark.parametrize("threads", [2.7, True])

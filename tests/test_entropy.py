@@ -11,6 +11,7 @@ from gbs_page import (
     vn_mode_entropy,
     von_neumann_entropy,
 )
+from gbs_page.entropy import spectrum_entropies
 
 
 def test_pure_state_is_zero():
@@ -111,6 +112,25 @@ def test_large_order_large_nu_no_overflow():
              + mpmath.log(1 - ((x - 1) / (x + 1)) ** alpha)) / (alpha - 1)
         )
         assert val == pytest.approx(exact, rel=1e-12)
+
+
+def test_all_orders_at_once_match_the_per_mode_sums_exactly():
+    # One check and one pass of logarithms for every order must give the
+    # same bits as summing each order's per-mode entropies on its own.
+    rng = np.random.default_rng(3)
+    nu = np.concatenate([[1.0, 1.0 + 1e-9, 1.0 + 1e-7], 1 + rng.exponential(1.0, 40),
+                         np.cosh(2 * rng.uniform(0, 5, 10))])
+    orders = (1, 2, 3, 4, 7, 15)
+    got = spectrum_entropies(nu, orders)
+    assert list(got) == list(orders)
+    for a in orders:
+        per_mode = vn_mode_entropy(nu) if a == 1 else renyi_mode_entropy(nu, a)
+        assert got[a] == float(np.sum(per_mode))
+    assert spectrum_entropies([], orders) == dict.fromkeys(orders, 0.0)
+    with pytest.raises(ValueError):
+        spectrum_entropies([2.0], (1, 0))
+    with pytest.raises(ValueError):
+        spectrum_entropies([0.99], (1,))
 
 
 def test_validation():

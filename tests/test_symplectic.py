@@ -6,6 +6,7 @@ from oracles import (
     haar_unitary,
     reduced_covariance_equal,
     symplectic_eigenvalues_eigh,
+    symplectic_eigenvalues_svd,
 )
 
 from gbs_page import (
@@ -149,6 +150,28 @@ def test_cholesky_route_matches_eigh_oracle(n, s_max):
     for k in sorted({1, n // 2, n - 1, n} - {0}):
         sigma = reduced_covariance_general(U[:k].T, s)
         oracle = symplectic_eigenvalues_eigh(sigma)
+        nu = symplectic_eigenvalues(sigma)
+        assert nu.shape == (k,) and np.all(np.diff(nu) <= 0)
+        assert np.abs(nu - oracle).max() <= 1e-12 * scale
+        for alpha in (1, 2, 3):
+            entropy = von_neumann_entropy if alpha == 1 else (
+                lambda v: renyi_entropy(v, alpha))
+            want = entropy(oracle)
+            bound = 1e-10 * max(1.0, abs(want)) * (scale if alpha == 1 else 1.0)
+            assert abs(entropy(nu) - want) <= bound
+
+
+@pytest.mark.parametrize("s_max", [0.0, 0.1, 1.0, 3.0])
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_eigvalsh_route_matches_svd_oracle(n, s_max):
+    # The eigenvalues of A^T A against the singular values of the same
+    # A = L^T Omega L, on the grid and at the bounds of the eigh comparison.
+    scale = max(1.0, np.exp(4 * s_max) / 10)
+    s = s_max * np.linspace(1.0, -1.0, n)
+    U = haar_unitary(n, master_seed=73, sample_index=n)
+    for k in sorted({1, n // 2, n - 1, n} - {0}):
+        sigma = reduced_covariance_general(U[:k].T, s)
+        oracle = symplectic_eigenvalues_svd(sigma)
         nu = symplectic_eigenvalues(sigma)
         assert nu.shape == (k,) and np.all(np.diff(nu) <= 0)
         assert np.abs(nu - oracle).max() <= 1e-12 * scale
