@@ -6,6 +6,8 @@ partitioned over any number of workers reproduces the single-threaded
 result bit for bit.
 """
 
+from collections.abc import Sequence
+
 import numpy as np
 
 __all__ = ["haar_frame", "jacobi_transmissions", "sample_generator"]
@@ -53,7 +55,9 @@ def _phase_fixed_q(z: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def jacobi_transmissions(n: int, k: int, master_seed: int, sample_index: int = 0) -> np.ndarray:
+def jacobi_transmissions(
+    n: int, k: int, master_seed: int, sample_index: int | Sequence[int] = 0
+) -> np.ndarray:
     """Draw the m = min(k, n - k) transmission eigenvalues T of a Haar U, ascending.
 
     With U_k the first k rows of an ``n x n`` Haar unitary, x = U_k U_k^T is
@@ -67,22 +71,34 @@ def jacobi_transmissions(n: int, k: int, master_seed: int, sample_index: int = 0
     for i = 1..m, then c'_i^2 ~ Beta(i/2, (a+b+1+i)/2) for i = 1..m-1, and
     T are the squared singular values of the upper bidiagonal B11 with
     diagonal (c_m, c_{m-1} s'_{m-1}, ..., c_1 s'_1) and superdiagonal
-    (-s_m c'_{m-1}, ..., -s_2 c'_1), where s = sqrt(1 - c^2). One
-    eigensolve of the tridiagonal B11^T B11; an empty array when m = 0.
+    (-s_m c'_{m-1}, ..., -s_2 c'_1), where s = sqrt(1 - c^2), from an
+    eigensolve of the tridiagonal B11^T B11.
+
+    ``sample_index`` is one index, giving shape ``(m,)``, or a sequence of
+    indices, giving ``(len, m)``: each row is drawn from its own index's
+    stream, so it equals the one-index draw bit for bit, and one stacked
+    ``eigvalsh`` solves every row (numpy runs LAPACK without the interpreter
+    lock only when the call returns more than 500 values). The rows are
+    empty when m = 0.
     """
-    _check_shape(n, k, sample_index)
+    indices = np.atleast_1d(sample_index)
+    _check_shape(n, k, indices.min(initial=0))
     m = min(k, n - k)
-    if m == 0:
-        return np.empty(0)
-    a, b = abs(n - 2 * k), 1
-    i = np.arange(1, m + 1)
-    rng = sample_generator(master_seed, sample_index)
-    c2 = rng.beta((a + i) / 2, (b + i) / 2)
-    cp2 = rng.beta(i[:-1] / 2, (a + b + 1 + i[:-1]) / 2)
-    diag = np.sqrt(c2[::-1]) * np.sqrt(np.append(1.0, 1.0 - cp2[::-1]))
-    sup = -np.sqrt(1.0 - c2[:0:-1]) * np.sqrt(cp2[::-1])
-    gram = np.zeros((m, m))
-    gram.flat[:: m + 1] = diag * diag
-    gram.flat[m + 1 :: m + 1] += sup * sup
-    gram.flat[m :: m + 1] = diag[:-1] * sup  # lower triangle, the one eigvalsh reads
-    return np.linalg.eigvalsh(gram)
+    gram = np.zeros((indices.size, m, m))
+    if m:
+        a, b = abs(n - 2 * k), 1
+        i = np.arange(1, m + 1)
+        diag = np.empty((indices.size, m))
+        sup = np.empty((indices.size, m - 1))
+        for row, index in enumerate(indices):
+            rng = sample_generator(master_seed, index)
+            c2 = rng.beta((a + i) / 2, (b + i) / 2)
+            cp2 = rng.beta(i[:-1] / 2, (a + b + 1 + i[:-1]) / 2)
+            diag[row] = np.sqrt(c2[::-1]) * np.sqrt(np.append(1.0, 1.0 - cp2[::-1]))
+            sup[row] = -np.sqrt(1.0 - c2[:0:-1]) * np.sqrt(cp2[::-1])
+        d = np.arange(m)
+        gram[:, d, d] = diag * diag
+        gram[:, d[1:], d[1:]] += sup * sup
+        gram[:, d[1:], d[:-1]] = diag[:, :-1] * sup  # lower triangle, the one eigvalsh reads
+    t = np.linalg.eigvalsh(gram)
+    return t if np.ndim(sample_index) else t[0]

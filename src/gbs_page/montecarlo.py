@@ -1,7 +1,10 @@
 """Seeded Monte-Carlo experiments over Haar-random circuits.
 
 Every sample is a pure function of (plan, sample_index), so results are
-independent of the worker count and bit-reproducible across runs. A sample
+independent of the worker count and bit-reproducible across runs. Workers
+take fixed blocks of consecutive indices: at equal squeezing a block shares
+one stacked eigensolve, large enough that numpy releases the interpreter
+lock for it, and gives the same values as one solve per sample. A sample
 that fails numerically aborts the whole experiment: the constructions are
 physically guaranteed to be valid states, so a failure indicates a bug, and
 silently skipping it would bias the means.
@@ -33,6 +36,14 @@ __all__ = [
 
 # Per-sample slack for the exact monotonicity/positivity of entropies.
 _MONOTONE_TOL = 1e-9
+
+# numpy runs a ufunc or gufunc loop without the interpreter lock only when
+# the loop covers more than 500 elements (NPY_BEGIN_THREADS_THRESHOLDED in
+# numpy/_core/include/numpy/ndarraytypes.h), and for the linalg gufuncs that
+# count is the output size. One m x m eigvalsh returns m values and holds
+# the lock up to m = 500, so equal-squeezing samples share one stacked
+# eigvalsh in blocks of this // m + 1 samples (one sample once m > 500).
+_NUMPY_GIL_THRESHOLD = 500
 
 # Version of the map from (plan, sample_index) to samples. Sampler 4 draws
 # the transmission eigenvalues for equal squeezing and an n x k Haar frame
@@ -131,10 +142,16 @@ class Summary:
     realized_r: float
 
 
-def _sample_spectrum(plan: ExperimentPlan, index: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Symplectic spectrum of one sample and, if the plan asks, its Tr W^i."""
+def _sample_spectrum(
+    plan: ExperimentPlan, index: int, t: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Symplectic spectrum of one sample and, if the plan asks, its Tr W^i.
+
+    ``t`` is the sample's transmission draw when its block has drawn it.
+    """
     if plan.equal_squeezing:
-        t = jacobi_transmissions(plan.n, plan.k, plan.master_seed, index)
+        if t is None:
+            t = jacobi_transmissions(plan.n, plan.k, plan.master_seed, [index])[0]
         lam = np.concatenate([1.0 - t, np.ones(plan.k - t.size)]) if plan.trw_max else None
         nu = equal_squeezing_spectrum(t, plan.k, plan.squeezing)
     else:
@@ -144,9 +161,11 @@ def _sample_spectrum(plan: ExperimentPlan, index: int) -> tuple[np.ndarray, np.n
     return nu, _power_sums(lam, plan.trw_max) if plan.trw_max else None
 
 
-def _evaluate_sample(plan: ExperimentPlan, index: int) -> SampleRecord:
+def _evaluate_sample(
+    plan: ExperimentPlan, index: int, t: np.ndarray | None = None
+) -> SampleRecord:
     try:
-        nu, trw = _sample_spectrum(plan, index)
+        nu, trw = _sample_spectrum(plan, index, t)
         entropies = spectrum_entropies(nu, [int(a) for a in plan.alphas])
         ordered = [entropies[a] for a in sorted(entropies)]
         if any(e < -_MONOTONE_TOL for e in ordered):
@@ -161,9 +180,39 @@ def _evaluate_sample(plan: ExperimentPlan, index: int) -> SampleRecord:
         raise SampleFailure(index, exc) from exc
 
 
+def _blocks(plan: ExperimentPlan) -> list[range]:
+    """The fixed runs of consecutive sample indices that are evaluated together.
+
+    Equal-squeezing blocks hold ``_NUMPY_GIL_THRESHOLD // m + 1`` = ceil(501 / m)
+    samples, m = min(k, n - k), so that their stacked eigensolve returns more
+    than 500 values; per-mode squeezing and m = 0 have blocks of one sample.
+    The blocks depend on the plan alone, never on the thread count.
+    """
+    m = min(plan.k, plan.n - plan.k)
+    size = _NUMPY_GIL_THRESHOLD // m + 1 if plan.equal_squeezing and m else 1
+    return [range(j, min(j + size, plan.n_samples)) for j in range(0, plan.n_samples, size)]
+
+
+def _evaluate_block(plan: ExperimentPlan, block: range) -> list[SampleRecord]:
+    """Evaluate a block's samples from one stacked transmission draw.
+
+    If anything in the block raises, the block is evaluated again one index
+    at a time, so that a failure names its first failing sample and cause.
+    """
+    if len(block) > 1:
+        try:
+            draws = jacobi_transmissions(plan.n, plan.k, plan.master_seed, block)
+            return [_evaluate_sample(plan, i, t) for i, t in zip(block, draws)]
+        except Exception:
+            pass
+    return [_evaluate_sample(plan, i) for i in block]
+
+
 def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple[list[SampleRecord], Summary]:
     """Run every sample of the plan and aggregate summary statistics.
 
+    Samples are evaluated in the fixed blocks of ``_blocks``, one block per
+    task, so equal-squeezing workers run their eigensolves in parallel.
     Records are returned (and aggregated) in sample-index order whatever the
     thread count; identical plans give bit-identical records. With several
     threads, pin the process's BLAS to one thread before numpy loads (as
@@ -172,12 +221,13 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple[list[SampleR
     """
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
-    indices = range(plan.n_samples)
+    blocks = _blocks(plan)
     if threads == 1:
-        records = [_evaluate_sample(plan, i) for i in indices]
+        done = [_evaluate_block(plan, block) for block in blocks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda i: _evaluate_sample(plan, i), indices))
+            done = list(pool.map(lambda block: _evaluate_block(plan, block), blocks))
+    records = [rec for block in done for rec in block]
 
     per_alpha = {}
     for a in plan.alphas:

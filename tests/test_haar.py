@@ -109,6 +109,20 @@ def test_transmissions_shape_and_range(n, k):
         assert not np.array_equal(t, jacobi_transmissions(n, k, master_seed=8, sample_index=2))
 
 
+@pytest.mark.parametrize("n,k", [(10, 10), (2, 1), (61, 60), (9, 6), (400, 200), (1002, 501)])
+def test_transmissions_of_many_indices_are_the_one_index_draws(n, k):
+    # m = 0, m = 1 (k > n/2 at (61, 60)), k > n/2, and m = 501, past the
+    # 500-value threshold at which the samples stop sharing an eigensolve.
+    m = min(k, n - k)
+    indices = [3, 0, 7, 4]
+    stack = jacobi_transmissions(n, k, master_seed=12, sample_index=indices)
+    assert stack.shape == (len(indices), m)
+    for row, index in zip(stack, indices):
+        assert np.array_equal(row, jacobi_transmissions(n, k, master_seed=12, sample_index=index))
+    with pytest.raises(ValueError):
+        jacobi_transmissions(n, k, master_seed=12, sample_index=[0, -1])
+
+
 def test_transmissions_reject_bad_shape():
     for n, k, index in [(4, 0, 0), (4, 5, 0), (0, 0, 0), (4, 2, -1)]:
         with pytest.raises(ValueError):

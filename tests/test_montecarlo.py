@@ -196,14 +196,78 @@ def test_sample_failure_aborts_with_index():
 
 @pytest.mark.parametrize("lam", [[0.2, np.nan], [0.2, 1.5], [0.2, 1.0 + 1e-3]])
 def test_bad_w_spectrum_is_a_sample_failure(monkeypatch, lam):
-    # The draw returns T = 1 - lambda: a NaN, -0.5 and -1e-3.
+    # The draw returns T = 1 - lambda for every index: a NaN, -0.5 and -1e-3.
     monkeypatch.setattr(montecarlo, "jacobi_transmissions",
-                        lambda n, k, seed, index: 1.0 - np.array(lam))
+                        lambda n, k, seed, index: np.tile(1.0 - np.array(lam), (len(index), 1)))
     plan = ExperimentPlan(n=4, k=2, squeezing=0.5, alphas=(1, 2), n_samples=2,
                           master_seed=1)
     with pytest.raises(SampleFailure) as err:
         run_experiment(plan)
     assert err.value.sample_index == 0 and isinstance(err.value.cause, ValueError)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failure_inside_a_block_names_its_sample(monkeypatch, threads):
+    # m = 200 gives blocks of 3: [0, 3), [3, 6), [6, 7). Only index 4 is bad,
+    # so the second block fails and is evaluated again one index at a time.
+    def draw(n, k, seed, index):
+        t = jacobi_transmissions(n, k, seed, index)
+        t[np.asarray(index) == 4, 0] = np.nan
+        return t
+
+    monkeypatch.setattr(montecarlo, "jacobi_transmissions", draw)
+    plan = ExperimentPlan(n=400, k=200, squeezing=0.5, alphas=(1, 2), n_samples=7,
+                          master_seed=1)
+    assert [len(b) for b in montecarlo._blocks(plan)] == [3, 3, 1]
+    with pytest.raises(SampleFailure) as err:
+        run_experiment(plan, threads=threads)
+    assert err.value.sample_index == 4 and isinstance(err.value.cause, ValueError)
+
+
+def test_failed_stacked_solve_falls_back_to_one_sample_at_a_time(monkeypatch):
+    plan = ExperimentPlan(n=400, k=200, squeezing=0.5, alphas=(1, 2), n_samples=7,
+                          master_seed=2)
+    want, _ = run_experiment(plan)
+
+    def draw(n, k, seed, index):
+        if len(index) > 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return jacobi_transmissions(n, k, seed, index)
+
+    monkeypatch.setattr(montecarlo, "jacobi_transmissions", draw)
+    assert run_experiment(plan, threads=2)[0] == want
+
+
+@pytest.mark.parametrize("trw_max", [0, 3])
+def test_blocks_match_one_sample_at_a_time_for_any_thread_count(trw_max):
+    # 7 samples in blocks of 3, 3 and 1: the stacked draws give the records
+    # of one draw per sample, bit for bit, on 1, 2 or 3 workers.
+    plan = ExperimentPlan(n=400, k=200, squeezing=0.5, alphas=(1, 2, 3), n_samples=7,
+                          master_seed=8, trw_max=trw_max)
+    assert [len(b) for b in montecarlo._blocks(plan)] == [3, 3, 1]
+    single = [montecarlo._evaluate_sample(plan, i) for i in range(plan.n_samples)]
+    for threads in (1, 2, 3):
+        records, _ = run_experiment(plan, threads=threads)
+        assert records == single
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (3, 1), (9, 6), (400, 200), (401, 150), (1000, 500),
+                                 (1002, 501), (2000, 1000), (10, 10)])
+def test_blocks_release_the_interpreter_lock(n, k):
+    # Every block but the last returns more than 500 eigenvalues from one
+    # stacked eigvalsh, and a single m x m solve already does once m > 500.
+    plan = ExperimentPlan(n=n, k=k, squeezing=0.5, n_samples=1000)
+    blocks = montecarlo._blocks(plan)
+    m = min(k, n - k)
+    assert [i for b in blocks for i in b] == list(range(1000))
+    assert all(len(b) == len(blocks[0]) for b in blocks[:-1])
+    if m == 0 or m > 500:
+        assert len(blocks[0]) == 1
+    else:
+        assert all(len(b) * m > 500 for b in blocks[:-1])
+        assert (len(blocks[0]) - 1) * m <= 500
+    per_mode = ExperimentPlan(n=n, k=k, squeezing=(0.5,) * n, n_samples=10)
+    assert [len(b) for b in montecarlo._blocks(per_mode)] == [1] * 10
 
 
 def test_plan_validation():
