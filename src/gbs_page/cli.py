@@ -21,10 +21,11 @@ instead of starting BLAS threads that compete with the other workers. Once
 numpy has loaded, its BLAS has read them, and they are left alone. Library
 callers of ``run_experiment`` with several threads set them themselves.
 
-Exit codes: 0 success, 2 validation error (including an analytic ``--tol``
-too small for float64), 4 numerical failure in a sample. Numeric output is
-full-precision (17 significant digits); identical invocations produce
-byte-identical files.
+This module only turns text into arguments; the library checks every
+parameter. Exit codes: 0 success, 2 invalid flags, config or parameter (any
+``ValueError``, including an analytic ``--tol`` too small for float64), 4
+numerical failure in a sample. Numeric output is full-precision (17
+significant digits); identical invocations produce byte-identical files.
 """
 
 import os
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .montecarlo import SAMPLER, ExperimentPlan, SampleFailure, run_experiment
+from .montecarlo import SAMPLER, ExperimentPlan, SampleFailure, _integer, run_experiment
 from .pagecurve import (
     ASYMPTOTIC,
     DEFAULT_TOL,
@@ -67,53 +68,36 @@ ANALYTIC_COLUMNS = ["r", "alpha", "s", "n", "value", "per_mode_value", "nodes", 
 SAMPLES_COLUMNS = ["sample_index", "alpha", "entropy"]
 LIMITS_COLUMNS = ["r", "alpha", "regime", "value", "normalization_label"]
 
-SIMULATE_REQUIRED_KEYS = {"n", "k", "s", "alphas", "samples", "seed"}
-SIMULATE_CONFIG_KEYS = SIMULATE_REQUIRED_KEYS | {"threads", "out_prefix", "sampler"}
-
-
-class UsageError(Exception):
-    """Invalid flags, config contents, or parameter domain."""
+# Required simulate config keys and the flags that give them.
+SIMULATE_REQUIRED = {"n": "--n", "k": "--k or --r", "s": "--s", "alphas": "--alphas",
+                     "samples": "--samples", "seed": "--seed"}
+SIMULATE_CONFIG_KEYS = set(SIMULATE_REQUIRED) | {"threads", "out_prefix", "sampler"}
+# The simulate flags (by argparse dest) that a --config file replaces.
+SIMULATE_FLAGS = (*SIMULATE_REQUIRED, "r", "out_prefix")
 
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_grid(text: str, lo: float | None = None, hi: float | None = None) -> list[float]:
+# Argument types: argparse reports a ValueError from one as "invalid <name> value".
+def grid(text: str) -> list[float]:
     """Parse 'start:stop:step' into an inclusive, decimal-rounded grid."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"grid must look like start:stop:step, got {text!r}")
-    try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError as exc:
-        raise UsageError(f"grid values must be numbers: {text!r}") from exc
-    if step <= 0 or stop < start:
-        raise UsageError(f"grid needs step > 0 and stop >= start, got {text!r}")
+    start, stop, step = (float(p) for p in text.split(":"))
+    if not np.isfinite([start, stop, step]).all() or step <= 0 or stop < start:
+        raise argparse.ArgumentTypeError(
+            f"grid needs finite values, step > 0 and stop >= start, got {text!r}")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    values = [round(start + i * step, 12) for i in range(count)]
-    for v in values:
-        if lo is not None and v < lo or hi is not None and v > hi:
-            raise UsageError(f"grid value {v} outside [{lo}, {hi}]")
-    return values
+    return [round(start + i * step, 12) for i in range(count)]
 
 
-def _parse_int_list(text: str, minimum: int = 1) -> tuple[int, ...]:
-    try:
-        vals = tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
-    if any(v < minimum for v in vals):
-        raise UsageError(f"values must be >= {minimum}: {text!r}")
-    return vals
+def int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in text.split(","))
 
 
-def _parse_squeezing(text: str):
+def squeezing(text: str):
     """Scalar s or comma-separated per-mode list."""
-    try:
-        parts = [float(p) for p in text.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"expected a number or comma-separated numbers, got {text!r}") from exc
+    parts = [float(p) for p in text.split(",")]
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 
@@ -128,17 +112,7 @@ def _usable_cpus() -> int:
 
 def _resolve_threads(requested) -> int:
     """Worker count from ``--threads`` or a config's ``threads``: an integer or 'auto'."""
-    if requested == "auto":
-        return _usable_cpus()
-    if isinstance(requested, bool) or isinstance(requested, float) and requested % 1:
-        raise UsageError(f"thread count must be an integer or 'auto', got {requested!r}")
-    try:
-        threads = int(requested)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"thread count must be an integer or 'auto', got {requested!r}") from exc
-    if threads < 1:
-        raise UsageError(f"thread count must be >= 1, got {threads}")
-    return threads
+    return _usable_cpus() if requested == "auto" else _integer("thread count", requested, 1)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -188,24 +162,9 @@ def _analytic_csv_row(row: dict) -> list[str]:
 
 
 def cmd_analytic(args) -> int:
-    alphas = _parse_int_list(args.alpha, minimum=1)
-    if args.asymptotic:
-        n = ASYMPTOTIC
-    elif args.n is not None:
-        if args.n < 1:
-            raise UsageError(f"--n must be >= 1, got {args.n}")
-        n = args.n
-    else:
-        raise UsageError("one of --n or --asymptotic is required")
-    r_values = _parse_grid(args.r_grid, 0.0, 1.0)
-    if args.tol <= 0:
-        raise UsageError(f"--tol must be positive, got {args.tol}")
-    try:
-        rows = [_analytic_row(alpha, n, args.s, r, args.tol)
-                for r in r_values for alpha in alphas]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
+    n = ASYMPTOTIC if args.asymptotic else args.n
+    rows = [_analytic_row(alpha, n, args.s, r, args.tol)
+            for r in args.r_grid for alpha in args.alpha]
     if args.format == "json":
         _write_json(args.out, {"rows": rows})
     else:
@@ -216,102 +175,63 @@ def cmd_analytic(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-def _load_simulate_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path!r}: {exc}") from exc
-    if isinstance(payload, dict) and "config" in payload:
-        payload = payload["config"]
-    if not isinstance(payload, dict):
-        raise UsageError("config must be a JSON object")
-    unknown = set(payload) - SIMULATE_CONFIG_KEYS
+def _simulate_plan(args) -> tuple[ExperimentPlan, dict]:
+    """The plan and config of a ``simulate`` run, from its flags or its --config.
+
+    The flags build the same config dict a file holds (``k`` from ``--r``),
+    and both go through one set of key checks and one ``ExperimentPlan``.
+    ``--threads`` overrides the config's ``threads``.
+    """
+    flags = {key: getattr(args, key) for key in SIMULATE_FLAGS if getattr(args, key) is not None}
+    if args.config is None:
+        config = {"threads": "auto", **flags}
+        r = config.pop("r", None)
+        if r is not None and args.n is not None:
+            config["k"] = round(r * args.n)
+    elif flags:
+        given = ", ".join("--" + key.replace("_", "-") for key in flags)
+        raise ValueError(f"--config cannot be combined with {given}")
+    else:
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot read config {args.config!r}: {exc}") from exc
+        if isinstance(config, dict) and "config" in config:
+            config = config["config"]  # a summary JSON replays its run
+        if not isinstance(config, dict):
+            raise ValueError("config must be a JSON object")
+        config = {"threads": 1, **config}
+    if args.threads is not None:
+        config["threads"] = args.threads
+
+    unknown = set(config) - SIMULATE_CONFIG_KEYS
     if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    missing = SIMULATE_REQUIRED_KEYS - set(payload)
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    missing = [f"{key} ({flag})" for key, flag in SIMULATE_REQUIRED.items() if key not in config]
     if missing:
-        raise UsageError(f"missing config keys: {sorted(missing)}")
-    if payload.get("sampler", SAMPLER) != SAMPLER:
-        raise UsageError(f"config comes from sampler {payload['sampler']!r}, this program "
+        raise ValueError(f"missing config keys: {', '.join(missing)}")
+    if config.get("sampler", SAMPLER) != SAMPLER:
+        raise ValueError(f"config comes from sampler {config['sampler']!r}, this program "
                          f"runs sampler {SAMPLER}: its samples cannot be replayed")
-    return payload
-
-
-def _simulate_config_from_args(args) -> dict:
-    if args.config is not None:
-        conflicting = [
-            name
-            for name, value in [
-                ("--n", args.n), ("--k", args.k), ("--r", args.r), ("--s", args.s),
-                ("--alphas", args.alphas), ("--samples", args.samples),
-                ("--seed", args.seed), ("--out-prefix", args.out_prefix),
-            ]
-            if value is not None
-        ]
-        if conflicting:
-            raise UsageError(f"--config cannot be combined with {', '.join(conflicting)}")
-        config = _load_simulate_config(args.config)
-        requested = args.threads if args.threads is not None else config.get("threads", 1)
-        config["threads"] = _resolve_threads(requested)
-        return config
-
-    for name, value in [("--n", args.n), ("--s", args.s), ("--alphas", args.alphas),
-                        ("--samples", args.samples), ("--seed", args.seed)]:
-        if value is None:
-            raise UsageError(f"{name} is required (or use --config)")
-    if (args.k is None) == (args.r is None):
-        raise UsageError("exactly one of --k or --r is required")
-    k = args.k if args.k is not None else round(args.r * args.n)
-    config = {
-        "n": args.n,
-        "k": k,
-        "s": _parse_squeezing(args.s),
-        "alphas": list(_parse_int_list(args.alphas, minimum=1)),
-        "samples": args.samples,
-        "seed": args.seed,
-        "threads": _resolve_threads(args.threads if args.threads is not None else "auto"),
-    }
-    if args.out_prefix is not None:
-        config["out_prefix"] = args.out_prefix
-    return config
-
-
-def _run_simulation(config: dict):
-    squeezing = config["s"]
-    if isinstance(squeezing, list):
-        squeezing = tuple(float(x) for x in squeezing)
-    try:
-        plan = ExperimentPlan(
-            n=int(config["n"]),
-            k=int(config["k"]),
-            squeezing=squeezing,
-            alphas=tuple(int(a) for a in config["alphas"]),
-            n_samples=int(config["samples"]),
-            master_seed=int(config["seed"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
-    return plan, run_experiment(plan, threads=config["threads"])
+    config["threads"] = _resolve_threads(config["threads"])
+    plan = ExperimentPlan(n=config["n"], k=config["k"], squeezing=config["s"],
+                          alphas=config["alphas"], n_samples=config["samples"],
+                          master_seed=config["seed"])
+    return plan, config
 
 
 def cmd_simulate(args) -> int:
-    config = _simulate_config_from_args(args)
-    plan, (records, summary) = _run_simulation(config)
+    plan, config = _simulate_plan(args)
+    records, summary = run_experiment(plan, threads=config["threads"])
 
-    echo = {
-        "n": plan.n,
-        "k": plan.k,
-        "s": list(plan.squeezing) if not plan.equal_squeezing else plan.squeezing,
-        "alphas": [int(a) for a in plan.alphas],
-        "samples": plan.n_samples,
-        "seed": plan.master_seed,
-        "threads": config["threads"],
-        "sampler": SAMPLER,
-    }
+    # The summary echoes the config with the plan's values, so that it replays the run.
+    config.update(n=plan.n, k=plan.k, alphas=list(plan.alphas), samples=plan.n_samples,
+                  seed=plan.master_seed, sampler=SAMPLER,
+                  s=list(plan.squeezing) if not plan.equal_squeezing else plan.squeezing)
     prefix = config.get("out_prefix")
-    if prefix is not None:
-        echo["out_prefix"] = prefix
+    if prefix is None:
+        config.pop("out_prefix", None)
 
     sample_rows = [
         [str(rec.sample_index), str(alpha), _fmt(rec.entropies[alpha])]
@@ -319,7 +239,7 @@ def cmd_simulate(args) -> int:
         for alpha in sorted(rec.entropies)
     ]
     summary_payload = {
-        "config": echo,
+        "config": config,
         "results": {
             "n_samples": summary.n_samples,
             "realized_r": summary.realized_r,
@@ -337,28 +257,20 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # limits
 
-def _load_s_vector(path: str) -> tuple[float, ...]:
-    try:
-        with open(path) as fh:
-            tokens = fh.read().replace(",", " ").split()
-        values = tuple(float(tok) for tok in tokens)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read squeezing vector from {path!r}: {exc}") from exc
-    if not values:
-        raise UsageError(f"squeezing vector file {path!r} is empty")
-    return values
-
-
 def cmd_limits(args) -> int:
-    if args.alpha < 1:
-        raise UsageError(f"--alpha must be >= 1, got {args.alpha}")
-    r_values = _parse_grid(args.r_grid, 0.0, 1.0)
-    s_vec = _load_s_vector(args.s_vector) if args.s_vector else None
-    if s_vec is not None and (args.alpha == 1 or args.regime != "small"):
-        raise UsageError("--s-vector applies only to --regime small with --alpha >= 2")
+    s_vec = None
+    if args.s_vector:
+        if args.alpha == 1 or args.regime != "small":
+            raise ValueError("--s-vector applies only to --regime small with --alpha >= 2")
+        try:
+            with open(args.s_vector) as fh:
+                s_vec = tuple(float(tok) for tok in fh.read().replace(",", " ").split())
+        except (OSError, ValueError) as exc:
+            raise ValueError(
+                f"cannot read squeezing vector from {args.s_vector!r}: {exc}") from exc
 
     rows = []
-    for r in r_values:
+    for r in args.r_grid:
         if s_vec is not None:
             value = renyi_unequal_small(args.alpha, r, s_vec)
             label = "sum s_i^2"
@@ -404,7 +316,7 @@ class FigureSpec:
 
     stem: str
     sweep: str
-    grid: str
+    grid: list[float]
     alphas: tuple[int, ...]
     mc_stride: int
     norm: Callable[[int, float], float] | None
@@ -416,14 +328,14 @@ class FigureSpec:
 
 FIGURES = {
     "fig1": FigureSpec(
-        "fig1", "r", "0.05:0.95:0.05", (1, 2, 3, 4, 5, 6, 7, 15), 1,
+        "fig1", "r", grid("0.05:0.95:0.05"), (1, 2, 3, 4, 5, 6, 7, 15), 1,
         None, None, "entropy (nats)", "r_grid", None),
     "small-s": FigureSpec(
-        "small_s", "s", "0.05:1.0:0.05", (2, 3, 4, 5, 15), 4,
+        "small_s", "s", grid("0.05:1.0:0.05"), (2, 3, 4, 5, 15), 4,
         lambda n, s: n * s * s, renyi_small_s_limit, "S/(n s^2)",
         "s_grid", "mc_s_grid"),
     "page-vs-s": FigureSpec(
-        "page_vs_s", "s", "0.25:3.0:0.25", (1, 2, 3), 1,
+        "page_vs_s", "s", grid("0.25:3.0:0.25"), (1, 2, 3), 1,
         lambda n, s: s * n, lambda alpha, r: renyi_large_s_limit(max(alpha, 2), r),
         "S/(s n)", "analytic_s_grid", "mc_s_grid"),
 }
@@ -438,16 +350,20 @@ def run_figure(name, out_dir, params: FigureParams, seed: int, threads: int, *,
     """
     spec = FIGURES[name]
     alphas = tuple(alphas) if alphas is not None else spec.alphas
-    grid = list(grid) if grid is not None else _parse_grid(spec.grid)
+    grid = list(grid if grid is not None else spec.grid)
     if mc_grid is None:
         mc_grid = grid[::spec.mc_stride]
     elif spec.mc_grid_key is None:
         raise ValueError(f"figure {name} simulates its own grid; it takes no mc_grid")
     n = params.n
-    os.makedirs(out_dir, exist_ok=True)
 
     def point(x):
         return (FIXED_PARAM, x) if spec.sweep == "r" else (x, FIXED_PARAM)
+
+    # Every plan is built, and so checked, before any file is written.
+    plans = [ExperimentPlan(n=n, k=round(r * n), squeezing=s, alphas=alphas,
+                            n_samples=params.n_samples, master_seed=seed + idx)
+             for idx, (s, r) in enumerate(map(point, mc_grid))]
 
     prefix = "" if spec.norm is None else "scaled_"
     rows = []
@@ -461,16 +377,14 @@ def run_figure(name, out_dir, params: FigureParams, seed: int, threads: int, *,
                 rows.append([_fmt(x), str(alpha), _fmt(row["value"] / spec.norm(n, s)),
                              _fmt(spec.limit(alpha, r))])
     files = [f"{spec.stem}_analytic.csv", f"{spec.stem}_simulated.csv"]
+    os.makedirs(out_dir, exist_ok=True)
     _write_rows(os.path.join(out_dir, files[0]), ANALYTIC_COLUMNS if spec.norm is None
                 else [spec.sweep, "alpha", "scaled_value", "limit_value"], rows)
 
     mc_rows = []
-    for idx, x in enumerate(mc_grid):
-        s, r = point(x)
-        plan = ExperimentPlan(n=n, k=round(r * n), squeezing=s, alphas=alphas,
-                              n_samples=params.n_samples, master_seed=seed + idx)
+    for x, plan in zip(mc_grid, plans):
         _, summary = run_experiment(plan, threads=threads)
-        scale = 1.0 if spec.norm is None else spec.norm(n, s)
+        scale = 1.0 if spec.norm is None else spec.norm(n, point(x)[0])
         for alpha in alphas:
             st = summary.per_alpha[alpha]
             mc_rows.append([_fmt(x), str(alpha), _fmt(st.mean / scale),
@@ -536,11 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analytic", help="closed-form entropy averages on an r grid")
-    p.add_argument("--alpha", required=True, help="comma list of Renyi orders; 1 = von Neumann")
+    p.add_argument("--alpha", type=int_list, required=True,
+                   help="comma list of Renyi orders; 1 = von Neumann")
     p.add_argument("--s", type=float, required=True, help="equal squeezing strength")
-    p.add_argument("--n", type=int, help="mode count")
-    p.add_argument("--asymptotic", action="store_true", help="n -> infinity (per-mode values)")
-    p.add_argument("--r-grid", required=True, help="partition ratios, start:stop:step")
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("--n", type=int, help="mode count")
+    size.add_argument("--asymptotic", action="store_true", help="n -> infinity (per-mode values)")
+    p.add_argument("--r-grid", type=grid, required=True, help="partition ratios, start:stop:step")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="absolute tolerance (nats) of each value, met by doubling "
                         "the quadrature nodes")
@@ -550,10 +466,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="seeded Monte-Carlo entropy sampling")
     p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int, help="subsystem mode count")
-    p.add_argument("--r", type=float, help="subsystem ratio (k = round(r n))")
-    p.add_argument("--s", help="squeezing: scalar or comma list of n values")
-    p.add_argument("--alphas", help="comma list of Renyi orders; 1 = von Neumann")
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--k", type=int, help="subsystem mode count")
+    size.add_argument("--r", type=float, help="subsystem ratio (k = round(r n))")
+    p.add_argument("--s", type=squeezing, help="squeezing: scalar or comma list of n values")
+    p.add_argument("--alphas", type=int_list, help="comma list of Renyi orders; 1 = von Neumann")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--threads", help="worker threads, integer or 'auto'")
@@ -565,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limits", help="small/large squeezing limit curves")
     p.add_argument("--alpha", type=int, required=True, help="Renyi order; 1 = von Neumann")
     p.add_argument("--regime", choices=["small", "large"], required=True)
-    p.add_argument("--r-grid", required=True, help="partition ratios, start:stop:step")
+    p.add_argument("--r-grid", type=grid, required=True, help="partition ratios, start:stop:step")
     p.add_argument("--s-vector", help="file of per-mode squeezings (unequal small-s curve)")
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_limits)
@@ -590,9 +507,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SampleFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -10,8 +10,9 @@ physically guaranteed to be valid states, so a failure indicates a bug, and
 silently skipping it would bias the means.
 """
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +53,23 @@ _NUMPY_GIL_THRESHOLD = 500
 SAMPLER = 4
 
 
+def _integer(name: str, value, minimum: int | None = None) -> int:
+    """An integer-valued parameter as an int, at least ``minimum`` if given.
+
+    Accepts 6, 6.0 and "6"; rejects 6.7, booleans and what int() rejects, so
+    that no value is silently truncated.
+    """
+    if isinstance(value, (bool, np.bool_)) or isinstance(value, numbers.Real) and value % 1:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {number}")
+    return number
+
+
 class SampleFailure(RuntimeError):
     """Numerical failure inside one Monte-Carlo sample."""
 
@@ -69,7 +87,9 @@ class ExperimentPlan:
     transmission eigenvalues) or a length-n sequence for the general case
     (reduced covariance of the first k modes built from an n x k Haar frame).
     ``alphas`` may include 1, meaning the von Neumann entropy. ``trw_max``
-    requests per-sample power traces Tr W^i for i = 1..trw_max.
+    requests per-sample power traces Tr W^i for i = 1..trw_max. The integer
+    fields take integral values only (6 or 6.0, not 6.7 or True), and
+    ``master_seed`` must be >= 0.
     """
 
     n: int
@@ -81,27 +101,26 @@ class ExperimentPlan:
     trw_max: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"mode count must be >= 1, got {self.n}")
+        for name, minimum in (("n", 1), ("k", None), ("n_samples", 1), ("master_seed", 0),
+                              ("trw_max", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         if not 1 <= self.k <= self.n:
             raise ValueError(f"subsystem size k={self.k} out of range [1, {self.n}]")
-        if self.n_samples < 1:
-            raise ValueError(f"sample count must be >= 1, got {self.n_samples}")
-        if self.trw_max < 0:
-            raise ValueError(f"trw_max must be >= 0, got {self.trw_max}")
-        if len(self.alphas) == 0:
-            raise ValueError("at least one Renyi order is required")
-        for a in self.alphas:
-            if int(a) != a or a < 1:
-                raise ValueError(f"Renyi orders must be integers >= 1, got {a!r}")
-        if np.ndim(self.squeezing) != 0:
-            object.__setattr__(self, "squeezing", tuple(float(x) for x in self.squeezing))
-            if len(self.squeezing) != self.n:
-                raise ValueError(
-                    f"squeezing vector has {len(self.squeezing)} entries for n={self.n}"
-                )
-        else:
-            object.__setattr__(self, "squeezing", float(self.squeezing))
+        if np.ndim(self.alphas) != 1 or len(self.alphas) == 0:
+            raise ValueError(f"alphas must be a non-empty sequence of Renyi orders, "
+                             f"got {self.alphas!r}")
+        object.__setattr__(self, "alphas", tuple(_integer("alphas", a, 1) for a in self.alphas))
+        try:
+            if np.ndim(self.squeezing) == 0:
+                squeezing = float(self.squeezing)
+            else:
+                squeezing = tuple(float(x) for x in self.squeezing)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"squeezing must be a number or a sequence of n numbers, "
+                             f"got {self.squeezing!r}") from exc
+        object.__setattr__(self, "squeezing", squeezing)
+        if not self.equal_squeezing and len(squeezing) != self.n:
+            raise ValueError(f"squeezing vector has {len(squeezing)} entries for n={self.n}")
 
     @classmethod
     def from_ratio(cls, n: int, r: float, **kwargs) -> "ExperimentPlan":
@@ -219,8 +238,7 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple[list[SampleR
     ``gbs_page.cli`` does), or each worker's BLAS calls start threads that
     compete with the other workers.
     """
-    if threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
+    threads = _integer("thread count", threads, 1)
     blocks = _blocks(plan)
     if threads == 1:
         done = [_evaluate_block(plan, block) for block in blocks]

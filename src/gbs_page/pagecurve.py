@@ -231,6 +231,8 @@ def renyi_unequal_small(alpha, r: float, s_vec) -> float:
     alpha = _check_alpha(alpha)
     r = _check_ratio(r)
     s = np.asarray(s_vec, dtype=float)
+    if s.size == 0:
+        raise ValueError("squeezing vector is empty")
     if not np.all(np.isfinite(s)):
         raise ValueError("squeezing strengths must be finite")
     return alpha / (alpha - 1.0) * r * (1.0 - r) * float(np.sum(s**2))

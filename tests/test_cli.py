@@ -533,3 +533,131 @@ def test_equal_simulate_leaves_out_scipy(tmp_path):
                             text=True, check=True, timeout=60,
                             env={**os.environ, "PYTHONPATH": src})
     assert result.stdout.strip() == "0 False"
+
+
+@pytest.mark.parametrize("argv", [
+    ("analytic", "--alpha", "2", "--s", "0.5", "--n", "10", "--r-grid", "0:inf:1"),
+    ("analytic", "--alpha", "2", "--s", "0.5", "--asymptotic", "--r-grid", "0:1:inf"),
+    ("limits", "--alpha", "2", "--regime", "small", "--r-grid", "0:inf:0.5"),
+    ("limits", "--alpha", "2", "--regime", "large", "--r-grid=-inf:1:0.5"),
+])
+def test_non_finite_grid_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == "" and "finite" in err
+
+
+def test_negative_seed_is_rejected_before_any_sample(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "simulate", "--n", "5", "--k", "2", "--s", "0.5",
+                             "--alphas", "2", "--samples", "2", "--seed", "-1")
+    assert code == EXIT_USAGE and out == "" and "master_seed must be >= 0" in err
+    assert "sample" not in err.replace("n_samples", "")
+
+    out_dir = tmp_path / "fig"
+    code, out, err = run_cli(capsys, "figure", "fig1", "--seed", "-5", "--threads", "1",
+                             "--out-dir", str(out_dir))
+    assert code == EXIT_USAGE and out == "" and "master_seed must be >= 0" in err
+    assert not out_dir.exists()  # every plan is checked before any file is written
+
+
+@pytest.mark.parametrize("override, field", [
+    ({"n": 6.7}, "n"),
+    ({"samples": 2.9}, "n_samples"),
+    ({"seed": 1.5}, "master_seed"),
+    ({"k": True}, "k"),
+    ({"alphas": [2.0, True]}, "alphas"),
+    ({"n": 6.7, "samples": 2.9, "seed": 1.5}, "n"),
+])
+def test_simulate_config_integers_are_not_truncated(tmp_path, capsys, override, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 6, "k": 3, "s": 0.5, "alphas": [2], "samples": 3,
+                                "seed": 1, "threads": 1, **override}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert f"error: {field} must be an integer, got " in err
+
+
+def test_simulate_config_integral_floats_run_as_integers(tmp_path, capsys):
+    base = {"n": 6, "k": 3, "s": 0.5, "alphas": [2], "samples": 3, "seed": 1, "threads": 1}
+    for name, config in (("ints", base),
+                         ("floats", {**base, "n": 6.0, "k": 3.0, "alphas": [2.0],
+                                     "samples": 3.0, "seed": 1.0, "threads": 1.0})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**config, "out_prefix": str(tmp_path / name)}))
+        assert run_cli(capsys, "simulate", "--config", str(path))[0] == 0
+    assert (tmp_path / "ints_samples.csv").read_bytes() == (tmp_path / "floats_samples.csv").read_bytes()
+    floats = json.loads((tmp_path / "floats_summary.json").read_text())
+    assert floats["config"] == {**base, "sampler": 4, "out_prefix": str(tmp_path / "floats")}
+    assert all(type(floats["config"][key]) is int for key in ("n", "k", "samples", "seed"))
+
+
+def test_analytic_n_and_asymptotic_are_exclusive(capsys):
+    code, out, err = run_cli(capsys, "analytic", "--alpha", "2", "--s", "0.5", "--n", "10",
+                             "--asymptotic", "--r-grid", "0:1:0.5")
+    assert code == EXIT_USAGE and out == "" and "--asymptotic" in err
+
+
+def test_limits_checks_its_flags_before_reading_the_s_vector(tmp_path, capsys):
+    malformed = tmp_path / "bad.txt"
+    malformed.write_text("0.1 oops\n")
+    for regime, alpha in (("large", "2"), ("small", "1")):
+        code, out, err = run_cli(capsys, "limits", "--alpha", alpha, "--regime", regime,
+                                 "--s-vector", str(malformed), "--r-grid", "0:1:0.5")
+        assert code == EXIT_USAGE and out == "" and "--s-vector applies only" in err
+    code, out, err = run_cli(capsys, "limits", "--alpha", "2", "--regime", "small",
+                             "--s-vector", str(malformed), "--r-grid", "0:1:0.5")
+    assert code == EXIT_USAGE and out == "" and "cannot read squeezing vector" in err
+
+
+SIM = ("simulate", "--n", "6", "--k", "3", "--s", "0.5", "--alphas", "2", "--samples", "2",
+       "--seed", "1", "--threads", "1")
+
+
+def _replace(argv, flag, value):
+    i = argv.index(flag)
+    return argv[:i + 1] + (value,) + argv[i + 2:]
+
+
+def _drop(argv, flag):
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2:]
+
+
+INVALID_INVOCATIONS = {
+    "analytic bad grid": ("analytic", "--alpha", "2", "--s", "0.5", "--n", "10",
+                          "--r-grid", "0:1"),
+    "analytic alpha 0": ("analytic", "--alpha", "0", "--s", "0.5", "--n", "10",
+                         "--r-grid", "0:1:0.5"),
+    "analytic n 0": ("analytic", "--alpha", "2", "--s", "0.5", "--n", "0", "--r-grid", "0:1:0.5"),
+    "analytic tol 0": ("analytic", "--alpha", "2", "--s", "0.5", "--n", "10",
+                       "--r-grid", "0:1:0.5", "--tol", "0"),
+    "analytic r above 1": ("analytic", "--alpha", "2", "--s", "0.5", "--n", "10",
+                           "--r-grid", "0.5:1.5:0.5"),
+    "analytic malformed alpha": ("analytic", "--alpha", "2,x", "--s", "0.5", "--n", "10",
+                                 "--r-grid", "0:1:0.5"),
+    "simulate missing k and r": _drop(SIM, "--k"),
+    "simulate k and r": SIM + ("--r", "0.5"),
+    "simulate r above 1": _replace(_drop(SIM, "--k"), "--n", "6") + ("--r", "1.5"),
+    "simulate alpha 0": _replace(SIM, "--alphas", "0"),
+    "simulate n 0": _replace(SIM, "--n", "0"),
+    "simulate samples 0": _replace(SIM, "--samples", "0"),
+    "simulate threads 0": _replace(SIM, "--threads", "0"),
+    "simulate threads fractional": _replace(SIM, "--threads", "1.5"),
+    "simulate malformed s": _replace(SIM, "--s", "0.5,x"),
+    "simulate s of wrong length": _replace(SIM, "--s", "0.1,0.2"),
+    "limits bad grid": ("limits", "--alpha", "2", "--regime", "small", "--r-grid", "a:b:c"),
+    "limits alpha 0": ("limits", "--alpha", "0", "--regime", "large", "--r-grid", "0:1:0.5"),
+    "limits r below 0": ("limits", "--alpha", "2", "--regime", "small", "--r-grid=-1:1:0.5"),
+    "limits r above 1": ("limits", "--alpha", "1", "--regime", "small",
+                         "--r-grid", "0:2:0.5"),
+    "figure threads 0": ("figure", "fig1", "--threads", "0", "--out-dir", "unused"),
+    "figure seed fractional": ("figure", "fig1", "--seed", "1.5", "--out-dir", "unused"),
+}
+
+
+@pytest.mark.parametrize("argv", INVALID_INVOCATIONS.values(), ids=INVALID_INVOCATIONS.keys())
+def test_invalid_invocations_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert "error" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []

@@ -287,3 +287,45 @@ def test_plan_validation():
     assert plan.k == 3 and plan.realized_r == pytest.approx(0.3)
     with pytest.raises(ValueError):
         run_experiment(ExperimentPlan(n=4, k=2, squeezing=0.5), threads=0)
+
+
+def test_plan_integer_fields_take_integral_values_only():
+    plan = ExperimentPlan(n=6.0, k=np.int64(3), squeezing=0.5, alphas=[2.0, 1],
+                          n_samples=np.float64(3.0), master_seed="7", trw_max=2.0)
+    assert plan == ExperimentPlan(n=6, k=3, squeezing=0.5, alphas=(2, 1), n_samples=3,
+                                  master_seed=7, trw_max=2)
+    assert all(type(getattr(plan, f)) is int
+               for f in ("n", "k", "n_samples", "master_seed", "trw_max"))
+    assert all(type(a) is int for a in plan.alphas)
+
+    good = dict(n=6, k=3, squeezing=0.5, alphas=(2,), n_samples=3, master_seed=1, trw_max=0)
+    for field in ("n", "k", "n_samples", "master_seed", "trw_max"):
+        for bad in (6.7, True, np.float32(2.5), float("nan"), float("inf"), "x", None, [3]):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                ExperimentPlan(**{**good, field: bad})
+    for bad in ((2, True), (2.5,), (None,)):
+        with pytest.raises(ValueError, match="^alphas must be an integer"):
+            ExperimentPlan(**{**good, "alphas": bad})
+    for bad in ((), 2, [[2]]):
+        with pytest.raises(ValueError, match="^alphas must be a non-empty sequence"):
+            ExperimentPlan(**{**good, "alphas": bad})
+    for bad in (None, "x", [[0.1] * 6], {"s": 0.5}):
+        with pytest.raises(ValueError, match="^squeezing must be a number or a sequence"):
+            ExperimentPlan(**{**good, "squeezing": bad})
+
+
+def test_plan_seed_must_be_non_negative():
+    with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+        ExperimentPlan(n=5, k=2, squeezing=0.5, master_seed=-1)
+    assert ExperimentPlan(n=5, k=2, squeezing=0.5, master_seed=0).master_seed == 0
+
+
+def test_thread_count_follows_the_plan_integer_rule():
+    plan = ExperimentPlan(n=6, k=3, squeezing=0.5, alphas=(2,), n_samples=3)
+    want, _ = run_experiment(plan, threads=1)
+    assert run_experiment(plan, threads=2.0)[0] == want
+    for bad in (1.5, True, "x"):
+        with pytest.raises(ValueError, match="^thread count must be an integer"):
+            run_experiment(plan, threads=bad)
+    with pytest.raises(ValueError, match="^thread count must be >= 1, got 0"):
+        run_experiment(plan, threads=0)

@@ -278,3 +278,8 @@ def test_validation():
         renyi2_average(0, 0.5, 0.5)
     with pytest.raises(ValueError):
         renyi_unequal_small(3, 0.5, [0.1, np.inf])
+
+
+def test_unequal_small_needs_a_squeezing_vector():
+    with pytest.raises(ValueError, match="squeezing vector is empty"):
+        renyi_unequal_small(2, 0.5, [])
