@@ -1,10 +1,10 @@
 """Entanglement Page curves of Gaussian boson sampling output states.
 
-Analytic averages of Renyi-alpha (integer alpha >= 2) and von Neumann
-entanglement entropies over Haar-random passive circuits acting on
-squeezed-vacuum inputs, the corresponding small/large squeezing limits,
-and a seeded Monte-Carlo pipeline that cross-validates the formulas.
-All entropies are in nats.
+Analytic averages of the Renyi-alpha entanglement entropies (any integer
+alpha >= 1, where order 1 is the von Neumann entropy) over Haar-random
+passive circuits acting on squeezed-vacuum inputs, the corresponding
+small/large squeezing limits, and a seeded Monte-Carlo pipeline that
+cross-validates the formulas. All entropies are in nats.
 
 The public names are imported from their submodules on first use, so
 ``import gbs_page`` alone loads no numpy; ``gbs_page.cli`` relies on that
@@ -25,45 +25,25 @@ __all__ = [
     "haar_frame",
     "jacobi_transmissions",
     "page_average",
+    "page_limit",
     "reduced_covariance_general",
-    "renyi2_average",
-    "renyi_average",
     "renyi_entropy",
     "renyi_mode_entropy",
-    "renyi_large_s_limit",
-    "renyi_small_s_limit",
     "renyi_unequal_small",
     "run_experiment",
     "s2_variance_identity",
     "sample_generator",
     "symplectic_eigenvalues",
     "variance_trend",
-    "vn_large_s_limit",
-    "vn_mode_entropy",
-    "vn_small_s_limit",
-    "von_neumann_average",
-    "von_neumann_entropy",
 ]
 
 _EXPORTS = {
     "haar": ("haar_frame", "jacobi_transmissions", "sample_generator"),
     "states": ("reduced_covariance_general",),
     "symplectic": ("equal_squeezing_spectrum", "symplectic_eigenvalues"),
-    "entropy": ("renyi_entropy", "renyi_mode_entropy", "vn_mode_entropy",
-                "von_neumann_entropy"),
-    "pagecurve": (
-        "ASYMPTOTIC",
-        "PageCurveValue",
-        "page_average",
-        "renyi2_average",
-        "renyi_average",
-        "renyi_large_s_limit",
-        "renyi_small_s_limit",
-        "renyi_unequal_small",
-        "vn_large_s_limit",
-        "vn_small_s_limit",
-        "von_neumann_average",
-    ),
+    "entropy": ("renyi_entropy", "renyi_mode_entropy"),
+    "pagecurve": ("ASYMPTOTIC", "PageCurveValue", "page_average", "page_limit",
+                  "renyi_unequal_small"),
     "montecarlo": (
         "ExperimentPlan",
         "SampleFailure",

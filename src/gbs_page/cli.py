@@ -23,8 +23,8 @@ callers of ``run_experiment`` with several threads set them themselves.
 
 This module only turns text into arguments; the library checks every
 parameter. Exit codes: 0 success, 2 invalid flags, config or parameter (any
-``ValueError``, including an analytic ``--tol`` too small for float64), 4
-numerical failure in a sample. Numeric output is full-precision (17
+``ValueError``, including an analytic ``--tol`` too small for float64) or an
+output path that cannot be written, 4 numerical failure in a sample. Numeric output is full-precision (17
 significant digits); identical invocations produce byte-identical files.
 """
 
@@ -46,16 +46,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .montecarlo import SAMPLER, ExperimentPlan, SampleFailure, _integer, run_experiment
+from .entropy import _integer
+from .montecarlo import SAMPLER, ExperimentPlan, SampleFailure, run_experiment
 from .pagecurve import (
     ASYMPTOTIC,
     DEFAULT_TOL,
+    LIMIT_REGIMES,
     page_average,
-    renyi_large_s_limit,
-    renyi_small_s_limit,
+    page_limit,
     renyi_unequal_small,
-    vn_large_s_limit,
-    vn_small_s_limit,
 )
 
 __all__ = ["main", "build_parser"]
@@ -178,16 +177,17 @@ def cmd_analytic(args) -> int:
 def _simulate_plan(args) -> tuple[ExperimentPlan, dict]:
     """The plan and config of a ``simulate`` run, from its flags or its --config.
 
-    The flags build the same config dict a file holds (``k`` from ``--r``),
-    and both go through one set of key checks and one ``ExperimentPlan``.
-    ``--threads`` overrides the config's ``threads``.
+    The flags build the same config dict a file holds, and both go through
+    one set of key checks and one ``ExperimentPlan``; ``--r`` stands for
+    ``k`` and goes through ``ExperimentPlan.from_ratio``, which checks it
+    before it sets k = round(r n). ``--threads`` overrides the config's
+    ``threads``.
     """
     flags = {key: getattr(args, key) for key in SIMULATE_FLAGS if getattr(args, key) is not None}
+    r = None
     if args.config is None:
         config = {"threads": "auto", **flags}
         r = config.pop("r", None)
-        if r is not None and args.n is not None:
-            config["k"] = round(r * args.n)
     elif flags:
         given = ", ".join("--" + key.replace("_", "-") for key in flags)
         raise ValueError(f"--config cannot be combined with {given}")
@@ -208,16 +208,18 @@ def _simulate_plan(args) -> tuple[ExperimentPlan, dict]:
     unknown = set(config) - SIMULATE_CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    missing = [f"{key} ({flag})" for key, flag in SIMULATE_REQUIRED.items() if key not in config]
+    missing = [f"{key} ({flag})" for key, flag in SIMULATE_REQUIRED.items()
+               if key not in config and not (key == "k" and r is not None)]
     if missing:
         raise ValueError(f"missing config keys: {', '.join(missing)}")
     if config.get("sampler", SAMPLER) != SAMPLER:
         raise ValueError(f"config comes from sampler {config['sampler']!r}, this program "
                          f"runs sampler {SAMPLER}: its samples cannot be replayed")
     config["threads"] = _resolve_threads(config["threads"])
-    plan = ExperimentPlan(n=config["n"], k=config["k"], squeezing=config["s"],
-                          alphas=config["alphas"], n_samples=config["samples"],
-                          master_seed=config["seed"])
+    fields = dict(n=config["n"], squeezing=config["s"], alphas=config["alphas"],
+                  n_samples=config["samples"], master_seed=config["seed"])
+    plan = (ExperimentPlan(k=config["k"], **fields) if r is None
+            else ExperimentPlan.from_ratio(r=r, **fields))
     return plan, config
 
 
@@ -271,17 +273,10 @@ def cmd_limits(args) -> int:
 
     rows = []
     for r in args.r_grid:
-        if s_vec is not None:
-            value = renyi_unequal_small(args.alpha, r, s_vec)
-            label = "sum s_i^2"
-        elif args.regime == "small":
-            if args.alpha == 1:
-                value, label = vn_small_s_limit(r), "s^2 log(1/s^2) n"
-            else:
-                value, label = renyi_small_s_limit(args.alpha, r), "s^2 n"
+        if s_vec is None:
+            value, label = page_limit(args.alpha, args.regime, r)
         else:
-            value = vn_large_s_limit(r) if args.alpha == 1 else renyi_large_s_limit(args.alpha, r)
-            label = "s n"
+            value, label = renyi_unequal_small(args.alpha, r, s_vec), "sum s_i^2"
         rows.append([_fmt(r), str(args.alpha), args.regime, _fmt(value), label])
     _write_rows(args.out, LIMITS_COLUMNS, rows)
     return EXIT_OK
@@ -308,7 +303,8 @@ class FigureSpec:
     """One standard figure: quadrature values and Monte-Carlo means on a sweep.
 
     With ``norm`` set, both files hold entropies divided by ``norm(n, s)``
-    and the analytic file adds the limit law; without it the analytic file
+    and the analytic file adds the ``page_limit`` law of regime ``limit``,
+    which must share the figure's ``scale``; without it the analytic file
     is the ``analytic`` table. Every ``mc_stride``-th grid point is
     simulated unless an explicit Monte-Carlo grid is given, which only a
     figure with an ``mc_grid_key`` accepts.
@@ -320,7 +316,8 @@ class FigureSpec:
     alphas: tuple[int, ...]
     mc_stride: int
     norm: Callable[[int, float], float] | None
-    limit: Callable[[int, float], float] | None
+    limit: str | None
+    scale: str | None
     ylabel: str
     grid_key: str
     mc_grid_key: str | None
@@ -329,15 +326,13 @@ class FigureSpec:
 FIGURES = {
     "fig1": FigureSpec(
         "fig1", "r", grid("0.05:0.95:0.05"), (1, 2, 3, 4, 5, 6, 7, 15), 1,
-        None, None, "entropy (nats)", "r_grid", None),
+        None, None, None, "entropy (nats)", "r_grid", None),
     "small-s": FigureSpec(
         "small_s", "s", grid("0.05:1.0:0.05"), (2, 3, 4, 5, 15), 4,
-        lambda n, s: n * s * s, renyi_small_s_limit, "S/(n s^2)",
-        "s_grid", "mc_s_grid"),
+        lambda n, s: n * s * s, "small", "s^2 n", "S/(n s^2)", "s_grid", "mc_s_grid"),
     "page-vs-s": FigureSpec(
         "page_vs_s", "s", grid("0.25:3.0:0.25"), (1, 2, 3), 1,
-        lambda n, s: s * n, lambda alpha, r: renyi_large_s_limit(max(alpha, 2), r),
-        "S/(s n)", "analytic_s_grid", "mc_s_grid"),
+        lambda n, s: s * n, "large", "s n", "S/(s n)", "analytic_s_grid", "mc_s_grid"),
 }
 
 
@@ -361,8 +356,8 @@ def run_figure(name, out_dir, params: FigureParams, seed: int, threads: int, *,
         return (FIXED_PARAM, x) if spec.sweep == "r" else (x, FIXED_PARAM)
 
     # Every plan is built, and so checked, before any file is written.
-    plans = [ExperimentPlan(n=n, k=round(r * n), squeezing=s, alphas=alphas,
-                            n_samples=params.n_samples, master_seed=seed + idx)
+    plans = [ExperimentPlan.from_ratio(n=n, r=r, squeezing=s, alphas=alphas,
+                                       n_samples=params.n_samples, master_seed=seed + idx)
              for idx, (s, r) in enumerate(map(point, mc_grid))]
 
     prefix = "" if spec.norm is None else "scaled_"
@@ -373,9 +368,13 @@ def run_figure(name, out_dir, params: FigureParams, seed: int, threads: int, *,
             row = _analytic_row(alpha, n, s, r, tol)
             if spec.norm is None:
                 rows.append(_analytic_csv_row(row))
-            else:
-                rows.append([_fmt(x), str(alpha), _fmt(row["value"] / spec.norm(n, s)),
-                             _fmt(spec.limit(alpha, r))])
+                continue
+            limit, scale = page_limit(alpha, spec.limit, r)
+            if scale != spec.scale:
+                raise ValueError(f"figure {name} is scaled by {spec.scale}, its order-{alpha} "
+                                 f"{spec.limit}-squeezing law by {scale}")
+            rows.append([_fmt(x), str(alpha), _fmt(row["value"] / spec.norm(n, s)),
+                         _fmt(limit)])
     files = [f"{spec.stem}_analytic.csv", f"{spec.stem}_simulated.csv"]
     os.makedirs(out_dir, exist_ok=True)
     _write_rows(os.path.join(out_dir, files[0]), ANALYTIC_COLUMNS if spec.norm is None
@@ -481,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limits", help="small/large squeezing limit curves")
     p.add_argument("--alpha", type=int, required=True, help="Renyi order; 1 = von Neumann")
-    p.add_argument("--regime", choices=["small", "large"], required=True)
+    p.add_argument("--regime", choices=LIMIT_REGIMES, required=True)
     p.add_argument("--r-grid", type=grid, required=True, help="partition ratios, start:stop:step")
     p.add_argument("--s-vector", help="file of per-mode squeezings (unequal small-s curve)")
     p.add_argument("--out", help="output path (default: stdout)")
@@ -512,6 +511,10 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # reading an input raises a ValueError; this is an output
+        print(f"error: cannot write {exc.filename or 'stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

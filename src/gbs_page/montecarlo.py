@@ -10,14 +10,14 @@ physically guaranteed to be valid states, so a failure indicates a bug, and
 silently skipping it would bias the means.
 """
 
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import spectrum_entropies
+from .entropy import _integer, spectrum_entropies
 from .haar import haar_frame, jacobi_transmissions
+from .pagecurve import _check_ratio
 from .states import _power_sums, _w_block_eigenvalues, reduced_covariance_general
 from .symplectic import equal_squeezing_spectrum, symplectic_eigenvalues
 
@@ -51,23 +51,6 @@ _NUMPY_GIL_THRESHOLD = 500
 # for per-mode squeezing (those samples are sampler 3's). Sampler 3 drew the
 # frame for both, sampler 2 only for equal squeezing, sampler 1 never.
 SAMPLER = 4
-
-
-def _integer(name: str, value, minimum: int | None = None) -> int:
-    """An integer-valued parameter as an int, at least ``minimum`` if given.
-
-    Accepts 6, 6.0 and "6"; rejects 6.7, booleans and what int() rejects, so
-    that no value is silently truncated.
-    """
-    if isinstance(value, (bool, np.bool_)) or isinstance(value, numbers.Real) and value % 1:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    try:
-        number = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if minimum is not None and number < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {number}")
-    return number
 
 
 class SampleFailure(RuntimeError):
@@ -125,9 +108,7 @@ class ExperimentPlan:
     @classmethod
     def from_ratio(cls, n: int, r: float, **kwargs) -> "ExperimentPlan":
         """Build a plan from a partition ratio; k = round(r n), ties to even."""
-        if not 0.0 <= r <= 1.0:
-            raise ValueError(f"partition ratio must lie in [0, 1], got {r!r}")
-        return cls(n=n, k=round(r * n), **kwargs)
+        return cls(n=n, k=round(_check_ratio(r) * n), **kwargs)
 
     @property
     def realized_r(self) -> float:

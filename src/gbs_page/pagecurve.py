@@ -6,8 +6,10 @@ averages take the series form
     E S = sum_{i>=1} c_i(s) (n G_i(r) - H_i(r)),
 
 up to corrections that vanish as n grows, where sum_i c_i x^i = f(0) - f(x)
-and f(l) is the one-mode entropy (von Neumann or Renyi-alpha) at the
-symplectic eigenvalue nu(l) = sqrt(1 + sinh^2(2s) (1 - l)).
+and f(l) is the one-mode entropy of Renyi order alpha (``renyi_mode_entropy``;
+order 1 is von Neumann) at the symplectic eigenvalue
+nu(l) = sqrt(1 + sinh^2(2s) (1 - l)). ``page_average`` evaluates it at any
+order, and ``page_limit`` gives its leading weak and strong squeezing laws.
 
 The moment polynomials are moments of the limiting spectral law of two free
 projections of trace rq = min(r, 1-r) (K. Wachter, Ann. Probab. 8 (1980) 1;
@@ -35,26 +37,21 @@ at most ``tol``, and that difference is reported as ``trunc_err``.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
-from .entropy import _check_alpha, renyi_mode_entropy, vn_mode_entropy
+from .entropy import _check_alpha, _integer, _mode_entropy
 
 __all__ = [
     "ASYMPTOTIC",
     "DEFAULT_TOL",
+    "LIMIT_REGIMES",
     "MAX_NODES",
     "PageCurveValue",
     "page_average",
-    "renyi2_average",
-    "renyi_average",
-    "renyi_large_s_limit",
-    "renyi_small_s_limit",
+    "page_limit",
     "renyi_unequal_small",
-    "vn_large_s_limit",
-    "vn_small_s_limit",
-    "von_neumann_average",
 ]
 
 #: Sentinel for the n -> infinity query; averages then return per-mode values.
@@ -112,9 +109,7 @@ def _realized_ratio(n, r: float) -> tuple[float, float]:
     """
     if n is ASYMPTOTIC:
         return r, min(r, 1.0 - r)
-    if int(n) != n or n < 1:
-        raise ValueError(f"mode count must be a positive integer or ASYMPTOTIC, got {n!r}")
-    n = int(n)
+    n = _integer("mode count", n, 1)
     k = round(r * n)
     return k / n, min(k, n - k) / n
 
@@ -130,8 +125,13 @@ def _theta_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     return cos2, weights
 
 
-def _average(mode_entropy, n, s: float, r: float, tol: float) -> PageCurveValue:
-    """The average of the one-mode entropy ``mode_entropy(nu)``, see above."""
+def page_average(alpha, n, s: float, r: float, tol: float = DEFAULT_TOL) -> PageCurveValue:
+    """Average entropy of integer Renyi order alpha >= 1 (1 = von Neumann).
+
+    ``n=ASYMPTOTIC`` returns the per-mode curve; the value is exactly zero at
+    s = 0 and at r in {0, 1}.
+    """
+    alpha = _check_alpha(alpha)
     r = _check_ratio(r)
     tol = _check_tol(tol)
     if not np.isfinite(s):
@@ -144,7 +144,7 @@ def _average(mode_entropy, n, s: float, r: float, tol: float) -> PageCurveValue:
     gap = (1.0 - 2.0 * rq) ** 2  # 1 - c, the smallest 1 - l
 
     def f(one_minus_l):
-        return mode_entropy(np.sqrt(1.0 + sinh2 * one_minus_l))
+        return _mode_entropy(alpha, np.sqrt(1.0 + sinh2 * one_minus_l))
 
     f0 = f(1.0)
     scale = 1.0 if n is ASYMPTOTIC else float(n)
@@ -173,62 +173,35 @@ def _average(mode_entropy, n, s: float, r: float, tol: float) -> PageCurveValue:
     )
 
 
-def renyi2_average(n, s: float, r: float, tol: float = DEFAULT_TOL) -> PageCurveValue:
-    """Average Renyi-2 entropy; ``n=ASYMPTOTIC`` returns the per-mode curve."""
-    return renyi_average(2, n, s, r, tol)
+LIMIT_REGIMES = ("small", "large")
 
 
-def renyi_average(alpha, n, s: float, r: float, tol: float = DEFAULT_TOL) -> PageCurveValue:
-    """Average Renyi-alpha entropy for integer alpha >= 2."""
+def page_limit(alpha, regime: str, r: float) -> tuple[float, str]:
+    """Leading law of the order-alpha average in a squeezing regime.
+
+    Returns ``(value, scale)``: the average approaches value times ``scale``.
+    Weak squeezing (``"small"``) gives r(1-r) per s^2 ln(1/s^2) n at order 1
+    (von Neumann) and alpha/(alpha-1) r(1-r) per s^2 n at alpha >= 2; strong
+    squeezing (``"large"``) gives 2 min(r, 1-r) per s n at every order.
+    """
     alpha = _check_alpha(alpha)
-    return _average(partial(renyi_mode_entropy, alpha=alpha), n, s, r, tol)
-
-
-def von_neumann_average(n, s: float, r: float, tol: float = DEFAULT_TOL) -> PageCurveValue:
-    """Average von Neumann entropy; exactly zero at s = 0."""
-    return _average(vn_mode_entropy, n, s, r, tol)
-
-
-def page_average(alpha, n, s: float, r: float, tol: float = DEFAULT_TOL) -> PageCurveValue:
-    """Dispatch on the Renyi order: alpha = 1 is the von Neumann average."""
+    r = _check_ratio(r)
+    if regime == "large":
+        return 2.0 * min(r, 1.0 - r), "s n"
+    if regime != "small":
+        raise ValueError(f"regime must be one of {LIMIT_REGIMES}, got {regime!r}")
     if alpha == 1:
-        return von_neumann_average(n, s, r, tol)
-    return renyi_average(alpha, n, s, r, tol)
-
-
-def vn_small_s_limit(r: float) -> float:
-    """Weak-squeezing von Neumann curve: value r(1-r) per s^2 ln(1/s^2) n."""
-    r = _check_ratio(r)
-    return r * (1.0 - r)
-
-
-def vn_large_s_limit(r: float) -> float:
-    """Strong-squeezing von Neumann curve: value 2 min(r, 1-r) per s n."""
-    r = _check_ratio(r)
-    return 2.0 * min(r, 1.0 - r)
-
-
-def renyi_small_s_limit(alpha, r: float) -> float:
-    """Weak-squeezing Renyi-alpha curve: alpha/(alpha-1) r(1-r) per s^2 n."""
-    alpha = _check_alpha(alpha)
-    r = _check_ratio(r)
-    return alpha / (alpha - 1.0) * r * (1.0 - r)
-
-
-def renyi_large_s_limit(alpha, r: float) -> float:
-    """Strong-squeezing Renyi-alpha curve: 2 min(r, 1-r) per s n, any alpha."""
-    _check_alpha(alpha)
-    r = _check_ratio(r)
-    return 2.0 * min(r, 1.0 - r)
+        return r * (1.0 - r), "s^2 log(1/s^2) n"
+    return alpha / (alpha - 1.0) * r * (1.0 - r), "s^2 n"
 
 
 def renyi_unequal_small(alpha, r: float, s_vec) -> float:
     """Leading-order Renyi-alpha average for small unequal squeezing.
 
     Returns alpha/(alpha-1) r(1-r) sum_i s_i^2; the neglected remainder is
-    of order r n max_i(s_i)^4.
+    of order r n max_i(s_i)^4. Order 1 has no such law: alpha must be >= 2.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_alpha(alpha, 2)
     r = _check_ratio(r)
     s = np.asarray(s_vec, dtype=float)
     if s.size == 0:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gbs_page.entropy import _as_spectrum, _check_alpha, renyi_entropy, von_neumann_entropy
+from gbs_page.entropy import _as_spectrum, _check_alpha, renyi_entropy
 from gbs_page.haar import haar_frame
 from gbs_page.states import _power_sums, _w_block_eigenvalues
 from gbs_page.symplectic import SYMMETRY_TOL, _physical_spectrum, symplectic_eigenvalues
@@ -146,9 +146,7 @@ def purity_symmetry_check(U: np.ndarray, squeezing, k: int, alphas=(1, 2, 3), to
             sides.append({a: 0.0 for a in alphas})
             continue
         nu = symplectic_eigenvalues(reduce_modes(sigma, modes))
-        sides.append(
-            {a: von_neumann_entropy(nu) if a == 1 else renyi_entropy(nu, a) for a in alphas}
-        )
+        sides.append({a: renyi_entropy(nu, a) for a in alphas})
     return all(abs(sides[0][a] - sides[1][a]) <= tol for a in alphas)
 
 
@@ -161,8 +159,8 @@ def _check_k(U: np.ndarray, k: int) -> None:
 
 
 def renyi_entropy_factored(nu, alpha: int) -> float:
-    """Renyi-alpha entropy through the cotangent root factorization."""
-    alpha = _check_alpha(alpha)
+    """Renyi-alpha entropy (alpha >= 2) through the cotangent root factorization."""
+    alpha = _check_alpha(alpha, 2)
     arr = _as_spectrum(nu)
     if arr.size == 0:
         return 0.0

@@ -28,7 +28,7 @@ the tests check the two routes against each other in exact arithmetic.
 import numpy as np
 from scipy.special import betainc
 
-from gbs_page import vn_mode_entropy
+from gbs_page import renyi_mode_entropy
 
 ASYMPTOTIC = None
 
@@ -95,7 +95,7 @@ def vn_series_constant(s: float) -> float:
     (1/2) ln(sinh^2(2s)/4) + cosh(2s) artanh(sech(2s)), the one-mode entropy
     g(cosh 2s) of a two-mode squeezed pair; even in s.
     """
-    return float(vn_mode_entropy(np.cosh(2.0 * abs(s))))
+    return float(renyi_mode_entropy(np.cosh(2.0 * abs(s)), 1))
 
 
 def vn_series_coefficients(count: int, s: float) -> np.ndarray:

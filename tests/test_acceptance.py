@@ -31,15 +31,13 @@ from gbs_page import (
     ExperimentPlan,
     estimate_Vd,
     page_average,
-    renyi_average,
+    page_limit,
     renyi_entropy,
-    renyi_small_s_limit,
+    renyi_mode_entropy,
     renyi_unequal_small,
     run_experiment,
     s2_variance_identity,
     variance_trend,
-    vn_mode_entropy,
-    von_neumann_average,
 )
 
 FULL_SCALE = bool(os.environ.get("GBS_PAGE_FULL"))
@@ -96,8 +94,8 @@ def test_criterion_2_renyi_small_s_limit():
     n, s, r = 400, 0.05, 0.5
     devs = {}
     for alpha in (2, 3, 5, 15):
-        scaled = renyi_average(alpha, n, s, r, tol=1e-10).value / (n * s * s)
-        devs[alpha] = abs(scaled / renyi_small_s_limit(alpha, r) - 1.0)
+        scaled = page_average(alpha, n, s, r, tol=1e-10).value / (n * s * s)
+        devs[alpha] = abs(scaled / page_limit(alpha, "small", r)[0] - 1.0)
     ok = all(d <= 0.05 for d in devs.values())
     _report("2", ok, "series/(n s^2) vs alpha/(alpha-1) r(1-r) rel devs: "
             + ", ".join(f"a={a}: {d:.4f}" for a, d in devs.items()))
@@ -195,11 +193,11 @@ def test_criterion_4_von_neumann_small_s_mc_vs_series():
     n, s = 200, 0.05
     ratio, se = _vn_small_s_mc(n=n, s=s)
     norm = n * s * s * math.log(1.0 / s**2)
-    pred = von_neumann_average(n, s, 0.5, tol=1e-4).value / norm
+    pred = page_average(1, n, s, 0.5, tol=1e-4).value / norm
     mc_ok = abs(ratio - pred) <= 3 * se + 0.01 * pred
     # the analytic normalized ratio decreases toward r(1-r) = 0.25 as s -> 0
     ratios = [
-        von_neumann_average(n, sv, 0.5, tol=1e-4).value
+        page_average(1, n, sv, 0.5, tol=1e-4).value
         / (n * sv * sv * math.log(1.0 / sv**2))
         for sv in (0.05, 0.03, 0.02)
     ]
@@ -308,7 +306,7 @@ def test_criterion_8_property_suite():
 
     grid = np.linspace(1.001, 50, 200)
     ident = 0.5 * np.log((grid**2 - 1) / 4) + grid * np.arctanh(1 / grid)
-    checks["mode entropy identity"] = np.abs(vn_mode_entropy(grid) - ident).max() <= 1e-12
+    checks["mode entropy identity"] = np.abs(renyi_mode_entropy(grid, 1) - ident).max() <= 1e-12
 
     ok = all(checks.values())
     _report("8", ok, "; ".join(f"{name}: {'ok' if val else 'FAIL'}"

@@ -498,6 +498,15 @@ def test_figure_schema(tmp_path, name):
                    in plot[3 * i + 1] for i, a in enumerate((2, 3)))
 
 
+def test_figure_limit_law_must_share_the_figure_scale(tmp_path):
+    # The order-1 weak-squeezing law is per s^2 log(1/s^2) n, not the n s^2
+    # the small-s figure divides by.
+    with pytest.raises(ValueError, match="scaled by s\\^2 n"):
+        run_figure("small-s", str(tmp_path / "out"), FigureParams(n=12, n_samples=3), seed=5,
+                   threads=1, alphas=(2, 1), grid=[0.25])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_figure_fig1_takes_no_mc_grid(tmp_path):
     with pytest.raises(ValueError, match="mc_grid"):
         run_figure("fig1", str(tmp_path), FigureParams(n=12, n_samples=3), seed=5,
@@ -637,6 +646,10 @@ INVALID_INVOCATIONS = {
     "simulate missing k and r": _drop(SIM, "--k"),
     "simulate k and r": SIM + ("--r", "0.5"),
     "simulate r above 1": _replace(_drop(SIM, "--k"), "--n", "6") + ("--r", "1.5"),
+    "simulate r inf": _replace(_drop(SIM, "--k"), "--n", "10") + ("--r", "inf"),
+    "simulate r nan": _replace(_drop(SIM, "--k"), "--n", "10") + ("--r", "nan"),
+    "simulate r 1.5 of n 10": _replace(_drop(SIM, "--k"), "--n", "10") + ("--r", "1.5"),
+    "simulate r without n": _drop(_drop(SIM, "--k"), "--n") + ("--r", "0.5"),
     "simulate alpha 0": _replace(SIM, "--alphas", "0"),
     "simulate n 0": _replace(SIM, "--n", "0"),
     "simulate samples 0": _replace(SIM, "--samples", "0"),
@@ -661,3 +674,33 @@ def test_invalid_invocations_are_usage_errors(tmp_path, monkeypatch, capsys, arg
     assert code == EXIT_USAGE and out == ""
     assert "error" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("r", ["inf", "nan", "1.5"])
+def test_simulate_checks_r_before_rounding(capsys, r):
+    code, out, err = run_cli(capsys, *_replace(_drop(SIM, "--k"), "--n", "10"), "--r", r)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: partition ratio must lie in [0, 1], got {float(r)!r}\n"
+    code, out, err = run_cli(capsys, *_drop(_drop(SIM, "--k"), "--n"), "--r", "0.5")
+    assert code == EXIT_USAGE and err == "error: missing config keys: n (--n)\n"
+
+
+# An output path under a regular file cannot be created, whoever runs the tests.
+UNWRITABLE_OUTPUTS = {
+    "analytic": ("analytic", "--alpha", "2", "--s", "0.5", "--n", "10",
+                 "--r-grid", "0:1:0.5", "--out", "blocker/x.csv"),
+    "limits": ("limits", "--alpha", "2", "--regime", "small", "--r-grid", "0:1:0.5",
+               "--out", "blocker/x.csv"),
+    "simulate": SIM + ("--out-prefix", "blocker/run"),
+    "figure": ("figure", "fig1", "--threads", "1", "--out-dir", "blocker/sub"),
+}
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_OUTPUTS.values(), ids=UNWRITABLE_OUTPUTS.keys())
+def test_unwritable_output_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "blocker").write_text("")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: cannot write blocker/") and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]

@@ -5,22 +5,17 @@ import numpy as np
 import pytest
 from oracles import renyi_entropy_factored
 
-from gbs_page import (
-    renyi_entropy,
-    renyi_mode_entropy,
-    vn_mode_entropy,
-    von_neumann_entropy,
-)
+from gbs_page import renyi_entropy, renyi_mode_entropy
 from gbs_page.entropy import spectrum_entropies
 
 
 def test_pure_state_is_zero():
-    assert von_neumann_entropy([1.0, 1.0, 1.0]) == 0.0
+    assert renyi_entropy([1.0, 1.0, 1.0], 1) == 0.0
     for a in (2, 3, 15):
         assert renyi_entropy([1.0, 1.0], a) == 0.0
         # the factored route cancels logs only to roundoff
         assert abs(renyi_entropy_factored([1.0, 1.0], a)) <= 1e-12
-    assert von_neumann_entropy([]) == 0.0
+    assert renyi_entropy([], 1) == 0.0
     assert renyi_entropy([], 2) == 0.0
 
 
@@ -52,7 +47,7 @@ def test_monotone_in_alpha_including_von_neumann():
     rng = np.random.default_rng(2)
     for _ in range(20):
         nu = 1 + 4 * rng.random(5)
-        values = [von_neumann_entropy(nu)] + [
+        values = [renyi_entropy(nu, 1)] + [
             renyi_entropy(nu, a) for a in (2, 3, 4, 5, 7, 15)
         ]
         assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))
@@ -62,8 +57,8 @@ def test_additive_over_concatenation():
     rng = np.random.default_rng(3)
     nu1, nu2 = 1 + rng.random(3), 1 + rng.random(4)
     both = np.concatenate([nu1, nu2])
-    assert von_neumann_entropy(both) == pytest.approx(
-        von_neumann_entropy(nu1) + von_neumann_entropy(nu2), rel=1e-12
+    assert renyi_entropy(both, 1) == pytest.approx(
+        renyi_entropy(nu1, 1) + renyi_entropy(nu2, 1), rel=1e-12
     )
     assert renyi_entropy(both, 3) == pytest.approx(
         renyi_entropy(nu1, 3) + renyi_entropy(nu2, 3), rel=1e-12
@@ -76,7 +71,7 @@ def test_additive_over_concatenation():
 def test_mode_entropy_identity_on_grid():
     # g(nu) = (1/2) ln((nu^2-1)/4) + nu arcoth(nu) for nu > 1
     nu = np.linspace(1.001, 50.0, 400)
-    lhs = vn_mode_entropy(nu)
+    lhs = renyi_mode_entropy(nu, 1)
     rhs = 0.5 * np.log((nu**2 - 1) / 4) + nu * np.arctanh(1.0 / nu)
     assert np.abs(lhs - rhs).max() <= 1e-12
 
@@ -86,7 +81,7 @@ def test_mode_entropy_tmsv_closed_form():
     expect = np.cosh(s) ** 2 * np.log(np.cosh(s) ** 2) - np.sinh(s) ** 2 * np.log(
         np.sinh(s) ** 2
     )
-    assert vn_mode_entropy(np.cosh(2 * s)) == pytest.approx(expect, abs=1e-13)
+    assert renyi_mode_entropy(np.cosh(2 * s), 1) == pytest.approx(expect, abs=1e-13)
 
 
 def test_mode_entropy_near_one_expansion():
@@ -96,8 +91,8 @@ def test_mode_entropy_near_one_expansion():
         exact = float(
             (1 + e / 2) * mpmath.log(1 + e / 2) - (e / 2) * mpmath.log(e / 2)
         )
-        assert vn_mode_entropy(1.0 + eps) == pytest.approx(exact, rel=1e-8)
-    assert vn_mode_entropy(1.0) == 0.0
+        assert renyi_mode_entropy(1.0 + eps, 1) == pytest.approx(exact, rel=1e-8)
+    assert renyi_mode_entropy(1.0, 1) == 0.0
 
 
 def test_large_order_large_nu_no_overflow():
@@ -124,7 +119,7 @@ def test_all_orders_at_once_match_the_per_mode_sums_exactly():
     got = spectrum_entropies(nu, orders)
     assert list(got) == list(orders)
     for a in orders:
-        per_mode = vn_mode_entropy(nu) if a == 1 else renyi_mode_entropy(nu, a)
+        per_mode = renyi_mode_entropy(nu, a)
         assert got[a] == float(np.sum(per_mode))
     assert spectrum_entropies([], orders) == dict.fromkeys(orders, 0.0)
     with pytest.raises(ValueError):
@@ -134,8 +129,15 @@ def test_all_orders_at_once_match_the_per_mode_sums_exactly():
 
 
 def test_validation():
+    # Order 1 is the von Neumann entropy, to the bit (the values of the
+    # former von_neumann_entropy and vn_mode_entropy).
+    assert renyi_entropy([2.0, 1.0 + 1e-8, 7.5], 1) == 3.273548292380391
+    assert renyi_mode_entropy(2.0, 1) == 0.9547712524422192
+    assert spectrum_entropies([2.0, 1.0 + 1e-8, 7.5], (1,)) == {1: 3.273548292380391}
     with pytest.raises(ValueError):
-        renyi_entropy([2.0], 1)
+        renyi_entropy([2.0], 0)
+    with pytest.raises(ValueError):
+        renyi_entropy([2.0], True)
     with pytest.raises(ValueError):
         renyi_entropy([2.0], 2.5)
     with pytest.raises(ValueError):
@@ -143,6 +145,6 @@ def test_validation():
     with pytest.raises(ValueError):
         renyi_mode_entropy([0.5, 2.0], 2)
     with pytest.raises(ValueError):
-        renyi_mode_entropy([2.0], 1)
+        renyi_mode_entropy([2.0], 0)
     with pytest.raises(ValueError):
-        von_neumann_entropy([0.99])
+        renyi_entropy([0.99], 1)

@@ -21,12 +21,10 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 PUBLIC_DIR = [
     "ASYMPTOTIC", "ExperimentPlan", "PageCurveValue", "SampleFailure", "SampleRecord",
     "Summary", "entropy", "equal_squeezing_spectrum", "estimate_Vd", "haar", "haar_frame",
-    "jacobi_transmissions", "montecarlo", "page_average", "pagecurve",
-    "reduced_covariance_general", "renyi2_average", "renyi_average", "renyi_entropy",
-    "renyi_large_s_limit", "renyi_mode_entropy", "renyi_small_s_limit",
+    "jacobi_transmissions", "montecarlo", "page_average", "page_limit", "pagecurve",
+    "reduced_covariance_general", "renyi_entropy", "renyi_mode_entropy",
     "renyi_unequal_small", "run_experiment", "s2_variance_identity", "sample_generator",
-    "states", "symplectic", "symplectic_eigenvalues", "variance_trend", "vn_large_s_limit",
-    "vn_mode_entropy", "vn_small_s_limit", "von_neumann_average", "von_neumann_entropy",
+    "states", "symplectic", "symplectic_eigenvalues", "variance_trend",
 ]
 
 
@@ -58,7 +56,7 @@ print(json.dumps({"all": gbs_page.__all__, "star": sorted(names), "same": same,
 """
     out = run_python(code)
     assert out["star"] == sorted(out["all"]) == sorted(gbs_page.__all__)
-    assert len(out["all"]) == 29 and out["same"]
+    assert len(out["all"]) == 21 and out["same"]
     assert out["dir"] == PUBLIC_DIR
     # here, where other tests have imported more (gbs_page.cli), too
     assert gbs_page.page_average is gbs_page.pagecurve.page_average

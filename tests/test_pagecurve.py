@@ -15,18 +15,11 @@ from gbs_page import (
     ASYMPTOTIC,
     ExperimentPlan,
     page_average,
-    renyi2_average,
-    renyi_average,
+    page_limit,
     renyi_entropy,
-    renyi_large_s_limit,
-    renyi_small_s_limit,
     renyi_unequal_small,
     run_experiment,
     symplectic_eigenvalues,
-    vn_large_s_limit,
-    vn_small_s_limit,
-    von_neumann_average,
-    von_neumann_entropy,
 )
 
 
@@ -87,20 +80,20 @@ def test_vn_constant_closed_form():
 
 def test_zero_squeezing_and_empty_partition():
     for fn in (
-        lambda: renyi2_average(100, 0.0, 0.5),
-        lambda: renyi_average(5, 100, 0.0, 0.3),
-        lambda: von_neumann_average(100, 0.0, 0.5),
+        lambda: page_average(2, 100, 0.0, 0.5),
+        lambda: page_average(5, 100, 0.0, 0.3),
+        lambda: page_average(1, 100, 0.0, 0.5),
     ):
         res = fn()
         assert res.value == 0.0 and res.trunc_err == 0.0
     for r in (0.0, 1.0):
-        assert von_neumann_average(100, 0.5, r).value == 0.0
-        assert renyi_average(3, 100, 0.5, r).value == 0.0
+        assert page_average(1, 100, 0.5, r).value == 0.0
+        assert page_average(3, 100, 0.5, r).value == 0.0
 
 
 def test_alpha2_dispatch_and_symmetry():
-    a = renyi_average(2, 100, 0.5, 0.3)
-    b = renyi2_average(100, 0.5, 0.3)
+    a = page_average(2, 100, 0.5, 0.3)
+    b = page_average(2.0, 100, 0.5, 0.3)
     assert a.value == b.value
     for alpha in (1, 2, 3):
         lo = page_average(alpha, 100, 0.5, 0.3)
@@ -109,9 +102,9 @@ def test_alpha2_dispatch_and_symmetry():
 
 
 def test_realized_ratio_rounding():
-    res = renyi2_average(10, 0.4, 0.333)
+    res = page_average(2, 10, 0.4, 0.333)
     assert res.realized_r == pytest.approx(0.3)
-    same = renyi2_average(10, 0.4, 0.3)
+    same = page_average(2, 10, 0.4, 0.3)
     assert res.value == same.value
 
 
@@ -124,22 +117,22 @@ def test_monte_carlo_oracle_all_alphas():
     for idx in range(n_samples):
         U = haar_unitary(n, master_seed=2718, sample_index=idx)
         nu = symplectic_eigenvalues(reduced_covariance_equal(U, s, k))
-        vns.append(von_neumann_entropy(nu))
+        vns.append(renyi_entropy(nu, 1))
         for a in alphas:
             sums[a].append(renyi_entropy(nu, a))
     vns = np.array(vns)
-    pred = von_neumann_average(n, s, r, tol=1e-3)
+    pred = page_average(1, n, s, r, tol=1e-3)
     assert abs(vns.mean() - pred.value) <= 3 * vns.std(ddof=1) / np.sqrt(n_samples)
     for a in alphas:
         vals = np.array(sums[a])
-        pred = renyi_average(a, n, s, r, tol=1e-10)
+        pred = page_average(a, n, s, r, tol=1e-10)
         assert abs(vals.mean() - pred.value) <= 3 * vals.std(ddof=1) / np.sqrt(n_samples)
 
 
 def test_analytic_ordering_in_alpha():
     for s, r in [(0.3, 0.2), (0.3, 0.5), (0.8, 0.2), (0.8, 0.5)]:
-        values = [von_neumann_average(200, s, r).value] + [
-            renyi_average(a, 200, s, r).value for a in (2, 3, 5, 15)
+        values = [page_average(1, 200, s, r).value] + [
+            page_average(a, 200, s, r).value for a in (2, 3, 5, 15)
         ]
         assert all(x >= y for x, y in zip(values, values[1:]))
 
@@ -148,9 +141,9 @@ def test_asymptotic_per_mode_consistency():
     # the finite-n deficit against the asymptotic curve is the H correction,
     # which scales like 1/n
     s, r = 0.5, 0.3
-    asym = renyi2_average(ASYMPTOTIC, s, r, tol=1e-10).value
-    d400 = asym - renyi2_average(400, s, r, tol=1e-8).value / 400
-    d800 = asym - renyi2_average(800, s, r, tol=1e-8).value / 800
+    asym = page_average(2, ASYMPTOTIC, s, r, tol=1e-10).value
+    d400 = asym - page_average(2, 400, s, r, tol=1e-8).value / 400
+    d800 = asym - page_average(2, 800, s, r, tol=1e-8).value / 800
     assert d400 > 0 and d800 > 0
     assert d400 / d800 == pytest.approx(2.0, rel=0.05)
 
@@ -201,7 +194,7 @@ def test_strong_squeezing_approaches_large_s_law():
     # value / (s n) -> 2 min(r, 1-r) from below, with O(1/s) deviations.
     n, r = 100, 0.5
     for alpha in (1, 2, 3):
-        devs = {s: vn_large_s_limit(r) - page_average(alpha, n, s, r).value / (s * n)
+        devs = {s: page_limit(alpha, "large", r)[0] - page_average(alpha, n, s, r).value / (s * n)
                 for s in (3.0, 5.0)}
         assert all(0 < dev <= 1.0 / s for s, dev in devs.items())
         assert devs[5.0] < devs[3.0]
@@ -210,45 +203,45 @@ def test_strong_squeezing_approaches_large_s_law():
 def test_vn_below_old_gate_follows_small_s_law():
     # value / (n s^2 ln(1/s^2)) decreases toward r(1-r) as s -> 0.
     n, r = 200, 0.5
-    ratios = [von_neumann_average(n, s, r, tol=1e-9).value / (n * s * s * math.log(1 / s**2))
+    ratios = [page_average(1, n, s, r, tol=1e-9).value / (n * s * s * math.log(1 / s**2))
               for s in (0.01, 0.005, 0.001)]
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
-    assert ratios[-1] > vn_small_s_limit(r)
+    assert ratios[-1] > page_limit(1, "small", r)[0]
 
 
 def test_tol_below_float64_resolution_raises():
-    loose = von_neumann_average(400, 3.0, 0.5, tol=1e-3)
-    tight = von_neumann_average(400, 3.0, 0.5, tol=1e-8)
+    loose = page_average(1, 400, 3.0, 0.5, tol=1e-3)
+    tight = page_average(1, 400, 3.0, 0.5, tol=1e-8)
     assert tight.nodes > loose.nodes and tight.trunc_err <= 1e-8
     assert abs(tight.value - loose.value) <= loose.trunc_err
     with pytest.raises(ValueError, match="float64 resolution"):
-        von_neumann_average(400, 3.0, 0.5, tol=1e-13)
+        page_average(1, 400, 3.0, 0.5, tol=1e-13)
 
 
 def test_limit_values():
-    assert vn_small_s_limit(0.5) == 0.25
-    assert vn_small_s_limit(0.0) == 0.0
-    assert vn_large_s_limit(0.5) == 1.0
-    assert vn_large_s_limit(0.25) == 0.5
-    assert renyi_small_s_limit(2, 0.5) == 0.5
-    assert renyi_small_s_limit(3, 0.5) == pytest.approx(0.375)
-    assert renyi_large_s_limit(7, 0.3) == pytest.approx(0.6)
+    assert page_limit(1, "small", 0.5)[0] == 0.25
+    assert page_limit(1, "small", 0.0)[0] == 0.0
+    assert page_limit(1, "large", 0.5)[0] == 1.0
+    assert page_limit(1, "large", 0.25)[0] == 0.5
+    assert page_limit(2, "small", 0.5)[0] == 0.5
+    assert page_limit(3, "small", 0.5)[0] == pytest.approx(0.375)
+    assert page_limit(7, "large", 0.3)[0] == pytest.approx(0.6)
     # small-s limit decreases toward r(1-r) as alpha grows
-    vals = [renyi_small_s_limit(a, 0.5) for a in (2, 3, 5, 15, 100)]
+    vals = [page_limit(a, "small", 0.5)[0] for a in (2, 3, 5, 15, 100)]
     assert all(x > y for x, y in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(0.25, rel=0.02)
 
 
 def test_renyi_small_s_series_consistency_spot():
-    res = renyi_average(2, 400, 0.05, 0.5, tol=1e-10)
+    res = page_average(2, 400, 0.05, 0.5, tol=1e-10)
     scaled = res.value / (400 * 0.05**2)
-    assert scaled == pytest.approx(renyi_small_s_limit(2, 0.5), rel=0.05)
+    assert scaled == pytest.approx(page_limit(2, "small", 0.5)[0], rel=0.05)
 
 
 def test_unequal_small_formula():
     svec = np.full(20, 0.03)
     total = renyi_unequal_small(4, 0.5, svec)
-    equal_form = 20 * 0.03**2 * renyi_small_s_limit(4, 0.5)
+    equal_form = 20 * 0.03**2 * page_limit(4, "small", 0.5)[0]
     assert total == pytest.approx(equal_form, rel=1e-12)
     assert renyi_unequal_small(2, 0.5, np.zeros(5)) == 0.0
 
@@ -267,15 +260,40 @@ def test_unequal_small_monte_carlo_quick():
     assert abs(summary.per_alpha[2].mean - pred) <= 0.10 * pred
 
 
+def test_page_limit_reproduces_the_four_laws():
+    for r in np.linspace(0.0, 1.0, 21):
+        r = float(r)
+        assert page_limit(1, "small", r) == (r * (1.0 - r), "s^2 log(1/s^2) n")
+        assert page_limit(1, "large", r) == (2.0 * min(r, 1.0 - r), "s n")
+        for alpha in (2, 3, 15):
+            small = alpha / (alpha - 1.0) * r * (1.0 - r)
+            assert page_limit(alpha, "small", r) == (small, "s^2 n")
+            assert page_limit(alpha, "large", r) == (2.0 * min(r, 1.0 - r), "s n")
+    for bad in ((0, "large", 0.5), (2, "medium", 0.5), (2, "small", 1.5), (True, "small", 0.5)):
+        with pytest.raises(ValueError):
+            page_limit(*bad)
+
+
 def test_validation():
+    # Order 1 is the von Neumann average, to the bit (the values of the
+    # former von_neumann_average), under any integral spelling of 1.
+    for one in (1, 1.0, np.int64(1)):
+        assert page_average(one, 100, 0.5, 0.5).value == 19.587968386724377
+        assert page_average(one, ASYMPTOTIC, 1.5, 0.3).value == 0.7186807897261933
+    for n in (True, float("inf"), float("nan"), 10.5, 0):
+        with pytest.raises(ValueError, match="mode count"):
+            page_average(2, n, 0.5, 0.5)
+    for alpha in (np.True_, True, 0, 2.5):
+        with pytest.raises(ValueError, match="Renyi order"):
+            page_average(alpha, 10, 0.5, 0.5)
+    with pytest.raises(ValueError, match="Renyi order must be >= 2"):
+        renyi_unequal_small(1, 0.5, [0.1])
     with pytest.raises(ValueError):
-        renyi_average(1, 100, 0.5, 0.5)
+        page_average(2, 100, 0.5, 1.2)
     with pytest.raises(ValueError):
-        renyi2_average(100, 0.5, 1.2)
+        page_average(2, 100, 0.5, 0.5, tol=0.0)
     with pytest.raises(ValueError):
-        renyi2_average(100, 0.5, 0.5, tol=0.0)
-    with pytest.raises(ValueError):
-        renyi2_average(0, 0.5, 0.5)
+        page_average(2, 0, 0.5, 0.5)
     with pytest.raises(ValueError):
         renyi_unequal_small(3, 0.5, [0.1, np.inf])
 

@@ -15,7 +15,6 @@ from gbs_page import (
     reduced_covariance_general,
     renyi_entropy,
     symplectic_eigenvalues,
-    von_neumann_entropy,
 )
 from gbs_page.states import _w_block_eigenvalues
 
@@ -98,10 +97,8 @@ def test_equal_route_matches_covariance_oracle(n, s):
         assert nu.shape == (k,) and np.all(np.diff(nu) <= 0)
         assert np.abs(nu - oracle).max() <= 1e-12 * scale
         for alpha in (1, 2, 15):
-            entropy = von_neumann_entropy if alpha == 1 else (
-                lambda v: renyi_entropy(v, alpha))
-            want = entropy(oracle)
-            assert abs(entropy(nu) - want) <= 1e-10 * max(1.0, abs(want)) * scale
+            want = renyi_entropy(oracle, alpha)
+            assert abs(renyi_entropy(nu, alpha) - want) <= 1e-10 * max(1.0, abs(want)) * scale
 
 
 def test_equal_spectrum_checks():
@@ -126,7 +123,7 @@ def test_equal_spectrum_pads_exact_ones(n, k):
     nu = equal_squeezing_spectrum(t, k, 3.0)
     assert t.size == n - k and nu.shape == (k,)
     assert np.all(nu[: n - k] > 1.0) and np.all(nu[n - k:] == 1.0)
-    assert von_neumann_entropy(nu[n - k:]) == 0.0
+    assert renyi_entropy(nu[n - k:], 1) == 0.0
 
 
 def _outcome(route, sigma):
@@ -154,11 +151,9 @@ def test_cholesky_route_matches_eigh_oracle(n, s_max):
         assert nu.shape == (k,) and np.all(np.diff(nu) <= 0)
         assert np.abs(nu - oracle).max() <= 1e-12 * scale
         for alpha in (1, 2, 3):
-            entropy = von_neumann_entropy if alpha == 1 else (
-                lambda v: renyi_entropy(v, alpha))
-            want = entropy(oracle)
+            want = renyi_entropy(oracle, alpha)
             bound = 1e-10 * max(1.0, abs(want)) * (scale if alpha == 1 else 1.0)
-            assert abs(entropy(nu) - want) <= bound
+            assert abs(renyi_entropy(nu, alpha) - want) <= bound
 
 
 @pytest.mark.parametrize("s_max", [0.0, 0.1, 1.0, 3.0])
@@ -176,11 +171,9 @@ def test_eigvalsh_route_matches_svd_oracle(n, s_max):
         assert nu.shape == (k,) and np.all(np.diff(nu) <= 0)
         assert np.abs(nu - oracle).max() <= 1e-12 * scale
         for alpha in (1, 2, 3):
-            entropy = von_neumann_entropy if alpha == 1 else (
-                lambda v: renyi_entropy(v, alpha))
-            want = entropy(oracle)
+            want = renyi_entropy(oracle, alpha)
             bound = 1e-10 * max(1.0, abs(want)) * (scale if alpha == 1 else 1.0)
-            assert abs(entropy(nu) - want) <= bound
+            assert abs(renyi_entropy(nu, alpha) - want) <= bound
 
 
 @pytest.mark.parametrize("s_max", [7.0, 9.0])
