@@ -39,6 +39,7 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_V
 
 import argparse
 import csv
+import errno
 import io
 import json
 from collections.abc import Callable
@@ -121,6 +122,20 @@ def _write_text(path: str | None, text: str) -> None:
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing ``path`` would raise, before the work that fills it.
+
+    The directory must exist and take new files; the file itself is opened
+    only when it is written.
+    """
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 def _write_rows(path: str | None, columns: list[str], rows: list[list[str]]) -> None:
@@ -225,13 +240,15 @@ def _simulate_plan(args) -> tuple[ExperimentPlan, dict]:
 
 def cmd_simulate(args) -> int:
     plan, config = _simulate_plan(args)
+    prefix = config.get("out_prefix")
+    if prefix is not None:
+        _check_writable(f"{prefix}_samples.csv")  # the summary goes beside it
     records, summary = run_experiment(plan, threads=config["threads"])
 
     # The summary echoes the config with the plan's values, so that it replays the run.
     config.update(n=plan.n, k=plan.k, alphas=list(plan.alphas), samples=plan.n_samples,
                   seed=plan.master_seed, sampler=SAMPLER,
                   s=list(plan.squeezing) if not plan.equal_squeezing else plan.squeezing)
-    prefix = config.get("out_prefix")
     if prefix is None:
         config.pop("out_prefix", None)
 
@@ -355,10 +372,17 @@ def run_figure(name, out_dir, params: FigureParams, seed: int, threads: int, *,
     def point(x):
         return (FIXED_PARAM, x) if spec.sweep == "r" else (x, FIXED_PARAM)
 
-    # Every plan is built, and so checked, before any file is written.
+    # Every plan and limit law is checked, and the directory made, before any work.
     plans = [ExperimentPlan.from_ratio(n=n, r=r, squeezing=s, alphas=alphas,
                                        n_samples=params.n_samples, master_seed=seed + idx)
              for idx, (s, r) in enumerate(map(point, mc_grid))]
+    if spec.norm is not None:
+        for alpha in alphas:
+            scale = page_limit(alpha, spec.limit, FIXED_PARAM)[1]
+            if scale != spec.scale:
+                raise ValueError(f"figure {name} is scaled by {spec.scale}, its order-{alpha} "
+                                 f"{spec.limit}-squeezing law by {scale}")
+    os.makedirs(out_dir, exist_ok=True)
 
     prefix = "" if spec.norm is None else "scaled_"
     rows = []
@@ -369,14 +393,9 @@ def run_figure(name, out_dir, params: FigureParams, seed: int, threads: int, *,
             if spec.norm is None:
                 rows.append(_analytic_csv_row(row))
                 continue
-            limit, scale = page_limit(alpha, spec.limit, r)
-            if scale != spec.scale:
-                raise ValueError(f"figure {name} is scaled by {spec.scale}, its order-{alpha} "
-                                 f"{spec.limit}-squeezing law by {scale}")
             rows.append([_fmt(x), str(alpha), _fmt(row["value"] / spec.norm(n, s)),
-                         _fmt(limit)])
+                         _fmt(page_limit(alpha, spec.limit, r)[0])])
     files = [f"{spec.stem}_analytic.csv", f"{spec.stem}_simulated.csv"]
-    os.makedirs(out_dir, exist_ok=True)
     _write_rows(os.path.join(out_dir, files[0]), ANALYTIC_COLUMNS if spec.norm is None
                 else [spec.sweep, "alpha", "scaled_value", "limit_value"], rows)
 

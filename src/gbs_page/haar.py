@@ -65,40 +65,65 @@ def jacobi_transmissions(
     x x^dag are 1 - T for the m values T plus 2k - n exact ones when
     k > n/2. The T are the transmission eigenvalues of a beta = 1
     scattering matrix: a real Jacobi ensemble with weight
-    T^{(|n - 2k| - 1)/2} (Beenakker, RMP 69 (1997) 731). This draws them
-    from its bidiagonal model (Edelman & Sutton, Found. Comput. Math. 8
-    (2008) 259) with a = |n - 2k| and b = 1: c_i^2 ~ Beta((a+i)/2, (b+i)/2)
-    for i = 1..m, then c'_i^2 ~ Beta(i/2, (a+b+1+i)/2) for i = 1..m-1, and
-    T are the squared singular values of the upper bidiagonal B11 with
-    diagonal (c_m, c_{m-1} s'_{m-1}, ..., c_1 s'_1) and superdiagonal
-    (-s_m c'_{m-1}, ..., -s_2 c'_1), where s = sqrt(1 - c^2), from an
-    eigensolve of the tridiagonal B11^T B11.
+    T^{(|n - 2k| - 1)/2} (Beenakker, RMP 69 (1997) 731), and the squared
+    singular values of the bidiagonal B11 that ``_bidiagonal_squares``
+    draws; this takes them from an ``eigvalsh`` of the tridiagonal
+    B11^T B11. The Monte Carlo needs no eigenvalues at equal squeezing (it
+    takes log-determinants of the same B11), so this is its agreement
+    oracle and the source of Tr W^i.
 
     ``sample_index`` is one index, giving shape ``(m,)``, or a sequence of
     indices, giving ``(len, m)``: each row is drawn from its own index's
     stream, so it equals the one-index draw bit for bit, and one stacked
-    ``eigvalsh`` solves every row (numpy runs LAPACK without the interpreter
-    lock only when the call returns more than 500 values). The rows are
-    empty when m = 0.
+    ``eigvalsh`` solves every row. The rows are empty when m = 0.
+    """
+    t = _squared_singular_values(*_bidiagonal_squares(n, k, master_seed, sample_index))
+    return t if np.ndim(sample_index) else t[0]
+
+
+def _bidiagonal_squares(
+    n: int, k: int, master_seed: int, sample_index: int | Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Squared entries of each index's bidiagonal B11, shapes ``(len, m)`` and ``(len, m - 1)``.
+
+    The beta = 1 Jacobi bidiagonal model (Edelman & Sutton, Found. Comput.
+    Math. 8 (2008) 259) with a = |n - 2k| and b = 1, on the index's own
+    stream: c_i^2 ~ Beta((a+i)/2, (b+i)/2) for i = 1..m, then
+    c'_i^2 ~ Beta(i/2, (a+b+1+i)/2) for i = 1..m-1. The upper bidiagonal
+    B11 has diagonal (c_m, c_{m-1} s'_{m-1}, ..., c_1 s'_1) and
+    superdiagonal (-s_m c'_{m-1}, ..., -s_2 c'_1), where s = sqrt(1 - c^2);
+    the rows returned are those entries squared, in that order, each a
+    product of draws and complements in [0, 1] (no square root is taken).
+    A scalar index gives rows of one sample too.
     """
     indices = np.atleast_1d(sample_index)
     _check_shape(n, k, indices.min(initial=0))
     m = min(k, n - k)
-    gram = np.zeros((indices.size, m, m))
+    diag = np.empty((indices.size, m))
+    sup = np.empty((indices.size, max(m - 1, 0)))
     if m:
         a, b = abs(n - 2 * k), 1
         i = np.arange(1, m + 1)
-        diag = np.empty((indices.size, m))
-        sup = np.empty((indices.size, m - 1))
         for row, index in enumerate(indices):
             rng = sample_generator(master_seed, index)
             c2 = rng.beta((a + i) / 2, (b + i) / 2)
             cp2 = rng.beta(i[:-1] / 2, (a + b + 1 + i[:-1]) / 2)
-            diag[row] = np.sqrt(c2[::-1]) * np.sqrt(np.append(1.0, 1.0 - cp2[::-1]))
-            sup[row] = -np.sqrt(1.0 - c2[:0:-1]) * np.sqrt(cp2[::-1])
-        d = np.arange(m)
-        gram[:, d, d] = diag * diag
-        gram[:, d[1:], d[1:]] += sup * sup
-        gram[:, d[1:], d[:-1]] = diag[:, :-1] * sup  # lower triangle, the one eigvalsh reads
-    t = np.linalg.eigvalsh(gram)
-    return t if np.ndim(sample_index) else t[0]
+            diag[row] = c2[::-1] * np.append(1.0, 1.0 - cp2[::-1])
+            sup[row] = (1.0 - c2[:0:-1]) * cp2[::-1]
+    return diag, sup
+
+
+def _squared_singular_values(diag: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each row's B11^T B11, ascending, from its squared entries.
+
+    The tridiagonal has diagonal diag_i + sup_{i-1} and off-diagonal
+    sqrt(diag_i sup_i) (its sign does not change the eigenvalues); one
+    stacked ``eigvalsh`` solves every row.
+    """
+    rows, m = diag.shape
+    gram = np.zeros((rows, m, m))
+    d = np.arange(m)
+    gram[:, d, d] = diag
+    gram[:, d[1:], d[1:]] += sup
+    gram[:, d[1:], d[:-1]] = np.sqrt(diag[:, :-1] * sup)  # lower triangle, the one eigvalsh reads
+    return np.linalg.eigvalsh(gram)

@@ -2,12 +2,15 @@
 
 Every sample is a pure function of (plan, sample_index), so results are
 independent of the worker count and bit-reproducible across runs. Workers
-take fixed blocks of consecutive indices: at equal squeezing a block shares
-one stacked eigensolve, large enough that numpy releases the interpreter
-lock for it, and gives the same values as one solve per sample. A sample
-that fails numerically aborts the whole experiment: the constructions are
-physically guaranteed to be valid states, so a failure indicates a bug, and
-silently skipping it would bias the means.
+take fixed blocks of consecutive indices. At equal squeezing a block draws
+each sample's squared Jacobi bidiagonal on its own stream and takes every
+entropy from one pass of O(m) log-determinant recurrences over the block's
+samples and every shift (``entropy.bidiagonal_entropies``): no eigensolve,
+and each row's values are the ones it would have alone. Per-mode squeezing
+evaluates one sample per block. A sample that fails numerically aborts the
+whole experiment, naming the first failing index: the constructions are
+physically guaranteed to be valid states, so a failure indicates a bug,
+and silently skipping it would bias the means.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -15,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _integer, spectrum_entropies
-from .haar import haar_frame, jacobi_transmissions
+from .entropy import _integer, bidiagonal_entropies, spectrum_entropies
+from .haar import _bidiagonal_squares, _squared_singular_values, haar_frame
 from .pagecurve import _check_ratio
 from .states import _power_sums, _w_block_eigenvalues, reduced_covariance_general
-from .symplectic import equal_squeezing_spectrum, symplectic_eigenvalues
+from .symplectic import symplectic_eigenvalues
 
 __all__ = [
     "AlphaStats",
@@ -38,13 +41,11 @@ __all__ = [
 # Per-sample slack for the exact monotonicity/positivity of entropies.
 _MONOTONE_TOL = 1e-9
 
-# numpy runs a ufunc or gufunc loop without the interpreter lock only when
-# the loop covers more than 500 elements (NPY_BEGIN_THREADS_THRESHOLDED in
-# numpy/_core/include/numpy/ndarraytypes.h), and for the linalg gufuncs that
-# count is the output size. One m x m eigvalsh returns m values and holds
-# the lock up to m = 500, so equal-squeezing samples share one stacked
-# eigvalsh in blocks of this // m + 1 samples (one sample once m > 500).
-_NUMPY_GIL_THRESHOLD = 500
+# Equal-squeezing samples per block. The log-determinant pass costs a few
+# numpy calls per bidiagonal index whatever the block holds, so a block
+# amortises them over this many samples; its per-step arrays (samples x
+# shifts, about 90 shifts) stay a few tens of kB.
+_BLOCK_SAMPLES = 64
 
 # Version of the map from (plan, sample_index) to samples. Sampler 4 draws
 # the transmission eigenvalues for equal squeezing and an n x k Haar frame
@@ -142,69 +143,83 @@ class Summary:
     realized_r: float
 
 
-def _sample_spectrum(
-    plan: ExperimentPlan, index: int, t: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Symplectic spectrum of one sample and, if the plan asks, its Tr W^i.
-
-    ``t`` is the sample's transmission draw when its block has drawn it.
-    """
-    if plan.equal_squeezing:
-        if t is None:
-            t = jacobi_transmissions(plan.n, plan.k, plan.master_seed, [index])[0]
-        lam = np.concatenate([1.0 - t, np.ones(plan.k - t.size)]) if plan.trw_max else None
-        nu = equal_squeezing_spectrum(t, plan.k, plan.squeezing)
-    else:
-        frame = haar_frame(plan.n, plan.k, plan.master_seed, index)
-        lam = _w_block_eigenvalues(frame) if plan.trw_max else None
-        nu = symplectic_eigenvalues(reduced_covariance_general(frame, plan.squeezing))
-    return nu, _power_sums(lam, plan.trw_max) if plan.trw_max else None
+def _checked(entropies: dict[int, float]) -> dict[int, float]:
+    """A sample's entropies, once they are non-negative and monotone in alpha."""
+    ordered = [entropies[a] for a in sorted(entropies)]
+    if any(e < -_MONOTONE_TOL for e in ordered):
+        raise FloatingPointError(f"negative entropy {min(ordered)!r}")
+    if any(b > a + _MONOTONE_TOL for a, b in zip(ordered, ordered[1:])):
+        raise FloatingPointError(f"entropies not monotone in alpha: {ordered!r}")
+    return entropies
 
 
-def _evaluate_sample(
-    plan: ExperimentPlan, index: int, t: np.ndarray | None = None
-) -> SampleRecord:
+def _power_traces(lam: np.ndarray, plan: ExperimentPlan) -> tuple[float, ...]:
+    return tuple(float(x) for x in _power_sums(lam, plan.trw_max))
+
+
+def _evaluate_sample(plan: ExperimentPlan, index: int) -> SampleRecord:
+    """One per-mode squeezing sample: the reduced covariance of an n x k Haar frame."""
     try:
-        nu, trw = _sample_spectrum(plan, index, t)
-        entropies = spectrum_entropies(nu, [int(a) for a in plan.alphas])
-        ordered = [entropies[a] for a in sorted(entropies)]
-        if any(e < -_MONOTONE_TOL for e in ordered):
-            raise FloatingPointError(f"negative entropy {min(ordered)!r}")
-        if any(b > a + _MONOTONE_TOL for a, b in zip(ordered, ordered[1:])):
-            raise FloatingPointError(f"entropies not monotone in alpha: {ordered!r}")
-        trw = None if trw is None else tuple(float(x) for x in trw)
-        return SampleRecord(sample_index=index, entropies=entropies, trw=trw)
-    except SampleFailure:
-        raise
+        frame = haar_frame(plan.n, plan.k, plan.master_seed, index)
+        nu = symplectic_eigenvalues(reduced_covariance_general(frame, plan.squeezing))
+        entropies = _checked(spectrum_entropies(nu, plan.alphas))
+        trw = _power_traces(_w_block_eigenvalues(frame), plan) if plan.trw_max else None
     except Exception as exc:
         raise SampleFailure(index, exc) from exc
+    return SampleRecord(sample_index=index, entropies=entropies, trw=trw)
+
+
+def _evaluate_equal_block(plan: ExperimentPlan, block: range) -> list[SampleRecord]:
+    """A block of equal-squeezing samples from their squared bidiagonals.
+
+    A row is physical when its squared entries lie in [0, 1] and its
+    entropies are finite (then every log-determinant pivot is finite and
+    >= 1). The rows are checked in index order, so a failure names the
+    block's first failing sample. Tr W^i, when the plan asks, are power
+    sums of lambda = 1 - T padded with k - m ones, with T from one stacked
+    ``eigvalsh`` of the block's checked bidiagonals.
+    """
+    try:
+        diag, sup = _bidiagonal_squares(plan.n, plan.k, plan.master_seed, block)
+        with np.errstate(all="ignore"):  # an unphysical row fails its own check below
+            values = bidiagonal_entropies(diag, sup, plan.squeezing, plan.alphas)
+    except Exception as exc:
+        raise SampleFailure(block[0], exc) from exc
+    in_range = np.all((diag >= 0) & (diag <= 1), axis=1) & np.all((sup >= 0) & (sup <= 1), axis=1)
+    finite = np.all([np.isfinite(v) for v in values.values()], axis=0)
+    entropies = []
+    for row, index in enumerate(block):
+        try:
+            if not in_range[row]:
+                raise ValueError("squared bidiagonal entries must be finite and in [0, 1]")
+            if not finite[row]:
+                raise ValueError("log-determinant pivots must be finite and positive")
+            entropies.append(_checked({a: float(v[row]) for a, v in values.items()}))
+        except (ValueError, FloatingPointError) as exc:
+            raise SampleFailure(index, exc) from exc
+    trw = [None] * len(block)
+    if plan.trw_max:
+        t = _squared_singular_values(diag, sup)
+        ones = np.ones(plan.k - t.shape[1])
+        trw = [_power_traces(np.concatenate([1.0 - row, ones]), plan) for row in t]
+    return [SampleRecord(sample_index=index, entropies=e, trw=w)
+            for index, e, w in zip(block, entropies, trw)]
 
 
 def _blocks(plan: ExperimentPlan) -> list[range]:
     """The fixed runs of consecutive sample indices that are evaluated together.
 
-    Equal-squeezing blocks hold ``_NUMPY_GIL_THRESHOLD // m + 1`` = ceil(501 / m)
-    samples, m = min(k, n - k), so that their stacked eigensolve returns more
-    than 500 values; per-mode squeezing and m = 0 have blocks of one sample.
-    The blocks depend on the plan alone, never on the thread count.
+    Equal-squeezing blocks hold ``_BLOCK_SAMPLES`` samples (the last one
+    the rest), per-mode squeezing blocks one. The blocks depend on the
+    plan alone, never on the thread count.
     """
-    m = min(plan.k, plan.n - plan.k)
-    size = _NUMPY_GIL_THRESHOLD // m + 1 if plan.equal_squeezing and m else 1
+    size = _BLOCK_SAMPLES if plan.equal_squeezing else 1
     return [range(j, min(j + size, plan.n_samples)) for j in range(0, plan.n_samples, size)]
 
 
 def _evaluate_block(plan: ExperimentPlan, block: range) -> list[SampleRecord]:
-    """Evaluate a block's samples from one stacked transmission draw.
-
-    If anything in the block raises, the block is evaluated again one index
-    at a time, so that a failure names its first failing sample and cause.
-    """
-    if len(block) > 1:
-        try:
-            draws = jacobi_transmissions(plan.n, plan.k, plan.master_seed, block)
-            return [_evaluate_sample(plan, i, t) for i, t in zip(block, draws)]
-        except Exception:
-            pass
+    if plan.equal_squeezing:
+        return _evaluate_equal_block(plan, block)
     return [_evaluate_sample(plan, i) for i in block]
 
 
@@ -212,12 +227,11 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple[list[SampleR
     """Run every sample of the plan and aggregate summary statistics.
 
     Samples are evaluated in the fixed blocks of ``_blocks``, one block per
-    task, so equal-squeezing workers run their eigensolves in parallel.
-    Records are returned (and aggregated) in sample-index order whatever the
-    thread count; identical plans give bit-identical records. With several
-    threads, pin the process's BLAS to one thread before numpy loads (as
-    ``gbs_page.cli`` does), or each worker's BLAS calls start threads that
-    compete with the other workers.
+    task. Records are returned (and aggregated) in sample-index order
+    whatever the thread count; identical plans give bit-identical records.
+    With several threads, pin the process's BLAS to one thread before numpy
+    loads (as ``gbs_page.cli`` does), or each worker's BLAS calls start
+    threads that compete with the other workers.
     """
     threads = _integer("thread count", threads, 1)
     blocks = _blocks(plan)

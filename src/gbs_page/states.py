@@ -16,8 +16,11 @@ squeezing Tr W^i are the power sums of the spectrum lambda of the
 positive-semidefinite matrix W = Pi X Pi X^dag Pi, with X = U U^T and Pi
 the projector onto the first k modes; its nonzero part is the spectrum of
 x x^dag, where x = U_k U_k^T = F^T F. At equal squeezing that spectrum is
-all the entropies need (``haar.jacobi_transmissions`` draws it as
-lambda = 1 - T, ``symplectic.equal_squeezing_spectrum`` maps it to nu).
+all the entropies need: ``haar.jacobi_transmissions`` draws it as
+lambda = 1 - T and ``symplectic.equal_squeezing_spectrum`` maps it to nu,
+while the Monte Carlo takes the same entropies from log-determinants of
+the bidiagonal whose squared singular values are T
+(``entropy.bidiagonal_entropies``).
 """
 
 import numpy as np

@@ -25,10 +25,15 @@ the law ``haar.jacobi_transmissions`` draws from directly.
 ``full_covariance_general`` builds the whole 2n x 2n pure state, which
 ``reduce_modes`` restricts to a mode set; ``purity_symmetry_check`` uses
 both to compare the entropies of the two sides of a cut.
+``bidiagonal_entropies_mpmath`` evaluates the equal-squeezing entropies of
+a squared bidiagonal in 40-digit arithmetic from its eigenvalues and the
+closed per-mode forms, the reference for the log-determinant route of
+``gbs_page.entropy.bidiagonal_entropies``.
 """
 
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from gbs_page.entropy import _as_spectrum, _check_alpha, renyi_entropy
@@ -278,3 +283,35 @@ def symplectic_eigenvalues_svd(sigma: np.ndarray) -> np.ndarray:
         raise ValueError("covariance matrix not positive definite (no Cholesky factor)") from exc
     a = chol.T @ np.vstack([chol[m:], -chol[:m]])
     return _physical_spectrum(np.linalg.svd(a, compute_uv=False)[0::2])
+
+
+def bidiagonal_entropies_mpmath(diag, sup, s: float, alphas, dps: int = 40) -> dict[int, float]:
+    """Entropies at equal squeezing s of one squared bidiagonal, in ``dps`` digits.
+
+    The float entries are taken exactly; T are the eigenvalues of the
+    tridiagonal B^T B (``mpmath.eigsy``) and nu_j = sqrt(1 + sinh^2(2s) T_j).
+    """
+    with mpmath.workdps(dps):
+        m = len(diag)
+        gram = mpmath.matrix(m, m)
+        for i in range(m):
+            gram[i, i] = mpmath.mpf(diag[i]) + (mpmath.mpf(sup[i - 1]) if i else 0)
+            if i:
+                gram[i, i - 1] = gram[i - 1, i] = mpmath.sqrt(
+                    mpmath.mpf(diag[i - 1]) * mpmath.mpf(sup[i - 1]))
+        t = mpmath.eigsy(gram, eigvals_only=True) if m else []
+        c = mpmath.sinh(2 * mpmath.mpf(s)) ** 2
+        nus = [mpmath.sqrt(1 + c * max(tj, 0)) for tj in t]
+        out = {}
+        for alpha in alphas:
+            total = mpmath.mpf(0)
+            for nu in nus:
+                if alpha == 1:
+                    total += (nu + 1) / 2 * mpmath.log((nu + 1) / 2)
+                    if nu > 1:
+                        total -= (nu - 1) / 2 * mpmath.log((nu - 1) / 2)
+                else:
+                    total += mpmath.log(((nu + 1) ** alpha - (nu - 1) ** alpha)
+                                        / 2 ** alpha) / (alpha - 1)
+            out[alpha] = float(total)
+        return out

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -704,3 +705,53 @@ def test_unwritable_output_is_a_usage_error(tmp_path, monkeypatch, capsys, argv)
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: cannot write blocker/") and "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+
+
+# Where the directory of an output is missing or is a file, nothing is computed.
+UNWRITABLE_BEFORE_WORK = {
+    "simulate missing dir": SIM + ("--out-prefix", "nodir/run"),
+    "simulate under a file": SIM + ("--out-prefix", "blocker/run"),
+    "figure under a file": ("figure", "small-s", "--threads", "1", "--out-dir", "blocker/sub"),
+}
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_BEFORE_WORK.values(),
+                         ids=UNWRITABLE_BEFORE_WORK.keys())
+def test_output_paths_are_checked_before_the_work(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "blocker").write_text("")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work ran before its output path was checked")
+
+    monkeypatch.setattr(gbs_page.cli, "run_experiment", refuse)
+    monkeypatch.setattr(gbs_page.cli, "page_average", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    directory = argv[-1].split("/")[0]
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"error: cannot write {directory}/") and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+
+
+def test_simulate_large_n_allocates_no_m_by_m_array(tmp_path, capsys):
+    # m = 5000: one m x m float64 array is 200 MB. The bidiagonal route keeps
+    # the peak of traced numpy allocations to a few MB.
+    prefix = str(tmp_path / "big")
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(capsys, "simulate", "--n", "10000", "--k", "5000", "--s", "0.5",
+                             "--alphas", "1,2,3", "--samples", "4", "--seed", "1",
+                             "--threads", "1", "--out-prefix", prefix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 20e6
+    _, rows = parse_csv((tmp_path / "big_samples.csv").read_text())
+    values = {}
+    for index, alpha, entropy in rows:
+        values.setdefault(index, []).append((int(alpha), float(entropy)))
+    assert sorted(values) == ["0", "1", "2", "3"]
+    for entropies in values.values():
+        ordered = [e for _, e in sorted(entropies)]
+        assert len(ordered) == 3 and all(math.isfinite(e) and e > 0 for e in ordered)
+        assert ordered[0] > ordered[1] > ordered[2]

@@ -3,10 +3,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from oracles import renyi_entropy_factored
+from oracles import bidiagonal_entropies_mpmath, renyi_entropy_factored
 
 from gbs_page import renyi_entropy, renyi_mode_entropy
-from gbs_page.entropy import spectrum_entropies
+from gbs_page.entropy import bidiagonal_entropies, spectrum_entropies
+from gbs_page.haar import _bidiagonal_squares
 
 
 def test_pure_state_is_zero():
@@ -17,6 +18,13 @@ def test_pure_state_is_zero():
         assert abs(renyi_entropy_factored([1.0, 1.0], a)) <= 1e-12
     assert renyi_entropy([], 1) == 0.0
     assert renyi_entropy([], 2) == 0.0
+
+
+def test_empty_spectrum_has_empty_mode_entropies():
+    for a in (1, 2, 15):
+        out = renyi_mode_entropy([], a)
+        assert isinstance(out, np.ndarray) and out.shape == (0,) and out.dtype == float
+    assert renyi_mode_entropy([1.0], 2) == 0.0
 
 
 def test_renyi2_is_sum_of_log_nu():
@@ -148,3 +156,30 @@ def test_validation():
         renyi_mode_entropy([2.0], 0)
     with pytest.raises(ValueError):
         renyi_entropy([0.99], 1)
+
+
+@pytest.mark.parametrize("n,k", [(21, 13), (9, 6), (41, 24), (8, 3)])
+def test_bidiagonal_entropies_match_mpmath(n, k):
+    # Odd n with k > n/2, and one even n: every order, from weak to strong
+    # squeezing, against 40-digit eigenvalues of the same float bidiagonals.
+    alphas = (1, 2, 3, 4, 15)
+    diag, sup = _bidiagonal_squares(n, k, 5, [0, 1, 2])
+    for s in (1e-5, 1e-3, 0.05, 0.5, 3.0, 5.0):
+        got = bidiagonal_entropies(diag, sup, s, alphas)
+        for row in range(3):
+            want = bidiagonal_entropies_mpmath(diag[row], sup[row], s, alphas)
+            for alpha in alphas:
+                assert got[alpha][row] == pytest.approx(want[alpha], rel=1e-13, abs=0)
+
+
+def test_bidiagonal_entropies_of_no_transmission_or_squeezing_are_zero():
+    diag, sup = _bidiagonal_squares(10, 10, 1, [0, 1])
+    assert diag.shape == (2, 0)
+    for s in (0.0, 0.5, 5.0):
+        assert all(np.array_equal(v, [0.0, 0.0])
+                   for v in bidiagonal_entropies(diag, sup, s, (1, 2, 3)).values())
+    diag, sup = _bidiagonal_squares(10, 4, 1, [0, 1])
+    assert all(np.array_equal(v, [0.0, 0.0])
+               for v in bidiagonal_entropies(diag, sup, 0.0, (1, 2, 3)).values())
+    with pytest.raises(ValueError, match="finite"):
+        bidiagonal_entropies(diag, sup, np.inf, (2,))

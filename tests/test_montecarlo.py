@@ -5,6 +5,7 @@ from oracles import haar_unitary, purity_symmetry_check
 from gbs_page import (
     ExperimentPlan,
     SampleFailure,
+    equal_squeezing_spectrum,
     estimate_Vd,
     haar_frame,
     jacobi_transmissions,
@@ -17,6 +18,8 @@ from gbs_page import (
     variance_trend,
 )
 from gbs_page import montecarlo
+from gbs_page.entropy import bidiagonal_entropies
+from gbs_page.haar import _bidiagonal_squares
 
 
 def test_full_partition_gives_zero():
@@ -195,9 +198,11 @@ def test_sample_failure_aborts_with_index():
 
 @pytest.mark.parametrize("lam", [[0.2, np.nan], [0.2, 1.5], [0.2, 1.0 + 1e-3]])
 def test_bad_w_spectrum_is_a_sample_failure(monkeypatch, lam):
-    # The draw returns T = 1 - lambda for every index: a NaN, -0.5 and -1e-3.
-    monkeypatch.setattr(montecarlo, "jacobi_transmissions",
-                        lambda n, k, seed, index: np.tile(1.0 - np.array(lam), (len(index), 1)))
+    # The draw returns a diagonal B11 whose squared entries are T = 1 - lambda
+    # for every index: a NaN, -0.5 and -1e-3.
+    monkeypatch.setattr(montecarlo, "_bidiagonal_squares",
+                        lambda n, k, seed, index: (np.tile(1.0 - np.array(lam), (len(index), 1)),
+                                                   np.zeros((len(index), 1))))
     plan = ExperimentPlan(n=4, k=2, squeezing=0.5, alphas=(1, 2), n_samples=2,
                           master_seed=1)
     with pytest.raises(SampleFailure) as err:
@@ -207,44 +212,49 @@ def test_bad_w_spectrum_is_a_sample_failure(monkeypatch, lam):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_failure_inside_a_block_names_its_sample(monkeypatch, threads):
-    # m = 200 gives blocks of 3: [0, 3), [3, 6), [6, 7). Only index 4 is bad,
-    # so the second block fails and is evaluated again one index at a time.
-    def draw(n, k, seed, index):
-        t = jacobi_transmissions(n, k, seed, index)
-        t[np.asarray(index) == 4, 0] = np.nan
-        return t
+    # Blocks [0, B) and [B, B + 7). Indices 4 and B + 2 are bad, so both blocks
+    # fail, and the run names index 4, not the first index of its block.
+    size = montecarlo._BLOCK_SAMPLES
 
-    monkeypatch.setattr(montecarlo, "jacobi_transmissions", draw)
-    plan = ExperimentPlan(n=400, k=200, squeezing=0.5, alphas=(1, 2), n_samples=7,
+    def draw(n, k, seed, index):
+        diag, sup = _bidiagonal_squares(n, k, seed, index)
+        diag[np.isin(index, [4, size + 2]), 0] = np.nan
+        return diag, sup
+
+    monkeypatch.setattr(montecarlo, "_bidiagonal_squares", draw)
+    plan = ExperimentPlan(n=400, k=200, squeezing=0.5, alphas=(1, 2), n_samples=size + 7,
                           master_seed=1)
-    assert [len(b) for b in montecarlo._blocks(plan)] == [3, 3, 1]
+    assert [len(b) for b in montecarlo._blocks(plan)] == [size, 7]
     with pytest.raises(SampleFailure) as err:
         run_experiment(plan, threads=threads)
     assert err.value.sample_index == 4 and isinstance(err.value.cause, ValueError)
 
 
-def test_failed_stacked_solve_falls_back_to_one_sample_at_a_time(monkeypatch):
-    plan = ExperimentPlan(n=400, k=200, squeezing=0.5, alphas=(1, 2), n_samples=7,
-                          master_seed=2)
-    want, _ = run_experiment(plan)
+def test_non_finite_log_determinant_names_its_sample(monkeypatch):
+    # The pivot check: in-range entries whose entropies come out non-finite.
+    def entropies(diag, sup, s, alphas):
+        values = bidiagonal_entropies(diag, sup, s, alphas)
+        values[2][3] = np.inf
+        return values
 
-    def draw(n, k, seed, index):
-        if len(index) > 1:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return jacobi_transmissions(n, k, seed, index)
-
-    monkeypatch.setattr(montecarlo, "jacobi_transmissions", draw)
-    assert run_experiment(plan, threads=2)[0] == want
+    monkeypatch.setattr(montecarlo, "bidiagonal_entropies", entropies)
+    plan = ExperimentPlan(n=20, k=9, squeezing=0.5, alphas=(1, 2), n_samples=6, master_seed=1)
+    with pytest.raises(SampleFailure, match="pivots") as err:
+        run_experiment(plan)
+    assert err.value.sample_index == 3 and isinstance(err.value.cause, ValueError)
 
 
 @pytest.mark.parametrize("trw_max", [0, 3])
 def test_blocks_match_one_sample_at_a_time_for_any_thread_count(trw_max):
-    # 7 samples in blocks of 3, 3 and 1: the stacked draws give the records
-    # of one draw per sample, bit for bit, on 1, 2 or 3 workers.
-    plan = ExperimentPlan(n=400, k=200, squeezing=0.5, alphas=(1, 2, 3), n_samples=7,
+    # Blocks of B and 7 samples: each row of a block's log-determinant pass
+    # (and of its stacked eigvalsh) is the one-sample value, bit for bit, on
+    # 1, 2 or 3 workers.
+    size = montecarlo._BLOCK_SAMPLES
+    plan = ExperimentPlan(n=400, k=200, squeezing=0.5, alphas=(1, 2, 3), n_samples=size + 7,
                           master_seed=8, trw_max=trw_max)
-    assert [len(b) for b in montecarlo._blocks(plan)] == [3, 3, 1]
-    single = [montecarlo._evaluate_sample(plan, i) for i in range(plan.n_samples)]
+    assert [len(b) for b in montecarlo._blocks(plan)] == [size, 7]
+    single = [rec for i in range(plan.n_samples)
+              for rec in montecarlo._evaluate_block(plan, range(i, i + 1))]
     for threads in (1, 2, 3):
         records, _ = run_experiment(plan, threads=threads)
         assert records == single
@@ -252,21 +262,46 @@ def test_blocks_match_one_sample_at_a_time_for_any_thread_count(trw_max):
 
 @pytest.mark.parametrize("n,k", [(4, 2), (3, 1), (9, 6), (400, 200), (401, 150), (1000, 500),
                                  (1002, 501), (2000, 1000), (10, 10)])
-def test_blocks_release_the_interpreter_lock(n, k):
-    # Every block but the last returns more than 500 eigenvalues from one
-    # stacked eigvalsh, and a single m x m solve already does once m > 500.
+def test_blocks_cover_every_index_and_depend_on_the_plan_alone(monkeypatch, n, k):
+    # Equal squeezing: runs of one fixed size whatever m = min(k, n - k) is;
+    # per-mode squeezing: one sample each. Any thread count evaluates the
+    # same blocks.
+    size = montecarlo._BLOCK_SAMPLES
     plan = ExperimentPlan(n=n, k=k, squeezing=0.5, n_samples=1000)
     blocks = montecarlo._blocks(plan)
-    m = min(k, n - k)
     assert [i for b in blocks for i in b] == list(range(1000))
-    assert all(len(b) == len(blocks[0]) for b in blocks[:-1])
-    if m == 0 or m > 500:
-        assert len(blocks[0]) == 1
-    else:
-        assert all(len(b) * m > 500 for b in blocks[:-1])
-        assert (len(blocks[0]) - 1) * m <= 500
+    assert [len(b) for b in blocks] == [size] * (1000 // size) + [1000 % size]
     per_mode = ExperimentPlan(n=n, k=k, squeezing=(0.5,) * n, n_samples=10)
     assert [len(b) for b in montecarlo._blocks(per_mode)] == [1] * 10
+
+    evaluate = montecarlo._evaluate_block
+    small = ExperimentPlan(n=n, k=k, squeezing=0.5, n_samples=size + 3)
+    seen = {}
+    for threads in (1, 3):
+        monkeypatch.setattr(montecarlo, "_evaluate_block", lambda plan, block: (
+            seen.setdefault(threads, []).append(block) or evaluate(plan, block)))
+        run_experiment(small, threads=threads)
+    assert sorted(seen[1], key=min) == sorted(seen[3], key=min) == montecarlo._blocks(small)
+
+
+EQUAL_ORACLE_SHAPES = [(21, 13), (40, 17), (9, 6), (61, 30), (12, 12), (400, 200)]
+
+
+@pytest.mark.parametrize("n,k", EQUAL_ORACLE_SHAPES)
+def test_equal_samples_match_the_eigvalsh_oracle(n, k):
+    # Per sample, the log-determinant entropies against the entropies of
+    # nu_j = sqrt(1 + sinh^2(2s) T_j), T_j from the transmission eigensolve.
+    alphas = (1, 2, 3, 4, 15)
+    for s in (0.05, 0.5, 3.0, 5.0):
+        plan = ExperimentPlan(n=n, k=k, squeezing=s, alphas=alphas, n_samples=5,
+                              master_seed=17)
+        for rec in run_experiment(plan)[0]:
+            t = jacobi_transmissions(n, k, master_seed=17, sample_index=rec.sample_index)
+            nu = equal_squeezing_spectrum(t, k, s)
+            for alpha in alphas:
+                want = renyi_entropy(nu, alpha)
+                assert (want > 0) == (t.size > 0)
+                assert rec.entropies[alpha] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_plan_validation():
