@@ -3,7 +3,9 @@
 Every sample is a pure function of its shape, ``master_seed`` and
 ``sample_index``: each index gets its own counter-based stream, so a run
 partitioned over any number of workers reproduces the single-threaded
-result bit for bit.
+result bit for bit. A frame is the Cholesky QR of a complex Ginibre draw,
+whose every step numpy runs without the interpreter lock; the equal-squeezing
+spectrum is drawn directly from the Jacobi bidiagonal model.
 """
 
 from collections.abc import Sequence
@@ -37,22 +39,35 @@ def _check_shape(n: int, k: int, sample_index: int) -> None:
 def haar_frame(n: int, k: int, master_seed: int, sample_index: int = 0) -> np.ndarray:
     """Draw the first k columns of an ``n x n`` Haar unitary: an ``n x k`` frame.
 
-    Ginibre + thin QR: Q of an ``n x k`` matrix of i.i.d. standard complex
-    Gaussians, each column multiplied by the phase of the matching diagonal
-    entry of R. The phase fix makes the law exactly that of k columns of a
-    Haar unitary (Mezzadri, Notices AMS 54 (2007) 592); ``k = n`` is one.
+    Ginibre + Cholesky QR: with Z the ``n x k`` matrix of i.i.d. standard
+    complex Gaussians of ``_ginibre`` and L the Cholesky factor of Z^dag Z,
+    the frame is Q = Z L^{-dag}. Then Z = Q R with R = L^dag upper
+    triangular with a positive diagonal, the one QR of Z with that
+    property, so Q is the phase-fixed Q of a Householder QR in exact
+    arithmetic and has the law of k columns of a Haar unitary (Mezzadri,
+    Notices AMS 54 (2007) 592); ``k = n`` is one. Every step is a matrix
+    product or a ``k x k`` factorisation, which numpy runs without the
+    interpreter lock once it has more than 500 outputs.
+
+    One pass leaves Q orthonormal to about cond(Z)^2 eps. For k <= n/2,
+    cond(Z) stays near (1 + sqrt(k/n)) / (1 - sqrt(k/n)) <= 5.8, and one
+    pass agrees with the Householder frame to a few eps. Wider frames,
+    up to the ill-conditioned square one, take a second pass on Q
+    (CholeskyQR2; Fukaya, Nakatsukasa, Yanagisawa & Yamamoto, ScalA 2014),
+    which restores orthonormality to a few eps.
     """
+    q = _ginibre(n, k, master_seed, sample_index)
+    for _ in range(1 if 2 * k <= n else 2):
+        chol = np.linalg.cholesky(q.conj().T @ q)
+        q = q @ np.linalg.inv(chol).conj().T
+    return q
+
+
+def _ginibre(n: int, k: int, master_seed: int, sample_index: int) -> np.ndarray:
+    """The index's ``n x k`` standard complex Gaussians: n k real parts, then n k imaginary."""
     _check_shape(n, k, sample_index)
     rng = sample_generator(master_seed, sample_index)
-    z = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2)
-    return _phase_fixed_q(z)
-
-
-def _phase_fixed_q(z: np.ndarray) -> np.ndarray:
-    """Q of the thin QR of z, each column rotated by the phase of R's diagonal."""
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2)
 
 
 def jacobi_transmissions(

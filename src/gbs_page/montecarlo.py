@@ -6,11 +6,15 @@ take fixed blocks of consecutive indices. At equal squeezing a block draws
 each sample's squared Jacobi bidiagonal on its own stream and takes every
 entropy from one pass of O(m) log-determinant recurrences over the block's
 samples and every shift (``entropy.bidiagonal_entropies``): no eigensolve,
-and each row's values are the ones it would have alone. Per-mode squeezing
-evaluates one sample per block. A sample that fails numerically aborts the
-whole experiment, naming the first failing index: the constructions are
-physically guaranteed to be valid states, so a failure indicates a bug,
-and silently skipping it would bias the means.
+and each row's values are the ones it would have alone; these blocks run
+on the calling thread. Per-mode squeezing evaluates the smaller side of the
+cut (the global state is pure) in blocks of two samples: each sample draws
+its frame and forms its Gram matrix on its own, and the pair shares one
+stacked ``eigvalsh``, whose rows are the values each sample gets alone.
+A sample that fails numerically aborts the whole experiment, naming the
+first failing index: the constructions are physically guaranteed to be
+valid states, so a failure indicates a bug, and silently skipping it would
+bias the means.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +26,7 @@ from .entropy import _integer, bidiagonal_entropies, spectrum_entropies
 from .haar import _bidiagonal_squares, _squared_singular_values, haar_frame
 from .pagecurve import _check_ratio
 from .states import _power_sums, _w_block_eigenvalues, reduced_covariance_general
-from .symplectic import symplectic_eigenvalues
+from .symplectic import _gram, _gram_spectrum
 
 __all__ = [
     "AlphaStats",
@@ -47,11 +51,20 @@ _MONOTONE_TOL = 1e-9
 # shifts, about 90 shifts) stay a few tens of kB.
 _BLOCK_SAMPLES = 64
 
-# Version of the map from (plan, sample_index) to samples. Sampler 4 draws
-# the transmission eigenvalues for equal squeezing and an n x k Haar frame
-# for per-mode squeezing (those samples are sampler 3's). Sampler 3 drew the
-# frame for both, sampler 2 only for equal squeezing, sampler 1 never.
-SAMPLER = 4
+# Per-mode samples per block. Two 2m x 2m Gram matrices make one stacked
+# eigvalsh of 4m values, which numpy runs without the interpreter lock from
+# m = 126 up; a pair adds one Gram matrix (1.3 MB at m = 200) to a sample's
+# peak memory, where a block of three doubled it.
+_PAIR_SAMPLES = 2
+
+# Version of the map from (plan, sample_index) to samples. Sampler 5 draws
+# an n x min(k, n - k) Haar frame for per-mode squeezing, the smaller side
+# of the cut, so only per-mode samples with k > n/2 changed; equal
+# squeezing draws the transmission eigenvalues as in sampler 4. Sampler 4
+# drew the n x k frame for every per-mode sample (as sampler 3 did), and
+# sampler 3 drew it for equal squeezing too, sampler 2 only for equal
+# squeezing, sampler 1 never.
+SAMPLER = 5
 
 
 class SampleFailure(RuntimeError):
@@ -157,16 +170,62 @@ def _power_traces(lam: np.ndarray, plan: ExperimentPlan) -> tuple[float, ...]:
     return tuple(float(x) for x in _power_sums(lam, plan.trw_max))
 
 
-def _evaluate_sample(plan: ExperimentPlan, index: int) -> SampleRecord:
-    """One per-mode squeezing sample: the reduced covariance of an n x k Haar frame."""
+def _sample_gram(plan: ExperimentPlan, index: int, out: np.ndarray) -> tuple[float, ...] | None:
+    """One per-mode sample up to its eigensolve: A^T A into ``out``, and its Tr W^i.
+
+    The global state is pure, so the k modes have the entropies of the
+    other n - k. The sample takes the smaller side, m = min(k, n - k)
+    modes: the covariance of an ``n x m`` Haar frame, and its Gram matrix
+    as ``symplectic_eigenvalues`` forms it. At k = n it draws nothing
+    (m = 0). Tr W^i of the k-mode side are the power sums of the frame's
+    lambda and of 2k - n ones (k - m). The frame, covariance and Cholesky
+    factor are freed when this returns.
+    """
+    m = min(plan.k, plan.n - plan.k)
+    lam = np.empty(0)
+    if m:
+        frame = haar_frame(plan.n, m, plan.master_seed, index)
+        _gram(reduced_covariance_general(frame, plan.squeezing), out=out)
+        if plan.trw_max:
+            lam = _w_block_eigenvalues(frame)
+    if not plan.trw_max:
+        return None
+    return _power_traces(np.concatenate([lam, np.ones(plan.k - m)]), plan)
+
+
+def _evaluate_per_mode_block(plan: ExperimentPlan, block: range) -> list[SampleRecord]:
+    """A block of per-mode samples whose Gram matrices share one stacked ``eigvalsh``.
+
+    Each sample fills its row of the stack in index order. A sample that
+    fails there ends the stack: the rows before it are still evaluated, so
+    the failure named is the block's first. If the stacked solve raises,
+    each row is solved alone, which names the row it fails on.
+    """
+    m = min(plan.k, plan.n - plan.k)
+    grams = np.empty((len(block), 2 * m, 2 * m))
+    trw, failure = [], None
+    for row, index in enumerate(block):
+        try:
+            trw.append(_sample_gram(plan, index, grams[row]))
+        except Exception as exc:
+            failure = index, exc
+            break
+    grams = grams[:len(trw)]
     try:
-        frame = haar_frame(plan.n, plan.k, plan.master_seed, index)
-        nu = symplectic_eigenvalues(reduced_covariance_general(frame, plan.squeezing))
-        entropies = _checked(spectrum_entropies(nu, plan.alphas))
-        trw = _power_traces(_w_block_eigenvalues(frame), plan) if plan.trw_max else None
-    except Exception as exc:
-        raise SampleFailure(index, exc) from exc
-    return SampleRecord(sample_index=index, entropies=entropies, trw=trw)
+        values = np.linalg.eigvalsh(grams)
+    except np.linalg.LinAlgError:
+        values = None
+    records = []
+    for row, index in enumerate(block[:len(trw)]):
+        try:
+            nu = _gram_spectrum(np.linalg.eigvalsh(grams[row]) if values is None else values[row])
+            entropies = _checked(spectrum_entropies(nu, plan.alphas))
+        except Exception as exc:
+            raise SampleFailure(index, exc) from exc
+        records.append(SampleRecord(sample_index=index, entropies=entropies, trw=trw[row]))
+    if failure:
+        raise SampleFailure(*failure) from failure[1]
+    return records
 
 
 def _evaluate_equal_block(plan: ExperimentPlan, block: range) -> list[SampleRecord]:
@@ -209,18 +268,18 @@ def _evaluate_equal_block(plan: ExperimentPlan, block: range) -> list[SampleReco
 def _blocks(plan: ExperimentPlan) -> list[range]:
     """The fixed runs of consecutive sample indices that are evaluated together.
 
-    Equal-squeezing blocks hold ``_BLOCK_SAMPLES`` samples (the last one
-    the rest), per-mode squeezing blocks one. The blocks depend on the
-    plan alone, never on the thread count.
+    Equal-squeezing blocks hold ``_BLOCK_SAMPLES`` samples, per-mode
+    squeezing blocks ``_PAIR_SAMPLES`` (the last one the rest). The blocks
+    depend on the plan alone, never on the thread count.
     """
-    size = _BLOCK_SAMPLES if plan.equal_squeezing else 1
+    size = _BLOCK_SAMPLES if plan.equal_squeezing else _PAIR_SAMPLES
     return [range(j, min(j + size, plan.n_samples)) for j in range(0, plan.n_samples, size)]
 
 
 def _evaluate_block(plan: ExperimentPlan, block: range) -> list[SampleRecord]:
     if plan.equal_squeezing:
         return _evaluate_equal_block(plan, block)
-    return [_evaluate_sample(plan, i) for i in block]
+    return _evaluate_per_mode_block(plan, block)
 
 
 def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple[list[SampleRecord], Summary]:
@@ -229,13 +288,16 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple[list[SampleR
     Samples are evaluated in the fixed blocks of ``_blocks``, one block per
     task. Records are returned (and aggregated) in sample-index order
     whatever the thread count; identical plans give bit-identical records.
-    With several threads, pin the process's BLAS to one thread before numpy
-    loads (as ``gbs_page.cli`` does), or each worker's BLAS calls start
-    threads that compete with the other workers.
+    Equal-squeezing plans run on the calling thread whatever ``threads``
+    is: their blocks are chains of short numpy calls that take the
+    interpreter lock back every few microseconds, so a second worker only
+    adds contention. With several threads, pin the process's BLAS to one
+    thread before numpy loads (as ``gbs_page.cli`` does), or each worker's
+    BLAS calls start threads that compete with the other workers.
     """
     threads = _integer("thread count", threads, 1)
     blocks = _blocks(plan)
-    if threads == 1:
+    if threads == 1 or plan.equal_squeezing:
         done = [_evaluate_block(plan, block) for block in blocks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -11,11 +11,15 @@ Only the first k rows U_k of the Haar unitary U enter the state of the
 first k modes, so a sample needs just the n x k frame F = U_k^T. With
 per-mode squeezing s_i the reduced covariance is R D R^T, with
 D = diag(e^{2 s_i}) (+) diag(e^{-2 s_i}) and R the 2k rows of the
-orthogonal image of U that belong to those modes. With either kind of
-squeezing Tr W^i are the power sums of the spectrum lambda of the
-positive-semidefinite matrix W = Pi X Pi X^dag Pi, with X = U U^T and Pi
-the projector onto the first k modes; its nonzero part is the spectrum of
-x x^dag, where x = U_k U_k^T = F^T F. At equal squeezing that spectrum is
+orthogonal image of U that belong to those modes. The global state is
+pure, so the other n - k modes have the same entropies, and the Monte
+Carlo builds the covariance of the smaller side from an n x min(k, n - k)
+frame. With either kind of squeezing Tr W^i are the power sums of the
+spectrum lambda of the positive-semidefinite matrix W = Pi X Pi X^dag Pi,
+with X = U U^T and Pi the projector onto the first k modes; its nonzero
+part is the spectrum of x x^dag, where x = U_k U_k^T = F^T F. The two
+sides of the cut share the values of lambda below one, and the larger
+side has |2k - n| more ones. At equal squeezing that spectrum is
 all the entropies need: ``haar.jacobi_transmissions`` draws it as
 lambda = 1 - T and ``symplectic.equal_squeezing_spectrum`` maps it to nu,
 while the Monte Carlo takes the same entropies from log-determinants of

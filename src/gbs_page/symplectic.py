@@ -24,22 +24,31 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     nu_j^2, each twice, and the spectrum is the square root of every other
     one; Omega L is formed by swapping the two halves of L's rows and
     negating one. One Cholesky, one product and one symmetric eigensolve
-    without eigenvectors (about half the time of A's values-only SVD).
+    without eigenvectors (about half the time of A's values-only SVD). The
+    two steps around the eigensolve are ``_gram`` and ``_gram_spectrum``,
+    so that callers can stack the eigensolves of several matrices.
 
     Raises:
         ValueError: if sigma is not finite, not symmetric to tolerance, not
             positive definite, or has a symplectic eigenvalue below 1 - 1e-6.
     """
+    return _gram_spectrum(np.linalg.eigvalsh(_gram(sigma)))
+
+
+def _gram(sigma: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The checked covariance's A^T A, A = L^T Omega L; written to ``out`` if given.
+
+    Raises the ``ValueError`` of ``symplectic_eigenvalues`` for an input
+    that is not a finite, symmetric, positive-definite 2m x 2m matrix.
+    """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
         raise ValueError(f"covariance matrix must be 2m x 2m, got {sigma.shape}")
     m = sigma.shape[0] // 2
-    if m == 0:
-        return np.empty(0)
     if not np.all(np.isfinite(sigma)):
         raise ValueError("covariance matrix must be finite")
-    scale = max(1.0, np.abs(sigma).max())
-    asym = np.abs(sigma - sigma.T).max()
+    scale = max(1.0, np.abs(sigma).max(initial=0.0))
+    asym = np.abs(sigma - sigma.T).max(initial=0.0)
     if asym > SYMMETRY_TOL * scale:
         raise ValueError(f"covariance matrix not symmetric: max asymmetry {asym:.3e}")
 
@@ -48,8 +57,12 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ValueError("covariance matrix not positive definite (no Cholesky factor)") from exc
     a = chol.T @ np.vstack([chol[m:], -chol[:m]])
-    nu_squared = np.linalg.eigvalsh(a.T @ a)[::-1][0::2]
-    return _physical_spectrum(np.sqrt(np.maximum(nu_squared, 0.0)))
+    return np.matmul(a.T, a, out=out)
+
+
+def _gram_spectrum(values: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum, descending, from the ascending eigenvalues of A^T A."""
+    return _physical_spectrum(np.sqrt(np.maximum(values[::-1][0::2], 0.0)))
 
 
 def equal_squeezing_spectrum(t: np.ndarray, k: int, s: float) -> np.ndarray:
@@ -77,7 +90,7 @@ def _physical_spectrum(nu: np.ndarray) -> np.ndarray:
     """Reject a non-finite or unphysical spectrum; round the clamp window to one."""
     if not np.all(np.isfinite(nu)):
         raise ValueError("symplectic eigenvalues must be finite")
-    low = nu.min()
+    low = nu.min(initial=np.inf)
     if low < 1.0 - FAIL_TOL:
         raise ValueError(
             f"symplectic eigenvalue {low!r} below 1 - {FAIL_TOL}: unphysical state"

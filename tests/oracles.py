@@ -1,5 +1,8 @@
 """Independent code paths the tests check the package against.
 
+``householder_frame`` is the phase-fixed Householder QR that drew the Haar
+frame before the package took it by Cholesky QR (``haar.haar_frame``);
+``haar_unitary`` applies it to the package's ``n x n`` Gaussian draw.
 ``renyi_entropy_factored`` evaluates the Renyi-alpha entropy through the
 root factorization
 
@@ -37,14 +40,26 @@ import mpmath
 import numpy as np
 
 from gbs_page.entropy import _as_spectrum, _check_alpha, renyi_entropy
-from gbs_page.haar import haar_frame
+from gbs_page.haar import _ginibre, haar_frame
 from gbs_page.states import _power_sums, _w_block_eigenvalues
 from gbs_page.symplectic import SYMMETRY_TOL, _physical_spectrum, symplectic_eigenvalues
 
 
+def householder_frame(z: np.ndarray) -> np.ndarray:
+    """Q of the thin Householder QR of z, each column rotated by the phase of R's diagonal.
+
+    The rotation makes R's diagonal positive, so this is the Q of the one
+    such QR of z; for a complex Gaussian z it is a Haar frame (Mezzadri,
+    Notices AMS 54 (2007) 592).
+    """
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
 def haar_unitary(n: int, master_seed: int, sample_index: int = 0) -> np.ndarray:
-    """Draw an ``n x n`` unitary from the Haar measure on U(n): the full frame."""
-    return haar_frame(n, n, master_seed, sample_index)
+    """Draw an ``n x n`` Haar unitary: the Householder frame of the package's square draw."""
+    return householder_frame(_ginibre(n, n, master_seed, sample_index))
 
 
 def frame_transmissions(n: int, k: int, master_seed: int, sample_index: int = 0) -> np.ndarray:

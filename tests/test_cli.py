@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 
 import pytest
+from oracles import householder_frame
 
 import gbs_page
 from gbs_page.cli import (
@@ -17,6 +18,7 @@ from gbs_page.cli import (
     main,
     run_figure,
 )
+from gbs_page.haar import _ginibre
 
 
 def run_cli(capsys, *argv):
@@ -246,9 +248,9 @@ def test_simulate_summary_records_sampler(tmp_path, capsys):
                          "--threads", "1", "--out-prefix", prefix)
     assert code == 0
     summary = json.loads((tmp_path / "run_summary.json").read_text())
-    assert summary["config"]["sampler"] == gbs_page.montecarlo.SAMPLER == 4
+    assert summary["config"]["sampler"] == gbs_page.montecarlo.SAMPLER == 5
 
-    for old_sampler in (1, 2, 3):
+    for old_sampler in (1, 2, 3, 4):
         summary["config"]["sampler"] = old_sampler
         old = tmp_path / "old_summary.json"
         old.write_text(json.dumps(summary))
@@ -261,7 +263,7 @@ def test_simulate_summary_records_sampler(tmp_path, capsys):
     old.write_text(json.dumps(summary))
     code, _, _ = run_cli(capsys, "simulate", "--config", str(old))
     rerun = json.loads((tmp_path / "run_summary.json").read_text())
-    assert code == 0 and rerun["config"]["sampler"] == 4
+    assert code == 0 and rerun["config"]["sampler"] == 5
 
 
 def _assert_samples_csv(path, pinned):
@@ -300,7 +302,9 @@ def test_simulate_equal_samples_unchanged_since_sampler_4(tmp_path, capsys):
 
 def test_simulate_per_mode_samples_unchanged_since_sampler_3(tmp_path, capsys):
     # The samples CSV of this per-mode config under sampler 3: sampler 4
-    # changed only the equal-squeezing draw.
+    # changed only the equal-squeezing draw, and sampler 5 only per-mode
+    # samples with k > n/2 (here k = 3 of 7; the frame's Cholesky QR
+    # changes them by roundoff).
     sampler3 = """\
 0,1,0.96521942013629858
 0,2,0.57115220969707226
@@ -322,6 +326,41 @@ def test_simulate_per_mode_samples_unchanged_since_sampler_3(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "simulate", "--config", str(config))
     assert code == 0
     _assert_samples_csv(tmp_path / "run_samples.csv", sampler3)
+
+
+def test_simulate_per_mode_samples_above_half_since_sampler_5(tmp_path, capsys):
+    # The samples CSV of the same per-mode config at k = 5 of 7 under
+    # sampler 5, which evaluates the other n - k = 2 modes: the pinned values
+    # are the oracle route's entropies of the covariance of each index's
+    # 7 x 2 Householder frame.
+    sampler5 = """\
+0,1,0.60783872615072565
+0,2,0.3364088095015948
+0,3,0.26530552236420918
+1,1,0.80800678021707983
+1,2,0.49689113805717666
+1,3,0.40287402171528852
+2,1,0.65524117188449027
+2,2,0.36954682866618688
+2,3,0.29257747980742549
+3,1,0.91097765228235306
+3,2,0.59125755884722497
+3,3,0.48780115927984019
+"""
+    s = [0.1, 0.25, -0.3, 0.5, 0.0, 0.8, 0.35]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 7, "k": 5, "s": s, "alphas": [1, 2, 3], "samples": 4,
+                                  "seed": 5, "threads": 1, "out_prefix": str(tmp_path / "run")}))
+    code, _, _ = run_cli(capsys, "simulate", "--config", str(config))
+    assert code == 0
+    _assert_samples_csv(tmp_path / "run_samples.csv", sampler5)
+
+    _, pinned = parse_csv(sampler5)
+    for index, alpha, value in pinned:
+        frame = householder_frame(_ginibre(7, 2, master_seed=5, sample_index=int(index)))
+        nu = gbs_page.symplectic_eigenvalues(gbs_page.reduced_covariance_general(frame, s))
+        assert math.isclose(gbs_page.renyi_entropy(nu, int(alpha)), float(value),
+                            rel_tol=1e-13, abs_tol=0)
 
 
 def test_simulate_config_strictness(tmp_path, capsys):
@@ -596,7 +635,7 @@ def test_simulate_config_integral_floats_run_as_integers(tmp_path, capsys):
         assert run_cli(capsys, "simulate", "--config", str(path))[0] == 0
     assert (tmp_path / "ints_samples.csv").read_bytes() == (tmp_path / "floats_samples.csv").read_bytes()
     floats = json.loads((tmp_path / "floats_summary.json").read_text())
-    assert floats["config"] == {**base, "sampler": 4, "out_prefix": str(tmp_path / "floats")}
+    assert floats["config"] == {**base, "sampler": 5, "out_prefix": str(tmp_path / "floats")}
     assert all(type(floats["config"][key]) is int for key in ("n", "k", "samples", "seed"))
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from oracles import frame_transmissions, haar_unitary
+from oracles import frame_transmissions, haar_unitary, householder_frame
 from scipy.special import digamma
 
 from gbs_page import haar_frame, jacobi_transmissions, sample_generator
-from gbs_page.haar import _phase_fixed_q
+from gbs_page.haar import _ginibre
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 64, 128, 512])
@@ -52,22 +52,45 @@ def test_first_moment_matches_haar():
 
 @pytest.mark.parametrize("n", [1, 5, 40, 400])
 def test_full_frame_is_the_unitary_draw(n):
-    # The square frame keeps the stream of the n x n draw: n x n real normals,
-    # then n x n imaginary ones, one QR and the phase fix.
+    # The square draw is the index's stream: n x n real normals, then n x n
+    # imaginary ones. The unitary oracle is its QR with the phase fix.
     rng = sample_generator(31, 2)
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    assert np.array_equal(_ginibre(n, n, master_seed=31, sample_index=2), z)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
-    frame = haar_frame(n, n, master_seed=31, sample_index=2)
-    assert np.array_equal(frame, q * (d / np.abs(d)))
-    assert np.array_equal(frame, haar_unitary(n, master_seed=31, sample_index=2))
+    assert np.array_equal(householder_frame(z), q * (d / np.abs(d)))
+    assert np.array_equal(householder_frame(z), haar_unitary(n, master_seed=31, sample_index=2))
 
 
 @pytest.mark.parametrize("k", [1, 4, 11, 12])
 def test_thin_qr_is_leading_columns_of_full_qr(k):
     rng = sample_generator(5, 0)
     z = (rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))) / np.sqrt(2)
-    assert np.abs(_phase_fixed_q(z[:, :k]) - _phase_fixed_q(z)[:, :k]).max() <= 1e-12
+    assert np.abs(householder_frame(z[:, :k]) - householder_frame(z)[:, :k]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (7, 3), (12, 6), (40, 20), (300, 5), (400, 200),
+                                 (5, 3), (12, 12), (40, 39), (64, 63), (400, 300), (400, 400)])
+def test_frame_is_the_householder_frame_of_its_draw(n, k):
+    # Cholesky QR (one pass to k = n/2, two above) against the phase-fixed
+    # Householder QR of the same Gaussians, for five draws each.
+    tol = 1e-14 if 2 * k <= n else 1e-12
+    for index in range(5):
+        oracle = householder_frame(_ginibre(n, k, master_seed=19, sample_index=index))
+        assert np.abs(haar_frame(n, k, master_seed=19, sample_index=index) - oracle).max() <= tol
+
+
+def test_frame_orthonormal_over_many_small_draws():
+    # 10^4 draws over every shape with n <= 8, the square ones (cond(Z) has
+    # a heavy tail there) included.
+    shapes = [(n, k) for n in range(1, 9) for k in range(1, n + 1)]
+    worst = 0.0
+    for index in range(10_000):
+        n, k = shapes[index % len(shapes)]
+        frame = haar_frame(n, k, master_seed=23, sample_index=index)
+        worst = max(worst, np.abs(frame.conj().T @ frame - np.eye(k)).max())
+    assert worst <= 1e-13
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (7, 3), (40, 20), (64, 63), (300, 5)])

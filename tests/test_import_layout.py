@@ -1,4 +1,4 @@
-"""Package import layout: lazy public names, and BLAS thread pinning by the CLI.
+"""Package import layout: lazy public names, BLAS thread pinning by the CLI, and no scipy.
 
 Each check runs in a fresh interpreter, because what it looks at (which
 modules are loaded, the environment numpy's BLAS starts from) is settled
@@ -96,3 +96,18 @@ def test_cli_after_numpy_leaves_environment_alone():
                      "import gbs_page.cli\n"
                      "print(json.dumps(dict(os.environ) == before))")
     assert out is True
+
+
+def test_per_mode_simulate_leaves_out_scipy(tmp_path):
+    # scipy is a test-only dependency; a lazy import on the per-mode sampling
+    # path (the frame, the covariance, the paired eigensolve) would only
+    # show once a sample runs. k > n/2 takes the smaller side of the cut.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 9, "k": 6, "s": [0.1 * i for i in range(9)],
+                                  "alphas": [1, 2], "samples": 3, "seed": 1, "threads": 2,
+                                  "out_prefix": str(tmp_path / "run")}))
+    out = run_python("import json, sys, gbs_page.cli\n"
+                     f"code = gbs_page.cli.main(['simulate', '--config', {str(config)!r}])\n"
+                     "print(json.dumps([code, 'scipy' in sys.modules]))")
+    assert out == [0, False]
+    assert (tmp_path / "run_samples.csv").read_text().count("\n") == 1 + 3 * 2

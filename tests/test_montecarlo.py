@@ -49,6 +49,31 @@ def test_vacuum_gives_exact_zero():
         assert all(v == 0.0 for v in rec.entropies.values())
 
 
+def test_per_mode_pure_state_gives_exact_zero():
+    # k = n leaves the other side empty: no frame is drawn, every entropy is
+    # exactly zero at any squeezing, and W is the identity (Tr W^i = n).
+    plan = ExperimentPlan(n=40, k=40, squeezing=tuple(np.linspace(0.0, 3.0, 40)),
+                          alphas=(1, 2, 3), n_samples=5, master_seed=3, trw_max=2)
+    records, summary = run_experiment(plan)
+    assert all(v == 0.0 for rec in records for v in rec.entropies.values())
+    assert all(rec.trw == (40.0, 40.0) for rec in records)
+    assert all(st.mean == 0.0 for st in summary.per_alpha.values())
+
+
+def test_equal_squeezing_runs_on_the_calling_thread(monkeypatch):
+    # Two blocks and two threads: the records are the one-thread ones, and no
+    # worker pool is started.
+    plan = ExperimentPlan(n=40, k=17, squeezing=0.5, alphas=(1, 2), n_samples=70,
+                          master_seed=2)
+    want, _ = run_experiment(plan, threads=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an equal-squeezing run started a worker pool")
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+    assert run_experiment(plan, threads=2)[0] == want
+
+
 def test_determinism_and_thread_independence():
     plan = ExperimentPlan(n=12, k=5, squeezing=0.4, alphas=(1, 2), n_samples=8,
                           master_seed=99)
@@ -131,6 +156,21 @@ def test_unequal_trw_match_trW_moments():
         x = F.T @ F
         block = x @ x.conj().T
         want = [np.trace(np.linalg.matrix_power(block, i)).real for i in range(1, 4)]
+        assert np.allclose(rec.trw, want, rtol=0, atol=1e-12)
+
+
+def test_unequal_trw_above_half_are_those_of_the_smaller_frame():
+    # k = 6 of 9: the sample draws a 9 x 3 frame, and Tr W^i of the six
+    # modes are the power sums of that frame's lambda plus 2k - n = 3.
+    s = tuple(np.linspace(0.1, 0.4, 9))
+    plan = ExperimentPlan(n=9, k=6, squeezing=s, alphas=(2,), n_samples=3, master_seed=4,
+                          trw_max=4)
+    records, _ = run_experiment(plan)
+    for rec in records:
+        F = haar_frame(9, 3, master_seed=4, sample_index=rec.sample_index)
+        x = F.T @ F
+        lam = np.linalg.eigvalsh(x @ x.conj().T)
+        want = [np.sum(lam ** i) + 3 for i in range(1, 5)]
         assert np.allclose(rec.trw, want, rtol=0, atol=1e-12)
 
 
@@ -264,15 +304,16 @@ def test_blocks_match_one_sample_at_a_time_for_any_thread_count(trw_max):
                                  (1002, 501), (2000, 1000), (10, 10)])
 def test_blocks_cover_every_index_and_depend_on_the_plan_alone(monkeypatch, n, k):
     # Equal squeezing: runs of one fixed size whatever m = min(k, n - k) is;
-    # per-mode squeezing: one sample each. Any thread count evaluates the
-    # same blocks.
+    # per-mode squeezing: pairs, the last one a single sample when the count
+    # is odd. Any thread count evaluates the same blocks.
     size = montecarlo._BLOCK_SAMPLES
     plan = ExperimentPlan(n=n, k=k, squeezing=0.5, n_samples=1000)
     blocks = montecarlo._blocks(plan)
     assert [i for b in blocks for i in b] == list(range(1000))
     assert [len(b) for b in blocks] == [size] * (1000 // size) + [1000 % size]
-    per_mode = ExperimentPlan(n=n, k=k, squeezing=(0.5,) * n, n_samples=10)
-    assert [len(b) for b in montecarlo._blocks(per_mode)] == [1] * 10
+    per_mode = ExperimentPlan(n=n, k=k, squeezing=(0.5,) * n, n_samples=11)
+    assert [i for b in montecarlo._blocks(per_mode) for i in b] == list(range(11))
+    assert [len(b) for b in montecarlo._blocks(per_mode)] == [2] * 5 + [1]
 
     evaluate = montecarlo._evaluate_block
     small = ExperimentPlan(n=n, k=k, squeezing=0.5, n_samples=size + 3)
@@ -282,6 +323,79 @@ def test_blocks_cover_every_index_and_depend_on_the_plan_alone(monkeypatch, n, k
             seen.setdefault(threads, []).append(block) or evaluate(plan, block)))
         run_experiment(small, threads=threads)
     assert sorted(seen[1], key=min) == sorted(seen[3], key=min) == montecarlo._blocks(small)
+
+
+PER_MODE_S = tuple(np.linspace(0.0, 0.6, 300))
+
+
+@pytest.mark.parametrize("n,k", [(300, 140), (300, 160), (9, 6), (5, 5)])
+def test_pairs_match_one_sample_at_a_time_for_any_thread_count(n, k):
+    # Seven samples: three pairs and a single. Each sample's entropies and
+    # Tr W^i are the ones it gets in a block of its own, and the entropies
+    # are those of symplectic_eigenvalues of the smaller side's covariance,
+    # bit for bit, on 1, 2 or 3 workers. m = 140 stacks 560 values.
+    plan = ExperimentPlan(n=n, k=k, squeezing=PER_MODE_S[:n], alphas=(1, 2, 3), n_samples=7,
+                          master_seed=8, trw_max=2)
+    assert [len(b) for b in montecarlo._blocks(plan)] == [2, 2, 2, 1]
+    single = [rec for i in range(plan.n_samples)
+              for rec in montecarlo._evaluate_block(plan, range(i, i + 1))]
+    m = min(k, n - k)
+    for rec in single:
+        nu = (symplectic_eigenvalues(reduced_covariance_general(
+            haar_frame(n, m, master_seed=8, sample_index=rec.sample_index), PER_MODE_S[:n]))
+            if m else [])
+        assert rec.entropies == {a: renyi_entropy(nu, a) for a in (1, 2, 3)}
+    for threads in (1, 2, 3):
+        records, _ = run_experiment(plan, threads=threads)
+        assert records == single
+
+
+def _frames_with(monkeypatch, changes):
+    """Make ``montecarlo.haar_frame`` return index i's frame times changes[i]."""
+    draw = montecarlo.haar_frame
+    monkeypatch.setattr(montecarlo, "haar_frame", lambda n, k, seed, index: (
+        draw(n, k, seed, index) * changes.get(index, 1.0)))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("changes,first", [
+    ({3: np.nan}, 3),                # second of a pair, in its covariance checks
+    ({4: np.nan, 7: np.nan}, 4),     # first of a pair
+    ({2: 0.5, 3: np.nan}, 2),        # first unphysical (nu < 1) after its pair's stack
+    ({6: 0.5}, 6),                   # the single at the end
+])
+def test_bad_sample_in_a_pair_names_its_index(monkeypatch, threads, changes, first):
+    _frames_with(monkeypatch, changes)
+    plan = ExperimentPlan(n=8, k=3, squeezing=tuple(np.linspace(0.1, 0.8, 8)), alphas=(1, 2),
+                          n_samples=7, master_seed=1)
+    with pytest.raises(SampleFailure) as err:
+        run_experiment(plan, threads=threads)
+    assert err.value.sample_index == first and isinstance(err.value.cause, ValueError)
+
+
+def test_stacked_eigensolve_failure_falls_back_to_one_sample_at_a_time(monkeypatch):
+    # Every stacked eigvalsh raises: each sample is then solved alone, with
+    # the same records; a one-sample solve that raises names its index.
+    plan = ExperimentPlan(n=12, k=5, squeezing=tuple(np.linspace(0.0, 0.5, 12)),
+                          alphas=(1, 2), n_samples=5, master_seed=3)
+    want, _ = run_experiment(plan)
+    eigvalsh, solved, fail_at = np.linalg.eigvalsh, [], []
+
+    def stacked_fails(a):
+        if a.ndim == 3 or len(solved) in fail_at:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        solved.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", stacked_fails)
+    assert run_experiment(plan)[0] == want
+    assert solved == [(10, 10)] * 5
+    solved.clear()
+    fail_at.append(3)  # the fourth one-sample solve: index 3, second of its pair
+    with pytest.raises(SampleFailure) as err:
+        run_experiment(plan)
+    assert err.value.sample_index == 3
+    assert isinstance(err.value.cause, np.linalg.LinAlgError)
 
 
 EQUAL_ORACLE_SHAPES = [(21, 13), (40, 17), (9, 6), (61, 30), (12, 12), (400, 200)]
