@@ -14,7 +14,10 @@ The three figures are entries of ``FIGURES`` run by one driver,
 Worker threads come from ``--threads`` (default ``auto``, one per CPU this
 process may run on) or from a ``simulate --config`` file's ``threads``
 (default 1), which ``--threads`` overrides. The thread count never changes
-results. The workers are the command's only parallelism: unless one of
+results. ``figure`` still accepts and checks ``--threads``, so existing
+command lines keep working, but runs on one thread: its plans are all equal
+squeezing without traces, which ``run_experiment`` keeps on the calling
+thread. The workers are the command's only parallelism: unless one of
 ``BLAS_THREAD_VARS`` is already set, importing this module before numpy sets
 all of them to 1, so each worker's BLAS calls run on that worker's thread
 instead of starting BLAS threads that compete with the other workers. Once
@@ -353,12 +356,14 @@ FIGURES = {
 }
 
 
-def run_figure(name, out_dir, params: FigureParams, seed: int, threads: int, *,
+def run_figure(name, out_dir, params: FigureParams, seed: int, *,
                alphas=None, grid=None, mc_grid=None, tol: float = DEFAULT_TOL,
                gnuplot: bool = False) -> dict:
     """Write one figure's analytic and simulated CSVs and its manifest.
 
-    Monte-Carlo point ``i`` uses seed ``seed + i``.
+    Monte-Carlo point ``i`` uses seed ``seed + i``. Every plan is equal
+    squeezing without traces, so ``run_experiment`` runs it on the calling
+    thread.
     """
     spec = FIGURES[name]
     alphas = tuple(alphas) if alphas is not None else spec.alphas
@@ -401,7 +406,7 @@ def run_figure(name, out_dir, params: FigureParams, seed: int, threads: int, *,
 
     mc_rows = []
     for x, plan in zip(mc_grid, plans):
-        _, summary = run_experiment(plan, threads=threads)
+        _, summary = run_experiment(plan)
         scale = 1.0 if spec.norm is None else spec.norm(n, point(x)[0])
         for alpha in alphas:
             st = summary.per_alpha[alpha]
@@ -453,8 +458,8 @@ def _write_gnuplot(path: str, spec: FigureSpec, alphas) -> None:
 
 
 def cmd_figure(args) -> int:
-    run_figure(args.name, args.out_dir, SCALES[args.scale], args.seed,
-               _resolve_threads(args.threads), gnuplot=args.gnuplot)
+    _resolve_threads(args.threads)  # checked, then unused: see run_figure
+    run_figure(args.name, args.out_dir, SCALES[args.scale], args.seed, gnuplot=args.gnuplot)
     return EXIT_OK
 
 
@@ -510,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", choices=sorted(SCALES), default="desk")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--threads", default="auto", help="worker threads, integer or 'auto'")
+    p.add_argument("--threads", default="auto",
+                   help="integer or 'auto'; checked, but every figure runs on one thread")
     p.add_argument("--gnuplot", action="store_true", help="also emit a gnuplot script")
     p.set_defaults(func=cmd_figure)
 

@@ -288,16 +288,20 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple[list[SampleR
     Samples are evaluated in the fixed blocks of ``_blocks``, one block per
     task. Records are returned (and aggregated) in sample-index order
     whatever the thread count; identical plans give bit-identical records.
-    Equal-squeezing plans run on the calling thread whatever ``threads``
-    is: their blocks are chains of short numpy calls that take the
-    interpreter lock back every few microseconds, so a second worker only
-    adds contention. With several threads, pin the process's BLAS to one
-    thread before numpy loads (as ``gbs_page.cli`` does), or each worker's
-    BLAS calls start threads that compete with the other workers.
+    Equal-squeezing plans without traces (``trw_max == 0``) run on the
+    calling thread whatever ``threads`` is: their blocks are chains of short
+    numpy calls that take the interpreter lock back every few microseconds,
+    so a second worker only adds contention. Plans with traces keep the
+    workers: their blocks spend most of their time in one stacked
+    ``eigvalsh`` that releases the lock (two workers take ``estimate_Vd`` at
+    n = 400 from 0.63 to 0.40 s on two cores). With several threads, pin
+    the process's BLAS to one thread before numpy loads (as ``gbs_page.cli``
+    does), or each worker's BLAS calls start threads that compete with the
+    other workers.
     """
     threads = _integer("thread count", threads, 1)
     blocks = _blocks(plan)
-    if threads == 1 or plan.equal_squeezing:
+    if threads == 1 or (plan.equal_squeezing and not plan.trw_max):
         done = [_evaluate_block(plan, block) for block in blocks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -338,13 +342,14 @@ def _bootstrap_ci(values: np.ndarray, statistic, n_boot: int, rng: np.random.Gen
 
 
 def variance_trend(ns, r: float, s: float, alpha: int, n_samples: int, seed: int,
-                   n_boot: int = 2000, threads: int = 1) -> list[VarianceEstimate]:
+                   n_boot: int = 2000) -> list[VarianceEstimate]:
     """Unbiased entropy variance vs system size, with bootstrap CIs.
 
     One experiment per n (same r, s, alpha, sample count); the bootstrap
     (percentile, ``n_boot`` resamples) is seeded per n so the whole trend is
     reproducible. Entropy distributions are skewed at small n, hence the
-    bootstrap rather than normal-theory intervals.
+    bootstrap rather than normal-theory intervals. Its plans are equal
+    squeezing without traces, so they run on the calling thread.
     """
     if alpha < 2:
         raise ValueError(f"variance trend is defined for Renyi orders >= 2, got {alpha}")
@@ -354,7 +359,7 @@ def variance_trend(ns, r: float, s: float, alpha: int, n_samples: int, seed: int
             n=n, r=r, squeezing=float(s), alphas=(alpha,),
             n_samples=n_samples, master_seed=seed,
         )
-        records, summary = run_experiment(plan, threads=threads)
+        records, summary = run_experiment(plan)
         vals = np.array([rec.entropies[alpha] for rec in records])
         brng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0xB007, n)))

@@ -444,7 +444,7 @@ def test_limits_s_vector(tmp_path, capsys):
 def test_figure_bundle_tiny(tmp_path):
     out = tmp_path / "fig"
     manifest = run_figure(
-        "fig1", str(out), FigureParams(n=12, n_samples=5), seed=3, threads=1,
+        "fig1", str(out), FigureParams(n=12, n_samples=5), seed=3,
         alphas=(1, 2), grid=[0.25, 0.5], gnuplot=True,
     )
     assert (out / "fig1_analytic.csv").exists()
@@ -456,7 +456,7 @@ def test_figure_bundle_tiny(tmp_path):
 
     # deterministic re-run
     before = (out / "fig1_simulated.csv").read_bytes()
-    run_figure("fig1", str(out), FigureParams(n=12, n_samples=5), seed=3, threads=1,
+    run_figure("fig1", str(out), FigureParams(n=12, n_samples=5), seed=3,
                alphas=(1, 2), grid=[0.25, 0.5], gnuplot=True)
     assert (out / "fig1_simulated.csv").read_bytes() == before
 
@@ -464,7 +464,7 @@ def test_figure_bundle_tiny(tmp_path):
 def test_figure_page_vs_s_strong_squeezing_rows(tmp_path):
     out = tmp_path / "pvs"
     manifest = run_figure(
-        "page-vs-s", str(out), FigureParams(n=12, n_samples=4), seed=2, threads=1,
+        "page-vs-s", str(out), FigureParams(n=12, n_samples=4), seed=2,
         alphas=(1, 2), grid=[0.5, 3.0], mc_grid=[0.5],
     )
     assert "analytic_skipped" not in manifest
@@ -513,7 +513,7 @@ def test_figure_schema(tmp_path, name):
     analytic_header, simulated_header, grid_keys = FIGURE_SCHEMAS[name]
     grid = [0.25, 0.5]
     manifest = run_figure(name, str(tmp_path), FigureParams(n=12, n_samples=3), seed=5,
-                          threads=1, alphas=(2, 3), grid=grid, gnuplot=True)
+                          alphas=(2, 3), grid=grid, gnuplot=True)
     analytic, simulated, script = manifest["files"]
     header, rows = parse_csv((tmp_path / analytic).read_text())
     assert header == analytic_header and len(rows) == 4
@@ -543,14 +543,14 @@ def test_figure_limit_law_must_share_the_figure_scale(tmp_path):
     # the small-s figure divides by.
     with pytest.raises(ValueError, match="scaled by s\\^2 n"):
         run_figure("small-s", str(tmp_path / "out"), FigureParams(n=12, n_samples=3), seed=5,
-                   threads=1, alphas=(2, 1), grid=[0.25])
+                   alphas=(2, 1), grid=[0.25])
     assert list(tmp_path.iterdir()) == []
 
 
 def test_figure_fig1_takes_no_mc_grid(tmp_path):
     with pytest.raises(ValueError, match="mc_grid"):
         run_figure("fig1", str(tmp_path), FigureParams(n=12, n_samples=3), seed=5,
-                   threads=1, grid=[0.5], mc_grid=[0.5])
+                   grid=[0.5], mc_grid=[0.5])
 
 
 def test_unknown_figure_or_scale(capsys):

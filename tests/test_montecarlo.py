@@ -74,6 +74,25 @@ def test_equal_squeezing_runs_on_the_calling_thread(monkeypatch):
     assert run_experiment(plan, threads=2)[0] == want
 
 
+def test_equal_squeezing_with_traces_keeps_the_workers(monkeypatch):
+    # Trace blocks spend their time in a stacked eigvalsh that releases the
+    # interpreter lock, so two threads start a pool of two, with the same
+    # records as one thread.
+    plan = ExperimentPlan(n=40, k=17, squeezing=0.5, alphas=(2,), n_samples=70,
+                          master_seed=2, trw_max=3)
+    want, _ = run_experiment(plan, threads=1)
+    pools = []
+
+    class RecordingPool(montecarlo.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    assert run_experiment(plan, threads=2)[0] == want
+    assert pools == [2]
+
+
 def test_determinism_and_thread_independence():
     plan = ExperimentPlan(n=12, k=5, squeezing=0.4, alphas=(1, 2), n_samples=8,
                           master_seed=99)
