@@ -20,7 +20,6 @@ __all__ = [
     "SampleFailure",
     "SampleRecord",
     "Summary",
-    "equal_squeezing_spectrum",
     "estimate_Vd",
     "haar_frame",
     "jacobi_transmissions",
@@ -40,7 +39,7 @@ __all__ = [
 _EXPORTS = {
     "haar": ("haar_frame", "jacobi_transmissions", "sample_generator"),
     "states": ("reduced_covariance_general",),
-    "symplectic": ("equal_squeezing_spectrum", "symplectic_eigenvalues"),
+    "symplectic": ("symplectic_eigenvalues",),
     "entropy": ("renyi_entropy", "renyi_mode_entropy"),
     "pagecurve": ("ASYMPTOTIC", "PageCurveValue", "page_average", "page_limit",
                   "renyi_unequal_small"),

@@ -16,8 +16,8 @@ process may run on) or from a ``simulate --config`` file's ``threads``
 (default 1), which ``--threads`` overrides. The thread count never changes
 results. ``figure`` still accepts and checks ``--threads``, so existing
 command lines keep working, but runs on one thread: its plans are all equal
-squeezing without traces, which ``run_experiment`` keeps on the calling
-thread. The workers are the command's only parallelism: unless one of
+squeezing, which ``run_experiment`` keeps on the calling thread. The
+workers are the command's only parallelism: unless one of
 ``BLAS_THREAD_VARS`` is already set, importing this module before numpy sets
 all of them to 1, so each worker's BLAS calls run on that worker's thread
 instead of starting BLAS threads that compete with the other workers. Once
@@ -362,8 +362,7 @@ def run_figure(name, out_dir, params: FigureParams, seed: int, *,
     """Write one figure's analytic and simulated CSVs and its manifest.
 
     Monte-Carlo point ``i`` uses seed ``seed + i``. Every plan is equal
-    squeezing without traces, so ``run_experiment`` runs it on the calling
-    thread.
+    squeezing, so ``run_experiment`` runs it on the calling thread.
     """
     spec = FIGURES[name]
     alphas = tuple(alphas) if alphas is not None else spec.alphas
@@ -516,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--threads", default="auto",
-                   help="integer or 'auto'; checked, but every figure runs on one thread")
+                   help="integer or 'auto'; checked, but every figure is equal squeezing "
+                        "and runs on one thread")
     p.add_argument("--gnuplot", action="store_true", help="also emit a gnuplot script")
     p.set_defaults(func=cmd_figure)
 

@@ -229,10 +229,11 @@ def _log_dets(diag: np.ndarray, sup: np.ndarray, shifts: np.ndarray) -> np.ndarr
     ``diag`` (rows, m) and ``sup`` (rows, m - 1) are the squared diagonal
     and superdiagonal of B. The LDL^T pivots of I + x B^T B are
     1 + x diag_i + rho_i with rho_1 = 0 and
-    rho_{i+1} = x sup_i (1 + rho_i) / (1 + x diag_i + rho_i), every term
-    non-negative for entries in [0, 1] and x >= 0, so nothing cancels; L
-    sums log1p(x diag_i + rho_i) in the order of i, one row at a time
-    elementwise, so a row's values do not depend on the other rows.
+    rho_{i+1} = x sup_i ((1 + rho_i) / (1 + x diag_i + rho_i)), every term
+    non-negative for entries in [0, 1] and x >= 0, so nothing cancels, and
+    the ratio is at most one, so rho stays below x (x sup_i (1 + rho_i) can
+    overflow). L sums log1p(x diag_i + rho_i) in the order of i, one row at
+    a time elementwise, so a row's values do not depend on the other rows.
     """
     rows, m = diag.shape
     diag_t = np.ascontiguousarray(diag.T)[:, :, None]
@@ -246,10 +247,10 @@ def _log_dets(diag: np.ndarray, sup: np.ndarray, shifts: np.ndarray) -> np.ndarr
         term += rho
         if i + 1 < m:
             np.add(rho, 1.0, out=scratch)
+            np.add(term, 1.0, out=rho)
+            scratch /= rho
             np.multiply(sup_t[i], shifts, out=rho)
             rho *= scratch
-            np.add(term, 1.0, out=scratch)
-            rho /= scratch
         out += np.log1p(term, out=term)
     return out
 

@@ -118,9 +118,9 @@ def jacobi_transmissions(
     T^{(|n - 2k| - 1)/2} (Beenakker, RMP 69 (1997) 731), and the squared
     singular values of the bidiagonal B11 that ``_bidiagonal_squares``
     draws; this takes them from an ``eigvalsh`` of the tridiagonal
-    B11^T B11. The Monte Carlo needs no eigenvalues at equal squeezing (it
-    takes log-determinants of the same B11), so this is its agreement
-    oracle and the source of Tr W^i.
+    B11^T B11. The Monte Carlo's entropies need no eigenvalues (it takes
+    log-determinants of the same B11), so this is their agreement oracle
+    and the route of the Tr W^i of the variance diagnostics.
 
     ``sample_index`` is one index, giving shape ``(m,)``, or a sequence of
     indices, giving ``(len, m)``: each row is drawn from its own index's

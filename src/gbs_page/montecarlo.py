@@ -14,7 +14,8 @@ stacked ``eigvalsh``, whose rows are the values each sample gets alone.
 A sample that fails numerically aborts the whole experiment, naming the
 first failing index: the constructions are physically guaranteed to be
 valid states, so a failure indicates a bug, and silently skipping it would
-bias the means.
+bias the means. Samples record entropies only; the variance diagnostics
+take Tr W^i from the same draws (``_trace_powers``).
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -22,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _integer, _shift_rule, bidiagonal_entropies, spectrum_entropies
+from .entropy import _check_alpha, _integer, _shift_rule, bidiagonal_entropies, spectrum_entropies
 from .haar import _bidiagonal_squares, _squared_singular_values, haar_frame
 from .pagecurve import _check_ratio
-from .states import _power_sums, _w_block_eigenvalues, reduced_covariance_general
+from .states import reduced_covariance_general
 from .symplectic import _gram, _gram_spectrum
 
 __all__ = [
@@ -66,14 +67,16 @@ _PAIR_SAMPLES = 2
 # squeezing, sampler 1 never.
 SAMPLER = 5
 
+_OUT_OF_RANGE = "squared bidiagonal entries must be finite and in [0, 1]"
+
 
 class SampleFailure(RuntimeError):
-    """Numerical failure inside one Monte-Carlo sample."""
+    """Numerical failure inside one Monte-Carlo sample; ``cause`` is also its ``__cause__``."""
 
     def __init__(self, sample_index: int, cause: Exception):
         super().__init__(f"sample {sample_index} failed: {cause}")
         self.sample_index = sample_index
-        self.cause = cause
+        self.cause = self.__cause__ = cause
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,7 @@ class ExperimentPlan:
     ``squeezing`` is a scalar for the equal case (spectrum from the drawn
     transmission eigenvalues) or a length-n sequence for the general case
     (reduced covariance of the first k modes built from an n x k Haar frame).
-    ``alphas`` may include 1, meaning the von Neumann entropy. ``trw_max``
-    requests per-sample power traces Tr W^i for i = 1..trw_max. The integer
+    ``alphas`` may include 1, meaning the von Neumann entropy. The integer
     fields take integral values only (6 or 6.0, not 6.7 or True), and
     ``master_seed`` must be >= 0. A finite equal squeezing must lie within
     the float64 range of the log-determinant route (|s| <= 168.14 with
@@ -97,11 +99,9 @@ class ExperimentPlan:
     alphas: tuple[int, ...] = (1, 2)
     n_samples: int = 100
     master_seed: int = 0
-    trw_max: int = 0
 
     def __post_init__(self):
-        for name, minimum in (("n", 1), ("k", None), ("n_samples", 1), ("master_seed", 0),
-                              ("trw_max", 0)):
+        for name, minimum in (("n", 1), ("k", None), ("n_samples", 1), ("master_seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         if not 1 <= self.k <= self.n:
             raise ValueError(f"subsystem size k={self.k} out of range [1, {self.n}]")
@@ -139,11 +139,10 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class SampleRecord:
-    """Entropies (and optional W power traces) of one Haar draw."""
+    """Entropies of one Haar draw."""
 
     sample_index: int
     entropies: dict[int, float]
-    trw: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -170,33 +169,22 @@ def _checked(entropies: dict[int, float]) -> dict[int, float]:
     return entropies
 
 
-def _power_traces(lam: np.ndarray, plan: ExperimentPlan) -> tuple[float, ...]:
-    return tuple(float(x) for x in _power_sums(lam, plan.trw_max))
-
-
-def _sample_gram(plan: ExperimentPlan, index: int, out: np.ndarray) -> tuple[float, ...] | None:
-    """One per-mode sample up to its eigensolve: A^T A into ``out``, and its Tr W^i.
+def _sample_gram(plan: ExperimentPlan, index: int, out: np.ndarray) -> None:
+    """One per-mode sample up to its eigensolve: A^T A into ``out``.
 
     The global state is pure, so the k modes have the entropies of the
     other n - k. The sample takes the smaller side, m = min(k, n - k)
     modes: the covariance of an ``n x m`` Haar frame, and its Gram matrix
     as ``symplectic_eigenvalues`` forms it. At k = n it draws nothing
-    (m = 0). Tr W^i of the k-mode side are the power sums of the frame's
-    lambda and of 2k - n ones (k - m). The frame is freed before the Gram
-    matrix is formed, the covariance and Cholesky factor when this returns.
+    (m = 0). The frame is freed before the Gram matrix is formed, the
+    covariance and Cholesky factor when this returns.
     """
     m = min(plan.k, plan.n - plan.k)
-    lam = np.empty(0)
     if m:
         frame = haar_frame(plan.n, m, plan.master_seed, index)
-        if plan.trw_max:
-            lam = _w_block_eigenvalues(frame)
         sigma = reduced_covariance_general(frame, plan.squeezing)
         del frame
         _gram(sigma, out=out)
-    if not plan.trw_max:
-        return None
-    return _power_traces(np.concatenate([lam, np.ones(plan.k - m)]), plan)
 
 
 def _evaluate_per_mode_block(plan: ExperimentPlan, block: range) -> list[SampleRecord]:
@@ -209,29 +197,39 @@ def _evaluate_per_mode_block(plan: ExperimentPlan, block: range) -> list[SampleR
     """
     m = min(plan.k, plan.n - plan.k)
     grams = np.empty((len(block), 2 * m, 2 * m))
-    trw, failure = [], None
+    done, failure = len(block), None
     for row, index in enumerate(block):
         try:
-            trw.append(_sample_gram(plan, index, grams[row]))
+            _sample_gram(plan, index, grams[row])
         except Exception as exc:
-            failure = index, exc
+            done, failure = row, (index, exc)
             break
-    grams = grams[:len(trw)]
+    grams = grams[:done]
     try:
         values = np.linalg.eigvalsh(grams)
     except np.linalg.LinAlgError:
         values = None
     records = []
-    for row, index in enumerate(block[:len(trw)]):
+    for row, index in enumerate(block[:done]):
         try:
             nu = _gram_spectrum(np.linalg.eigvalsh(grams[row]) if values is None else values[row])
             entropies = _checked(spectrum_entropies(nu, plan.alphas))
         except Exception as exc:
-            raise SampleFailure(index, exc) from exc
-        records.append(SampleRecord(sample_index=index, entropies=entropies, trw=trw[row]))
+            raise SampleFailure(index, exc)
+        records.append(SampleRecord(sample_index=index, entropies=entropies))
     if failure:
-        raise SampleFailure(*failure) from failure[1]
+        raise SampleFailure(*failure)
     return records
+
+
+def _squares(plan: ExperimentPlan, block: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block's squared bidiagonals and, per row, whether every entry lies in [0, 1]."""
+    try:
+        diag, sup = _bidiagonal_squares(plan.n, plan.k, plan.master_seed, block)
+    except Exception as exc:
+        raise SampleFailure(block[0], exc)
+    in_range = np.all((diag >= 0) & (diag <= 1), axis=1) & np.all((sup >= 0) & (sup <= 1), axis=1)
+    return diag, sup, in_range
 
 
 def _evaluate_equal_block(plan: ExperimentPlan, block: range) -> list[SampleRecord]:
@@ -240,35 +238,27 @@ def _evaluate_equal_block(plan: ExperimentPlan, block: range) -> list[SampleReco
     A row is physical when its squared entries lie in [0, 1] and its
     entropies are finite (then every log-determinant pivot is finite and
     >= 1). The rows are checked in index order, so a failure names the
-    block's first failing sample. Tr W^i, when the plan asks, are power
-    sums of lambda = 1 - T padded with k - m ones, with T from one stacked
-    ``eigvalsh`` of the block's checked bidiagonals.
+    block's first failing sample.
     """
+    diag, sup, in_range = _squares(plan, block)
     try:
-        diag, sup = _bidiagonal_squares(plan.n, plan.k, plan.master_seed, block)
         with np.errstate(all="ignore"):  # an unphysical row fails its own check below
             values = bidiagonal_entropies(diag, sup, plan.squeezing, plan.alphas)
     except Exception as exc:
-        raise SampleFailure(block[0], exc) from exc
-    in_range = np.all((diag >= 0) & (diag <= 1), axis=1) & np.all((sup >= 0) & (sup <= 1), axis=1)
+        raise SampleFailure(block[0], exc)
     finite = np.all([np.isfinite(v) for v in values.values()], axis=0)
-    entropies = []
+    records = []
     for row, index in enumerate(block):
+        if not in_range[row]:
+            raise SampleFailure(index, ValueError(_OUT_OF_RANGE))
         try:
-            if not in_range[row]:
-                raise ValueError("squared bidiagonal entries must be finite and in [0, 1]")
             if not finite[row]:
                 raise ValueError("log-determinant pivots must be finite and positive")
-            entropies.append(_checked({a: float(v[row]) for a, v in values.items()}))
+            entropies = _checked({a: float(v[row]) for a, v in values.items()})
         except (ValueError, FloatingPointError) as exc:
-            raise SampleFailure(index, exc) from exc
-    trw = [None] * len(block)
-    if plan.trw_max:
-        t = _squared_singular_values(diag, sup)
-        ones = np.ones(plan.k - t.shape[1])
-        trw = [_power_traces(np.concatenate([1.0 - row, ones]), plan) for row in t]
-    return [SampleRecord(sample_index=index, entropies=e, trw=w)
-            for index, e, w in zip(block, entropies, trw)]
+            raise SampleFailure(index, exc)
+        records.append(SampleRecord(sample_index=index, entropies=entropies))
+    return records
 
 
 def _blocks(plan: ExperimentPlan) -> list[range]:
@@ -294,20 +284,17 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple[list[SampleR
     Samples are evaluated in the fixed blocks of ``_blocks``, one block per
     task. Records are returned (and aggregated) in sample-index order
     whatever the thread count; identical plans give bit-identical records.
-    Equal-squeezing plans without traces (``trw_max == 0``) run on the
-    calling thread whatever ``threads`` is: their blocks are chains of short
-    numpy calls that take the interpreter lock back every few microseconds,
-    so a second worker only adds contention. Plans with traces keep the
-    workers: their blocks spend most of their time in one stacked
-    ``eigvalsh`` that releases the lock (two workers take ``estimate_Vd`` at
-    n = 400 from 0.63 to 0.40 s on two cores). With several threads, pin
-    the process's BLAS to one thread before numpy loads (as ``gbs_page.cli``
-    does), or each worker's BLAS calls start threads that compete with the
-    other workers.
+    Equal-squeezing plans run on the calling thread whatever ``threads`` is:
+    their blocks are chains of short numpy calls that take the interpreter
+    lock back every few microseconds, so a second worker only adds
+    contention. Per-mode plans with ``threads > 1`` run their blocks on a
+    pool of that many workers. Pin the process's BLAS to one thread before
+    numpy loads (as ``gbs_page.cli`` does), or each worker's BLAS calls
+    start threads that compete with the other workers.
     """
     threads = _integer("thread count", threads, 1)
     blocks = _blocks(plan)
-    if threads == 1 or (plan.equal_squeezing and not plan.trw_max):
+    if threads == 1 or plan.equal_squeezing:
         done = [_evaluate_block(plan, block) for block in blocks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -354,11 +341,11 @@ def variance_trend(ns, r: float, s: float, alpha: int, n_samples: int, seed: int
     One experiment per n (same r, s, alpha, sample count); the bootstrap
     (percentile, ``n_boot`` resamples) is seeded per n so the whole trend is
     reproducible. Entropy distributions are skewed at small n, hence the
-    bootstrap rather than normal-theory intervals. Its plans are equal
-    squeezing without traces, so they run on the calling thread.
+    bootstrap rather than normal-theory intervals. ``alpha`` is an order
+    >= 2 and ``n_samples`` at least 2.
     """
-    if alpha < 2:
-        raise ValueError(f"variance trend is defined for Renyi orders >= 2, got {alpha}")
+    alpha = _check_alpha(alpha, 2)
+    n_samples = _integer("n_samples", n_samples, 2)
     out = []
     for n in ns:
         plan = ExperimentPlan.from_ratio(
@@ -376,6 +363,31 @@ def variance_trend(ns, r: float, s: float, alpha: int, n_samples: int, seed: int
     return out
 
 
+def _power_sums(lam: np.ndarray, max_power: int) -> np.ndarray:
+    """sum_j lam_j^i for i = 1..max_power, over the last axis of lam."""
+    return np.sum(lam[..., None, :] ** np.arange(1, max_power + 1)[:, None], axis=-1)
+
+
+def _trace_powers(plan: ExperimentPlan, max_power: int) -> np.ndarray:
+    """Tr W^i, i = 1..max_power, of every sample of the plan: shape (n_samples, max_power).
+
+    Tr W^i does not depend on squeezing. Each block of ``_blocks`` draws
+    its squared bidiagonals as an equal-squeezing block does, and a row
+    out of [0, 1] is a ``SampleFailure`` naming the first such index. The
+    eigenvalues of W are lambda = 1 - T, with T from one stacked
+    ``eigvalsh`` of the block, and k - m ones.
+    """
+    out = np.empty((plan.n_samples, max_power))
+    for block in _blocks(plan):
+        diag, sup, in_range = _squares(plan, block)
+        if not in_range.all():
+            raise SampleFailure(block[int(np.argmin(in_range))], ValueError(_OUT_OF_RANGE))
+        t = _squared_singular_values(diag, sup)
+        lam = np.concatenate([1.0 - t, np.ones((len(block), plan.k - t.shape[1]))], axis=1)
+        out[block.start:block.stop] = _power_sums(lam, max_power)
+    return out
+
+
 def _vd_from_trw(trw: np.ndarray, d_max: int) -> np.ndarray:
     """Plug-in covariance combinations V_d, d = 2..d_max, from (N, d_max-1) traces."""
     cov = np.cov(trw, rowvar=False, ddof=1)
@@ -388,48 +400,44 @@ def _vd_from_trw(trw: np.ndarray, d_max: int) -> np.ndarray:
     return out
 
 
-def estimate_Vd(d_max: int, n: int, r: float, n_samples: int, seed: int,
-                threads: int = 1) -> np.ndarray:
+def estimate_Vd(d_max: int, n: int, r: float, n_samples: int, seed: int) -> np.ndarray:
     """Monte-Carlo estimates of the trace-covariance constants V_d, d = 2..d_max.
 
     V_d = sum_{ell=1}^{d-1} cov(Tr W^ell, Tr W^{d-ell}) / (ell (d-ell)),
-    estimated with unbiased sample covariances. Independent of squeezing.
-    For k = 0 or k = n the traces are deterministic and every V_d is zero.
+    estimated with unbiased sample covariances from ``n_samples >= 2``
+    draws. Independent of squeezing. The traces of the two sides of a cut
+    differ by a constant, so k = 0 runs as k = n, whose traces are all n:
+    every V_d is zero.
     """
-    if d_max < 2:
-        raise ValueError(f"d_max must be >= 2, got {d_max}")
-    k = round(r * n)
-    if k == 0 or k == n:
-        return np.zeros(d_max - 1)
-    plan = ExperimentPlan(
-        n=n, k=k, squeezing=0.0, alphas=(2,), n_samples=n_samples,
-        master_seed=seed, trw_max=d_max - 1,
-    )
-    records, _ = run_experiment(plan, threads=threads)
-    trw = np.array([rec.trw for rec in records])
-    return _vd_from_trw(trw, d_max)
+    d_max = _integer("d_max", d_max, 2)
+    k = round(_check_ratio(r) * _integer("n", n, 1))
+    plan = ExperimentPlan(n=n, k=k or n, squeezing=0.0, master_seed=seed,
+                          n_samples=_integer("n_samples", n_samples, 2))
+    return _vd_from_trw(_trace_powers(plan, d_max - 1), d_max)
 
 
 def s2_variance_identity(n: int, r: float, s: float, d_max: int, n_samples: int,
-                         seed: int, n_boot: int = 2000, threads: int = 1) -> dict:
+                         seed: int, n_boot: int = 2000) -> dict:
     """Compare Var(S_2) against its trace-covariance expansion on one run.
 
     The exact per-sample identity S_2 = sum_i tanh^{2i}(2s)/(2i) (k - Tr W^i)
     implies Var(S_2) = (1/4) sum_{d>=2} tanh^{2d}(2s) V_d. Both sides are
-    estimated from the same samples, each with its own percentile bootstrap
+    estimated from the same samples (S_2 from ``run_experiment``, the
+    traces from the same draws), each with its own percentile bootstrap
     CI, and ``consistent`` reports whether the two intervals overlap. The
     d_max cut biases the model low by a relative O(tanh^{2(d_max+1)}(2s)),
     far inside the CI widths at the intended sample counts (a paired
     difference test would resolve that truncation bias and is deliberately
     not used).
     """
+    d_max = _integer("d_max", d_max, 2)
     plan = ExperimentPlan.from_ratio(
-        n=n, r=r, squeezing=float(s), alphas=(2,), n_samples=n_samples,
-        master_seed=seed, trw_max=d_max - 1,
+        n=n, r=r, squeezing=float(s), alphas=(2,),
+        n_samples=_integer("n_samples", n_samples, 2), master_seed=seed,
     )
-    records, _ = run_experiment(plan, threads=threads)
+    records, _ = run_experiment(plan)
     s2 = np.array([rec.entropies[2] for rec in records])
-    trw = np.array([rec.trw for rec in records])
+    trw = _trace_powers(plan, d_max - 1)
     t2 = np.tanh(2.0 * s) ** 2
     weights = 0.25 * t2 ** np.arange(2, d_max + 1)
 
@@ -441,7 +449,7 @@ def s2_variance_identity(n: int, r: float, s: float, d_max: int, n_samples: int,
     var_boot = np.empty(n_boot)
     model_boot = np.empty(n_boot)
     for b in range(n_boot):
-        idx = brng.integers(0, n_samples, n_samples)
+        idx = brng.integers(0, plan.n_samples, plan.n_samples)
         var_boot[b] = float(s2[idx].var(ddof=1))
         model_boot[b] = float(weights @ _vd_from_trw(trw[idx], d_max))
     var_ci = tuple(float(x) for x in np.percentile(var_boot, [2.5, 97.5]))

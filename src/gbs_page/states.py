@@ -14,36 +14,17 @@ D = diag(e^{2 s_i}) (+) diag(e^{-2 s_i}) and R the 2k rows of the
 orthogonal image of U that belong to those modes. The global state is
 pure, so the other n - k modes have the same entropies, and the Monte
 Carlo builds the covariance of the smaller side from an n x min(k, n - k)
-frame. With either kind of squeezing Tr W^i are the power sums of the
-spectrum lambda of the positive-semidefinite matrix W = Pi X Pi X^dag Pi,
-with X = U U^T and Pi the projector onto the first k modes; its nonzero
-part is the spectrum of x x^dag, where x = U_k U_k^T = F^T F. The two
-sides of the cut share the values of lambda below one, and the larger
-side has |2k - n| more ones. At equal squeezing that spectrum is
-all the entropies need: ``haar.jacobi_transmissions`` draws it as
-lambda = 1 - T and ``symplectic.equal_squeezing_spectrum`` maps it to nu,
-while the Monte Carlo takes the same entropies from log-determinants of
-the bidiagonal whose squared singular values are T
-(``entropy.bidiagonal_entropies``).
+frame. At equal squeezing no covariance is built: the entropies need only
+the transmission eigenvalues T that ``haar`` draws (the eigenvalues of
+W = Pi X Pi X^dag Pi, with X = U U^T and Pi the projector onto the first
+k modes, are 1 - T and |2k - n| ones on the larger side), and the Monte
+Carlo takes them from log-determinants of the bidiagonal whose squared
+singular values are T (``entropy.bidiagonal_entropies``).
 """
 
 import numpy as np
 
 __all__ = ["reduced_covariance_general"]
-
-
-def _w_block_eigenvalues(frame: np.ndarray) -> np.ndarray:
-    """Nonzero spectrum of W, ascending, from the n x k frame F = U_k^T.
-
-    One Hermitian eigensolve of x x^dag with x = F^T F = U_k U_k^T.
-    """
-    x = frame.T @ frame
-    return np.linalg.eigvalsh(x @ x.conj().T)
-
-
-def _power_sums(lam: np.ndarray, max_power: int) -> np.ndarray:
-    """sum_j lam_j^i for i = 1..max_power."""
-    return np.sum(lam[None, :] ** np.arange(1, max_power + 1)[:, None], axis=1)
 
 
 def reduced_covariance_general(frame: np.ndarray, s) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-__all__ = ["equal_squeezing_spectrum", "symplectic_eigenvalues"]
+__all__ = ["symplectic_eigenvalues"]
 
 # Values within CLAMP_WINDOW below one are rounded up to exactly one so the
 # entropy functionals stay finite; anything below FAIL_TOL signals a matrix
@@ -84,27 +84,6 @@ def _gram(sigma: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def _gram_spectrum(values: np.ndarray) -> np.ndarray:
     """Symplectic spectrum, descending, from the ascending eigenvalues of A^T A."""
     return _physical_spectrum(np.sqrt(np.maximum(values[::-1][0::2], 0.0)))
-
-
-def equal_squeezing_spectrum(t: np.ndarray, k: int, s: float) -> np.ndarray:
-    """Symplectic spectrum of k modes at equal squeezing s from transmissions t.
-
-    ``t`` holds the m <= k transmission eigenvalues T_j (the eigenvalues
-    of W are 1 - T_j and k - m ones). nu_j = sqrt(1 + sinh^2(2s) T_j) for
-    those m, which needs no cancellation at strong squeezing, and exactly
-    1.0 for the other k - m modes. Sorted descending and checked like
-    ``symplectic_eigenvalues``; a non-finite s or T_j raises ValueError.
-    """
-    if not np.isfinite(s):
-        raise ValueError("squeezing strength must be finite")
-    t = np.sort(np.asarray(t, dtype=float))[::-1]
-    if t.ndim != 1 or t.size > k:
-        raise ValueError(f"need at most k={k} transmission eigenvalues, got shape {t.shape}")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("transmission eigenvalues must be finite")
-    nu = np.ones(k)
-    nu[: t.size] = np.sqrt(np.maximum(1.0 + np.sinh(2 * s) ** 2 * t, 0.0))
-    return _physical_spectrum(nu)
 
 
 def _physical_spectrum(nu: np.ndarray) -> np.ndarray:

@@ -13,10 +13,13 @@ with zeta = 1 for even alpha and 0 for odd, a cross-check of the direct
 form in ``gbs_page.entropy``. ``build_W`` forms the full n x n matrix
 W = Pi X Pi X^dag Pi (X = U U^T, Pi the projector onto the first k modes)
 whose power traces ``trW_moments`` computes from its k x k corner.
+``w_block_eigenvalues`` is the nonzero spectrum of W from a frame.
 ``build_M`` and ``reduced_covariance_equal`` build the 2k x 2k reduced
 covariance cosh(2s) I + sinh(2s) M of equal squeezing, whose
-``symplectic_eigenvalues`` the Monte Carlo's equal-squeezing route
-(``equal_squeezing_spectrum`` of the eigenvalues of W) must reproduce.
+``symplectic_eigenvalues`` the eigenvalue route of equal squeezing
+(``equal_squeezing_spectrum`` of the transmissions T = 1 - lambda) must
+reproduce; that route is in turn the oracle of the Monte Carlo's
+log-determinants.
 ``symplectic_eigenvalues_eigh`` takes the symplectic spectrum through a
 symmetric eigendecomposition, the matrix square root S and the Hermitian
 eigenvalues of i S Omega S, and ``symplectic_eigenvalues_svd`` through
@@ -45,7 +48,7 @@ import numpy as np
 
 from gbs_page.entropy import _as_spectrum, _check_alpha, renyi_entropy
 from gbs_page.haar import _ginibre, haar_frame
-from gbs_page.states import _power_sums, _w_block_eigenvalues
+from gbs_page.montecarlo import _power_sums
 from gbs_page.symplectic import SYMMETRY_TOL, _physical_spectrum, symplectic_eigenvalues
 
 
@@ -66,13 +69,22 @@ def haar_unitary(n: int, master_seed: int, sample_index: int = 0) -> np.ndarray:
     return householder_frame(_ginibre(n, n, master_seed, sample_index))
 
 
+def w_block_eigenvalues(frame: np.ndarray) -> np.ndarray:
+    """Nonzero spectrum of W, ascending, from the n x k frame F = U_k^T.
+
+    One Hermitian eigensolve of x x^dag with x = F^T F = U_k U_k^T.
+    """
+    x = frame.T @ frame
+    return np.linalg.eigvalsh(x @ x.conj().T)
+
+
 def frame_transmissions(n: int, k: int, master_seed: int, sample_index: int = 0) -> np.ndarray:
     """The m = min(k, n - k) largest T = 1 - lambda of a Haar frame, ascending.
 
     lambda are the eigenvalues of x x^dag, x = F^T F, for the n x k frame
     F; the k - m values of T dropped here are zero up to rounding.
     """
-    t = np.sort(1.0 - _w_block_eigenvalues(haar_frame(n, k, master_seed, sample_index)))
+    t = np.sort(1.0 - w_block_eigenvalues(haar_frame(n, k, master_seed, sample_index)))
     return t[k - min(k, n - k):]
 
 
@@ -238,6 +250,27 @@ def reduced_covariance_equal(U: np.ndarray, s: float, k: int) -> np.ndarray:
     return np.cosh(2 * s) * np.eye(2 * k) + np.sinh(2 * s) * build_M(U, k)
 
 
+def equal_squeezing_spectrum(t: np.ndarray, k: int, s: float) -> np.ndarray:
+    """Symplectic spectrum of k modes at equal squeezing s from transmissions t.
+
+    ``t`` holds the m <= k transmission eigenvalues T_j (the eigenvalues
+    of W are 1 - T_j and k - m ones). nu_j = sqrt(1 + sinh^2(2s) T_j) for
+    those m, which needs no cancellation at strong squeezing, and exactly
+    1.0 for the other k - m modes. Sorted descending and checked like
+    ``symplectic_eigenvalues``; a non-finite s or T_j raises ValueError.
+    """
+    if not np.isfinite(s):
+        raise ValueError("squeezing strength must be finite")
+    t = np.sort(np.asarray(t, dtype=float))[::-1]
+    if t.ndim != 1 or t.size > k:
+        raise ValueError(f"need at most k={k} transmission eigenvalues, got shape {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("transmission eigenvalues must be finite")
+    nu = np.ones(k)
+    nu[: t.size] = np.sqrt(np.maximum(1.0 + np.sinh(2 * s) ** 2 * t, 0.0))
+    return _physical_spectrum(nu)
+
+
 def trW_moments(U: np.ndarray, k: int, max_power: int) -> np.ndarray:
     """Power traces Tr W^i for i = 1..max_power.
 
@@ -247,7 +280,7 @@ def trW_moments(U: np.ndarray, k: int, max_power: int) -> np.ndarray:
     _check_k(U, k)
     if max_power < 1:
         raise ValueError(f"max_power must be >= 1, got {max_power}")
-    return _power_sums(_w_block_eigenvalues(U[:k].T), max_power)
+    return _power_sums(w_block_eigenvalues(U[:k].T), max_power)
 
 
 def symplectic_eigenvalues_eigh(sigma: np.ndarray) -> np.ndarray:

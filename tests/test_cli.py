@@ -411,6 +411,16 @@ def test_squeezing_beyond_float64_range_is_usage_error(capsys):
     assert code == EXIT_USAGE and "168.14" in err
 
 
+def test_simulate_answers_just_inside_the_float64_range(capsys):
+    # Both once exited 4: a pivot recurrence that overflowed below the limits.
+    for n, k, s, alphas, samples in (("8", "4", "168.1", "1,2", "4"),
+                                     ("40", "20", "177", "2,3", "64")):
+        code, _, err = run_cli(capsys, "simulate", "--n", n, "--k", k, "--s", s,
+                               "--alphas", alphas, "--samples", samples, "--seed", "1",
+                               "--threads", "1")
+        assert code == 0, err
+
+
 def test_simulate_per_mode_strong_squeezing(tmp_path, capsys):
     # Every s_i = 20 (nu ~ 1e17): once a SampleFailure with a von Neumann of 0.
     config = tmp_path / "config.json"

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
-from oracles import cholesky_qr_frame_inv, gram_full_product, haar_unitary, purity_symmetry_check
+from oracles import (
+    cholesky_qr_frame_inv,
+    equal_squeezing_spectrum,
+    gram_full_product,
+    haar_unitary,
+    purity_symmetry_check,
+)
 
 from gbs_page import (
     ExperimentPlan,
     SampleFailure,
-    equal_squeezing_spectrum,
     estimate_Vd,
     haar_frame,
     jacobi_transmissions,
@@ -51,37 +56,17 @@ def test_vacuum_gives_exact_zero():
 
 
 def test_per_mode_pure_state_gives_exact_zero():
-    # k = n leaves the other side empty: no frame is drawn, every entropy is
-    # exactly zero at any squeezing, and W is the identity (Tr W^i = n).
+    # k = n leaves the other side empty: no frame is drawn, and every
+    # entropy is exactly zero at any squeezing.
     plan = ExperimentPlan(n=40, k=40, squeezing=tuple(np.linspace(0.0, 3.0, 40)),
-                          alphas=(1, 2, 3), n_samples=5, master_seed=3, trw_max=2)
+                          alphas=(1, 2, 3), n_samples=5, master_seed=3)
     records, summary = run_experiment(plan)
     assert all(v == 0.0 for rec in records for v in rec.entropies.values())
-    assert all(rec.trw == (40.0, 40.0) for rec in records)
     assert all(st.mean == 0.0 for st in summary.per_alpha.values())
 
 
-def test_equal_squeezing_runs_on_the_calling_thread(monkeypatch):
-    # Two blocks and two threads: the records are the one-thread ones, and no
-    # worker pool is started.
-    plan = ExperimentPlan(n=40, k=17, squeezing=0.5, alphas=(1, 2), n_samples=70,
-                          master_seed=2)
-    want, _ = run_experiment(plan, threads=1)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("an equal-squeezing run started a worker pool")
-
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
-    assert run_experiment(plan, threads=2)[0] == want
-
-
-def test_equal_squeezing_with_traces_keeps_the_workers(monkeypatch):
-    # Trace blocks spend their time in a stacked eigvalsh that releases the
-    # interpreter lock, so two threads start a pool of two, with the same
-    # records as one thread.
-    plan = ExperimentPlan(n=40, k=17, squeezing=0.5, alphas=(2,), n_samples=70,
-                          master_seed=2, trw_max=3)
-    want, _ = run_experiment(plan, threads=1)
+def _recording_pools(monkeypatch):
+    """Replace ``montecarlo.ThreadPoolExecutor`` by one that logs its worker counts."""
     pools = []
 
     class RecordingPool(montecarlo.ThreadPoolExecutor):
@@ -90,8 +75,33 @@ def test_equal_squeezing_with_traces_keeps_the_workers(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
-    assert run_experiment(plan, threads=2)[0] == want
-    assert pools == [2]
+    return pools
+
+
+def test_equal_squeezing_runs_on_the_calling_thread(monkeypatch):
+    # Whatever the thread count, an equal-squeezing plan starts no worker
+    # pool and gives the one-thread records (70 samples: two blocks).
+    pools = _recording_pools(monkeypatch)
+    for n, k, s, alphas in ((40, 17, 0.5, (1, 2)), (9, 6, 3.0, (1, 2, 3)), (12, 12, 0.5, (1,)),
+                            (400, 200, 0.0, (2, 15))):
+        plan = ExperimentPlan(n=n, k=k, squeezing=s, alphas=alphas, n_samples=70,
+                              master_seed=2)
+        want, _ = run_experiment(plan, threads=1)
+        for threads in (2, 3):
+            assert run_experiment(plan, threads=threads)[0] == want
+    assert pools == []
+
+
+def test_per_mode_plans_start_a_pool_of_threads(monkeypatch):
+    # The one other case of the thread rule: a per-mode plan runs on a pool
+    # of ``threads`` workers when threads > 1, with the one-thread records.
+    pools = _recording_pools(monkeypatch)
+    plan = ExperimentPlan(n=12, k=5, squeezing=tuple(np.linspace(0.0, 0.5, 12)),
+                          alphas=(1, 2), n_samples=5, master_seed=2)
+    want, _ = run_experiment(plan, threads=1)
+    assert pools == []
+    assert run_experiment(plan, threads=3)[0] == want
+    assert pools == [3]
 
 
 def test_determinism_and_thread_independence():
@@ -143,55 +153,47 @@ def test_mean_matches_analytic():
 
 def test_trw_moments_recorded():
     plan = ExperimentPlan(n=12, k=6, squeezing=0.5, alphas=(2,), n_samples=3,
-                          master_seed=13, trw_max=4)
-    records, _ = run_experiment(plan)
-    for rec in records:
-        assert len(rec.trw) == 4
-        # Tr W^i decreasing in i (eigenvalues in [0, 1])
-        assert all(x >= y - 1e-12 for x, y in zip(rec.trw, rec.trw[1:]))
+                          master_seed=13)
+    trw = montecarlo._trace_powers(plan, 4)
+    assert trw.shape == (3, 4)
+    # Tr W^i decreasing in i (eigenvalues in [0, 1])
+    assert np.all(trw[:, 1:] <= trw[:, :-1] + 1e-12)
 
 
 def test_equal_trw_are_power_sums_of_the_sample_draw():
-    # The equal path takes Tr W^i from the sample's own transmission draw:
-    # lambda = 1 - T, padded with k - m ones. k > n/2 here, so m = 3 < k = 6.
-    plan = ExperimentPlan(n=9, k=6, squeezing=0.3, alphas=(2,), n_samples=3,
-                          master_seed=21, trw_max=5)
-    records, _ = run_experiment(plan)
-    for rec in records:
-        t = jacobi_transmissions(9, 6, master_seed=21, sample_index=rec.sample_index)
+    # Tr W^i come from each sample's own transmission draw, the one its
+    # entropies use: lambda = 1 - T, padded with k - m ones. k > n/2 here,
+    # so m = 3 < k = 6; 70 samples make two blocks.
+    plan = ExperimentPlan(n=9, k=6, squeezing=0.3, alphas=(2,), n_samples=70,
+                          master_seed=21)
+    trw = montecarlo._trace_powers(plan, 5)
+    assert trw.shape == (70, 5)
+    for index in (0, 33, 69):
+        t = jacobi_transmissions(9, 6, master_seed=21, sample_index=index)
         lam = np.concatenate([1.0 - t, np.ones(3)])
         want = [np.sum(lam ** i) for i in range(1, 6)]
-        assert t.size == 3 and np.allclose(rec.trw, want, rtol=0, atol=1e-12)
+        assert t.size == 3 and np.allclose(trw[index], want, rtol=0, atol=1e-12)
 
 
-def test_unequal_trw_match_trW_moments():
-    # Per-mode squeezing draws the same n x k frame as the equal path, and
-    # its Tr W^i are traces of matrix powers of that frame's block x x^dag.
-    s = tuple(np.linspace(0.1, 0.4, 6))
-    plan = ExperimentPlan(n=6, k=2, squeezing=s, alphas=(2,), n_samples=2,
-                          master_seed=4, trw_max=3)
-    records, _ = run_experiment(plan)
-    for rec in records:
-        F = haar_frame(6, 2, master_seed=4, sample_index=rec.sample_index)
-        x = F.T @ F
-        block = x @ x.conj().T
-        want = [np.trace(np.linalg.matrix_power(block, i)).real for i in range(1, 4)]
-        assert np.allclose(rec.trw, want, rtol=0, atol=1e-12)
+@pytest.mark.parametrize("bad", [[5], [montecarlo._BLOCK_SAMPLES + 2], [70, 9]])
+def test_bad_draw_in_the_trace_route_names_its_sample(monkeypatch, bad):
+    # Out-of-range squared entries (a NaN, or a value above one) in any
+    # block: the trace route, and estimate_Vd through it, name the first
+    # bad index.
+    def draw(n, k, seed, index):
+        diag, sup = _bidiagonal_squares(n, k, seed, index)
+        diag[np.isin(index, bad), 0] = np.nan
+        sup[np.isin(index, bad[1:]), 0] = 1.5
+        return diag, sup
 
-
-def test_unequal_trw_above_half_are_those_of_the_smaller_frame():
-    # k = 6 of 9: the sample draws a 9 x 3 frame, and Tr W^i of the six
-    # modes are the power sums of that frame's lambda plus 2k - n = 3.
-    s = tuple(np.linspace(0.1, 0.4, 9))
-    plan = ExperimentPlan(n=9, k=6, squeezing=s, alphas=(2,), n_samples=3, master_seed=4,
-                          trw_max=4)
-    records, _ = run_experiment(plan)
-    for rec in records:
-        F = haar_frame(9, 3, master_seed=4, sample_index=rec.sample_index)
-        x = F.T @ F
-        lam = np.linalg.eigvalsh(x @ x.conj().T)
-        want = [np.sum(lam ** i) + 3 for i in range(1, 5)]
-        assert np.allclose(rec.trw, want, rtol=0, atol=1e-12)
+    monkeypatch.setattr(montecarlo, "_bidiagonal_squares", draw)
+    plan = ExperimentPlan(n=40, k=20, squeezing=0.5, n_samples=100, master_seed=1)
+    for run in (lambda: montecarlo._trace_powers(plan, 3),
+                lambda: estimate_Vd(4, 40, 0.5, 100, seed=1)):
+        with pytest.raises(SampleFailure, match="in \\[0, 1\\]") as err:
+            run()
+        assert err.value.sample_index == min(bad) and isinstance(err.value.cause, ValueError)
+        assert err.value.__cause__ is err.value.cause
 
 
 def test_unequal_sample_is_the_frame_covariance():
@@ -244,6 +246,20 @@ def test_equal_squeezing_beyond_the_log_determinant_range_is_rejected():
     assert all(rec.entropies[2] > 1000 for rec in records)
 
 
+@pytest.mark.parametrize("n,k,s,alphas,samples", [(8, 4, 168.1, (1, 2), 4),
+                                                  (40, 20, 177.0, (2, 3), 64)])
+def test_log_determinants_stay_finite_inside_the_accepted_range(n, k, s, alphas, samples):
+    # Just below each limit: the pivot recurrence once formed x sup (1 + rho),
+    # about x^2, and overflowed (sample 3 of the first plan, 0 of the second).
+    plan = ExperimentPlan(n=n, k=k, squeezing=s, alphas=alphas, n_samples=samples,
+                          master_seed=1)
+    for rec in run_experiment(plan)[0]:
+        nu = equal_squeezing_spectrum(
+            jacobi_transmissions(n, k, master_seed=1, sample_index=rec.sample_index), k, s)
+        for alpha in alphas:
+            assert rec.entropies[alpha] == pytest.approx(renyi_entropy(nu, alpha), rel=1e-12)
+
+
 def test_variance_trend_vacuum_is_zero():
     trend = variance_trend([10, 20], r=0.5, s=0.0, alpha=2, n_samples=30, seed=5)
     assert all(est.variance == 0.0 for est in trend)
@@ -275,6 +291,48 @@ def test_s2_variance_identity_quick():
                                seed=29, n_boot=500)
     assert out["consistent"]
     assert out["model"] == pytest.approx(out["variance"], rel=0.5)
+
+
+def test_variance_diagnostics_keep_their_values():
+    # Values of the route that recorded Tr W^i inside the sampling engine:
+    # the traces are the same draws, so V_d and the model are bit for bit;
+    # Var(S_2) moves in the last bits with the log-determinant recurrence.
+    vd = estimate_Vd(6, 400, 0.5, 256, seed=3)
+    assert [x.hex() for x in vd] == ["0x1.ebd96e310fe1ep-4", "0x1.e8675032c2c13p-4",
+                                     "0x1.b6f63e88f4022p-4", "0x1.86b1d58d72c0ep-4",
+                                     "0x1.5dbf030fb738ep-4"]
+    out = s2_variance_identity(60, 0.5, 0.5, 12, 300, 29, n_boot=500)
+    assert out["model"] == 0.019717439650402447
+    assert out["model_ci"] == (0.016897745062776227, 0.02279486111816409)
+    assert out["variance"] == pytest.approx(0.01974010483604088, rel=1e-12)
+    assert out["variance_ci"] == pytest.approx((0.01691655369397683, 0.022820786308927705),
+                                               rel=1e-12)
+    assert out["consistent"]
+
+
+@pytest.mark.parametrize("function,args,message", [
+    (estimate_Vd, (4, 20, np.inf, 10, 1), "^partition ratio must lie in"),
+    (estimate_Vd, (4, 20, np.nan, 10, 1), "^partition ratio must lie in"),
+    (estimate_Vd, (4, 0, 0.5, 10, 1), "^n must be >= 1"),
+    (estimate_Vd, (4, 20, 0.0, 10, -1), "^master_seed must be >= 0"),
+    (estimate_Vd, (4, 20, 0.5, 1, 1), "^n_samples must be >= 2"),
+    (estimate_Vd, (1, 20, 0.5, 10, 1), "^d_max must be >= 2"),
+    (estimate_Vd, (4.5, 20, 0.5, 10, 1), "^d_max must be an integer"),
+    (s2_variance_identity, (20, 0.5, 0.5, 1, 10, 1), "^d_max must be >= 2"),
+    (s2_variance_identity, (20, 0.5, 0.5, 4.5, 10, 1), "^d_max must be an integer"),
+    (s2_variance_identity, (20, 0.5, 0.5, 4, 1, 1), "^n_samples must be >= 2"),
+    (s2_variance_identity, (20, np.nan, 0.5, 4, 10, 1), "^partition ratio must lie in"),
+    (variance_trend, ([10], 0.5, 0.5, 1, 10, 1), "^Renyi order must be >= 2"),
+    (variance_trend, ([10], 0.5, 0.5, "x", 10, 1), "^Renyi order must be an integer"),
+    (variance_trend, ([10], 0.5, 0.5, 2, 1, 1), "^n_samples must be >= 2"),
+], ids=["Vd-r-inf", "Vd-r-nan", "Vd-n-0", "Vd-seed", "Vd-samples", "Vd-d_max", "Vd-d_max-frac",
+        "s2-d_max", "s2-d_max-frac", "s2-samples", "s2-r-nan", "trend-alpha", "trend-alpha-x",
+        "trend-samples"])
+def test_variance_functions_check_their_inputs(function, args, message):
+    # The package rules, before any shortcut: k = 0 or a vacuum run would
+    # otherwise return zeros for a bad n or seed.
+    with pytest.raises(ValueError, match=message):
+        function(*args)
 
 
 def test_weak_typicality_proxy():
@@ -343,14 +401,12 @@ def test_non_finite_log_determinant_names_its_sample(monkeypatch):
     assert err.value.sample_index == 3 and isinstance(err.value.cause, ValueError)
 
 
-@pytest.mark.parametrize("trw_max", [0, 3])
-def test_blocks_match_one_sample_at_a_time_for_any_thread_count(trw_max):
+def test_blocks_match_one_sample_at_a_time_for_any_thread_count():
     # Blocks of B and 7 samples: each row of a block's log-determinant pass
-    # (and of its stacked eigvalsh) is the one-sample value, bit for bit, on
-    # 1, 2 or 3 workers.
+    # is the one-sample value, bit for bit, whatever the thread count.
     size = montecarlo._BLOCK_SAMPLES
     plan = ExperimentPlan(n=400, k=200, squeezing=0.5, alphas=(1, 2, 3), n_samples=size + 7,
-                          master_seed=8, trw_max=trw_max)
+                          master_seed=8)
     assert [len(b) for b in montecarlo._blocks(plan)] == [size, 7]
     single = [rec for i in range(plan.n_samples)
               for rec in montecarlo._evaluate_block(plan, range(i, i + 1))]
@@ -389,12 +445,12 @@ PER_MODE_S = tuple(np.linspace(0.0, 0.6, 300))
 
 @pytest.mark.parametrize("n,k", [(300, 140), (300, 160), (9, 6), (5, 5)])
 def test_pairs_match_one_sample_at_a_time_for_any_thread_count(n, k):
-    # Seven samples: three pairs and a single. Each sample's entropies and
-    # Tr W^i are the ones it gets in a block of its own, and the entropies
-    # are those of symplectic_eigenvalues of the smaller side's covariance,
-    # bit for bit, on 1, 2 or 3 workers. m = 140 stacks 560 values.
+    # Seven samples: three pairs and a single. Each sample's entropies are
+    # the ones it gets in a block of its own, and those of
+    # symplectic_eigenvalues of the smaller side's covariance, bit for bit,
+    # on 1, 2 or 3 workers. m = 140 stacks 560 values.
     plan = ExperimentPlan(n=n, k=k, squeezing=PER_MODE_S[:n], alphas=(1, 2, 3), n_samples=7,
-                          master_seed=8, trw_max=2)
+                          master_seed=8)
     assert [len(b) for b in montecarlo._blocks(plan)] == [2, 2, 2, 1]
     single = [rec for i in range(plan.n_samples)
               for rec in montecarlo._evaluate_block(plan, range(i, i + 1))]
@@ -498,15 +554,15 @@ def test_plan_validation():
 
 def test_plan_integer_fields_take_integral_values_only():
     plan = ExperimentPlan(n=6.0, k=np.int64(3), squeezing=0.5, alphas=[2.0, 1],
-                          n_samples=np.float64(3.0), master_seed="7", trw_max=2.0)
+                          n_samples=np.float64(3.0), master_seed="7")
     assert plan == ExperimentPlan(n=6, k=3, squeezing=0.5, alphas=(2, 1), n_samples=3,
-                                  master_seed=7, trw_max=2)
+                                  master_seed=7)
     assert all(type(getattr(plan, f)) is int
-               for f in ("n", "k", "n_samples", "master_seed", "trw_max"))
+               for f in ("n", "k", "n_samples", "master_seed"))
     assert all(type(a) is int for a in plan.alphas)
 
-    good = dict(n=6, k=3, squeezing=0.5, alphas=(2,), n_samples=3, master_seed=1, trw_max=0)
-    for field in ("n", "k", "n_samples", "master_seed", "trw_max"):
+    good = dict(n=6, k=3, squeezing=0.5, alphas=(2,), n_samples=3, master_seed=1)
+    for field in ("n", "k", "n_samples", "master_seed"):
         for bad in (6.7, True, np.float32(2.5), float("nan"), float("inf"), "x", None, [3]):
             with pytest.raises(ValueError, match=f"^{field} must be an integer"):
                 ExperimentPlan(**{**good, field: bad})

@@ -2,23 +2,23 @@ import numpy as np
 import pytest
 from oracles import (
     SqueezingConfig,
+    equal_squeezing_spectrum,
     full_covariance_general,
     gram_full_product,
     haar_unitary,
     reduced_covariance_equal,
     symplectic_eigenvalues_eigh,
     symplectic_eigenvalues_svd,
+    w_block_eigenvalues,
 )
 
 from gbs_page import (
-    equal_squeezing_spectrum,
     haar_frame,
     jacobi_transmissions,
     reduced_covariance_general,
     renyi_entropy,
     symplectic_eigenvalues,
 )
-from gbs_page.states import _w_block_eigenvalues
 from gbs_page.symplectic import _gram
 
 
@@ -96,7 +96,7 @@ def test_equal_route_matches_covariance_oracle(n, s):
     U = haar_unitary(n, master_seed=61, sample_index=n)
     for k in sorted({1, n // 2, n - 1, n} - {0}):
         oracle = symplectic_eigenvalues(reduced_covariance_equal(U, s, k))
-        nu = equal_squeezing_spectrum(1.0 - _w_block_eigenvalues(U[:k].T), k, s)
+        nu = equal_squeezing_spectrum(1.0 - w_block_eigenvalues(U[:k].T), k, s)
         assert nu.shape == (k,) and np.all(np.diff(nu) <= 0)
         assert np.abs(nu - oracle).max() <= 1e-12 * scale
         for alpha in (1, 2, 15):
