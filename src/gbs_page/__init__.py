@@ -18,7 +18,6 @@ __all__ = [
     "ExperimentPlan",
     "PageCurveValue",
     "SampleFailure",
-    "SampleRecord",
     "Summary",
     "estimate_Vd",
     "haar_frame",
@@ -46,7 +45,6 @@ _EXPORTS = {
     "montecarlo": (
         "ExperimentPlan",
         "SampleFailure",
-        "SampleRecord",
         "Summary",
         "estimate_Vd",
         "run_experiment",

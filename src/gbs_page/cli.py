@@ -246,7 +246,7 @@ def cmd_simulate(args) -> int:
     prefix = config.get("out_prefix")
     if prefix is not None:
         _check_writable(f"{prefix}_samples.csv")  # the summary goes beside it
-    records, summary = run_experiment(plan, threads=config["threads"])
+    table, summary = run_experiment(plan, threads=config["threads"])
 
     # The summary echoes the config with the plan's values, so that it replays the run.
     config.update(n=plan.n, k=plan.k, alphas=list(plan.alphas), samples=plan.n_samples,
@@ -255,11 +255,9 @@ def cmd_simulate(args) -> int:
     if prefix is None:
         config.pop("out_prefix", None)
 
-    sample_rows = [
-        [str(rec.sample_index), str(alpha), _fmt(rec.entropies[alpha])]
-        for rec in records
-        for alpha in sorted(rec.entropies)
-    ]
+    sample_rows = [[str(index), str(alpha), _fmt(value)]
+                   for index, row in enumerate(table.tolist())
+                   for alpha, value in zip(plan.alphas, row)]
     summary_payload = {
         "config": config,
         "results": {
@@ -267,7 +265,7 @@ def cmd_simulate(args) -> int:
             "realized_r": summary.realized_r,
             "per_alpha": {
                 str(a): {"mean": st.mean, "variance": st.variance, "stderr": st.stderr}
-                for a, st in sorted(summary.per_alpha.items())
+                for a, st in summary.per_alpha.items()
             },
         },
     }

@@ -148,8 +148,8 @@ def renyi_mode_entropy(nu, alpha: int):
     return _mode_entropy(_check_alpha(alpha), nu)
 
 
-def spectrum_entropies(nu, alphas) -> dict[int, float]:
-    """Entropies of one spectrum for each order in ``alphas`` (1 = von Neumann).
+def spectrum_entropies(nu, alphas) -> np.ndarray:
+    """Entropies of one spectrum, one per order of ``alphas`` in the order given (1 = von Neumann).
 
     The spectrum is checked once, and ln((nu+1)/2) and ln((nu-1)/(nu+1)) are
     computed once for all orders >= 2; each sum is the same per-mode
@@ -158,17 +158,16 @@ def spectrum_entropies(nu, alphas) -> dict[int, float]:
     orders = [_check_alpha(a) for a in alphas]
     arr = _as_spectrum(nu)
     if arr.size == 0:
-        return dict.fromkeys(orders, 0.0)
+        return np.zeros(len(orders))
     log_plus = log_ratio = None
     if any(a > 1 for a in orders):
         log_plus, log_ratio = _log_plus(arr), _log_ratio(arr)
-    return {a: float(np.sum(_order_terms(a, arr, log_plus, log_ratio))) for a in orders}
+    return np.array([np.sum(_order_terms(a, arr, log_plus, log_ratio)) for a in orders])
 
 
 def renyi_entropy(nu, alpha: int) -> float:
     """Order-alpha entropy (1 = von Neumann) of a spectrum: sum of the per-mode entropies."""
-    alpha = _check_alpha(alpha)
-    return spectrum_entropies(nu, (alpha,))[alpha]
+    return float(spectrum_entropies(nu, (alpha,))[0])
 
 
 def _von_neumann_nodes(c: float) -> np.ndarray:
@@ -255,27 +254,27 @@ def _log_dets(diag: np.ndarray, sup: np.ndarray, shifts: np.ndarray) -> np.ndarr
     return out
 
 
-def bidiagonal_entropies(diag, sup, s: float, alphas) -> dict[int, np.ndarray]:
+def bidiagonal_entropies(diag, sup, s: float, alphas) -> np.ndarray:
     """Entropies at equal squeezing s of each row's bidiagonal, without eigenvalues.
 
     ``diag`` (rows, m) and ``sup`` (rows, m - 1) are the squared entries of
     bidiagonals B whose squared singular values are the transmissions T_j
     of a sample (``haar._bidiagonal_squares``); the k - m other modes are
-    in vacuum and add nothing. Returns one array of per-row entropies per
-    order (1 = von Neumann), each a fixed weighted sum of ``_log_dets``.
-    For entries in [0, 1] every LDL^T pivot is >= 1, and all of a row's
-    pivots are finite exactly when its values are. Raises ValueError for a
-    non-finite s and for one whose shifts overflow (``_shift_rule``).
+    in vacuum and add nothing. Returns a (rows, orders) table whose column
+    j holds the entropies of order ``alphas[j]`` (1 = von Neumann), each a
+    fixed weighted sum of ``_log_dets``. For entries in [0, 1] every LDL^T
+    pivot is >= 1, and all of a row's pivots are finite exactly when its
+    values are. Raises ValueError for a non-finite s and for one whose
+    shifts overflow (``_shift_rule``).
     """
     orders = [_check_alpha(a) for a in alphas]
     diag = np.asarray(diag, dtype=float)
     sup = np.asarray(sup, dtype=float)
     shifts, rule = _shift_rule(s, orders)
     dets = _log_dets(diag, sup, shifts)
-    out = {}
-    for alpha, (idx, weights) in rule.items():
-        # One column at a time: np.sum over an axis may reorder by shape.
-        out[alpha] = np.zeros(dets.shape[0])
-        for j, weight in zip(idx, weights):
-            out[alpha] += weight * dets[:, j]
+    out = np.zeros((dets.shape[0], len(orders)))
+    for column, alpha in zip(out.T, orders):
+        # One shift at a time: np.sum over an axis may reorder by shape.
+        for j, weight in zip(*rule[alpha]):
+            column += weight * dets[:, j]
     return out

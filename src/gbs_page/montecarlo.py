@@ -2,20 +2,23 @@
 
 Every sample is a pure function of (plan, sample_index), so results are
 independent of the worker count and bit-reproducible across runs. Workers
-take fixed blocks of consecutive indices. At equal squeezing a block draws
-each sample's squared Jacobi bidiagonal on its own stream and takes every
-entropy from one pass of O(m) log-determinant recurrences over the block's
-samples and every shift (``entropy.bidiagonal_entropies``): no eigensolve,
-and each row's values are the ones it would have alone; these blocks run
-on the calling thread. Per-mode squeezing evaluates the smaller side of the
-cut (the global state is pure) in blocks of two samples: each sample draws
-its frame and forms its Gram matrix on its own, and the pair shares one
-stacked ``eigvalsh``, whose rows are the values each sample gets alone.
-A sample that fails numerically aborts the whole experiment, naming the
-first failing index: the constructions are physically guaranteed to be
-valid states, so a failure indicates a bug, and silently skipping it would
-bias the means. Samples record entropies only; the variance diagnostics
-take Tr W^i from the same draws (``_trace_powers``).
+take fixed blocks of consecutive indices. The entropies are one table of
+shape (n_samples, orders): row i is sample i, column j the order
+``plan.alphas[j]`` (sorted and distinct), and each block writes its own
+rows. At equal squeezing a block draws each sample's squared Jacobi
+bidiagonal on its own stream and takes every entropy from one pass of
+O(m) log-determinant recurrences over the block's samples and every shift
+(``entropy.bidiagonal_entropies``): no eigensolve, and each row's values
+are the ones it would have alone; these blocks run on the calling thread.
+Per-mode squeezing evaluates the smaller side of the cut (the global state
+is pure) in blocks of two samples: each sample draws its frame and forms
+its Gram matrix on its own, and the pair shares one stacked ``eigvalsh``,
+whose rows are the values each sample gets alone. A sample that fails
+numerically aborts the whole experiment, naming the first failing index:
+the constructions are physically guaranteed to be valid states, so a
+failure indicates a bug, and silently skipping it would bias the means.
+The table holds entropies only; the variance diagnostics take Tr W^i from
+the same draws (``_trace_powers``).
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -34,7 +37,6 @@ __all__ = [
     "ExperimentPlan",
     "SAMPLER",
     "SampleFailure",
-    "SampleRecord",
     "Summary",
     "VarianceEstimate",
     "estimate_Vd",
@@ -86,11 +88,13 @@ class ExperimentPlan:
     ``squeezing`` is a scalar for the equal case (spectrum from the drawn
     transmission eigenvalues) or a length-n sequence for the general case
     (reduced covariance of the first k modes built from an n x k Haar frame).
-    ``alphas`` may include 1, meaning the von Neumann entropy. The integer
-    fields take integral values only (6 or 6.0, not 6.7 or True), and
-    ``master_seed`` must be >= 0. A finite equal squeezing must lie within
-    the float64 range of the log-determinant route (|s| <= 168.14 with
-    order 1, 177.79 without); a non-finite one fails in its first sample.
+    ``alphas`` may include 1, meaning the von Neumann entropy; the plan keeps
+    them sorted and distinct, the column order of ``run_experiment``'s
+    table. The integer fields take integral values only (6 or 6.0, not 6.7
+    or True), and ``master_seed`` must be >= 0. A finite equal squeezing
+    must lie within the float64 range of the log-determinant route
+    (|s| <= 168.14 with order 1, 177.79 without); a non-finite one fails in
+    its first sample.
     """
 
     n: int
@@ -108,7 +112,8 @@ class ExperimentPlan:
         if np.ndim(self.alphas) != 1 or len(self.alphas) == 0:
             raise ValueError(f"alphas must be a non-empty sequence of Renyi orders, "
                              f"got {self.alphas!r}")
-        object.__setattr__(self, "alphas", tuple(_integer("alphas", a, 1) for a in self.alphas))
+        object.__setattr__(self, "alphas",
+                           tuple(sorted({_integer("alphas", a, 1) for a in self.alphas})))
         try:
             if np.ndim(self.squeezing) == 0:
                 squeezing = float(self.squeezing)
@@ -138,14 +143,6 @@ class ExperimentPlan:
 
 
 @dataclass(frozen=True)
-class SampleRecord:
-    """Entropies of one Haar draw."""
-
-    sample_index: int
-    entropies: dict[int, float]
-
-
-@dataclass(frozen=True)
 class AlphaStats:
     mean: float
     variance: float  # unbiased
@@ -159,14 +156,31 @@ class Summary:
     realized_r: float
 
 
-def _checked(entropies: dict[int, float]) -> dict[int, float]:
-    """A sample's entropies, once they are non-negative and monotone in alpha."""
-    ordered = [entropies[a] for a in sorted(entropies)]
-    if any(e < -_MONOTONE_TOL for e in ordered):
-        raise FloatingPointError(f"negative entropy {min(ordered)!r}")
-    if any(b > a + _MONOTONE_TOL for a, b in zip(ordered, ordered[1:])):
-        raise FloatingPointError(f"entropies not monotone in alpha: {ordered!r}")
-    return entropies
+def _check_rows(rows: np.ndarray, block: range, in_range=True) -> None:
+    """Name the first of the block's rows that is not a physical sample.
+
+    ``rows`` holds the entropies of the block's first ``len(rows)`` samples,
+    orders rising along a row. A row fails when its draw is out of range
+    or an entropy is not finite (``ValueError``), or when an entropy is
+    negative or grows with the order (``FloatingPointError``); the first
+    failing row raises its first cause as a ``SampleFailure``.
+    """
+    in_range = np.broadcast_to(in_range, len(rows))
+    finite = np.isfinite(rows).all(axis=1)
+    negative = (rows < -_MONOTONE_TOL).any(axis=1)
+    rising = (rows[:, 1:] > rows[:, :-1] + _MONOTONE_TOL).any(axis=1)
+    bad = ~in_range | ~finite | negative | rising
+    if bad.any():
+        row = int(np.argmax(bad))
+        if not in_range[row]:
+            cause = ValueError(_OUT_OF_RANGE)
+        elif not finite[row]:
+            cause = ValueError("log-determinant pivots must be finite and positive")
+        elif negative[row]:
+            cause = FloatingPointError(f"negative entropy {float(rows[row].min())!r}")
+        else:
+            cause = FloatingPointError(f"entropies not monotone in alpha: {rows[row].tolist()!r}")
+        raise SampleFailure(block[row], cause)
 
 
 def _sample_gram(plan: ExperimentPlan, index: int, out: np.ndarray) -> None:
@@ -187,13 +201,14 @@ def _sample_gram(plan: ExperimentPlan, index: int, out: np.ndarray) -> None:
         _gram(sigma, out=out)
 
 
-def _evaluate_per_mode_block(plan: ExperimentPlan, block: range) -> list[SampleRecord]:
+def _evaluate_per_mode_block(plan: ExperimentPlan, block: range, table: np.ndarray) -> None:
     """A block of per-mode samples whose Gram matrices share one stacked ``eigvalsh``.
 
     Each sample fills its row of the stack in index order. A sample that
-    fails there ends the stack: the rows before it are still evaluated, so
-    the failure named is the block's first. If the stacked solve raises,
-    each row is solved alone, which names the row it fails on.
+    fails there, or in its spectrum or entropies, ends the block: the rows
+    before it are still evaluated and checked, so the failure named is the
+    block's first. If the stacked solve raises, each row is solved alone,
+    which names the row it fails on.
     """
     m = min(plan.k, plan.n - plan.k)
     grams = np.empty((len(block), 2 * m, 2 * m))
@@ -202,24 +217,24 @@ def _evaluate_per_mode_block(plan: ExperimentPlan, block: range) -> list[SampleR
         try:
             _sample_gram(plan, index, grams[row])
         except Exception as exc:
-            done, failure = row, (index, exc)
+            done, failure = row, exc
             break
     grams = grams[:done]
     try:
         values = np.linalg.eigvalsh(grams)
     except np.linalg.LinAlgError:
         values = None
-    records = []
-    for row, index in enumerate(block[:done]):
+    rows = table[block.start:block.stop]
+    for row in range(done):
         try:
             nu = _gram_spectrum(np.linalg.eigvalsh(grams[row]) if values is None else values[row])
-            entropies = _checked(spectrum_entropies(nu, plan.alphas))
+            rows[row] = spectrum_entropies(nu, plan.alphas)
         except Exception as exc:
-            raise SampleFailure(index, exc)
-        records.append(SampleRecord(sample_index=index, entropies=entropies))
-    if failure:
-        raise SampleFailure(*failure)
-    return records
+            done, failure = row, exc
+            break
+    _check_rows(rows[:done], block)
+    if failure is not None:
+        raise SampleFailure(block[done], failure)
 
 
 def _squares(plan: ExperimentPlan, block: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -232,33 +247,21 @@ def _squares(plan: ExperimentPlan, block: range) -> tuple[np.ndarray, np.ndarray
     return diag, sup, in_range
 
 
-def _evaluate_equal_block(plan: ExperimentPlan, block: range) -> list[SampleRecord]:
+def _evaluate_equal_block(plan: ExperimentPlan, block: range, table: np.ndarray) -> None:
     """A block of equal-squeezing samples from their squared bidiagonals.
 
     A row is physical when its squared entries lie in [0, 1] and its
     entropies are finite (then every log-determinant pivot is finite and
-    >= 1). The rows are checked in index order, so a failure names the
-    block's first failing sample.
+    >= 1).
     """
     diag, sup, in_range = _squares(plan, block)
+    rows = table[block.start:block.stop]
     try:
         with np.errstate(all="ignore"):  # an unphysical row fails its own check below
-            values = bidiagonal_entropies(diag, sup, plan.squeezing, plan.alphas)
+            rows[:] = bidiagonal_entropies(diag, sup, plan.squeezing, plan.alphas)
     except Exception as exc:
         raise SampleFailure(block[0], exc)
-    finite = np.all([np.isfinite(v) for v in values.values()], axis=0)
-    records = []
-    for row, index in enumerate(block):
-        if not in_range[row]:
-            raise SampleFailure(index, ValueError(_OUT_OF_RANGE))
-        try:
-            if not finite[row]:
-                raise ValueError("log-determinant pivots must be finite and positive")
-            entropies = _checked({a: float(v[row]) for a, v in values.items()})
-        except (ValueError, FloatingPointError) as exc:
-            raise SampleFailure(index, exc)
-        records.append(SampleRecord(sample_index=index, entropies=entropies))
-    return records
+    _check_rows(rows, block, in_range)
 
 
 def _blocks(plan: ExperimentPlan) -> list[range]:
@@ -272,18 +275,22 @@ def _blocks(plan: ExperimentPlan) -> list[range]:
     return [range(j, min(j + size, plan.n_samples)) for j in range(0, plan.n_samples, size)]
 
 
-def _evaluate_block(plan: ExperimentPlan, block: range) -> list[SampleRecord]:
+def _evaluate_block(plan: ExperimentPlan, block: range, table: np.ndarray) -> None:
+    """Write the block's rows of ``table``, the entropies of its samples."""
     if plan.equal_squeezing:
-        return _evaluate_equal_block(plan, block)
-    return _evaluate_per_mode_block(plan, block)
+        _evaluate_equal_block(plan, block, table)
+    else:
+        _evaluate_per_mode_block(plan, block, table)
 
 
-def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple[list[SampleRecord], Summary]:
+def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple[np.ndarray, Summary]:
     """Run every sample of the plan and aggregate summary statistics.
 
-    Samples are evaluated in the fixed blocks of ``_blocks``, one block per
-    task. Records are returned (and aggregated) in sample-index order
-    whatever the thread count; identical plans give bit-identical records.
+    Returns the entropies as a float64 table of shape (n_samples, orders):
+    row i is sample i and column j the order ``plan.alphas[j]``. Samples
+    are evaluated in the fixed blocks of ``_blocks``, one block per task,
+    each writing its own rows; identical plans give bit-identical tables
+    whatever the thread count.
     Equal-squeezing plans run on the calling thread whatever ``threads`` is:
     their blocks are chains of short numpy calls that take the interpreter
     lock back every few microseconds, so a second worker only adds
@@ -293,19 +300,21 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple[list[SampleR
     start threads that compete with the other workers.
     """
     threads = _integer("thread count", threads, 1)
+    table = np.empty((plan.n_samples, len(plan.alphas)))
     blocks = _blocks(plan)
     if threads == 1 or plan.equal_squeezing:
-        done = [_evaluate_block(plan, block) for block in blocks]
+        for block in blocks:
+            _evaluate_block(plan, block, table)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(lambda block: _evaluate_block(plan, block), blocks))
-    records = [rec for block in done for rec in block]
+            # Draining the map raises the error of the first failing block.
+            list(pool.map(lambda block: _evaluate_block(plan, block, table), blocks))
 
     per_alpha = {}
-    for a in plan.alphas:
-        vals = np.array([rec.entropies[int(a)] for rec in records])
+    for a, vals in zip(plan.alphas, table.T):
+        # One 1-D column at a time: a reduction over axis 0 sums in another order.
         var = float(vals.var(ddof=1)) if len(vals) > 1 else 0.0
-        per_alpha[int(a)] = AlphaStats(
+        per_alpha[a] = AlphaStats(
             mean=float(vals.mean()),
             variance=var,
             stderr=float(np.sqrt(var / len(vals))),
@@ -313,7 +322,7 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple[list[SampleR
     summary = Summary(
         per_alpha=per_alpha, n_samples=plan.n_samples, realized_r=plan.realized_r
     )
-    return records, summary
+    return table, summary
 
 
 @dataclass(frozen=True)
@@ -324,14 +333,15 @@ class VarianceEstimate:
     ci_high: float
 
 
-def _bootstrap_ci(values: np.ndarray, statistic, n_boot: int, rng: np.random.Generator,
-                  levels=(2.5, 97.5)) -> tuple[float, float]:
-    stats = np.empty(n_boot)
-    m = len(values)
-    for b in range(n_boot):
-        stats[b] = statistic(values[rng.integers(0, m, m)])
-    lo, hi = np.percentile(stats, levels)
-    return float(lo), float(hi)
+def _bootstrap_ci(statistic, m: int, n_boot: int, rng: np.random.Generator,
+                  levels=(2.5, 97.5)) -> np.ndarray:
+    """Percentile bootstrap of ``statistic`` over ``n_boot`` resamples of m indices.
+
+    ``statistic`` maps an index array to one value or to a vector of
+    values; the result has one row per level and one column per value.
+    """
+    stats = np.array([statistic(rng.integers(0, m, m)) for _ in range(n_boot)])
+    return np.percentile(stats, levels, axis=0)
 
 
 def variance_trend(ns, r: float, s: float, alpha: int, n_samples: int, seed: int,
@@ -352,14 +362,14 @@ def variance_trend(ns, r: float, s: float, alpha: int, n_samples: int, seed: int
             n=n, r=r, squeezing=float(s), alphas=(alpha,),
             n_samples=n_samples, master_seed=seed,
         )
-        records, summary = run_experiment(plan)
-        vals = np.array([rec.entropies[alpha] for rec in records])
+        table, summary = run_experiment(plan)
+        vals = table[:, 0]
         brng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0xB007, n)))
         )
-        lo, hi = _bootstrap_ci(vals, lambda v: v.var(ddof=1), n_boot, brng)
+        lo, hi = _bootstrap_ci(lambda idx: vals[idx].var(ddof=1), len(vals), n_boot, brng)
         out.append(VarianceEstimate(n=n, variance=summary.per_alpha[alpha].variance,
-                                    ci_low=lo, ci_high=hi))
+                                    ci_low=float(lo), ci_high=float(hi)))
     return out
 
 
@@ -435,8 +445,7 @@ def s2_variance_identity(n: int, r: float, s: float, d_max: int, n_samples: int,
         n=n, r=r, squeezing=float(s), alphas=(2,),
         n_samples=_integer("n_samples", n_samples, 2), master_seed=seed,
     )
-    records, _ = run_experiment(plan)
-    s2 = np.array([rec.entropies[2] for rec in records])
+    s2 = run_experiment(plan)[0][:, 0]
     trw = _trace_powers(plan, d_max - 1)
     t2 = np.tanh(2.0 * s) ** 2
     weights = 0.25 * t2 ** np.arange(2, d_max + 1)
@@ -446,14 +455,9 @@ def s2_variance_identity(n: int, r: float, s: float, d_max: int, n_samples: int,
     brng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0xD1FF,)))
     )
-    var_boot = np.empty(n_boot)
-    model_boot = np.empty(n_boot)
-    for b in range(n_boot):
-        idx = brng.integers(0, plan.n_samples, plan.n_samples)
-        var_boot[b] = float(s2[idx].var(ddof=1))
-        model_boot[b] = float(weights @ _vd_from_trw(trw[idx], d_max))
-    var_ci = tuple(float(x) for x in np.percentile(var_boot, [2.5, 97.5]))
-    model_ci = tuple(float(x) for x in np.percentile(model_boot, [2.5, 97.5]))
+    var_ci, model_ci = (tuple(float(x) for x in ci) for ci in _bootstrap_ci(
+        lambda idx: (s2[idx].var(ddof=1), weights @ _vd_from_trw(trw[idx], d_max)),
+        plan.n_samples, n_boot, brng).T)
     return {
         "variance": var_s2,
         "model": model_full,

@@ -4,10 +4,9 @@ import numpy as np
 
 __all__ = ["symplectic_eigenvalues"]
 
-# Values within CLAMP_WINDOW below one are rounded up to exactly one so the
-# entropy functionals stay finite; anything below FAIL_TOL signals a matrix
-# that is not a physical state and raises instead.
-CLAMP_WINDOW = 1e-8
+# Values in [1 - FAIL_TOL, 1) are roundoff of a physical nu >= 1 and are
+# rounded up to exactly one; anything lower signals a matrix that is not a
+# physical state and raises instead.
 FAIL_TOL = 1e-6
 SYMMETRY_TOL = 1e-8
 
@@ -87,7 +86,7 @@ def _gram_spectrum(values: np.ndarray) -> np.ndarray:
 
 
 def _physical_spectrum(nu: np.ndarray) -> np.ndarray:
-    """Reject a non-finite or unphysical spectrum; round the clamp window to one."""
+    """Reject a non-finite or unphysical spectrum; round what is left below one up to one."""
     if not np.all(np.isfinite(nu)):
         raise ValueError("symplectic eigenvalues must be finite")
     low = nu.min(initial=np.inf)
@@ -95,6 +94,5 @@ def _physical_spectrum(nu: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"symplectic eigenvalue {low!r} below 1 - {FAIL_TOL}: unphysical state"
         )
-    near_one = (nu < 1.0) & (nu >= 1.0 - CLAMP_WINDOW)
-    nu[near_one] = 1.0
+    nu[nu < 1.0] = 1.0
     return nu

@@ -134,6 +134,20 @@ def test_simulate_byte_identical_reruns(tmp_path, capsys):
     assert s1 == s2
 
 
+def test_simulate_orders_are_sorted_and_distinct(tmp_path, capsys):
+    # --alphas 3,1,3 runs the orders 1 and 3: the same samples, and a config
+    # echo that replays the run with [1, 3].
+    args = ["simulate", "--n", "8", "--k", "4", "--s", "0.5", "--samples", "6", "--seed", "42"]
+    given, plain = str(tmp_path / "given"), str(tmp_path / "plain")
+    assert run_cli(capsys, *args, "--alphas", "3,1,3", "--out-prefix", given)[0] == 0
+    assert run_cli(capsys, *args, "--alphas", "1,3", "--out-prefix", plain)[0] == 0
+    assert ((tmp_path / "given_samples.csv").read_bytes()
+            == (tmp_path / "plain_samples.csv").read_bytes())
+    summary = json.loads((tmp_path / "given_summary.json").read_text())
+    assert summary["config"]["alphas"] == [1, 3]
+    assert list(summary["results"]["per_alpha"]) == ["1", "3"]
+
+
 def test_simulate_thread_count_does_not_change_results(tmp_path, capsys):
     args = ["simulate", "--n", "8", "--k", "4", "--s", "0.5", "--alphas", "2",
             "--samples", "6", "--seed", "42"]

@@ -1,3 +1,6 @@
+import re
+import sys
+
 import numpy as np
 import pytest
 from oracles import (
@@ -31,10 +34,9 @@ from gbs_page.symplectic import _gram_spectrum
 def test_full_partition_gives_zero():
     plan = ExperimentPlan(n=10, k=10, squeezing=0.7, alphas=(1, 2), n_samples=5,
                           master_seed=1)
-    records, summary = run_experiment(plan)
-    for rec in records:
-        for val in rec.entropies.values():
-            assert abs(val) <= 1e-8
+    table, summary = run_experiment(plan)
+    assert table.shape == (5, 2)
+    assert np.all(np.abs(table) <= 1e-8)
     assert abs(summary.per_alpha[1].mean) <= 1e-8
 
 
@@ -42,17 +44,16 @@ def test_pure_state_at_strong_squeezing_gives_exact_zero():
     # k = n leaves no transmission eigenvalue: every nu is exactly one.
     plan = ExperimentPlan(n=40, k=40, squeezing=3.0, alphas=(1, 2, 3), n_samples=5,
                           master_seed=3)
-    records, summary = run_experiment(plan)
-    assert all(v == 0.0 for rec in records for v in rec.entropies.values())
+    table, summary = run_experiment(plan)
+    assert np.all(table == 0.0)
     assert all(st.mean == 0.0 for st in summary.per_alpha.values())
 
 
 def test_vacuum_gives_exact_zero():
     plan = ExperimentPlan(n=8, k=3, squeezing=0.0, alphas=(1, 2, 3), n_samples=4,
                           master_seed=2)
-    records, _ = run_experiment(plan)
-    for rec in records:
-        assert all(v == 0.0 for v in rec.entropies.values())
+    table, _ = run_experiment(plan)
+    assert table.shape == (4, 3) and np.all(table == 0.0)
 
 
 def test_per_mode_pure_state_gives_exact_zero():
@@ -60,8 +61,8 @@ def test_per_mode_pure_state_gives_exact_zero():
     # entropy is exactly zero at any squeezing.
     plan = ExperimentPlan(n=40, k=40, squeezing=tuple(np.linspace(0.0, 3.0, 40)),
                           alphas=(1, 2, 3), n_samples=5, master_seed=3)
-    records, summary = run_experiment(plan)
-    assert all(v == 0.0 for rec in records for v in rec.entropies.values())
+    table, summary = run_experiment(plan)
+    assert np.all(table == 0.0)
     assert all(st.mean == 0.0 for st in summary.per_alpha.values())
 
 
@@ -80,7 +81,7 @@ def _recording_pools(monkeypatch):
 
 def test_equal_squeezing_runs_on_the_calling_thread(monkeypatch):
     # Whatever the thread count, an equal-squeezing plan starts no worker
-    # pool and gives the one-thread records (70 samples: two blocks).
+    # pool and gives the one-thread table (70 samples: two blocks).
     pools = _recording_pools(monkeypatch)
     for n, k, s, alphas in ((40, 17, 0.5, (1, 2)), (9, 6, 3.0, (1, 2, 3)), (12, 12, 0.5, (1,)),
                             (400, 200, 0.0, (2, 15))):
@@ -88,39 +89,37 @@ def test_equal_squeezing_runs_on_the_calling_thread(monkeypatch):
                               master_seed=2)
         want, _ = run_experiment(plan, threads=1)
         for threads in (2, 3):
-            assert run_experiment(plan, threads=threads)[0] == want
+            assert np.array_equal(run_experiment(plan, threads=threads)[0], want)
     assert pools == []
 
 
 def test_per_mode_plans_start_a_pool_of_threads(monkeypatch):
     # The one other case of the thread rule: a per-mode plan runs on a pool
-    # of ``threads`` workers when threads > 1, with the one-thread records.
+    # of ``threads`` workers when threads > 1, with the one-thread table.
     pools = _recording_pools(monkeypatch)
     plan = ExperimentPlan(n=12, k=5, squeezing=tuple(np.linspace(0.0, 0.5, 12)),
                           alphas=(1, 2), n_samples=5, master_seed=2)
     want, _ = run_experiment(plan, threads=1)
     assert pools == []
-    assert run_experiment(plan, threads=3)[0] == want
+    assert np.array_equal(run_experiment(plan, threads=3)[0], want)
     assert pools == [3]
 
 
 def test_determinism_and_thread_independence():
     plan = ExperimentPlan(n=12, k=5, squeezing=0.4, alphas=(1, 2), n_samples=8,
                           master_seed=99)
-    rec1, _ = run_experiment(plan, threads=1)
-    rec2, _ = run_experiment(plan, threads=1)
-    rec3, _ = run_experiment(plan, threads=3)
-    for a, b, c in zip(rec1, rec2, rec3):
-        assert a.entropies == b.entropies == c.entropies
-        assert a.sample_index == c.sample_index
+    table1, _ = run_experiment(plan, threads=1)
+    table2, _ = run_experiment(plan, threads=1)
+    table3, _ = run_experiment(plan, threads=3)
+    assert table1.shape == (8, 2)
+    assert np.array_equal(table1, table2) and np.array_equal(table1, table3)
 
 
 def test_per_sample_alpha_monotonicity():
     plan = ExperimentPlan(n=30, k=12, squeezing=0.6, alphas=(1, 2, 3, 5, 15),
                           n_samples=25, master_seed=7)
-    records, _ = run_experiment(plan)
-    for rec in records:
-        vals = [rec.entropies[a] for a in (1, 2, 3, 5, 15)]
+    table, _ = run_experiment(plan)
+    for vals in table:
         assert all(x >= y - 1e-9 for x, y in zip(vals, vals[1:]))
         assert vals[-1] >= -1e-9
 
@@ -151,7 +150,7 @@ def test_mean_matches_analytic():
     assert abs(stats.mean - pred) <= 3 * stats.stderr
 
 
-def test_trw_moments_recorded():
+def test_trace_powers_fall_with_the_power():
     plan = ExperimentPlan(n=12, k=6, squeezing=0.5, alphas=(2,), n_samples=3,
                           master_seed=13)
     trw = montecarlo._trace_powers(plan, 4)
@@ -200,11 +199,11 @@ def test_unequal_sample_is_the_frame_covariance():
     s = np.linspace(-0.2, 0.7, 8)
     plan = ExperimentPlan(n=8, k=3, squeezing=tuple(s), alphas=(1, 2), n_samples=3,
                           master_seed=6)
-    records, _ = run_experiment(plan)
-    for rec in records:
-        F = haar_frame(8, 3, master_seed=6, sample_index=rec.sample_index)
+    table, _ = run_experiment(plan)
+    for index, row in enumerate(table):
+        F = haar_frame(8, 3, master_seed=6, sample_index=index)
         nu = symplectic_eigenvalues(reduced_covariance_general(F, s))
-        assert rec.entropies == {1: renyi_entropy(nu, 1), 2: renyi_entropy(nu, 2)}
+        assert row.tolist() == [renyi_entropy(nu, 1), renyi_entropy(nu, 2)]
 
 
 def test_per_mode_samples_match_the_oracle_route():
@@ -215,12 +214,11 @@ def test_per_mode_samples_match_the_oracle_route():
         plan = ExperimentPlan(n=40, k=k, squeezing=s, alphas=(1, 2, 3), n_samples=5,
                               master_seed=12)
         m = min(k, 40 - k)
-        for rec in run_experiment(plan)[0]:
-            frame = cholesky_qr_frame_inv(_ginibre(40, m, 12, rec.sample_index))
+        for index, row in enumerate(run_experiment(plan)[0]):
+            frame = cholesky_qr_frame_inv(_ginibre(40, m, 12, index))
             gram = gram_full_product(reduced_covariance_general(frame, s))
             want = spectrum_entropies(_gram_spectrum(np.linalg.eigvalsh(gram)), plan.alphas)
-            for alpha, value in rec.entropies.items():
-                assert abs(value - want[alpha]) <= 1e-13 * want[alpha]
+            assert np.all(np.abs(row - want) <= 1e-13 * want)
 
 
 def test_per_mode_strong_squeezing_runs():
@@ -228,10 +226,30 @@ def test_per_mode_strong_squeezing_runs():
     for n, k in ((8, 4), (7, 5)):
         plan = ExperimentPlan(n=n, k=k, squeezing=(20.0,) * n, alphas=(1, 2, 3),
                               n_samples=6, master_seed=2)
-        records, _ = run_experiment(plan)
-        for rec in records:
-            assert rec.entropies[1] >= rec.entropies[2] >= rec.entropies[3] > 0
-            assert rec.entropies[1] - rec.entropies[2] <= min(k, n - k) * (1 - np.log(2)) + 1e-9
+        table, _ = run_experiment(plan)
+        for s1, s2, s3 in table:
+            assert s1 >= s2 >= s3 > 0
+            assert s1 - s2 <= min(k, n - k) * (1 - np.log(2)) + 1e-9
+
+
+@pytest.mark.parametrize("n,k", [(40, 38), (12, 10)])
+def test_near_pure_per_mode_state_answers(n, k):
+    # One squeezed input: the smaller side has one nu > 1, and every other
+    # is exactly one. Roundoff once left 1 - 6e-8 (sample 0 of the first
+    # plan) and 1 - 1.5e-8 (sample 11 of the second) unrounded, and the
+    # entropies refused them.
+    s = (12.0,) + (0.0,) * (n - 1)
+    plan = ExperimentPlan(n=n, k=k, squeezing=s, alphas=(1, 2, 3), n_samples=40, master_seed=4)
+    table, _ = run_experiment(plan)
+    assert np.all(table > 0) and np.all(np.isfinite(table))
+    m = n - k
+    gram = np.empty((2 * m, 2 * m))
+    montecarlo._sample_gram(plan, 11, gram)
+    nu = _gram_spectrum(np.linalg.eigvalsh(gram))
+    assert nu[0] > 1e4
+    if n == 12:
+        assert nu[1] == 1.0
+    assert np.array_equal(table[11], spectrum_entropies(nu, plan.alphas))
 
 
 def test_equal_squeezing_beyond_the_log_determinant_range_is_rejected():
@@ -241,9 +259,9 @@ def test_equal_squeezing_beyond_the_log_determinant_range_is_rejected():
                              (177.8, (2, 3), "177.79")):
         with pytest.raises(ValueError, match=rf"above \|s\| = {limit}"):
             ExperimentPlan(n=8, k=4, squeezing=s, alphas=alphas)
-    records, _ = run_experiment(ExperimentPlan(n=8, k=4, squeezing=175.0, alphas=(2, 3),
-                                               n_samples=4))
-    assert all(rec.entropies[2] > 1000 for rec in records)
+    table, _ = run_experiment(ExperimentPlan(n=8, k=4, squeezing=175.0, alphas=(2, 3),
+                                             n_samples=4))
+    assert np.all(table[:, 0] > 1000)
 
 
 @pytest.mark.parametrize("n,k,s,alphas,samples", [(8, 4, 168.1, (1, 2), 4),
@@ -253,11 +271,11 @@ def test_log_determinants_stay_finite_inside_the_accepted_range(n, k, s, alphas,
     # about x^2, and overflowed (sample 3 of the first plan, 0 of the second).
     plan = ExperimentPlan(n=n, k=k, squeezing=s, alphas=alphas, n_samples=samples,
                           master_seed=1)
-    for rec in run_experiment(plan)[0]:
+    for index, row in enumerate(run_experiment(plan)[0]):
         nu = equal_squeezing_spectrum(
-            jacobi_transmissions(n, k, master_seed=1, sample_index=rec.sample_index), k, s)
-        for alpha in alphas:
-            assert rec.entropies[alpha] == pytest.approx(renyi_entropy(nu, alpha), rel=1e-12)
+            jacobi_transmissions(n, k, master_seed=1, sample_index=index), k, s)
+        for alpha, value in zip(alphas, row):
+            assert value == pytest.approx(renyi_entropy(nu, alpha), rel=1e-12)
 
 
 def test_variance_trend_vacuum_is_zero():
@@ -338,9 +356,9 @@ def test_variance_functions_check_their_inputs(function, args, message):
 def test_weak_typicality_proxy():
     plan = ExperimentPlan.from_ratio(n=200, r=0.5, squeezing=0.5, alphas=(2,),
                                      n_samples=1000, master_seed=31)
-    records, summary = run_experiment(plan)
+    table, summary = run_experiment(plan)
     mean = summary.per_alpha[2].mean
-    vals = np.array([rec.entropies[2] for rec in records])
+    vals = table[:, 0]
     fraction = np.mean(np.abs(vals / mean - 1.0) < 0.05)
     assert fraction > 0.99
 
@@ -391,7 +409,7 @@ def test_non_finite_log_determinant_names_its_sample(monkeypatch):
     # The pivot check: in-range entries whose entropies come out non-finite.
     def entropies(diag, sup, s, alphas):
         values = bidiagonal_entropies(diag, sup, s, alphas)
-        values[2][3] = np.inf
+        values[3, 1] = np.inf  # sample 3, order 2
         return values
 
     monkeypatch.setattr(montecarlo, "bidiagonal_entropies", entropies)
@@ -401,6 +419,63 @@ def test_non_finite_log_determinant_names_its_sample(monkeypatch):
     assert err.value.sample_index == 3 and isinstance(err.value.cause, ValueError)
 
 
+def _spoil(values, kind):
+    """Make one row of two entropies negative, or rise from order 1 to order 2."""
+    values[:] = [-1e-3, -1e-3] if kind == "negative" else [0.5, 1.5]
+
+
+UNPHYSICAL_ROWS = [
+    ("negative", r"^negative entropy -0\.001$"),
+    ("rising", r"^entropies not monotone in alpha: \[0\.5, 1\.5\]$"),
+]
+
+
+@pytest.mark.parametrize("kind,message", UNPHYSICAL_ROWS)
+def test_unphysical_equal_row_in_a_later_block_names_its_sample(monkeypatch, kind, message):
+    # Blocks [0, B) and [B, B + 7); rows 2 and 4 of the second are bad.
+    size = montecarlo._BLOCK_SAMPLES
+
+    def entropies(diag, sup, s, alphas):
+        values = bidiagonal_entropies(diag, sup, s, alphas)
+        if len(values) == 7:
+            _spoil(values[2], kind)
+            _spoil(values[4], kind)
+        return values
+
+    monkeypatch.setattr(montecarlo, "bidiagonal_entropies", entropies)
+    plan = ExperimentPlan(n=20, k=9, squeezing=0.5, alphas=(1, 2), n_samples=size + 7,
+                          master_seed=1)
+    with pytest.raises(SampleFailure) as err:
+        run_experiment(plan)
+    assert err.value.sample_index == size + 2
+    assert isinstance(err.value.cause, FloatingPointError)
+    assert re.search(message, str(err.value.cause))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind,message", UNPHYSICAL_ROWS)
+def test_unphysical_per_mode_row_in_a_later_block_names_its_sample(monkeypatch, threads, kind,
+                                                                    message):
+    # Pairs [0, 2), [2, 4), [4, 6), [6]; samples 5 and 6 are bad, told apart
+    # by their von Neumann entropies in a run without the patch.
+    plan = ExperimentPlan(n=8, k=3, squeezing=tuple(np.linspace(0.1, 0.8, 8)), alphas=(1, 2),
+                          n_samples=7, master_seed=1)
+    table, _ = run_experiment(plan)
+
+    def entropies(nu, alphas):
+        values = spectrum_entropies(nu, alphas)
+        if values[0] in (table[5, 0], table[6, 0]):
+            _spoil(values, kind)
+        return values
+
+    monkeypatch.setattr(montecarlo, "spectrum_entropies", entropies)
+    with pytest.raises(SampleFailure) as err:
+        run_experiment(plan, threads=threads)
+    assert err.value.sample_index == 5
+    assert isinstance(err.value.cause, FloatingPointError)
+    assert re.search(message, str(err.value.cause))
+
+
 def test_blocks_match_one_sample_at_a_time_for_any_thread_count():
     # Blocks of B and 7 samples: each row of a block's log-determinant pass
     # is the one-sample value, bit for bit, whatever the thread count.
@@ -408,11 +483,11 @@ def test_blocks_match_one_sample_at_a_time_for_any_thread_count():
     plan = ExperimentPlan(n=400, k=200, squeezing=0.5, alphas=(1, 2, 3), n_samples=size + 7,
                           master_seed=8)
     assert [len(b) for b in montecarlo._blocks(plan)] == [size, 7]
-    single = [rec for i in range(plan.n_samples)
-              for rec in montecarlo._evaluate_block(plan, range(i, i + 1))]
+    single = np.empty((plan.n_samples, 3))
+    for i in range(plan.n_samples):
+        montecarlo._evaluate_block(plan, range(i, i + 1), single)
     for threads in (1, 2, 3):
-        records, _ = run_experiment(plan, threads=threads)
-        assert records == single
+        assert np.array_equal(run_experiment(plan, threads=threads)[0], single)
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (3, 1), (9, 6), (400, 200), (401, 150), (1000, 500),
@@ -434,8 +509,8 @@ def test_blocks_cover_every_index_and_depend_on_the_plan_alone(monkeypatch, n, k
     small = ExperimentPlan(n=n, k=k, squeezing=0.5, n_samples=size + 3)
     seen = {}
     for threads in (1, 3):
-        monkeypatch.setattr(montecarlo, "_evaluate_block", lambda plan, block: (
-            seen.setdefault(threads, []).append(block) or evaluate(plan, block)))
+        monkeypatch.setattr(montecarlo, "_evaluate_block", lambda plan, block, table: (
+            seen.setdefault(threads, []).append(block) or evaluate(plan, block, table)))
         run_experiment(small, threads=threads)
     assert sorted(seen[1], key=min) == sorted(seen[3], key=min) == montecarlo._blocks(small)
 
@@ -452,17 +527,32 @@ def test_pairs_match_one_sample_at_a_time_for_any_thread_count(n, k):
     plan = ExperimentPlan(n=n, k=k, squeezing=PER_MODE_S[:n], alphas=(1, 2, 3), n_samples=7,
                           master_seed=8)
     assert [len(b) for b in montecarlo._blocks(plan)] == [2, 2, 2, 1]
-    single = [rec for i in range(plan.n_samples)
-              for rec in montecarlo._evaluate_block(plan, range(i, i + 1))]
+    single = np.empty((plan.n_samples, 3))
+    for i in range(plan.n_samples):
+        montecarlo._evaluate_block(plan, range(i, i + 1), single)
     m = min(k, n - k)
-    for rec in single:
+    for index, row in enumerate(single):
         nu = (symplectic_eigenvalues(reduced_covariance_general(
-            haar_frame(n, m, master_seed=8, sample_index=rec.sample_index), PER_MODE_S[:n]))
+            haar_frame(n, m, master_seed=8, sample_index=index), PER_MODE_S[:n]))
             if m else [])
-        assert rec.entropies == {a: renyi_entropy(nu, a) for a in (1, 2, 3)}
+        assert row.tolist() == [renyi_entropy(nu, a) for a in (1, 2, 3)]
     for threads in (1, 2, 3):
-        records, _ = run_experiment(plan, threads=threads)
-        assert records == single
+        assert np.array_equal(run_experiment(plan, threads=threads)[0], single)
+
+
+def test_workers_write_disjoint_rows_under_frequent_switches():
+    # 120 pairs on four workers, switching threads every microsecond: a row
+    # lost or written by the wrong block would differ from the one-thread table.
+    plan = ExperimentPlan(n=8, k=3, squeezing=tuple(np.linspace(0.1, 0.8, 8)), alphas=(1, 2),
+                          n_samples=240, master_seed=5)
+    want, _ = run_experiment(plan)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got, _ = run_experiment(plan, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, want)
 
 
 def _frames_with(monkeypatch, changes):
@@ -490,7 +580,7 @@ def test_bad_sample_in_a_pair_names_its_index(monkeypatch, threads, changes, fir
 
 def test_stacked_eigensolve_failure_falls_back_to_one_sample_at_a_time(monkeypatch):
     # Every stacked eigvalsh raises: each sample is then solved alone, with
-    # the same records; a one-sample solve that raises names its index.
+    # the same table; a one-sample solve that raises names its index.
     plan = ExperimentPlan(n=12, k=5, squeezing=tuple(np.linspace(0.0, 0.5, 12)),
                           alphas=(1, 2), n_samples=5, master_seed=3)
     want, _ = run_experiment(plan)
@@ -503,7 +593,7 @@ def test_stacked_eigensolve_failure_falls_back_to_one_sample_at_a_time(monkeypat
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", stacked_fails)
-    assert run_experiment(plan)[0] == want
+    assert np.array_equal(run_experiment(plan)[0], want)
     assert solved == [(10, 10)] * 5
     solved.clear()
     fail_at.append(3)  # the fourth one-sample solve: index 3, second of its pair
@@ -524,13 +614,13 @@ def test_equal_samples_match_the_eigvalsh_oracle(n, k):
     for s in (0.05, 0.5, 3.0, 5.0):
         plan = ExperimentPlan(n=n, k=k, squeezing=s, alphas=alphas, n_samples=5,
                               master_seed=17)
-        for rec in run_experiment(plan)[0]:
-            t = jacobi_transmissions(n, k, master_seed=17, sample_index=rec.sample_index)
+        for index, row in enumerate(run_experiment(plan)[0]):
+            t = jacobi_transmissions(n, k, master_seed=17, sample_index=index)
             nu = equal_squeezing_spectrum(t, k, s)
-            for alpha in alphas:
+            for alpha, value in zip(alphas, row):
                 want = renyi_entropy(nu, alpha)
                 assert (want > 0) == (t.size > 0)
-                assert rec.entropies[alpha] == pytest.approx(want, rel=1e-12, abs=0)
+                assert value == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_plan_validation():
@@ -550,6 +640,15 @@ def test_plan_validation():
     assert plan.k == 3 and plan.realized_r == pytest.approx(0.3)
     with pytest.raises(ValueError):
         run_experiment(ExperimentPlan(n=4, k=2, squeezing=0.5), threads=0)
+
+
+def test_plan_orders_are_sorted_and_distinct():
+    # Column j of run_experiment's table is plan.alphas[j].
+    plan = ExperimentPlan(n=9, k=4, squeezing=0.5, alphas=(3, 1, 3), n_samples=5)
+    assert plan.alphas == (1, 3)
+    assert plan == ExperimentPlan(n=9, k=4, squeezing=0.5, alphas=(1, 3), n_samples=5)
+    table, summary = run_experiment(plan)
+    assert table.shape == (5, 2) and list(summary.per_alpha) == [1, 3]
 
 
 def test_plan_integer_fields_take_integral_values_only():
@@ -586,7 +685,7 @@ def test_plan_seed_must_be_non_negative():
 def test_thread_count_follows_the_plan_integer_rule():
     plan = ExperimentPlan(n=6, k=3, squeezing=0.5, alphas=(2,), n_samples=3)
     want, _ = run_experiment(plan, threads=1)
-    assert run_experiment(plan, threads=2.0)[0] == want
+    assert np.array_equal(run_experiment(plan, threads=2.0)[0], want)
     for bad in (1.5, True, "x"):
         with pytest.raises(ValueError, match="^thread count must be an integer"):
             run_experiment(plan, threads=bad)
