@@ -23,11 +23,16 @@ all of them to 1, so each worker's BLAS calls run on that worker's thread
 instead of starting BLAS threads that compete with the other workers. Once
 numpy has loaded, its BLAS has read them, and they are left alone. Library
 callers of ``run_experiment`` with several threads set them themselves.
+A per-mode ``simulate`` also sets glibc's allocator policy once
+(``_keep_freed_memory``), so that the buffers its samples free stay in the
+heap instead of going back to the kernel and being faulted in again; library
+callers who run per-mode plans set it themselves too.
 
 This module only turns text into arguments; the library checks every
 parameter. Exit codes: 0 success, 2 invalid flags, config or parameter (any
-``ValueError``, including an analytic ``--tol`` too small for float64) or an
-output path that cannot be written, 4 numerical failure in a sample. Numeric output is full-precision (17
+``ValueError``, including an analytic value that does not settle to ``--tol``
+within ``MAX_NODES`` quadrature nodes) or an output path that cannot be
+written, 4 numerical failure in a sample. Numeric output is full-precision (17
 significant digits); identical invocations produce byte-identical files.
 """
 
@@ -43,6 +48,7 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_V
 import argparse
 import csv
 import errno
+import functools
 import io
 import json
 from collections.abc import Callable
@@ -116,6 +122,37 @@ def _usable_cpus() -> int:
 def _resolve_threads(requested) -> int:
     """Worker count from ``--threads`` or a config's ``threads``: an integer or 'auto'."""
     return _usable_cpus() if requested == "auto" else _integer("thread count", requested, 1)
+
+
+# glibc mallopt parameters (malloc.h) and the values a per-mode simulate sets:
+# blocks up to 32 MiB come from the heap rather than their own mappings, and
+# the heap's free top is returned to the kernel only beyond 256 MiB.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+TRIM_THRESHOLD_BYTES = 256 << 20
+MMAP_THRESHOLD_BYTES = 32 << 20
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Keep the buffers that per-mode samples free in the process heap.
+
+    A per-mode sample at n = 400 allocates and frees several MB of
+    temporaries. Under glibc's default dynamic thresholds each large one is
+    its own mapping, and freeing it unmaps it: the next sample faults every
+    page back in, and the unmapping makes the workers wait on one another.
+    Fixed thresholds keep them in the heap for reuse. Where the C library
+    has no ``mallopt`` (not glibc), this does nothing. Set once per process.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -246,6 +283,8 @@ def cmd_simulate(args) -> int:
     prefix = config.get("out_prefix")
     if prefix is not None:
         _check_writable(f"{prefix}_samples.csv")  # the summary goes beside it
+    if not plan.equal_squeezing:
+        _keep_freed_memory()
     table, summary = run_experiment(plan, threads=config["threads"])
 
     # The summary echoes the config with the plan's values, so that it replays the run.

@@ -93,15 +93,18 @@ def _solve_adjoint(z: np.ndarray, chol: np.ndarray) -> None:
 def _ginibre(n: int, k: int, master_seed: int, sample_index: int) -> np.ndarray:
     """The index's ``n x k`` standard complex Gaussians: n k real parts, then n k imaginary.
 
-    Both draws go straight into one complex array, which is scaled in
-    place: bit for bit the values of (a + 1j b) / sqrt(2).
+    Both draws go straight into one complex array, whose real view is
+    scaled in place by 1/sqrt(2): bit for bit the values of
+    (a + 1j b) / sqrt(2), since numpy divides a complex number by a real
+    one as a multiply by the reciprocal.
     """
     _check_shape(n, k, sample_index)
     rng = sample_generator(master_seed, sample_index)
     z = np.empty((n, k), dtype=complex)
     z.real = rng.standard_normal((n, k))
     z.imag = rng.standard_normal((n, k))
-    z /= np.sqrt(2)
+    parts = z.view(float)
+    parts *= 1.0 / np.sqrt(2)
     return z
 
 

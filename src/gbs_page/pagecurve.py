@@ -64,9 +64,17 @@ DEFAULT_TOL = 1e-3
 FIRST_NODES = 32
 
 #: Largest node count. At the default tolerance every cell with s <= 3 settles
-#: by 128 nodes; a tolerance still unmet here is within a few hundred ulp of the
-#: value (von Neumann at r = 1/2, s = 3 converges slowest).
+#: by 128 nodes. A tolerance still unmet here is either within
+#: ``RESOLUTION_ULPS`` ulp of the value, or the rule has not resolved the
+#: integrand: at r near 1/2 and strong squeezing it varies in a layer of
+#: width about 2/sinh(2s) at theta = pi, which Gauss-Legendre nodes do not
+#: reach (von Neumann at n = 2000, r = 1/2, s = 10 misses the default
+#: tolerance by 0.0018 on a value of 1.9e4).
 MAX_NODES = 1024
+
+#: A tolerance below this many float64 spacings of the value is refused as
+#: being at the value's resolution rather than as unsettled quadrature.
+RESOLUTION_ULPS = 256
 
 
 @dataclass(frozen=True)
@@ -171,11 +179,12 @@ def page_average(alpha, n, s: float, r: float, tol: float = DEFAULT_TOL) -> Page
         if err <= tol:
             return PageCurveValue(float(fine), m, float(err), realized)
         coarse = fine
-    raise ValueError(
-        f"tolerance {tol:.3g} not met with {MAX_NODES} quadrature nodes (last "
-        f"change {err:.3g} on a value of {abs(fine):.6g}); the tolerance is near "
-        "the float64 resolution of this value, request a larger one"
-    )
+    if tol < RESOLUTION_ULPS * np.spacing(abs(fine)):
+        reason = "it is near the float64 resolution of this value, request a larger one"
+    else:
+        reason = f"the quadrature did not settle within {MAX_NODES} nodes"
+    raise ValueError(f"tolerance {tol:.3g} not met (last change {err:.3g} on a value of "
+                     f"{abs(fine):.6g}): {reason}")
 
 
 LIMIT_REGIMES = ("small", "large")

@@ -35,8 +35,10 @@ def reduced_covariance_general(frame: np.ndarray, s) -> np.ndarray:
     O D O^T, with O = [[Re U, -Im U], [Im U, Re U]] the orthogonal image of
     U; this builds only the 2k rows of O that the first k modes use, so the
     cost is O(k n^2), and forms sigma as H H^T with H = R D^{1/2} so that it
-    is exactly symmetric. H (``2k x 2n``) is filled in place, block by
-    block, from the frame and the scale factors e^{+-s}.
+    is exactly symmetric. H is filled as its ``2n x 2k`` transpose h, in the
+    frame's own layout: each block of h is one multiply of the frame's real
+    or imaginary part by a column of scale factors e^{+-s}, written row by
+    row, and sigma = h^T h.
     """
     s = np.asarray(s, dtype=float)
     if frame.ndim != 2 or s.shape != (frame.shape[0],) or frame.shape[1] > s.size:
@@ -45,11 +47,10 @@ def reduced_covariance_general(frame: np.ndarray, s) -> np.ndarray:
     if not np.all(np.isfinite(s)):
         raise ValueError("squeezing strengths must be finite")
     n, k = frame.shape
-    u = frame.T
-    grow, shrink = np.exp(s), np.exp(-s)
-    half = np.empty((2 * k, 2 * n))
-    np.multiply(u.real, grow, out=half[:k, :n])
-    np.multiply(u.imag, -shrink, out=half[:k, n:])
-    np.multiply(u.imag, grow, out=half[k:, :n])
-    np.multiply(u.real, shrink, out=half[k:, n:])
-    return half @ half.T
+    grow, shrink = np.exp(s)[:, None], np.exp(-s)[:, None]
+    h = np.empty((2 * n, 2 * k))
+    np.multiply(frame.real, grow, out=h[:n, :k])
+    np.multiply(frame.imag, -shrink, out=h[n:, :k])
+    np.multiply(frame.imag, grow, out=h[:n, k:])
+    np.multiply(frame.real, shrink, out=h[n:, k:])
+    return h.T @ h

@@ -39,6 +39,10 @@ the Cholesky-QR frame through the LU inverse of each factor, and
 ``gram_full_product`` the Gram matrix A^T A from the full products
 L^T (Omega L) and A^T A: the per-mode sample's routes before the blocked
 triangular solve and the block-wise A^T A of ``gbs_page``.
+``reduced_covariance_rows`` fills the ``2k x 2n`` factor H of the per-mode
+covariance from the transposed frame and forms H H^T, the construction
+before ``states.reduced_covariance_general`` filled H^T in the frame's
+layout.
 """
 
 from dataclasses import dataclass
@@ -142,6 +146,20 @@ def full_covariance_general(U: np.ndarray, cfg: SqueezingConfig) -> np.ndarray:
         raise ValueError(f"squeezing config has {cfg.n} modes, unitary has {n}")
     s = cfg.as_array()
     half = np.block([[U.real, -U.imag], [U.imag, U.real]]) * np.exp(np.concatenate([s, -s]))
+    return half @ half.T
+
+
+def reduced_covariance_rows(frame: np.ndarray, s) -> np.ndarray:
+    """Per-mode reduced covariance H H^T, with H (``2k x 2n``) filled from ``frame.T``."""
+    n, k = frame.shape
+    u = frame.T
+    s = np.asarray(s, dtype=float)
+    grow, shrink = np.exp(s), np.exp(-s)
+    half = np.empty((2 * k, 2 * n))
+    np.multiply(u.real, grow, out=half[:k, :n])
+    np.multiply(u.imag, -shrink, out=half[:k, n:])
+    np.multiply(u.imag, grow, out=half[k:, :n])
+    np.multiply(u.real, shrink, out=half[k:, n:])
     return half @ half.T
 
 

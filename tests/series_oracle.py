@@ -35,6 +35,9 @@ ASYMPTOTIC = None
 #: Largest series index the oracle sums to.
 I_CAP = 5000
 
+#: Longest chunk of the von Neumann coefficient recurrence.
+_CHUNK = 4096
+
 
 def catalan(i: int) -> int:
     """i-th Catalan number C_i = binom(2i, i) / (i+1), exact."""
@@ -105,6 +108,14 @@ def vn_series_coefficients(count: int, s: float) -> np.ndarray:
     I_i = int_0^1 (1 - x y^2)^{-i} dy, c_i = 1/(2i) - (1-x)^i (I_{i+1} - I_i).
     Itilde_i = (1-x)^i I_i obeys Itilde_{i+1} = t (1 + (2i-1) Itilde_i) / (2i),
     a contraction, so roundoff does not accumulate.
+
+    The recurrence is first-order linear, Itilde_{i+1} = a_i Itilde_i + b_i,
+    so it is solved a chunk at a time: with P_j the running product of the
+    chunk's a_i up to a_j, Itilde_{j+1} = P_j (Itilde_start + sum_{l<=j} b_l / P_l),
+    one cumulative product and one cumulative sum. A chunk holds at most
+    600 / ln(1/t) steps (and at most ``_CHUNK``), so P, about t^chunk or
+    more, stays far from float64 underflow and no quotient b_l / P_l
+    overflows.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -112,14 +123,17 @@ def vn_series_coefficients(count: int, s: float) -> np.ndarray:
     if s <= 0:
         raise ValueError("squeezing strength must be nonzero")
     t = np.tanh(2.0 * s) ** 2
-    itil = t * np.cosh(2.0 * s) * np.log(1.0 / np.tanh(s))
-    cs = np.empty(count)
-    for j in range(count):
-        idx = j + 1
-        itil_next = t * (1.0 + (2 * idx - 1) * itil) / (2 * idx)
-        cs[j] = 1.0 / (2 * idx) + itil - itil_next / t
-        itil = itil_next
-    return cs
+    idx = np.arange(1, count + 1, dtype=float)
+    a = t * (2.0 * idx - 1.0) / (2.0 * idx)
+    b = t / (2.0 * idx)
+    itil = np.empty(count + 1)
+    itil[0] = t * np.cosh(2.0 * s) * np.log(1.0 / np.tanh(s))
+    chunk = max(1, int(600.0 / max(-np.log(t), 600.0 / _CHUNK)))
+    for lo in range(0, count, chunk):
+        hi = min(lo + chunk, count)
+        prod = np.cumprod(a[lo:hi])
+        itil[lo + 1:hi + 1] = prod * (itil[lo] + np.cumsum(b[lo:hi] / prod))
+    return 1.0 / (2.0 * idx) + itil[:-1] - itil[1:] / t
 
 
 def series_coefficients(alpha: int, s: float, count: int = I_CAP):

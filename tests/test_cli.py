@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import io
 import json
 import math
@@ -6,11 +7,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import pytest
 from oracles import householder_frame
 
 import gbs_page
+from gbs_page import cli
 from gbs_page.cli import (
     EXIT_NUMERICAL,
     EXIT_USAGE,
@@ -244,6 +247,66 @@ def test_threads_auto_counts_the_cpus_this_process_may_use(tmp_path, capsys, mon
                            "--out-prefix", prefix)
     assert code == 0, err
     assert json.loads((tmp_path / "run_summary.json").read_text())["config"]["threads"] == 1
+
+
+def _record_allocator_policy(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append(True))
+    return calls
+
+
+def test_per_mode_simulate_sets_the_allocator_policy(tmp_path, capsys, monkeypatch):
+    calls = _record_allocator_policy(monkeypatch)
+    path = tmp_path / "per_mode.json"
+    path.write_text(json.dumps({"n": 6, "k": 2, "s": [0.1, 0.2, 0.0, 0.3, 0.05, 0.1],
+                                "alphas": [2], "samples": 3, "seed": 1, "threads": 2,
+                                "out_prefix": str(tmp_path / "run")}))
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 0, err
+    assert calls == [True]
+
+
+def test_other_commands_leave_the_allocator_policy_alone(tmp_path, capsys, monkeypatch):
+    calls = _record_allocator_policy(monkeypatch)
+    commands = [
+        ("--help",),
+        ("simulate", "--n", "6", "--k", "3", "--s", "0.5", "--alphas", "2",
+         "--samples", "2", "--seed", "1", "--out-prefix", str(tmp_path / "equal")),
+        ("analytic", "--alpha", "2", "--s", "0.5", "--n", "10", "--r-grid", "0.5:0.5:1"),
+        ("limits", "--alpha", "2", "--regime", "small", "--r-grid", "0.5:0.5:1"),
+        ("figure", "page-vs-s", "--out-dir", str(tmp_path / "fig")),
+    ]
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+    assert calls == []
+
+
+def test_allocator_policy_sets_both_glibc_thresholds(monkeypatch):
+    class Mallopt:  # a ctypes function: called, and given argtypes and restype
+        def __init__(self):
+            self.calls = []
+
+        def __call__(self, param, value):
+            self.calls.append((param, value))
+            return 1
+
+    mallopt = Mallopt()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    assert cli._keep_freed_memory.__wrapped__() is None
+    assert sorted(mallopt.calls) == [(cli.M_MMAP_THRESHOLD, 32 << 20),
+                                     (cli.M_TRIM_THRESHOLD, 256 << 20)]
+
+
+def test_allocator_policy_is_quiet_without_mallopt(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a C library without mallopt
+    assert cli._keep_freed_memory.__wrapped__() is None
+
+    def no_library(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    assert cli._keep_freed_memory.__wrapped__() is None
 
 
 @pytest.mark.parametrize("threads", [2.7, True])

@@ -21,6 +21,7 @@ from gbs_page import (
     run_experiment,
     symplectic_eigenvalues,
 )
+from gbs_page.pagecurve import MAX_NODES
 
 
 def test_expected_trW_trivial():
@@ -56,6 +57,28 @@ def test_vn_coefficients_match_hypergeometric_form():
             hyp = float(mpmath.hyp2f1(1.5, 1 + i, 2.5, x))
             direct = 1.0 / (2 * i) - (x / 3.0) * t**i * hyp
             assert cs[i - 1] == pytest.approx(direct, rel=1e-9, abs=1e-16)
+
+
+def _vn_coefficients_loop(count, s):
+    """The von Neumann coefficient recurrence one step at a time."""
+    t = np.tanh(2.0 * s) ** 2
+    itil = t * np.cosh(2.0 * s) * np.log(1.0 / np.tanh(s))
+    cs = np.empty(count)
+    for j in range(count):
+        idx = j + 1
+        itil_next = t * (1.0 + (2 * idx - 1) * itil) / (2 * idx)
+        cs[j] = 1.0 / (2 * idx) + itil - itil_next / t
+        itil = itil_next
+    return cs
+
+
+@pytest.mark.parametrize("s", [0.01, 0.05, 0.3, 1.0, 3.0, 10.0])
+def test_vn_coefficients_chunked_recurrence_matches_loop(s):
+    # Counts below, at and across the chunk boundaries of every s here.
+    for count in (1, 2, 7, 300, 5000):
+        loop = _vn_coefficients_loop(count, s)
+        chunked = vn_series_coefficients(count, s)
+        assert np.abs(chunked - loop).max() <= 4 * np.finfo(float).eps
 
 
 def test_vn_coefficients_positive_and_summable():
@@ -236,6 +259,17 @@ def test_tol_below_float64_resolution_raises():
     assert abs(tight.value - loose.value) <= loose.trunc_err
     with pytest.raises(ValueError, match="float64 resolution"):
         page_average(1, 400, 3.0, 0.5, tol=1e-13)
+
+
+def test_unsettled_quadrature_is_not_called_a_resolution_limit():
+    # von Neumann at r = 1/2 and s = 10: the last change is 0.0018 on a value of
+    # 1.9e4, whose float64 spacing is 3.6e-12, so the default tolerance is far
+    # above resolution; the quadrature has not settled.
+    with pytest.raises(ValueError) as info:
+        page_average(1, 2000, 10, 0.5)
+    message = str(info.value)
+    assert f"did not settle within {MAX_NODES} nodes" in message
+    assert "resolution" not in message
 
 
 def test_limit_values():

@@ -8,11 +8,13 @@ from oracles import (
     haar_unitary,
     reduce_modes,
     reduced_covariance_equal,
+    reduced_covariance_rows,
     symplectic_form,
     trW_moments,
 )
 
 from gbs_page import reduced_covariance_general, symplectic_eigenvalues
+from gbs_page.haar import haar_frame
 
 
 def test_build_M_trivial_unitary():
@@ -137,6 +139,19 @@ def test_reduced_covariance_general_fast_path():
     fast = reduced_covariance_general(U[:k].T, cfg.s)
     slow = reduce_modes(full_covariance_general(U, cfg), range(k))
     assert np.abs(fast - slow).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (9, 2), (12, 6), (40, 31), (41, 7), (41, 20),
+                                 (41, 33), (200, 64), (200, 150)])
+def test_reduced_covariance_general_matches_row_factor_oracle(n, k):
+    # k < n/2, k = n/2, k > n/2, odd n and n = 1; squeezing of both signs.
+    frame = haar_frame(n, k, master_seed=23, sample_index=n + k)
+    s = np.random.default_rng(n * k).uniform(-0.8, 0.8, n)
+    got = reduced_covariance_general(frame, s)
+    want = reduced_covariance_rows(frame, s)
+    assert got.shape == want.shape == (2 * k, 2 * k)
+    assert np.array_equal(got, got.T)
+    assert np.abs(got - want).max() <= 4 * np.spacing(np.abs(want).max())
 
 
 def test_reduce_modes_identity_and_blocks():
