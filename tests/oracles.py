@@ -43,6 +43,9 @@ triangular solve and the block-wise A^T A of ``gbs_page``.
 covariance from the transposed frame and forms H H^T, the construction
 before ``states.reduced_covariance_general`` filled H^T in the frame's
 layout.
+``page_average_two_pass`` is the analytic average as it was before
+``pagecurve.page_average`` took both ends and its first two rules from one
+entropy pass: f(0), f(c) and every rule in a call of its own.
 """
 
 from dataclasses import dataclass
@@ -50,9 +53,27 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from gbs_page.entropy import _as_spectrum, _check_alpha, renyi_entropy
+from gbs_page.entropy import (
+    _MAX_SQUEEZING,
+    _as_spectrum,
+    _check_alpha,
+    _mode_entropy,
+    renyi_entropy,
+)
 from gbs_page.haar import _ginibre, haar_frame
 from gbs_page.montecarlo import _power_sums
+from gbs_page.pagecurve import (
+    ASYMPTOTIC,
+    DEFAULT_TOL,
+    FIRST_NODES,
+    MAX_NODES,
+    RESOLUTION_ULPS,
+    PageCurveValue,
+    _check_ratio,
+    _check_tol,
+    _realized_ratio,
+    _theta_rule,
+)
 from gbs_page.symplectic import SYMMETRY_TOL, _physical_spectrum, symplectic_eigenvalues
 
 
@@ -412,3 +433,58 @@ def gram_full_product(sigma: np.ndarray) -> np.ndarray:
     chol = np.linalg.cholesky(sigma)
     a = chol.T @ np.vstack([chol[m:], -chol[:m]])
     return a.T @ a
+
+
+def page_average_two_pass(alpha, n, s: float, r: float,
+                          tol: float = DEFAULT_TOL) -> PageCurveValue:
+    """``page_average`` with one entropy call for each end and each rule.
+
+    f(0), f(c) and the rules of 32, 64, ... nodes are evaluated one call at a
+    time; the estimates, the node doubling and the refusals are those of
+    ``gbs_page.pagecurve.page_average``.
+    """
+    alpha = _check_alpha(alpha)
+    r = _check_ratio(r)
+    tol = _check_tol(tol)
+    if not np.isfinite(s):
+        raise ValueError(f"squeezing strength must be finite, got {s!r}")
+    realized, rq = _realized_ratio(n, r)
+    if s == 0 or rq == 0:
+        return PageCurveValue(0.0, 0, 0.0, realized)
+    with np.errstate(over="ignore"):
+        sinh2 = np.sinh(2.0 * s) ** 2
+    if not np.isfinite(sinh2):
+        raise ValueError(f"squeezing strength {s!r} is beyond the float64 range of the "
+                         f"average: sinh^2(2s) overflows above |s| = {_MAX_SQUEEZING:.2f}")
+    c = 4.0 * rq * (1.0 - rq)
+    gap = (1.0 - 2.0 * rq) ** 2  # 1 - c, the smallest 1 - l
+
+    def f(one_minus_l):
+        return _mode_entropy(alpha, np.sqrt(1.0 + sinh2 * one_minus_l))
+
+    f0 = f(1.0)
+    scale = 1.0 if n is ASYMPTOTIC else float(n)
+    edge = 0.0 if n is ASYMPTOTIC else 0.25 * (f0 - f(gap))
+
+    def estimate(m):
+        cos2, weights = _theta_rule(m)
+        one_minus_l = gap + c * cos2
+        density = c * cos2 / (2.0 * np.pi * one_minus_l)
+        integral = weights @ ((f0 - f(one_minus_l)) * density)
+        return scale * (rq * f0 - integral) - edge
+
+    m = FIRST_NODES
+    coarse = estimate(m)
+    while m < MAX_NODES:
+        m *= 2
+        fine = estimate(m)
+        err = abs(fine - coarse)
+        if err <= tol:
+            return PageCurveValue(float(fine), m, float(err), realized)
+        coarse = fine
+    if tol < RESOLUTION_ULPS * np.spacing(abs(fine)):
+        reason = "it is near the float64 resolution of this value, request a larger one"
+    else:
+        reason = f"the quadrature did not settle within {MAX_NODES} nodes"
+    raise ValueError(f"tolerance {tol:.3g} not met (last change {err:.3g} on a value of "
+                     f"{abs(fine):.6g}): {reason}")

@@ -1,9 +1,10 @@
+import collections
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from oracles import haar_unitary, reduced_covariance_equal, trW_moments
+from oracles import haar_unitary, page_average_two_pass, reduced_covariance_equal, trW_moments
 from series_oracle import (
     expected_trW,
     series_average,
@@ -16,6 +17,7 @@ from gbs_page import (
     ExperimentPlan,
     page_average,
     page_limit,
+    pagecurve,
     renyi_entropy,
     renyi_unequal_small,
     run_experiment,
@@ -272,6 +274,78 @@ def test_unsettled_quadrature_is_not_called_a_resolution_limit():
     assert "resolution" not in message
 
 
+def _fields(res):
+    return res.value, res.nodes, res.trunc_err, res.realized_r
+
+
+def test_single_pass_matches_two_pass_oracle_on_sweep():
+    # A sub-grid of the benchmark's analytic sweep, s = 0.15, 0.30, ..., 3.0
+    # and r = 0.1, 0.2, ..., 0.9: bit for bit the per-call evaluation.
+    s_grid = [round(0.05 + i * 0.05, 12) for i in range(2, 60, 3)]
+    r_grid = [round(0.05 + i * 0.05, 12) for i in range(1, 19, 2)]
+    nodes = collections.Counter()
+    for alpha in (1, 2, 3, 15):
+        for s in s_grid:
+            for r in r_grid:
+                for n in (100, 400, ASYMPTOTIC):
+                    res = page_average(alpha, n, s, r)
+                    oracle = page_average_two_pass(alpha, n, s, r)
+                    assert _fields(res) == _fields(oracle), (alpha, n, s, r)
+                    nodes[res.nodes] += 1
+    assert set(nodes) == {64, 128}
+
+
+@pytest.mark.parametrize("args, kwargs, nodes", [
+    ((1, 100, 2.95, 0.5), {}, 128),
+    ((15, 400, 2.85, 0.5), {}, 128),
+    ((1, 400, 5, 0.5), {}, 256),
+    ((2, 400, 10, 0.5), {}, 1024),
+    ((1, 400, 3, 0.5), {"tol": 1e-8}, 1024),
+    ((1, 100, 0.0, 0.5), {}, 0),
+    ((3, ASYMPTOTIC, 0.0, 0.3), {}, 0),
+    ((2, 100, 0.5, 0.0), {}, 0),
+    ((1, 100, 1e-200, 0.5), {}, 64),
+])
+def test_single_pass_matches_two_pass_oracle_at_edges(args, kwargs, nodes):
+    res = page_average(*args, **kwargs)
+    assert _fields(res) == _fields(page_average_two_pass(*args, **kwargs))
+    assert res.nodes == nodes
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((3, 10000, 6, 0.5), {}),
+    ((1, 2000, 10, 0.5), {}),
+    ((2, 400, 0.5, 0.3), {"tol": 1e-16}),
+])
+def test_refusals_match_two_pass_oracle(args, kwargs):
+    with pytest.raises(ValueError) as new:
+        page_average(*args, **kwargs)
+    with pytest.raises(ValueError) as old:
+        page_average_two_pass(*args, **kwargs)
+    assert str(new.value) == str(old.value)
+
+
+def test_one_entropy_call_per_settled_cell(monkeypatch):
+    # f(0), f(c) and the 32- and 64-node rules share one call; each later
+    # rule costs one more; an exact zero costs none.
+    sizes = []
+    inner = pagecurve._mode_entropy
+
+    def counted(alpha, nu):
+        sizes.append(np.size(nu))
+        return inner(alpha, nu)
+
+    monkeypatch.setattr(pagecurve, "_mode_entropy", counted)
+    for args, nodes, calls in [((2, 100, 0.5, 0.3), 64, [98]),
+                               ((1, ASYMPTOTIC, 1.0, 0.2), 64, [98]),
+                               ((1, 400, 5, 0.5), 256, [98, 128, 256]),
+                               ((1, 100, 0.0, 0.5), 0, []),
+                               ((2, 100, 0.5, 0.0), 0, [])]:
+        sizes.clear()
+        assert page_average(*args).nodes == nodes
+        assert sizes == calls, args
+
+
 def test_limit_values():
     assert page_limit(1, "small", 0.5)[0] == 0.25
     assert page_limit(1, "small", 0.0)[0] == 0.0
@@ -342,6 +416,14 @@ def test_validation():
             page_average(alpha, 10, 0.5, 0.5)
     with pytest.raises(ValueError, match="Renyi order must be >= 2"):
         renyi_unequal_small(1, 0.5, [0.1])
+    # The squeezing strength is read through float(), like r and tol.
+    assert page_average(1, 100, "0.5", 0.5) == page_average(1, 100, 0.5, 0.5)
+    for s in (None, "x", [0.5, 0.5]):
+        with pytest.raises(ValueError, match="squeezing strength must be a real number"):
+            page_average(1, 100, s, 0.5)
+    for s in (float("nan"), "inf"):
+        with pytest.raises(ValueError, match="squeezing strength must be finite"):
+            page_average(1, 100, s, 0.5)
     with pytest.raises(ValueError):
         page_average(2, 100, 0.5, 1.2)
     with pytest.raises(ValueError):
