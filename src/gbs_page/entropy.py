@@ -36,6 +36,7 @@ trapezoidal rule converges geometrically there (``_von_neumann_nodes``).
 """
 
 import numbers
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -74,12 +75,15 @@ def _integer(name: str, value, minimum: int | None = None) -> int:
     Accepts 6, 6.0 and "6"; rejects 6.7, booleans and what int() rejects, so
     that no value is silently truncated.
     """
-    if isinstance(value, (bool, np.bool_)) or isinstance(value, numbers.Real) and value % 1:
+    if type(value) is int:  # the common case, and no bool: type(True) is bool
+        number = value
+    elif isinstance(value, (bool, np.bool_)) or isinstance(value, numbers.Real) and value % 1:
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    try:
-        number = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    else:
+        try:
+            number = int(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if minimum is not None and number < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {number}")
     return number
@@ -90,23 +94,42 @@ def _check_alpha(alpha, minimum: int = 1) -> int:
     return _integer("Renyi order", alpha, minimum)
 
 
-def _log_plus(nu: np.ndarray) -> np.ndarray:
-    return np.log(0.5 * (nu + 1.0))
+def _log_terms(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln((nu+1)/2) and ln((nu-1)/(nu+1)) of a checked spectrum, from one nu + 1.
+
+    The ratio's log via log1p stays accurate when the ratio is within one ulp
+    of 1, and 1 - ratio^alpha via expm1 (``_order_terms``) when ratio^alpha
+    is; its -inf at nu = 1 is intended and yields an exact zero.
+    """
+    nu_plus = nu + 1.0
+    return np.log(0.5 * nu_plus), np.log1p(-2.0 / nu_plus)
 
 
-def _log_ratio(nu: np.ndarray) -> np.ndarray:
-    # ln(ratio^alpha) via log1p stays accurate when ratio is within one ulp of
-    # 1, and 1 - ratio^alpha via expm1 when ratio^alpha is; -inf at nu = 1 is
-    # intended and yields an exact zero.
-    with np.errstate(divide="ignore"):
-        return np.log1p(-2.0 / (nu + 1.0))
+def _at_one(low) -> bool:
+    """Whether a spectrum of least value ``low`` has some nu + 1 that rounds to 2.
+
+    That is nu = 1 or the float just above it. Only there does the entropy
+    take a log of zero (ln((nu-1)/(nu+1)), and 1/a with a = 0 at order 1)
+    on its way to an exact zero.
+    """
+    return low + 1.0 == 2.0
 
 
-def _order_terms(alpha: int, nu: np.ndarray, log_plus, log_ratio) -> np.ndarray:
+def _quiet_at_one(at_one: bool):
+    """np.errstate for a spectrum that is ``_at_one``, else a no-op.
+
+    Entering np.errstate costs more than the arithmetic of a short spectrum,
+    so it is entered only where a log of zero is to be taken.
+    """
+    return np.errstate(divide="ignore", invalid="ignore") if at_one else nullcontext()
+
+
+def _order_terms(alpha: int, nu: np.ndarray, log_plus, log_ratio, at_one: bool) -> np.ndarray:
     """Per-mode entropy of a checked order on a checked spectrum (1 = von Neumann g).
 
-    ``log_plus`` is ln((nu+1)/2) and ``log_ratio`` ln((nu-1)/(nu+1)); both
-    are used only for alpha >= 2. Order 1 is g = ln(1 + a) + a ln(1 + 1/a)
+    ``log_plus`` and ``log_ratio`` are the ``_log_terms`` of nu, used only
+    for alpha >= 2. ``at_one`` is ``_at_one`` of nu; the caller then runs
+    this under ``_quiet_at_one``. Order 1 is g = ln(1 + a) + a ln(1 + 1/a)
     with a = (nu-1)/2: two non-negative terms, each from ``log1p`` of an
     argument with a relative error of at most one rounding, so g is good to
     a few ulp for every nu; the textbook ((nu+1)/2) ln((nu+1)/2) - a ln(a)
@@ -115,21 +138,26 @@ def _order_terms(alpha: int, nu: np.ndarray, log_plus, log_ratio) -> np.ndarray:
     if alpha > 1:
         return (alpha * log_plus + np.log(-np.expm1(alpha * log_ratio))) / (alpha - 1)
     a = 0.5 * (nu - 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a = 0 is set to g(1) = 0 below
-        out = np.log1p(a) + a * np.log1p(1.0 / a)
-    out[a == 0.0] = 0.0
+    out = np.log1p(a) + a * np.log1p(1.0 / a)
+    if at_one:
+        out[a == 0.0] = 0.0  # g(1) = 0, where the line above gives 0 * inf
     return out
 
 
 def _mode_entropy(alpha: int, nu):
     """``renyi_mode_entropy`` of an order that is already checked."""
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    if nu.size and nu.min() < 1.0:
-        raise ValueError(f"symplectic eigenvalues must be >= 1, got min {nu.min()!r}")
-    if alpha > 1:
-        out = _order_terms(alpha, nu, _log_plus(nu), _log_ratio(nu))
-    else:
-        out = _order_terms(alpha, nu, None, None)
+    nu = np.asarray(nu, dtype=float)
+    if nu.ndim == 0:
+        nu = nu.reshape(1)
+    at_one = False
+    if nu.size:
+        low = nu.min()
+        if low < 1.0:
+            raise ValueError(f"symplectic eigenvalues must be >= 1, got min {low!r}")
+        at_one = _at_one(low)
+    with _quiet_at_one(at_one):
+        logs = _log_terms(nu) if alpha > 1 else (None, None)
+        out = _order_terms(alpha, nu, *logs, at_one)
     return float(out[0]) if out.size == 1 else out
 
 
@@ -159,10 +187,10 @@ def spectrum_entropies(nu, alphas) -> np.ndarray:
     arr = _as_spectrum(nu)
     if arr.size == 0:
         return np.zeros(len(orders))
-    log_plus = log_ratio = None
-    if any(a > 1 for a in orders):
-        log_plus, log_ratio = _log_plus(arr), _log_ratio(arr)
-    return np.array([np.sum(_order_terms(a, arr, log_plus, log_ratio)) for a in orders])
+    at_one = _at_one(arr.min())
+    with _quiet_at_one(at_one):
+        logs = _log_terms(arr) if any(a > 1 for a in orders) else (None, None)
+        return np.array([np.sum(_order_terms(a, arr, *logs, at_one)) for a in orders])
 
 
 def renyi_entropy(nu, alpha: int) -> float:

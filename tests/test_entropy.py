@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -101,6 +102,21 @@ def test_mode_entropy_near_one_expansion():
         )
         assert renyi_mode_entropy(1.0 + eps, 1) == pytest.approx(exact, rel=1e-8)
     assert renyi_mode_entropy(1.0, 1) == 0.0
+
+
+def test_mode_entropy_at_one_is_an_exact_zero_without_warning():
+    # nu = 1, and the float above it at orders >= 2 (nu + 1 rounds to 2),
+    # take a log of zero on the way to an exact zero; no warning escapes.
+    above = np.nextafter(1.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (1, 2, 3, 15):
+            assert renyi_mode_entropy(1.0, alpha) == 0.0
+            mixed = renyi_mode_entropy([3.0, 1.0, above], alpha)
+            assert mixed[1] == 0.0 and mixed[0] == renyi_mode_entropy(3.0, alpha)
+            alone = renyi_mode_entropy(above, alpha)
+            assert mixed[2] == alone and (alone == 0.0 if alpha > 1 else alone > 0.0)
+        assert np.array_equal(spectrum_entropies([1.0, 1.0, above], (1, 2, 15))[1:], [0.0, 0.0])
 
 
 def test_von_neumann_matches_mpmath_up_to_1e300():

@@ -305,6 +305,18 @@ def test_single_pass_matches_two_pass_oracle_on_sweep():
     ((3, ASYMPTOTIC, 0.0, 0.3), {}, 0),
     ((2, 100, 0.5, 0.0), {}, 0),
     ((1, 100, 1e-200, 0.5), {}, 64),
+    # r n = n/2: nu = 1 at the end l = c, where the entropy enters np.errstate.
+    *(((alpha, n, 1.0, 0.5), {}, 64) for alpha in (1, 2, 15) for n in (100, 400, ASYMPTOTIC)),
+    # sinh^2(2s) underflows: nu = 1 at every node.
+    ((2, 400, 1e-200, 0.3), {}, 64),
+    ((15, ASYMPTOTIC, 1e-200, 0.5), {}, 64),
+    # nu one float above 1 at the end l = c: nu + 1 rounds to 2, a log of zero.
+    ((2, 400, 1e-8, 0.005), {}, 64),
+    ((1, 400, 1e-8, 0.005), {}, 64),
+    # Within 1 of the float64 range of sinh^2(2s), where it enters np.errstate.
+    ((2, ASYMPTOTIC, 177.7, 0.5), {}, 64),
+    ((1, 400, 177.7, 0.3), {}, 64),
+    ((3, 100, -177.7, 0.5), {}, 512),
 ])
 def test_single_pass_matches_two_pass_oracle_at_edges(args, kwargs, nodes):
     res = page_average(*args, **kwargs)
@@ -316,6 +328,7 @@ def test_single_pass_matches_two_pass_oracle_at_edges(args, kwargs, nodes):
     ((3, 10000, 6, 0.5), {}),
     ((1, 2000, 10, 0.5), {}),
     ((2, 400, 0.5, 0.3), {"tol": 1e-16}),
+    ((1, 400, 177.8, 0.5), {}),
 ])
 def test_refusals_match_two_pass_oracle(args, kwargs):
     with pytest.raises(ValueError) as new:
@@ -424,10 +437,23 @@ def test_validation():
     for s in (float("nan"), "inf"):
         with pytest.raises(ValueError, match="squeezing strength must be finite"):
             page_average(1, 100, s, 0.5)
-    with pytest.raises(ValueError):
-        page_average(2, 100, 0.5, 1.2)
-    with pytest.raises(ValueError):
-        page_average(2, 100, 0.5, 0.5, tol=0.0)
+    # So are r and tol, and each names itself when float() cannot read it.
+    assert page_average(1, 100, 0.5, "0.5", "1e-3") == page_average(1, 100, 0.5, 0.5)
+    assert page_average(1, 100, 0.5, np.float64(0.3)) == page_average(1, 100, 0.5, 0.3)
+    for r in (None, "x", [0.5, 0.5]):
+        with pytest.raises(ValueError, match="partition ratio must be a real number"):
+            page_average(1, 100, 0.5, r)
+        with pytest.raises(ValueError, match="partition ratio must be a real number"):
+            page_limit(2, "small", r)
+    for r in (1.2, -0.1, float("inf"), float("nan"), "nan"):
+        with pytest.raises(ValueError, match=r"partition ratio must lie in \[0, 1\]"):
+            page_average(2, 100, 0.5, r)
+    for tol in (None, "x", [1e-3]):
+        with pytest.raises(ValueError, match="tolerance must be a real number"):
+            page_average(1, 100, 0.5, 0.5, tol)
+    for tol in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            page_average(2, 100, 0.5, 0.5, tol=tol)
     with pytest.raises(ValueError):
         page_average(2, 0, 0.5, 0.5)
     with pytest.raises(ValueError):
