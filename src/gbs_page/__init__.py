@@ -6,34 +6,13 @@ passive circuits acting on squeezed-vacuum inputs, the corresponding
 small/large squeezing limits, and a seeded Monte-Carlo pipeline that
 cross-validates the formulas. All entropies are in nats.
 
-The public names are imported from their submodules on first use, so
+The public names, listed once by submodule in ``_EXPORTS``, are imported
+from their submodules on first use, so
 ``import gbs_page`` alone loads no numpy; ``gbs_page.cli`` relies on that
 to set the BLAS thread variables before numpy starts its BLAS.
 """
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ASYMPTOTIC",
-    "ExperimentPlan",
-    "PageCurveValue",
-    "SampleFailure",
-    "Summary",
-    "estimate_Vd",
-    "haar_frame",
-    "jacobi_transmissions",
-    "page_average",
-    "page_limit",
-    "reduced_covariance_general",
-    "renyi_entropy",
-    "renyi_mode_entropy",
-    "renyi_unequal_small",
-    "run_experiment",
-    "s2_variance_identity",
-    "sample_generator",
-    "symplectic_eigenvalues",
-    "variance_trend",
-]
 
 _EXPORTS = {
     "haar": ("haar_frame", "jacobi_transmissions", "sample_generator"),
@@ -53,6 +32,7 @@ _EXPORTS = {
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_SOURCE)
 
 
 def __getattr__(name):

@@ -30,10 +30,10 @@ callers who run per-mode plans set it themselves too.
 
 This module only turns text into arguments; the library checks every
 parameter. Exit codes: 0 success, 2 invalid flags, config or parameter (any
-``ValueError``, including an analytic value that does not settle to ``--tol``
-within ``MAX_NODES`` quadrature nodes) or an output path that cannot be
-written, 4 numerical failure in a sample. Numeric output is full-precision (17
-significant digits); identical invocations produce byte-identical files.
+``ValueError``, including a ``--tol`` below the float64 error bound of an
+analytic value) or an output path that cannot be written, 4 numerical
+failure in a sample. Numeric output is full-precision (17 significant
+digits); identical invocations produce byte-identical files.
 """
 
 import os
@@ -194,7 +194,7 @@ def _write_json(path: str | None, payload) -> None:
 # analytic
 
 def _analytic_row(alpha, n, s, r, tol) -> dict:
-    """One quadrature cell as a JSON row; ASYMPTOTIC values are per mode."""
+    """One analytic cell as a JSON row; ASYMPTOTIC values are per mode."""
     res = page_average(alpha, n, s, r, tol)
     return {
         "r": r,
@@ -357,7 +357,7 @@ FIXED_PARAM = 0.5
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """One standard figure: quadrature values and Monte-Carlo means on a sweep.
+    """One standard figure: analytic values and Monte-Carlo means on a sweep.
 
     With ``norm`` set, both files hold entropies divided by ``norm(n, s)``
     and the analytic file adds the ``page_limit`` law of regime ``limit``,
@@ -517,8 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     size.add_argument("--asymptotic", action="store_true", help="n -> infinity (per-mode values)")
     p.add_argument("--r-grid", type=grid, required=True, help="partition ratios, start:stop:step")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="absolute tolerance (nats) of each value, met by doubling "
-                        "the quadrature nodes")
+                   help="absolute tolerance (nats) of each value; a value whose "
+                        "float64 error bound exceeds it is refused")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_analytic)

@@ -13,9 +13,9 @@ A Renyi order is any integer >= 1 (``_check_alpha``), so every function
 here, and every average and limit law built on them, takes order 1 as the
 von Neumann entropy. ``_integer`` is the rule for every integer-valued
 parameter of the package. The entropy of a spectrum is a sum of vectorized
-per-mode entropies (``renyi_mode_entropy``), which the analytic quadrature
-integrates too; ``spectrum_entropies`` evaluates several orders of one
-spectrum at once.
+per-mode entropies (``renyi_mode_entropy``); ``spectrum_entropies``
+evaluates several orders of one spectrum at once. All three read a
+spectrum through one check (``_as_spectrum``): finite values nu >= 1.
 
 At equal squeezing s every nu_j^2 = 1 + c T_j with c = sinh^2(2s), and
 each entropy is a weighted sum of the log-determinants
@@ -32,11 +32,14 @@ u = tanh(t)
     S_1 = (1/4) int_R L(c cosh^2 t) sech^2 t dt,
 
 an integrand analytic in the strip |Im t| < pi/2 for every c and T_j; the
-trapezoidal rule converges geometrically there (``_von_neumann_nodes``).
+trapezoidal rule converges geometrically there (``_von_neumann_count``).
+Each order's shifts and weights come from one cached pattern
+(``_order_rule``), which the analytic average reads too.
 """
 
+import math
 import numbers
-from contextlib import nullcontext
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,17 +57,22 @@ _VN_REACH = 20.0
 
 # Largest |s| whose log-determinant shifts are finite floats: sinh^2(2s) for
 # the orders >= 2 (177.79), and sinh^2(2s) cosh^2(_VN_REACH) at the last
-# order-1 node (168.14). The analytic average forms sinh^2(2s) as well.
+# order-1 node (168.14). The analytic average needs only the square roots
+# of the shifts, so it answers up to _MAX_SQUEEZING at every order.
 _FLOAT_ROOT = float(np.sqrt(np.finfo(float).max))
 _MAX_SQUEEZING = float(np.arcsinh(_FLOAT_ROOT)) / 2
 _VN_MAX_SQUEEZING = float(np.arcsinh(_FLOAT_ROOT / np.cosh(_VN_REACH))) / 2
 
 
 def _as_spectrum(nu) -> np.ndarray:
+    """A spectrum as a 1-D float array of finite values nu >= 1, else ValueError."""
     arr = np.atleast_1d(np.asarray(nu, dtype=float))
     if arr.ndim != 1:
         raise ValueError("spectrum must be one-dimensional")
-    if arr.size and arr.min() < 1.0:
+    if arr.size and not 1.0 <= arr.min() <= arr.max() < np.inf:
+        bad = arr[~np.isfinite(arr)]
+        if bad.size:
+            raise ValueError(f"symplectic eigenvalues must be finite, got {float(bad[0])!r}")
         raise ValueError(f"symplectic eigenvalues must be >= 1, got min {arr.min()!r}")
     return arr
 
@@ -94,75 +102,38 @@ def _check_alpha(alpha, minimum: int = 1) -> int:
     return _integer("Renyi order", alpha, minimum)
 
 
-def _log_terms(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ln((nu+1)/2) and ln((nu-1)/(nu+1)) of a checked spectrum, from one nu + 1.
+def _mode_terms(nu, orders) -> list[np.ndarray]:
+    """Per-mode entropies of a spectrum, one array per checked order (1 = von Neumann g).
 
-    The ratio's log via log1p stays accurate when the ratio is within one ulp
-    of 1, and 1 - ratio^alpha via expm1 (``_order_terms``) when ratio^alpha
-    is; its -inf at nu = 1 is intended and yields an exact zero.
-    """
-    nu_plus = nu + 1.0
-    return np.log(0.5 * nu_plus), np.log1p(-2.0 / nu_plus)
-
-
-def _at_one(low) -> bool:
-    """Whether a spectrum of least value ``low`` has some nu + 1 that rounds to 2.
-
-    That is nu = 1 or the float just above it. Only there does the entropy
-    take a log of zero (ln((nu-1)/(nu+1)), and 1/a with a = 0 at order 1)
-    on its way to an exact zero.
-    """
-    return low + 1.0 == 2.0
-
-
-def _quiet_at_one(at_one: bool):
-    """np.errstate for a spectrum that is ``_at_one``, else a no-op.
-
-    Entering np.errstate costs more than the arithmetic of a short spectrum,
-    so it is entered only where a log of zero is to be taken.
-    """
-    return np.errstate(divide="ignore", invalid="ignore") if at_one else nullcontext()
-
-
-def _order_terms(alpha: int, nu: np.ndarray, log_plus, log_ratio, at_one: bool) -> np.ndarray:
-    """Per-mode entropy of a checked order on a checked spectrum (1 = von Neumann g).
-
-    ``log_plus`` and ``log_ratio`` are the ``_log_terms`` of nu, used only
-    for alpha >= 2. ``at_one`` is ``_at_one`` of nu; the caller then runs
-    this under ``_quiet_at_one``. Order 1 is g = ln(1 + a) + a ln(1 + 1/a)
+    Orders alpha >= 2 share ln((nu+1)/2) and ln((nu-1)/(nu+1)), the latter
+    by log1p, which stays accurate when the ratio is within one ulp of 1, as
+    1 - ratio^alpha does by expm1. Order 1 is g = ln(1 + a) + a ln(1 + 1/a)
     with a = (nu-1)/2: two non-negative terms, each from ``log1p`` of an
     argument with a relative error of at most one rounding, so g is good to
     a few ulp for every nu; the textbook ((nu+1)/2) ln((nu+1)/2) - a ln(a)
-    cancels at large nu and loses every digit from nu ~ 1e16.
+    cancels at large nu and loses every digit from nu ~ 1e16. A log of zero
+    at nu = 1 (and, for orders >= 2, the float above it) leads quietly to an
+    exact zero.
     """
-    if alpha > 1:
-        return (alpha * log_plus + np.log(-np.expm1(alpha * log_ratio))) / (alpha - 1)
-    a = 0.5 * (nu - 1.0)
-    out = np.log1p(a) + a * np.log1p(1.0 / a)
-    if at_one:
-        out[a == 0.0] = 0.0  # g(1) = 0, where the line above gives 0 * inf
+    arr = _as_spectrum(nu)
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if any(alpha > 1 for alpha in orders):
+            nu_plus = arr + 1.0
+            log_plus, log_ratio = np.log(0.5 * nu_plus), np.log1p(-2.0 / nu_plus)
+        for alpha in orders:
+            if alpha > 1:
+                out.append((alpha * log_plus + np.log(-np.expm1(alpha * log_ratio))) / (alpha - 1))
+                continue
+            a = 0.5 * (arr - 1.0)
+            g = np.log1p(a) + a * np.log1p(1.0 / a)
+            g[a == 0.0] = 0.0  # g(1) = 0, where the line above gives 0 * inf
+            out.append(g)
     return out
 
 
-def _mode_entropy(alpha: int, nu):
-    """``renyi_mode_entropy`` of an order that is already checked."""
-    nu = np.asarray(nu, dtype=float)
-    if nu.ndim == 0:
-        nu = nu.reshape(1)
-    at_one = False
-    if nu.size:
-        low = nu.min()
-        if low < 1.0:
-            raise ValueError(f"symplectic eigenvalues must be >= 1, got min {low!r}")
-        at_one = _at_one(low)
-    with _quiet_at_one(at_one):
-        logs = _log_terms(nu) if alpha > 1 else (None, None)
-        out = _order_terms(alpha, nu, *logs, at_one)
-    return float(out[0]) if out.size == 1 else out
-
-
 def renyi_mode_entropy(nu, alpha: int):
-    """Single-mode entropy of integer order alpha >= 1, vectorized.
+    """Single-mode entropy of integer order alpha >= 1, vectorized over a 1-D spectrum.
 
     Order 1 is the von Neumann g(nu), with g(1) = 0 exactly, as a sum of two
     non-negative log1p terms that stays accurate from nu = 1 to the largest
@@ -172,8 +143,11 @@ def renyi_mode_entropy(nu, alpha: int):
 
     which never forms (nu+1)^alpha explicitly and therefore cannot overflow
     for large alpha or strongly squeezed modes. Zero exactly at nu = 1.
+    A single value gives a float. Raises ValueError for a value below 1 or
+    not finite.
     """
-    return _mode_entropy(_check_alpha(alpha), nu)
+    (out,) = _mode_terms(nu, [_check_alpha(alpha)])
+    return float(out[0]) if out.size == 1 else out
 
 
 def spectrum_entropies(nu, alphas) -> np.ndarray:
@@ -184,13 +158,7 @@ def spectrum_entropies(nu, alphas) -> np.ndarray:
     sequence and ``np.sum`` as for a single order.
     """
     orders = [_check_alpha(a) for a in alphas]
-    arr = _as_spectrum(nu)
-    if arr.size == 0:
-        return np.zeros(len(orders))
-    at_one = _at_one(arr.min())
-    with _quiet_at_one(at_one):
-        logs = _log_terms(arr) if any(a > 1 for a in orders) else (None, None)
-        return np.array([np.sum(_order_terms(a, arr, *logs, at_one)) for a in orders])
+    return np.array([np.sum(terms) for terms in _mode_terms(nu, orders)])
 
 
 def renyi_entropy(nu, alpha: int) -> float:
@@ -198,15 +166,54 @@ def renyi_entropy(nu, alpha: int) -> float:
     return float(spectrum_entropies(nu, (alpha,))[0])
 
 
-def _von_neumann_nodes(c: float) -> np.ndarray:
-    """Trapezoid nodes t_j = j * _VN_STEP >= 0 of the order-1 rule for c > 0.
+def _von_neumann_count(c: float) -> int:
+    """Node count of the order-1 rule at c = sinh^2(2s): t = 0 alone at c = 0.
 
-    They reach _VN_REACH past arccosh(1/sqrt(c)) (0 once c >= 1), so weak
-    squeezing, whose integrand stays flat out to t ~ ln(2/sqrt(c)), gets
-    more nodes: 81 from s = 0.44 (c = 1) up, 93 at s = 0.05, 128 at s = 1e-5.
+    Its nodes t_j = j * _VN_STEP reach _VN_REACH past arccosh(1/sqrt(c))
+    (0 once c >= 1), so weak squeezing, whose integrand stays flat out to
+    t ~ ln(2/sqrt(c)), gets more: 81 from s = 0.44 up, 128 at s = 1e-5.
     """
-    start = np.arccosh(1.0 / np.sqrt(c)) if c < 1.0 else 0.0
-    return _VN_STEP * np.arange(int(np.ceil((start + _VN_REACH) / _VN_STEP)) + 1)
+    if c == 0.0:
+        return 1
+    start = math.acosh(1.0 / math.sqrt(c)) if c < 1.0 else 0.0
+    return math.ceil((start + _VN_REACH) / _VN_STEP) + 1
+
+
+@lru_cache(maxsize=128)
+def _pattern(alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ascending factors a_j and weights w_j of order alpha's shift rule.
+
+    Orders alpha >= 2: a_j = sin(pi j/alpha), 1 <= j <= alpha/2, and shifts
+    c a_j^2. Order 1: a_j = cosh t_j at every node any c > 0 takes, of which
+    the rule at c has the first ``_von_neumann_count(c)``, with shifts
+    (sinh(2s) a_j)^2 (``_order_rule``, which ``_shift_rule`` and
+    ``pagecurve.page_average`` read).
+    """
+    if alpha == 1:
+        t = _VN_STEP * np.arange(_von_neumann_count(np.finfo(float).smallest_subnormal))
+        sech = 1.0 / np.cosh(t)
+        weights = 0.5 * _VN_STEP * sech * sech
+        weights[0] *= 0.5
+        factors = np.cosh(t)
+    else:
+        # j/alpha in lowest terms, so that equal fractions of two orders give
+        # the same float, which ``_shift_rule`` then evaluates once.
+        j = np.arange(1, alpha // 2 + 1)
+        g = np.gcd(j, alpha)
+        factors = np.sin(np.pi * (j // g) / (alpha // g))
+        weights = np.where(2 * j == alpha, 0.5, 1.0) / (alpha - 1)
+    factors.flags.writeable = False
+    weights.flags.writeable = False
+    return factors, weights
+
+
+def _order_rule(alpha: int, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Factors and weights of order alpha's rule at c = sinh^2(2s) (``_pattern``)."""
+    factors, weights = _pattern(alpha)
+    if alpha > 1:
+        return factors, weights
+    count = _von_neumann_count(c)
+    return factors[:count], weights[:count]
 
 
 def _shift_rule(s: float, orders) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]]]:
@@ -225,17 +232,9 @@ def _shift_rule(s: float, orders) -> tuple[np.ndarray, dict[int, tuple[np.ndarra
         c = sinh * sinh
         parts = {}
         for alpha in orders:
-            if alpha == 1:
-                t = _von_neumann_nodes(c) if c > 0.0 else np.zeros(1)
-                sech = 1.0 / np.cosh(t)
-                weights = 0.5 * _VN_STEP * sech * sech
-                weights[0] *= 0.5
-                parts[alpha] = ((sinh * np.cosh(t)) ** 2, weights)  # c cosh^2 t
-            else:
-                j = np.arange(1, alpha // 2 + 1)
-                g = np.gcd(j, alpha)
-                weights = np.where(2 * j == alpha, 0.5, 1.0) / (alpha - 1)
-                parts[alpha] = (c * np.sin(np.pi * (j // g) / (alpha // g)) ** 2, weights)
+            factors, weights = _order_rule(alpha, c)
+            # c cosh^2 t at order 1, c sin^2(pi j/alpha) above
+            parts[alpha] = ((sinh * factors) ** 2 if alpha == 1 else c * factors**2, weights)
     shifts, inverse = np.unique(np.concatenate([x for x, _ in parts.values()]),
                                 return_inverse=True)
     if not np.isfinite(shifts[-1]):

@@ -1,73 +1,65 @@
 """Closed-form entanglement averages over Haar-random passive circuits.
 
-For n equally squeezed modes (strength s) partitioned at ratio r = k/n, the
-averages take the series form
+For n equally squeezed modes (strength s) cut at ratio r = k/n, the average
+entropy of Renyi order alpha (order 1 is von Neumann) is
 
-    E S = sum_{i>=1} c_i(s) (n G_i(r) - H_i(r)),
+    E S = n int f(l) rho(l) dl - [f(0) - f(c)] / 4
 
-up to corrections that vanish as n grows, where sum_i c_i x^i = f(0) - f(x)
-and f(l) is the one-mode entropy of Renyi order alpha (``renyi_mode_entropy``;
-order 1 is von Neumann) at the symplectic eigenvalue
-nu(l) = sqrt(1 + sinh^2(2s) (1 - l)). ``page_average`` evaluates it at any
-order, and ``page_limit`` gives its leading weak and strong squeezing laws.
+up to corrections that vanish as n grows, and the per-mode (n -> infinity)
+curve is the integral alone. f(l) is the one-mode entropy
+(``renyi_mode_entropy``) at nu(l) = sqrt(1 + sinh^2(2s) (1 - l)), and rho
+is the limiting spectral law of two free projections of trace
+rq = min(r, 1-r) (K. Wachter, Ann. Probab. 8 (1980) 1; B. Collins, Probab.
+Theory Relat. Fields 133 (2005) 315),
 
-The moment polynomials are moments of the limiting spectral law of two free
-projections of trace rq = min(r, 1-r) (K. Wachter, Ann. Probab. 8 (1980) 1;
-B. Collins, Probab. Theory Relat. Fields 133 (2005) 315):
+    rho(l) = sqrt(l (c - l)) / (2 pi l (1 - l)) on (0, c),   c = 4 rq (1 - rq),
 
-    G_i(r) = rq - int l^i rho(l) dl,   H_i(r) = c^i / 4,
-    rho(l) = sqrt(l (c - l)) / (2 pi l (1 - l)) on (0, c),   c = 4 rq (1 - rq).
+of mass exactly rq, with no atom at l = 0. This is the paper's series
+sum_i c_i(s) (n G_i(r) - H_i(r)), with sum_i c_i x^i = f(0) - f(x), summed:
+G_i = rq - int l^i rho and H_i = c^i / 4. ``page_average`` evaluates it at
+any order, and ``page_limit`` gives its leading weak and strong squeezing
+laws.
 
-So the whole series collapses into one integral,
+Derivation
+----------
+Each entropy is a weighted sum of logarithms,
+f(l) = sum_j w_j ln(1 + x_j (1 - l)), with the shifts x_j = (sinh(2s) a_j)^2
+and weights of the order's rule (``entropy._order_rule``, which the Monte
+Carlo uses too): exact for alpha >= 2, and for order 1 a trapezoid rule in t
+good to 1e-17. So the average needs only Phi(x) = int ln(1 + x (1 - l)) rho,
+which two classical integrals (Gradshteyn & Ryzhik 4.224, 4.225) give in
+closed form: with g = 1 - 2 rq, p = (1 + g^2)/2, S = sqrt((1 + x)(1 + g^2 x)),
+A = (1 + p x + S)/2 and B = A - rq^2 x,
 
-    E S = n [rq f(0) - int (f(0) - f(l)) rho(l) dl] - [f(0) - f(c)] / 4,
+    Phi(x) = (rq + g) ln A - g ln B = rq ln A + g ln(1 + rq^2 x / B),
 
-and the per-mode (n -> infinity) curve is the bracket alone.
+two non-negative terms. As 1 - c = g^2, f(0) - f(c) is
+sum_j w_j ln((1 + x_j) / (1 + g^2 x_j)).
 
-Evaluation notes
-----------------
-With l = c (1 - cos theta) / 2 the integral runs over theta in (0, pi) with
-the smooth integrand (f(0) - f(l)) c (1 + cos theta) / (4 pi (1 - l)). Both
-1 + cos theta = 2 cos^2(theta/2) and 1 - l = (1-2rq)^2 + c cos^2(theta/2)
-are formed without cancellation: at r = 1/2 and strong squeezing, nu depends
-on 1 - l near zero, where the naive difference loses the digits that matter.
-Gauss-Legendre rules in theta with m = 32, 64, ... nodes are compared
-pairwise; the finer estimate is returned once two successive ones differ by
-at most ``tol``, and that difference is reported as ``trunc_err``.
+No form cancels. While some shift is below 1, ln A = log1p((p x + S - 1)/2)
+with S - 1 = x (1 + g^2 + g^2 x)/(S + 1), and the edge logarithm is
+log1p(c x / (1 + g^2 x)). Once every shift is 1 or more, the sum is taken
+in log space, from y = sqrt(x), v = 1/y, h_1 = hypot(1, v), h_g = hypot(g, v):
 
-The cost of a cell is numpy call overhead, not arithmetic: a settled cell
-takes about 46 us, of which the floating-point work on its 98 points is a
-few us (one core of a shared Xeon host, numpy 2.4). So the entropy f is
-evaluated in as few calls as possible: one call takes f(0), f(c) and the
-nodes of the 32- and 64-point rules together, and each further doubling
-costs one more call. At the default tolerance almost every cell settles at
-64 nodes, in that one call. Each rule's weights are dotted with a
-contiguous slice of the integrand, so every estimate is the same float as
-when each end and each rule had a call of its own. For the same reason the
-parameters are read through fast paths for exact ints and floats,
-c cos^2(theta/2) is formed once per rule, and np.errstate, which costs
-about as much as three array operations, is entered only where a value
-needs it: around sinh^2(2s) when |s| is within 1 of the 177.79 at which it
-overflows, and around the entropy when some nu + 1 rounds to 2 (nu = 1 or
-the float above it, whose log of zero gives an exact zero). That happens at
-the end l = c when r n = n/2 (gap 0), and at every node when sinh^2(2s)
-underflows (s = 1e-200).
+    ln A = 2 ln y + ln((v^2 + p + h_1 h_g)/2),
+    rq^2 x / B = 2 rq^2 / (v^2 + g + h_1 h_g),
+    ln((1 + x) / (1 + g^2 x)) = 2 log1p(c / (h_g (h_1 + h_g))),
+
+so order 1 answers up to |s| = 177.79 like the others, though its largest
+shifts (sinh(2s) cosh t)^2 overflow from |s| = 168.14.
 """
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .entropy import _MAX_SQUEEZING, _check_alpha, _integer, _mode_entropy
+from .entropy import _MAX_SQUEEZING, _check_alpha, _integer, _order_rule
 
 __all__ = [
     "ASYMPTOTIC",
     "DEFAULT_TOL",
     "LIMIT_REGIMES",
-    "MAX_NODES",
     "PageCurveValue",
     "page_average",
     "page_limit",
@@ -80,25 +72,8 @@ ASYMPTOTIC = None
 #: Default absolute tolerance (nats).
 DEFAULT_TOL = 1e-3
 
-#: Node count of the first quadrature estimate; each further one doubles it.
-#: The first rule serves as the error estimate of the second, and both are
-#: evaluated in the call that also gives f(0) and f(c).
-FIRST_NODES = 32
-
-#: Largest node count. At the default tolerance every cell with s <= 3 settles
-#: by 128 nodes. A tolerance still unmet here is either within
-#: ``RESOLUTION_ULPS`` ulp of the value, or the rule has not resolved the
-#: integrand: at r near 1/2 and strong squeezing it varies in a layer of
-#: width about 2/sinh(2s) at theta = pi, which Gauss-Legendre nodes do not
-#: reach (von Neumann at n = 2000, r = 1/2, s = 10 misses the default
-#: tolerance by 0.0018 on a value of 1.9e4).
-MAX_NODES = 1024
-
-#: A tolerance below this many float64 spacings of the value is refused as
-#: being at the value's resolution rather than as unsettled quadrature.
-RESOLUTION_ULPS = 256
-
-_TWO_PI = 2.0 * np.pi
+#: ``trunc_err`` is this times n times the per-mode curve plus the edge term.
+ROUNDING = 128 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -106,14 +81,11 @@ class PageCurveValue:
     """Result of one analytic average.
 
     ``value`` is the total entropy in nats for finite n, or the per-mode
-    entropy for an asymptotic query. ``nodes`` is the quadrature node count
-    of the returned estimate and ``trunc_err`` its difference from the
-    estimate with half as many nodes. ``nodes`` is 0 only when no quadrature
-    runs (s = 0 or an empty side, r n rounding to 0 or n); a squeezing so
-    weak that sinh^2(2s) underflows, such as s = 1e-200, still runs one and
-    returns 0.0 with 64 nodes.
-    ``realized_r`` is k/n with k = round(r n) for finite n (ties to even),
-    else the requested r.
+    entropy for an asymptotic query. ``nodes`` is the order-1 rule's t-node
+    count: 0 for alpha >= 2, whose rule is exact, and at s = 0 or an empty
+    side (r n rounding to 0 or n). ``trunc_err`` bounds the float64 error of
+    ``value`` (``ROUNDING``). ``realized_r`` is k/n with k = round(r n) for
+    finite n (ties to even), else the requested r.
     """
 
     value: float
@@ -166,31 +138,6 @@ def _realized_ratio(n, r: float) -> tuple[float, float]:
     return k / n, min(k, n - k) / n
 
 
-@lru_cache(maxsize=None)
-def _theta_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m-point Gauss-Legendre rule on (0, pi): (cos^2(theta/2), weights)."""
-    x, w = np.polynomial.legendre.leggauss(m)
-    cos2 = np.cos(0.25 * np.pi * (x + 1.0)) ** 2
-    weights = 0.5 * np.pi * w
-    cos2.flags.writeable = False
-    weights.flags.writeable = False
-    return cos2, weights
-
-
-@lru_cache(maxsize=None)
-def _first_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cos^2(theta/2), first weights, second weights) of the first two rules.
-
-    The cos^2 of the FIRST_NODES-point rule and then of the doubled one,
-    behind two zero slots for the ends l = 0 and l = c.
-    """
-    coarse, w_coarse = _theta_rule(FIRST_NODES)
-    fine, w_fine = _theta_rule(2 * FIRST_NODES)
-    cos2 = np.concatenate((np.zeros(2), coarse, fine))
-    cos2.flags.writeable = False
-    return cos2, w_coarse, w_fine
-
-
 def page_average(alpha, n, s: float, r: float, tol: float = DEFAULT_TOL) -> PageCurveValue:
     """Average entropy of integer Renyi order alpha >= 1 (1 = von Neumann).
 
@@ -198,7 +145,8 @@ def page_average(alpha, n, s: float, r: float, tol: float = DEFAULT_TOL) -> Page
     s = 0 and at r in {0, 1}. ``s``, ``r`` and ``tol`` are read through
     float(), and one that float() cannot read raises ValueError naming it.
     Raises ValueError too for an s that is not finite or whose sinh^2(2s)
-    overflows float64 (|s| above 177.79).
+    overflows float64 (|s| above 177.79), and for a ``tol`` below the
+    value's float64 error bound ``trunc_err``.
     """
     alpha = _check_alpha(alpha)
     r = _check_ratio(r)
@@ -207,50 +155,41 @@ def page_average(alpha, n, s: float, r: float, tol: float = DEFAULT_TOL) -> Page
     realized, rq = _realized_ratio(n, r)
     if s == 0 or rq == 0:
         return PageCurveValue(0.0, 0, 0.0, realized)
-    # Only near the float64 range (sinh^2(2s) within e^4 of overflowing) can
-    # the square overflow; the overflow is reported below, not warned.
-    with np.errstate(over="ignore") if abs(s) > _MAX_SQUEEZING - 1.0 else nullcontext():
-        sinh2 = np.sinh(2.0 * s) ** 2
-    if not math.isfinite(sinh2):
+    if abs(s) > _MAX_SQUEEZING:
         raise ValueError(f"squeezing strength {s!r} is beyond the float64 range of the "
                          f"average: sinh^2(2s) overflows above |s| = {_MAX_SQUEEZING:.2f}")
-    c = 4.0 * rq * (1.0 - rq)
-    gap = (1.0 - 2.0 * rq) ** 2  # 1 - c, the smallest 1 - l
-
-    # One pass: the ends l = 0 and l = c, then the nodes of the first two
-    # rules. The end l = c needs no fill: its cos^2 slot is 0, so gap + 0.
-    cos2, w_coarse, w_fine = _first_rules()
-    c_cos2 = c * cos2
-    one_minus_l = gap + c_cos2
-    one_minus_l[0] = 1.0
-    f = _mode_entropy(alpha, np.sqrt(1.0 + sinh2 * one_minus_l))
-    f0, f_c = f[:2].tolist()
-    scale = 1.0 if n is ASYMPTOTIC else float(n)
-    edge = 0.0 if n is ASYMPTOTIC else 0.25 * (f0 - f_c)
-    base = rq * f0
-    # The integrand (f0 - f) c cos^2 / (2 pi (1 - l)) at the nodes.
-    terms = (f0 - f[2:]) * (c_cos2[2:] / (_TWO_PI * one_minus_l[2:]))
-    coarse = scale * (base - w_coarse.dot(terms[:FIRST_NODES])) - edge
-    fine = scale * (base - w_fine.dot(terms[FIRST_NODES:])) - edge
-    m = 2 * FIRST_NODES
-    err = abs(fine - coarse)
-    while err > tol and m < MAX_NODES:
-        m *= 2
-        cos2, weights = _theta_rule(m)
-        c_cos2 = c * cos2
-        one_minus_l = gap + c_cos2
-        f = _mode_entropy(alpha, np.sqrt(1.0 + sinh2 * one_minus_l))
-        terms = (f0 - f) * (c_cos2 / (_TWO_PI * one_minus_l))
-        coarse, fine = fine, scale * (base - weights.dot(terms)) - edge
-        err = abs(fine - coarse)
-    if err <= tol:
-        return PageCurveValue(float(fine), m, float(err), realized)
-    if tol < RESOLUTION_ULPS * np.spacing(abs(fine)):
-        reason = "it is near the float64 resolution of this value, request a larger one"
+    sinh = abs(math.sinh(2.0 * s))
+    factors, weights = _order_rule(alpha, sinh * sinh)
+    y = sinh * factors  # square roots of the shifts, ascending
+    g = 1.0 - 2.0 * rq
+    c = 4.0 * rq * (1.0 - rq)  # 1 - g^2
+    p = 1.0 - 0.5 * c
+    finite = n is not ASYMPTOTIC
+    # sum_j w_j ln A_j, the ratios rq^2 x_j / B_j and (finite n) the edge term
+    # sum_j w_j ln((1 + x_j) / (1 + g^2 x_j)).
+    if y[0] < 1.0:
+        x = y * y
+        one_g2x = 1.0 + (g * g) * x
+        s_plus = np.sqrt((1.0 + x) * one_g2x) + 1.0  # S + 1
+        log_a = weights.dot(np.log1p(0.5 * x * (p + (one_g2x + g * g) / s_plus)))
+        ratio = (2.0 * rq * rq) * x / (s_plus + g * x)
+        edge = weights.dot(np.log1p(c * x / one_g2x)) if finite else 0.0
     else:
-        reason = f"the quadrature did not settle within {MAX_NODES} nodes"
-    raise ValueError(f"tolerance {tol:.3g} not met (last change {err:.3g} on a value of "
-                     f"{abs(fine):.6g}): {reason}")
+        v = 1.0 / y
+        h_1 = np.hypot(1.0, v)
+        h_g = np.hypot(g, v)
+        vs = v * v + h_1 * h_g
+        log_a = 2.0 * weights.dot(np.log(y)) + weights.dot(np.log(0.5 * (vs + p)))
+        ratio = (2.0 * rq * rq) / (vs + g)
+        edge = 2.0 * weights.dot(np.log1p(c / (h_g * (h_1 + h_g)))) if finite else 0.0
+    per_mode = rq * log_a + g * weights.dot(np.log1p(ratio))
+    scale = float(n) if finite else 1.0
+    value = scale * per_mode - 0.25 * edge
+    err = ROUNDING * (scale * per_mode + 0.25 * edge)
+    if tol < err:
+        raise ValueError(f"tolerance {tol:.3g} is below the float64 resolution of this value "
+                         f"({value:.6g}, error bound {err:.3g}): request a larger one")
+    return PageCurveValue(float(value), y.size if alpha == 1 else 0, float(err), realized)
 
 
 LIMIT_REGIMES = ("small", "large")

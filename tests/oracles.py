@@ -43,11 +43,16 @@ triangular solve and the block-wise A^T A of ``gbs_page``.
 covariance from the transposed frame and forms H H^T, the construction
 before ``states.reduced_covariance_general`` filled H^T in the frame's
 layout.
-``page_average_two_pass`` is the analytic average as it was before
-``pagecurve.page_average`` took both ends and its first two rules from one
-entropy pass: f(0), f(c) and every rule in a call of its own.
+``page_average_two_pass`` is the analytic average as adaptive
+Gauss-Legendre quadrature in theta, the route before ``pagecurve`` took it
+in closed form: rules of 32, 64, ... nodes compared pairwise until two
+differ by at most ``tol`` (``trunc_err``), with its own rule and node
+constants. ``page_average_mpmath`` is the same integral of the closed
+per-mode entropies in mpmath arithmetic throughout.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import mpmath
@@ -57,22 +62,18 @@ from gbs_page.entropy import (
     _MAX_SQUEEZING,
     _as_spectrum,
     _check_alpha,
-    _mode_entropy,
     renyi_entropy,
+    renyi_mode_entropy,
 )
 from gbs_page.haar import _ginibre, haar_frame
 from gbs_page.montecarlo import _power_sums
 from gbs_page.pagecurve import (
     ASYMPTOTIC,
     DEFAULT_TOL,
-    FIRST_NODES,
-    MAX_NODES,
-    RESOLUTION_ULPS,
     PageCurveValue,
     _check_ratio,
     _check_tol,
     _realized_ratio,
-    _theta_rule,
 )
 from gbs_page.symplectic import SYMMETRY_TOL, _physical_spectrum, symplectic_eigenvalues
 
@@ -435,13 +436,38 @@ def gram_full_product(sigma: np.ndarray) -> np.ndarray:
     return a.T @ a
 
 
+# Node count of the first quadrature estimate; each further one doubles it.
+FIRST_NODES = 32
+
+# Largest node count. At r near 1/2 and strong squeezing the integrand
+# varies in a layer of width about 2/sinh(2s) at theta = pi, which
+# Gauss-Legendre nodes do not reach: von Neumann at n = 2000, r = 1/2,
+# s = 10 misses the default tolerance here by 0.0018 on a value of 1.9e4.
+MAX_NODES = 1024
+
+# A tolerance below this many float64 spacings of the value is refused as
+# being at the value's resolution rather than as unsettled quadrature.
+RESOLUTION_ULPS = 256
+
+
+@functools.lru_cache(maxsize=None)
+def _theta_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss-Legendre rule on (0, pi): (cos^2(theta/2), weights)."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    return np.cos(0.25 * np.pi * (x + 1.0)) ** 2, 0.5 * np.pi * w
+
+
 def page_average_two_pass(alpha, n, s: float, r: float,
                           tol: float = DEFAULT_TOL) -> PageCurveValue:
-    """``page_average`` with one entropy call for each end and each rule.
+    """The analytic average by adaptive Gauss-Legendre quadrature in theta.
 
-    f(0), f(c) and the rules of 32, 64, ... nodes are evaluated one call at a
-    time; the estimates, the node doubling and the refusals are those of
-    ``gbs_page.pagecurve.page_average``.
+    With l = c (1 - cos theta)/2 the integral runs over theta in (0, pi)
+    with the smooth integrand (f(0) - f(l)) c (1 + cos theta) / (4 pi (1 - l)),
+    1 - l = (1 - 2 rq)^2 + c cos^2(theta/2) formed without cancellation.
+    f(0), f(c) and the rules of 32, 64, ... nodes are evaluated one call at
+    a time; the finer of two successive estimates is returned once they
+    differ by at most ``tol``, and that difference is ``trunc_err``.
+    Raises ValueError where the rules do not settle within ``MAX_NODES``.
     """
     alpha = _check_alpha(alpha)
     r = _check_ratio(r)
@@ -460,7 +486,7 @@ def page_average_two_pass(alpha, n, s: float, r: float,
     gap = (1.0 - 2.0 * rq) ** 2  # 1 - c, the smallest 1 - l
 
     def f(one_minus_l):
-        return _mode_entropy(alpha, np.sqrt(1.0 + sinh2 * one_minus_l))
+        return renyi_mode_entropy(np.sqrt(1.0 + sinh2 * one_minus_l), alpha)
 
     f0 = f(1.0)
     scale = 1.0 if n is ASYMPTOTIC else float(n)
@@ -488,3 +514,55 @@ def page_average_two_pass(alpha, n, s: float, r: float,
         reason = f"the quadrature did not settle within {MAX_NODES} nodes"
     raise ValueError(f"tolerance {tol:.3g} not met (last change {err:.3g} on a value of "
                      f"{abs(fine):.6g}): {reason}")
+
+
+def _mode_entropy_mpmath(alpha: int, sinh2, t):
+    """Order-alpha entropy of one mode with nu^2 = 1 + sinh2 t, in mpmath."""
+    nu = mpmath.sqrt(1 + sinh2 * t)
+    plus, minus = nu + 1, sinh2 * t / (nu + 1)  # nu + 1, and nu - 1 without cancellation
+    if alpha > 1:
+        return mpmath.log((plus**alpha - minus**alpha) / 2**alpha) / (alpha - 1)
+    if minus == 0:
+        return mpmath.mpf(0)
+    return plus / 2 * mpmath.log(plus / 2) - minus / 2 * mpmath.log(minus / 2)
+
+
+def page_average_mpmath(alpha, n, s: float, r: float, dps: int = 50):
+    """The analytic average as a ``dps``-digit integral against the spectral law.
+
+    E S = n int f(l) rho(l) dl - [f(0) - f(c)]/4, per mode for
+    n = ASYMPTOTIC, at the realized k/n as an exact fraction; f is the
+    closed per-mode entropy at nu(l), evaluated with the about 0.9 |s|
+    further digits that its terms cancel at strong squeezing. The integral
+    runs in w = ln phi, phi = pi - theta, so that 1 - l = g^2 + c sin^2(phi/2):
+    the layer of width about 2/sinh(2s) in which nu -> 1 at r = 1/2 is an
+    interval of length one in w, and tanh-sinh takes the w range in pieces
+    of length about 6. Returns an mpmath number.
+    """
+    with mpmath.workdps(dps + math.ceil(0.9 * abs(s))):
+        if n is ASYMPTOTIC:
+            rq = mpmath.mpf(min(r, 1.0 - r))
+        else:
+            k = round(r * n)
+            rq = mpmath.mpf(min(k, n - k)) / n
+        c = 4 * rq * (1 - rq)
+        g2 = (1 - 2 * rq) ** 2
+        sinh2 = mpmath.sinh(2 * mpmath.mpf(s)) ** 2
+
+        def integrand(w):
+            phi = mpmath.exp(w)
+            q = mpmath.sin(phi / 2) ** 2
+            t = g2 + c * q
+            return _mode_entropy_mpmath(alpha, sinh2, t) * c * q * phi / (2 * mpmath.pi * t)
+
+        # Below the layer the integrand falls like phi^3, so dps units of w
+        # further down leave out less than 10^-dps.
+        low = min(mpmath.log(2 / mpmath.sqrt(c * sinh2)), 0) - dps - 5
+        high = mpmath.log(mpmath.pi)
+        pieces = int((high - low) / 6) + 1
+        per_mode = mpmath.quad(integrand, [low + (high - low) * i / pieces
+                                           for i in range(pieces + 1)])
+        if n is ASYMPTOTIC:
+            return +per_mode
+        edge = (_mode_entropy_mpmath(alpha, sinh2, 1) - _mode_entropy_mpmath(alpha, sinh2, g2)) / 4
+        return n * per_mode - edge

@@ -1,6 +1,6 @@
 """The paper's series for the entropy averages, kept as a test oracle.
 
-The package evaluates every average as one quadrature against the limiting
+The package evaluates every average in closed form against the limiting
 spectral law (``gbs_page.pagecurve``). This module evaluates the same
 averages the way the paper writes them,
 

@@ -82,7 +82,17 @@ def test_analytic_strong_and_weak_squeezing_answered(capsys):
         _, rows = parse_csv(out)
         assert len(rows) == 11
         assert all(float(row[7]) <= 1e-3 for row in rows)
-        assert float(rows[5][4]) > 0 and int(rows[5][6]) > 0
+        # nodes: the order-1 rule's t-nodes; orders >= 2 need none.
+        assert float(rows[5][4]) > 0 and (int(rows[5][6]) > 0) == (alpha == "1")
+
+
+def test_analytic_answers_at_r_half_under_strong_squeezing(capsys):
+    # Adaptive quadrature in theta did not settle here, and this exited 2.
+    code, out, _ = run_cli(capsys, "analytic", "--alpha", "1", "--s", "10", "--n", "2000",
+                           "--r-grid", "0.5:0.5:0.1")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 1 and float(rows[0][4]) > 0 and float(rows[0][7]) <= 1e-3
 
 
 def test_analytic_tol_below_resolution_is_usage_error(capsys):

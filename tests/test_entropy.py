@@ -7,7 +7,7 @@ import pytest
 from oracles import bidiagonal_entropies_mpmath, renyi_entropy_factored
 
 from gbs_page import renyi_entropy, renyi_mode_entropy
-from gbs_page.entropy import bidiagonal_entropies, spectrum_entropies
+from gbs_page.entropy import _shift_rule, bidiagonal_entropies, spectrum_entropies
 from gbs_page.haar import _bidiagonal_squares
 
 
@@ -187,6 +187,21 @@ def test_validation():
         renyi_entropy([0.99], 1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_eigenvalues_are_named(bad):
+    # g(nu) and the Renyi terms grow like ln(nu), but nan and inf are not a
+    # spectrum: every reader refuses them, alone or among finite values.
+    message = f"symplectic eigenvalues must be finite, got {bad!r}"
+    for nu in (bad, [bad], [2.0, bad, 1.0]):
+        for alpha in (1, 2, 15):
+            with pytest.raises(ValueError, match=message):
+                renyi_mode_entropy(nu, alpha)
+            with pytest.raises(ValueError, match=message):
+                renyi_entropy(nu, alpha)
+        with pytest.raises(ValueError, match=message):
+            spectrum_entropies(nu, (1, 2))
+
+
 @pytest.mark.parametrize("n,k", [(21, 13), (9, 6), (41, 24), (8, 3)])
 def test_bidiagonal_entropies_match_mpmath(n, k):
     # Odd n with k > n/2, and one even n: every order, from weak to strong
@@ -201,6 +216,28 @@ def test_bidiagonal_entropies_match_mpmath(n, k):
             want = bidiagonal_entropies_mpmath(diag[row], sup[row], s, alphas)
             for alpha, value in zip(alphas, got[row]):
                 assert value == pytest.approx(want[alpha], rel=1e-13, abs=0)
+
+
+def test_shift_rule_floats_are_those_built_per_call():
+    # The cached patterns give the floats of the rule built from scratch:
+    # (sinh(2s) cosh t)^2 at the trapezoid nodes, and c sin^2(pi j/alpha)
+    # with j/alpha in lowest terms.
+    for s in (0.0, 1e-5, 0.05, 0.3, 0.5, 3.0, -2.0):
+        sinh = float(np.sinh(2.0 * s))
+        c = sinh * sinh
+        start = np.arccosh(1.0 / np.sqrt(c)) if 0.0 < c < 1.0 else 0.0
+        t = 0.25 * np.arange(int(np.ceil((start + 20.0) / 0.25)) + 1 if c > 0.0 else 1)
+        sech = 1.0 / np.cosh(t)
+        weights = 0.125 * sech * sech
+        weights[0] *= 0.5
+        shifts, rule = _shift_rule(s, (1, 2, 3, 15))
+        assert np.array_equal(shifts[rule[1][0]], (sinh * np.cosh(t)) ** 2)
+        assert np.array_equal(rule[1][1], weights)
+        for alpha in (2, 3, 15):
+            j = np.arange(1, alpha // 2 + 1)
+            g = np.gcd(j, alpha)
+            want = c * np.sin(np.pi * (j // g) / (alpha // g)) ** 2
+            assert np.array_equal(shifts[rule[alpha][0]], want)
 
 
 def test_bidiagonal_entropies_of_no_transmission_or_squeezing_are_zero():
