@@ -34,7 +34,8 @@ u = tanh(t)
 an integrand analytic in the strip |Im t| < pi/2 for every c and T_j; the
 trapezoidal rule converges geometrically there (``_von_neumann_count``).
 Each order's shifts and weights come from one cached pattern
-(``_order_rule``), which the analytic average reads too.
+(``_pattern``, cut at c by ``_order_rule``), which the analytic average
+reads too, as arrays or as Python float pairs.
 """
 
 import math
@@ -180,14 +181,16 @@ def _von_neumann_count(c: float) -> int:
 
 
 @lru_cache(maxsize=128)
-def _pattern(alpha: int) -> tuple[np.ndarray, np.ndarray]:
+def _pattern(alpha: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[float, float], ...]]:
     """Read-only ascending factors a_j and weights w_j of order alpha's shift rule.
 
     Orders alpha >= 2: a_j = sin(pi j/alpha), 1 <= j <= alpha/2, and shifts
     c a_j^2. Order 1: a_j = cosh t_j at every node any c > 0 takes, of which
     the rule at c has the first ``_von_neumann_count(c)``, with shifts
-    (sinh(2s) a_j)^2 (``_order_rule``, which ``_shift_rule`` and
-    ``pagecurve.page_average`` read).
+    (sinh(2s) a_j)^2. The third item is the same rule as Python float pairs
+    (a_j, w_j). ``_order_rule`` cuts the rule at c; ``_shift_rule`` reads
+    its arrays, and ``pagecurve.page_average`` its arrays or, for a short
+    rule, its pairs.
     """
     if alpha == 1:
         t = _VN_STEP * np.arange(_von_neumann_count(np.finfo(float).smallest_subnormal))
@@ -204,16 +207,16 @@ def _pattern(alpha: int) -> tuple[np.ndarray, np.ndarray]:
         weights = np.where(2 * j == alpha, 0.5, 1.0) / (alpha - 1)
     factors.flags.writeable = False
     weights.flags.writeable = False
-    return factors, weights
+    return factors, weights, tuple(zip(factors.tolist(), weights.tolist()))
 
 
-def _order_rule(alpha: int, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Factors and weights of order alpha's rule at c = sinh^2(2s) (``_pattern``)."""
-    factors, weights = _pattern(alpha)
+def _order_rule(alpha: int, c: float) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Factors, weights and float pairs of order alpha's rule at c = sinh^2(2s) (``_pattern``)."""
+    factors, weights, pairs = rule = _pattern(alpha)
     if alpha > 1:
-        return factors, weights
+        return rule
     count = _von_neumann_count(c)
-    return factors[:count], weights[:count]
+    return factors[:count], weights[:count], pairs[:count]
 
 
 def _shift_rule(s: float, orders) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]]]:
@@ -232,7 +235,7 @@ def _shift_rule(s: float, orders) -> tuple[np.ndarray, dict[int, tuple[np.ndarra
         c = sinh * sinh
         parts = {}
         for alpha in orders:
-            factors, weights = _order_rule(alpha, c)
+            factors, weights, _ = _order_rule(alpha, c)
             # c cosh^2 t at order 1, c sin^2(pi j/alpha) above
             parts[alpha] = ((sinh * factors) ** 2 if alpha == 1 else c * factors**2, weights)
     shifts, inverse = np.unique(np.concatenate([x for x, _ in parts.values()]),

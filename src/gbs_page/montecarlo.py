@@ -18,7 +18,8 @@ numerically aborts the whole experiment, naming the first failing index:
 the constructions are physically guaranteed to be valid states, so a
 failure indicates a bug, and silently skipping it would bias the means.
 The table holds entropies only; the variance diagnostics take Tr W^i from
-the same draws (``_trace_powers``).
+the same draws (``_trace_powers``), and ``s2_variance_identity`` takes
+both from one draw per block.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -53,6 +54,10 @@ _MONOTONE_TOL = 1e-9
 # amortises them over this many samples; its per-step arrays (samples x
 # shifts, about 90 shifts) stay a few tens of kB.
 _BLOCK_SAMPLES = 64
+
+# Indices per stacked run of bootstrap resamples: the traces they gather are
+# a few MB at the usual 11 powers.
+_BOOT_INDICES = 1 << 16
 
 # Per-mode samples per block. Two 2m x 2m Gram matrices make one stacked
 # eigvalsh of 4m values, which numpy runs without the interpreter lock from
@@ -247,14 +252,14 @@ def _squares(plan: ExperimentPlan, block: range) -> tuple[np.ndarray, np.ndarray
     return diag, sup, in_range
 
 
-def _evaluate_equal_block(plan: ExperimentPlan, block: range, table: np.ndarray) -> None:
-    """A block of equal-squeezing samples from their squared bidiagonals.
+def _equal_rows(plan: ExperimentPlan, block: range, squares, table: np.ndarray) -> None:
+    """Write the block's rows of ``table`` from its ``_squares``.
 
     A row is physical when its squared entries lie in [0, 1] and its
     entropies are finite (then every log-determinant pivot is finite and
     >= 1).
     """
-    diag, sup, in_range = _squares(plan, block)
+    diag, sup, in_range = squares
     rows = table[block.start:block.stop]
     try:
         with np.errstate(all="ignore"):  # an unphysical row fails its own check below
@@ -278,7 +283,7 @@ def _blocks(plan: ExperimentPlan) -> list[range]:
 def _evaluate_block(plan: ExperimentPlan, block: range, table: np.ndarray) -> None:
     """Write the block's rows of ``table``, the entropies of its samples."""
     if plan.equal_squeezing:
-        _evaluate_equal_block(plan, block, table)
+        _equal_rows(plan, block, _squares(plan, block), table)
     else:
         _evaluate_per_mode_block(plan, block, table)
 
@@ -337,10 +342,16 @@ def _bootstrap_ci(statistic, m: int, n_boot: int, rng: np.random.Generator,
                   levels=(2.5, 97.5)) -> np.ndarray:
     """Percentile bootstrap of ``statistic`` over ``n_boot`` resamples of m indices.
 
-    ``statistic`` maps an index array to one value or to a vector of
-    values; the result has one row per level and one column per value.
+    Each resample draws its m indices with one ``rng.integers`` call, in
+    turn. ``statistic`` maps a stack of resamples, an index array of shape
+    (resamples, m), to one value or one vector of values per resample; it
+    sees the resamples in runs of at most ``_BOOT_INDICES`` indices. The
+    result has one row per level and one column per value.
     """
-    stats = np.array([statistic(rng.integers(0, m, m)) for _ in range(n_boot)])
+    draws = [rng.integers(0, m, m) for _ in range(n_boot)]
+    run = max(1, _BOOT_INDICES // m)
+    stats = np.concatenate([statistic(np.array(draws[j:j + run]))
+                            for j in range(0, n_boot, run)])
     return np.percentile(stats, levels, axis=0)
 
 
@@ -367,7 +378,8 @@ def variance_trend(ns, r: float, s: float, alpha: int, n_samples: int, seed: int
         brng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0xB007, n)))
         )
-        lo, hi = _bootstrap_ci(lambda idx: vals[idx].var(ddof=1), len(vals), n_boot, brng)
+        lo, hi = _bootstrap_ci(lambda idx: vals[idx].var(axis=1, ddof=1), len(vals), n_boot,
+                               brng)
         out.append(VarianceEstimate(n=n, variance=summary.per_alpha[alpha].variance,
                                     ci_low=float(lo), ci_high=float(hi)))
     return out
@@ -378,35 +390,57 @@ def _power_sums(lam: np.ndarray, max_power: int) -> np.ndarray:
     return np.sum(lam[..., None, :] ** np.arange(1, max_power + 1)[:, None], axis=-1)
 
 
+def _block_trace_powers(plan: ExperimentPlan, block: range, squares, max_power: int) -> np.ndarray:
+    """Tr W^i, i = 1..max_power, of a block's samples from its ``_squares``.
+
+    A row out of [0, 1] is a ``SampleFailure`` naming the first such index.
+    The eigenvalues of W are lambda = 1 - T, with T from one stacked
+    ``eigvalsh`` of the block, and k - m ones.
+    """
+    diag, sup, in_range = squares
+    if not in_range.all():
+        raise SampleFailure(block[int(np.argmin(in_range))], ValueError(_OUT_OF_RANGE))
+    t = _squared_singular_values(diag, sup)
+    lam = np.concatenate([1.0 - t, np.ones((len(block), plan.k - t.shape[1]))], axis=1)
+    return _power_sums(lam, max_power)
+
+
 def _trace_powers(plan: ExperimentPlan, max_power: int) -> np.ndarray:
     """Tr W^i, i = 1..max_power, of every sample of the plan: shape (n_samples, max_power).
 
     Tr W^i does not depend on squeezing. Each block of ``_blocks`` draws
-    its squared bidiagonals as an equal-squeezing block does, and a row
-    out of [0, 1] is a ``SampleFailure`` naming the first such index. The
-    eigenvalues of W are lambda = 1 - T, with T from one stacked
-    ``eigvalsh`` of the block, and k - m ones.
+    its squared bidiagonals as an equal-squeezing block does.
     """
     out = np.empty((plan.n_samples, max_power))
     for block in _blocks(plan):
-        diag, sup, in_range = _squares(plan, block)
-        if not in_range.all():
-            raise SampleFailure(block[int(np.argmin(in_range))], ValueError(_OUT_OF_RANGE))
-        t = _squared_singular_values(diag, sup)
-        lam = np.concatenate([1.0 - t, np.ones((len(block), plan.k - t.shape[1]))], axis=1)
-        out[block.start:block.stop] = _power_sums(lam, max_power)
+        out[block.start:block.stop] = _block_trace_powers(plan, block, _squares(plan, block),
+                                                          max_power)
     return out
 
 
-def _vd_from_trw(trw: np.ndarray, d_max: int) -> np.ndarray:
-    """Plug-in covariance combinations V_d, d = 2..d_max, from (N, d_max-1) traces."""
-    cov = np.cov(trw, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov)
-    out = np.zeros(d_max - 1)
+def _trace_cov(trw: np.ndarray) -> np.ndarray:
+    """Unbiased covariance of the traces, shape (..., N, D) -> (..., D, D).
+
+    Each stacked set of N samples is centred on its own mean and multiplied
+    by its transpose in one stacked product: the operations of
+    ``np.cov(trw, rowvar=False)``, so each set gets the floats it gives.
+    """
+    centred = trw - trw.mean(axis=-2, keepdims=True)
+    cov = np.matmul(centred.swapaxes(-1, -2), centred)
+    cov *= 1.0 / (trw.shape[-2] - 1)
+    return cov
+
+
+def _vd_from_cov(cov: np.ndarray, d_max: int) -> np.ndarray:
+    """Plug-in V_d, d = 2..d_max, of stacked trace covariances (..., d_max-1, d_max-1).
+
+    V_d adds cov(Tr W^ell, Tr W^{d-ell}) / (ell (d - ell)) in rising ell,
+    over the whole stack at once.
+    """
+    out = np.zeros(cov.shape[:-2] + (d_max - 1,))
     for d in range(2, d_max + 1):
-        out[d - 2] = sum(
-            cov[ell - 1, d - ell - 1] / (ell * (d - ell)) for ell in range(1, d)
-        )
+        for ell in range(1, d):
+            out[..., d - 2] += cov[..., ell - 1, d - ell - 1] / (ell * (d - ell))
     return out
 
 
@@ -423,7 +457,7 @@ def estimate_Vd(d_max: int, n: int, r: float, n_samples: int, seed: int) -> np.n
     k = round(_check_ratio(r) * _integer("n", n, 1))
     plan = ExperimentPlan(n=n, k=k or n, squeezing=0.0, master_seed=seed,
                           n_samples=_integer("n_samples", n_samples, 2))
-    return _vd_from_trw(_trace_powers(plan, d_max - 1), d_max)
+    return _vd_from_cov(_trace_cov(_trace_powers(plan, d_max - 1)), d_max)
 
 
 def s2_variance_identity(n: int, r: float, s: float, d_max: int, n_samples: int,
@@ -432,9 +466,11 @@ def s2_variance_identity(n: int, r: float, s: float, d_max: int, n_samples: int,
 
     The exact per-sample identity S_2 = sum_i tanh^{2i}(2s)/(2i) (k - Tr W^i)
     implies Var(S_2) = (1/4) sum_{d>=2} tanh^{2d}(2s) V_d. Both sides are
-    estimated from the same samples (S_2 from ``run_experiment``, the
-    traces from the same draws), each with its own percentile bootstrap
-    CI, and ``consistent`` reports whether the two intervals overlap. The
+    estimated from the same samples, each block drawn once for its S_2
+    (``run_experiment``'s blocks, entropies and row checks) and its traces,
+    each with its own percentile bootstrap CI, and ``consistent`` reports
+    whether the two intervals overlap. The resamples' trace covariances
+    come from stacked products (``_trace_cov``). The
     d_max cut biases the model low by a relative O(tanh^{2(d_max+1)}(2s)),
     far inside the CI widths at the intended sample counts (a paired
     difference test would resolve that truncation bias and is deliberately
@@ -445,19 +481,29 @@ def s2_variance_identity(n: int, r: float, s: float, d_max: int, n_samples: int,
         n=n, r=r, squeezing=float(s), alphas=(2,),
         n_samples=_integer("n_samples", n_samples, 2), master_seed=seed,
     )
-    s2 = run_experiment(plan)[0][:, 0]
-    trw = _trace_powers(plan, d_max - 1)
+    table = np.empty((plan.n_samples, 1))
+    trw = np.empty((plan.n_samples, d_max - 1))
+    for block in _blocks(plan):
+        squares = _squares(plan, block)
+        _equal_rows(plan, block, squares, table)
+        trw[block.start:block.stop] = _block_trace_powers(plan, block, squares, d_max - 1)
+    s2 = table[:, 0]
     t2 = np.tanh(2.0 * s) ** 2
     weights = 0.25 * t2 ** np.arange(2, d_max + 1)
 
     var_s2 = float(s2.var(ddof=1))
-    model_full = float(weights @ _vd_from_trw(trw, d_max))
+    model_full = float(weights @ _vd_from_cov(_trace_cov(trw), d_max))
+
+    def resampled(idx):
+        vd = _vd_from_cov(_trace_cov(trw[idx]), d_max)
+        # One dot product per resample, the one the full sample takes.
+        return np.column_stack([s2[idx].var(axis=1, ddof=1), [weights @ row for row in vd]])
+
     brng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0xD1FF,)))
     )
     var_ci, model_ci = (tuple(float(x) for x in ci) for ci in _bootstrap_ci(
-        lambda idx: (s2[idx].var(ddof=1), weights @ _vd_from_trw(trw[idx], d_max)),
-        plan.n_samples, n_boot, brng).T)
+        resampled, plan.n_samples, n_boot, brng).T)
     return {
         "variance": var_s2,
         "model": model_full,

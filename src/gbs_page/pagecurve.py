@@ -47,6 +47,17 @@ in log space, from y = sqrt(x), v = 1/y, h_1 = hypot(1, v), h_g = hypot(g, v):
 
 so order 1 answers up to |s| = 177.79 like the others, though its largest
 shifts (sinh(2s) cosh t)^2 overflow from |s| = 168.14.
+
+Evaluation
+----------
+The three sums over the shifts (of w ln A, of w ln(1 + rq^2 x / B) and the
+edge term) have two evaluators of the same formulas and branch.
+``_float_terms`` takes a rule of at most ``_FLOAT_SHIFTS`` shifts (orders 2
+to 49) in one loop over Python floats with ``math``; ``_array_terms`` takes
+longer rules, order 1's 81 to 128 t-nodes among them, in about 20 numpy
+calls, whose fixed cost equals about 24 shifts of the loop. The two agree
+within a few hundredths of ``trunc_err``; the checks, refusals and
+``trunc_err`` around them are one code path.
 """
 
 import math
@@ -74,6 +85,12 @@ DEFAULT_TOL = 1e-3
 
 #: ``trunc_err`` is this times n times the per-mode curve plus the edge term.
 ROUNDING = 128 * np.finfo(float).eps
+
+# Longest shift rule that ``page_average`` sums in Python floats; longer
+# ones go through numpy, whose per-call cost is then shared by more shifts.
+# Set at the measured crossover, where both take about 17 us a cell
+# (README; BENCH_analytic.json, "float_terms").
+_FLOAT_SHIFTS = 24
 
 
 @dataclass(frozen=True)
@@ -138,6 +155,62 @@ def _realized_ratio(n, r: float) -> tuple[float, float]:
     return k / n, min(k, n - k) / n
 
 
+def _array_terms(factors, weights, sinh, rq, g, c, finite):
+    """sum_j w_j ln A_j, sum_j w_j ln(1 + rq^2 x_j / B_j) and (finite n) the
+    edge sum_j w_j ln((1 + x_j) / (1 + g^2 x_j)), in numpy over the rule's arrays.
+
+    The branch follows the smallest shift (module docstring).
+    """
+    p = 1.0 - 0.5 * c
+    y = sinh * factors  # square roots of the shifts, ascending
+    if y[0] < 1.0:
+        x = y * y
+        one_g2x = 1.0 + (g * g) * x
+        s_plus = np.sqrt((1.0 + x) * one_g2x) + 1.0  # S + 1
+        log_a = weights.dot(np.log1p(0.5 * x * (p + (one_g2x + g * g) / s_plus)))
+        ratio = (2.0 * rq * rq) * x / (s_plus + g * x)
+        edge = weights.dot(np.log1p(c * x / one_g2x)) if finite else 0.0
+    else:
+        v = 1.0 / y
+        h_1 = np.hypot(1.0, v)
+        h_g = np.hypot(g, v)
+        vs = v * v + h_1 * h_g
+        log_a = 2.0 * weights.dot(np.log(y)) + weights.dot(np.log(0.5 * (vs + p)))
+        ratio = (2.0 * rq * rq) / (vs + g)
+        edge = 2.0 * weights.dot(np.log1p(c / (h_g * (h_1 + h_g)))) if finite else 0.0
+    return log_a, weights.dot(np.log1p(ratio)), edge
+
+
+def _float_terms(pairs, sinh, rq, g, c, finite):
+    """``_array_terms`` term by term over the rule's (a_j, w_j) float pairs, in ``math``."""
+    p = 1.0 - 0.5 * c
+    g2 = g * g
+    q = 2.0 * rq * rq
+    log_a = log_ratio = edge = 0.0
+    if sinh * pairs[0][0] < 1.0:
+        for a, w in pairs:
+            y = sinh * a
+            x = y * y
+            one_g2x = 1.0 + g2 * x
+            s_plus = math.sqrt((1.0 + x) * one_g2x) + 1.0
+            log_a += w * math.log1p(0.5 * x * (p + (one_g2x + g2) / s_plus))
+            log_ratio += w * math.log1p(q * x / (s_plus + g * x))
+            if finite:
+                edge += w * math.log1p(c * x / one_g2x)
+    else:
+        for a, w in pairs:
+            y = sinh * a
+            v = 1.0 / y
+            h_1 = math.hypot(1.0, v)
+            h_g = math.hypot(g, v)
+            vs = v * v + h_1 * h_g
+            log_a += w * (2.0 * math.log(y) + math.log(0.5 * (vs + p)))
+            log_ratio += w * math.log1p(q / (vs + g))
+            if finite:
+                edge += 2.0 * w * math.log1p(c / (h_g * (h_1 + h_g)))
+    return log_a, log_ratio, edge
+
+
 def page_average(alpha, n, s: float, r: float, tol: float = DEFAULT_TOL) -> PageCurveValue:
     """Average entropy of integer Renyi order alpha >= 1 (1 = von Neumann).
 
@@ -159,37 +232,22 @@ def page_average(alpha, n, s: float, r: float, tol: float = DEFAULT_TOL) -> Page
         raise ValueError(f"squeezing strength {s!r} is beyond the float64 range of the "
                          f"average: sinh^2(2s) overflows above |s| = {_MAX_SQUEEZING:.2f}")
     sinh = abs(math.sinh(2.0 * s))
-    factors, weights = _order_rule(alpha, sinh * sinh)
-    y = sinh * factors  # square roots of the shifts, ascending
+    factors, weights, pairs = _order_rule(alpha, sinh * sinh)
     g = 1.0 - 2.0 * rq
     c = 4.0 * rq * (1.0 - rq)  # 1 - g^2
-    p = 1.0 - 0.5 * c
     finite = n is not ASYMPTOTIC
-    # sum_j w_j ln A_j, the ratios rq^2 x_j / B_j and (finite n) the edge term
-    # sum_j w_j ln((1 + x_j) / (1 + g^2 x_j)).
-    if y[0] < 1.0:
-        x = y * y
-        one_g2x = 1.0 + (g * g) * x
-        s_plus = np.sqrt((1.0 + x) * one_g2x) + 1.0  # S + 1
-        log_a = weights.dot(np.log1p(0.5 * x * (p + (one_g2x + g * g) / s_plus)))
-        ratio = (2.0 * rq * rq) * x / (s_plus + g * x)
-        edge = weights.dot(np.log1p(c * x / one_g2x)) if finite else 0.0
+    if len(pairs) <= _FLOAT_SHIFTS:
+        log_a, log_ratio, edge = _float_terms(pairs, sinh, rq, g, c, finite)
     else:
-        v = 1.0 / y
-        h_1 = np.hypot(1.0, v)
-        h_g = np.hypot(g, v)
-        vs = v * v + h_1 * h_g
-        log_a = 2.0 * weights.dot(np.log(y)) + weights.dot(np.log(0.5 * (vs + p)))
-        ratio = (2.0 * rq * rq) / (vs + g)
-        edge = 2.0 * weights.dot(np.log1p(c / (h_g * (h_1 + h_g)))) if finite else 0.0
-    per_mode = rq * log_a + g * weights.dot(np.log1p(ratio))
+        log_a, log_ratio, edge = _array_terms(factors, weights, sinh, rq, g, c, finite)
+    per_mode = rq * log_a + g * log_ratio
     scale = float(n) if finite else 1.0
     value = scale * per_mode - 0.25 * edge
     err = ROUNDING * (scale * per_mode + 0.25 * edge)
     if tol < err:
         raise ValueError(f"tolerance {tol:.3g} is below the float64 resolution of this value "
                          f"({value:.6g}, error bound {err:.3g}): request a larger one")
-    return PageCurveValue(float(value), y.size if alpha == 1 else 0, float(err), realized)
+    return PageCurveValue(float(value), len(pairs) if alpha == 1 else 0, float(err), realized)
 
 
 LIMIT_REGIMES = ("small", "large")

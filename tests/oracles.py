@@ -49,6 +49,10 @@ in closed form: rules of 32, 64, ... nodes compared pairwise until two
 differ by at most ``tol`` (``trunc_err``), with its own rule and node
 constants. ``page_average_mpmath`` is the same integral of the closed
 per-mode entropies in mpmath arithmetic throughout.
+``s2_variance_identity_loop`` is ``montecarlo.s2_variance_identity`` as it
+was before its bootstrap was stacked: S_2 from ``run_experiment`` and the
+traces from a second draw of the same samples (``_trace_powers``), and one
+``np.cov`` and Python sum per resample (``vd_from_trw_loop``).
 """
 
 import functools
@@ -66,7 +70,7 @@ from gbs_page.entropy import (
     renyi_mode_entropy,
 )
 from gbs_page.haar import _ginibre, haar_frame
-from gbs_page.montecarlo import _power_sums
+from gbs_page.montecarlo import ExperimentPlan, _power_sums, _trace_powers, run_experiment
 from gbs_page.pagecurve import (
     ASYMPTOTIC,
     DEFAULT_TOL,
@@ -566,3 +570,36 @@ def page_average_mpmath(alpha, n, s: float, r: float, dps: int = 50):
             return +per_mode
         edge = (_mode_entropy_mpmath(alpha, sinh2, 1) - _mode_entropy_mpmath(alpha, sinh2, g2)) / 4
         return n * per_mode - edge
+
+
+def vd_from_trw_loop(trw: np.ndarray, d_max: int) -> np.ndarray:
+    """Plug-in covariance combinations V_d, d = 2..d_max, from (N, d_max-1) traces."""
+    cov = np.atleast_2d(np.cov(trw, rowvar=False, ddof=1))
+    out = np.zeros(d_max - 1)
+    for d in range(2, d_max + 1):
+        out[d - 2] = sum(cov[ell - 1, d - ell - 1] / (ell * (d - ell)) for ell in range(1, d))
+    return out
+
+
+def s2_variance_identity_loop(n: int, r: float, s: float, d_max: int, n_samples: int,
+                              seed: int, n_boot: int = 2000) -> dict:
+    """``s2_variance_identity`` with two draws per sample and a loop over resamples."""
+    plan = ExperimentPlan.from_ratio(n=n, r=r, squeezing=float(s), alphas=(2,),
+                                     n_samples=n_samples, master_seed=seed)
+    s2 = run_experiment(plan)[0][:, 0]
+    trw = _trace_powers(plan, d_max - 1)
+    weights = 0.25 * (np.tanh(2.0 * s) ** 2) ** np.arange(2, d_max + 1)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0xD1FF,))))
+    stats = []
+    for _ in range(n_boot):
+        idx = rng.integers(0, plan.n_samples, plan.n_samples)
+        stats.append((s2[idx].var(ddof=1), weights @ vd_from_trw_loop(trw[idx], d_max)))
+    var_ci, model_ci = (tuple(float(x) for x in ci)
+                        for ci in np.percentile(np.array(stats), (2.5, 97.5), axis=0).T)
+    return {
+        "variance": float(s2.var(ddof=1)),
+        "model": float(weights @ vd_from_trw_loop(trw, d_max)),
+        "variance_ci": var_ci,
+        "model_ci": model_ci,
+        "consistent": var_ci[0] <= model_ci[1] and model_ci[0] <= var_ci[1],
+    }

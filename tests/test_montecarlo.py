@@ -9,6 +9,8 @@ from oracles import (
     gram_full_product,
     haar_unitary,
     purity_symmetry_check,
+    s2_variance_identity_loop,
+    vd_from_trw_loop,
 )
 
 from gbs_page import (
@@ -326,6 +328,57 @@ def test_variance_diagnostics_keep_their_values():
     assert out["variance_ci"] == pytest.approx((0.01691655369397683, 0.022820786308927705),
                                                rel=1e-12)
     assert out["consistent"]
+
+
+@pytest.mark.parametrize("args", [
+    (60, 0.5, 0.5, 12, 300, 29, 500),
+    (41, 0.3, 1.0, 5, 77, 3, 301),  # odd n, a run of resamples shorter than n_boot
+    (30, 0.5, 0.2, 2, 50, 5, 100),  # one trace power
+])
+def test_s2_variance_identity_matches_its_loop_oracle(args):
+    # The stacked bootstrap does the loop's arithmetic: the same floats.
+    assert s2_variance_identity(*args) == s2_variance_identity_loop(*args)
+
+
+def test_stacked_vd_matches_the_loop_on_each_resample():
+    trw = montecarlo._trace_powers(ExperimentPlan(n=30, k=12, squeezing=0.0, n_samples=40,
+                                                  master_seed=8), 7)
+    idx = np.random.default_rng(2).integers(0, 40, (5, 40))
+    stacked = montecarlo._vd_from_cov(montecarlo._trace_cov(trw[idx]), 8)
+    for row, resample in zip(stacked, idx):
+        assert row.tolist() == vd_from_trw_loop(trw[resample], 8).tolist()
+
+
+def test_s2_variance_identity_draws_each_block_once(monkeypatch):
+    # 150 samples make three blocks; each is drawn once for S_2 and the
+    # traces, and S_2 is run_experiment's column.
+    plan = ExperimentPlan.from_ratio(n=30, r=0.5, squeezing=0.5, alphas=(2,), n_samples=150,
+                                     master_seed=12)
+    want = float(run_experiment(plan)[0][:, 0].var(ddof=1))
+    draws = []
+
+    def draw(n, k, seed, index):
+        draws.append(index)
+        return _bidiagonal_squares(n, k, seed, index)
+
+    monkeypatch.setattr(montecarlo, "_bidiagonal_squares", draw)
+    out = s2_variance_identity(30, 0.5, 0.5, 6, 150, 12, n_boot=50)
+    assert draws == montecarlo._blocks(plan) and len(draws) == 3
+    assert out["variance"] == want
+
+
+def test_s2_variance_identity_names_a_bad_sample(monkeypatch):
+    bad = montecarlo._BLOCK_SAMPLES + 5
+
+    def draw(n, k, seed, index):
+        diag, sup = _bidiagonal_squares(n, k, seed, index)
+        diag[np.isin(index, [bad, bad + 1]), 0] = 1.5
+        return diag, sup
+
+    monkeypatch.setattr(montecarlo, "_bidiagonal_squares", draw)
+    with pytest.raises(SampleFailure, match="in \\[0, 1\\]") as err:
+        s2_variance_identity(30, 0.5, 0.5, 6, 150, 12, n_boot=50)
+    assert err.value.sample_index == bad and isinstance(err.value.cause, ValueError)
 
 
 @pytest.mark.parametrize("function,args,message", [

@@ -21,6 +21,7 @@ from series_oracle import (
 from gbs_page import (
     ASYMPTOTIC,
     ExperimentPlan,
+    entropy,
     page_average,
     page_limit,
     pagecurve,
@@ -366,6 +367,74 @@ def test_refusals_match_two_pass_oracle(args, kwargs):
         assert str(new.value) == str(old.value)
     else:
         assert "float64 resolution" in str(old.value) and "float64 resolution" in str(new.value)
+
+
+def _outcomes(cells):
+    """page_average of each (args, kwargs) cell, or its refusal message."""
+    out = []
+    for args, kwargs in cells:
+        try:
+            out.append(page_average(*args, **kwargs))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+# Orders whose rules page_average sums in Python floats: alpha // 2 shifts.
+FLOAT_ORDERS = range(2, 2 * pagecurve._FLOAT_SHIFTS + 2)
+
+# The ends of the strength range (s = +-177.7, and 177.8 beyond it), shifts
+# that underflow (1e-200) or put nu within a few floats of 1 (1e-8), r = 1/2
+# (g = 0) and small r, odd n, n up to 10^4 and the per-mode curve, and
+# tolerances below the value's resolution.
+FLOAT_EDGE_CELLS = [
+    ((n, s, r), kwargs)
+    for s in (177.7, -177.7, 1e-200, 1e-8, 10.0)
+    for r in (0.005, 0.5)
+    for n in (101, 400, 10000, ASYMPTOTIC)
+    for kwargs in ({}, {"tol": 1e-16})
+] + [((400, 177.8, 0.5), {}), ((10000, 6.0, 0.5), {"tol": 1e-9})]
+
+
+def test_float_terms_match_array_terms(monkeypatch):
+    # Every order whose rule is at most _FLOAT_SHIFTS long takes the float
+    # evaluator (the numpy one raises here); forcing the bound to 0 sends it
+    # through numpy. Values agree within 0.1 trunc_err, refusals to the letter.
+    assert len(entropy._pattern(FLOAT_ORDERS[-1])[2]) == pagecurve._FLOAT_SHIFTS
+    assert len(entropy._pattern(FLOAT_ORDERS[-1] + 1)[2]) > pagecurve._FLOAT_SHIFTS
+    s_grid = [round(0.05 + i * 0.05, 12) for i in range(2, 60, 3)]
+    r_grid = [round(0.05 + i * 0.05, 12) for i in range(1, 19, 2)]
+    sweep = [((n, s, r), {}) for s in s_grid for r in r_grid for n in (100, 101, 400, ASYMPTOTIC)]
+    cells = [((alpha, *args), kwargs) for alpha in FLOAT_ORDERS
+             for args, kwargs in sweep + FLOAT_EDGE_CELLS]
+
+    def no_arrays(*args):
+        raise AssertionError("a short rule reached the numpy evaluator")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pagecurve, "_array_terms", no_arrays)
+        floats = _outcomes(cells)
+    monkeypatch.setattr(pagecurve, "_FLOAT_SHIFTS", 0)
+    arrays = _outcomes(cells)
+    refused = 0
+    for cell, new, old in zip(cells, floats, arrays):
+        if isinstance(old, str):
+            refused += 1
+            assert new == old, cell
+            continue
+        assert abs(new.value - old.value) <= 0.1 * old.trunc_err, cell
+        assert new.trunc_err == pytest.approx(old.trunc_err, rel=1e-12, abs=0.0), cell
+        assert (new.nodes, new.realized_r) == (old.nodes, old.realized_r) == (0, old.realized_r)
+    assert refused >= 2 * len(FLOAT_ORDERS)
+
+
+@pytest.mark.parametrize("alpha", [FLOAT_ORDERS[-2], FLOAT_ORDERS[-1]])
+def test_longest_float_rules_match_mpmath_integral(alpha):
+    for n, s, r in [(401, 0.05, 0.5), (2000, 1.0, 0.3), (ASYMPTOTIC, 30.0, 0.5)]:
+        res = page_average(alpha, n, s, r)
+        exact = page_average_mpmath(alpha, n, s, r, dps=20)
+        err = abs(res.value - exact)
+        assert err <= min(res.trunc_err, 1e-13 * abs(exact)), (n, s, r)
 
 
 # Both ends of the strength range and of the spectral law: weak and strong
