@@ -58,8 +58,22 @@ longer rules, order 1's 81 to 128 t-nodes among them, in about 20 numpy
 calls, whose fixed cost equals about 24 shifts of the loop. The two agree
 within a few hundredths of ``trunc_err``; the checks, refusals and
 ``trunc_err`` around them are one code path.
+
+The value is n times the per-mode curve less a quarter of the edge sum, and
+both depend only on the order, |sinh(2s)| and the reduced ratio
+rq = min(k, n - k)/n. ``_cell_terms`` evaluates them, always with the edge
+sum, and keeps the ``_MEMO_SIZE`` (2^14) most recently used in a
+``functools.lru_cache`` keyed on (alpha, |sinh(2s)|, rq). For finite n, rq
+is formed from the integer pair, so r and 1 - r, s and -s, and every n of
+one reduced ratio (100 and 400 at r = 0.3) read one entry; an asymptotic
+r > 1/2 keys on the float 1 - r. ``page_average`` reads parameters, refuses
+and forms ``trunc_err`` on each call, outside the memo. The per-mode curve
+leaves the edge sum out of its value and of its ``trunc_err``. No refusal
+is stored: the parameter and range checks come before the lookup, and a
+``tol`` refusal is decided after it, from sums that hold at any tolerance.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,6 +105,10 @@ ROUNDING = 128 * np.finfo(float).eps
 # Set at the measured crossover, where both take about 17 us a cell
 # (README; BENCH_analytic.json, "float_terms").
 _FLOAT_SHIFTS = 24
+
+# Entries of the per-mode sums memo (``_cell_terms``): about 290 B each,
+# so it holds under 5 MB (README; BENCH_analytic.json, "memo").
+_MEMO_SIZE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -155,9 +173,9 @@ def _realized_ratio(n, r: float) -> tuple[float, float]:
     return k / n, min(k, n - k) / n
 
 
-def _array_terms(factors, weights, sinh, rq, g, c, finite):
-    """sum_j w_j ln A_j, sum_j w_j ln(1 + rq^2 x_j / B_j) and (finite n) the
-    edge sum_j w_j ln((1 + x_j) / (1 + g^2 x_j)), in numpy over the rule's arrays.
+def _array_terms(factors, weights, sinh, rq, g, c):
+    """sum_j w_j ln A_j, sum_j w_j ln(1 + rq^2 x_j / B_j) and the edge sum
+    sum_j w_j ln((1 + x_j) / (1 + g^2 x_j)), in numpy over the rule's arrays.
 
     The branch follows the smallest shift (module docstring).
     """
@@ -169,7 +187,7 @@ def _array_terms(factors, weights, sinh, rq, g, c, finite):
         s_plus = np.sqrt((1.0 + x) * one_g2x) + 1.0  # S + 1
         log_a = weights.dot(np.log1p(0.5 * x * (p + (one_g2x + g * g) / s_plus)))
         ratio = (2.0 * rq * rq) * x / (s_plus + g * x)
-        edge = weights.dot(np.log1p(c * x / one_g2x)) if finite else 0.0
+        edge = weights.dot(np.log1p(c * x / one_g2x))
     else:
         v = 1.0 / y
         h_1 = np.hypot(1.0, v)
@@ -177,11 +195,11 @@ def _array_terms(factors, weights, sinh, rq, g, c, finite):
         vs = v * v + h_1 * h_g
         log_a = 2.0 * weights.dot(np.log(y)) + weights.dot(np.log(0.5 * (vs + p)))
         ratio = (2.0 * rq * rq) / (vs + g)
-        edge = 2.0 * weights.dot(np.log1p(c / (h_g * (h_1 + h_g)))) if finite else 0.0
+        edge = 2.0 * weights.dot(np.log1p(c / (h_g * (h_1 + h_g))))
     return log_a, weights.dot(np.log1p(ratio)), edge
 
 
-def _float_terms(pairs, sinh, rq, g, c, finite):
+def _float_terms(pairs, sinh, rq, g, c):
     """``_array_terms`` term by term over the rule's (a_j, w_j) float pairs, in ``math``."""
     p = 1.0 - 0.5 * c
     g2 = g * g
@@ -195,8 +213,7 @@ def _float_terms(pairs, sinh, rq, g, c, finite):
             s_plus = math.sqrt((1.0 + x) * one_g2x) + 1.0
             log_a += w * math.log1p(0.5 * x * (p + (one_g2x + g2) / s_plus))
             log_ratio += w * math.log1p(q * x / (s_plus + g * x))
-            if finite:
-                edge += w * math.log1p(c * x / one_g2x)
+            edge += w * math.log1p(c * x / one_g2x)
     else:
         for a, w in pairs:
             y = sinh * a
@@ -206,9 +223,25 @@ def _float_terms(pairs, sinh, rq, g, c, finite):
             vs = v * v + h_1 * h_g
             log_a += w * (2.0 * math.log(y) + math.log(0.5 * (vs + p)))
             log_ratio += w * math.log1p(q / (vs + g))
-            if finite:
-                edge += 2.0 * w * math.log1p(c / (h_g * (h_1 + h_g)))
+            edge += 2.0 * w * math.log1p(c / (h_g * (h_1 + h_g)))
     return log_a, log_ratio, edge
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _cell_terms(alpha: int, sinh: float, rq: float) -> tuple[float, float, int]:
+    """(per-mode curve, edge sum, order-1 node count) at |sinh(2s)| and reduced ratio rq.
+
+    Memoised: a query at r or 1 - r, at any n of the same reduced ratio and
+    at s or -s reads one entry (module docstring, "Evaluation").
+    """
+    factors, weights, pairs = _order_rule(alpha, sinh * sinh)
+    g = 1.0 - 2.0 * rq
+    c = 4.0 * rq * (1.0 - rq)  # 1 - g^2
+    if len(pairs) <= _FLOAT_SHIFTS:
+        log_a, log_ratio, edge = _float_terms(pairs, sinh, rq, g, c)
+    else:
+        log_a, log_ratio, edge = _array_terms(factors, weights, sinh, rq, g, c)
+    return rq * log_a + g * log_ratio, edge, len(pairs) if alpha == 1 else 0
 
 
 def page_average(alpha, n, s: float, r: float, tol: float = DEFAULT_TOL) -> PageCurveValue:
@@ -219,7 +252,10 @@ def page_average(alpha, n, s: float, r: float, tol: float = DEFAULT_TOL) -> Page
     float(), and one that float() cannot read raises ValueError naming it.
     Raises ValueError too for an s that is not finite or whose sinh^2(2s)
     overflows float64 (|s| above 177.79), and for a ``tol`` below the
-    value's float64 error bound ``trunc_err``.
+    value's float64 error bound ``trunc_err``. The sums behind the value
+    are memoised on (alpha, |sinh(2s)|, min(k, n - k)/n), at most
+    ``_MEMO_SIZE`` of them; every check and refusal is made on each call,
+    and no refusal is stored (module docstring, "Evaluation").
     """
     alpha = _check_alpha(alpha)
     r = _check_ratio(r)
@@ -231,23 +267,17 @@ def page_average(alpha, n, s: float, r: float, tol: float = DEFAULT_TOL) -> Page
     if abs(s) > _MAX_SQUEEZING:
         raise ValueError(f"squeezing strength {s!r} is beyond the float64 range of the "
                          f"average: sinh^2(2s) overflows above |s| = {_MAX_SQUEEZING:.2f}")
-    sinh = abs(math.sinh(2.0 * s))
-    factors, weights, pairs = _order_rule(alpha, sinh * sinh)
-    g = 1.0 - 2.0 * rq
-    c = 4.0 * rq * (1.0 - rq)  # 1 - g^2
-    finite = n is not ASYMPTOTIC
-    if len(pairs) <= _FLOAT_SHIFTS:
-        log_a, log_ratio, edge = _float_terms(pairs, sinh, rq, g, c, finite)
+    per_mode, edge, nodes = _cell_terms(alpha, abs(math.sinh(2.0 * s)), rq)
+    if n is ASYMPTOTIC:
+        scale, edge = 1.0, 0.0
     else:
-        log_a, log_ratio, edge = _array_terms(factors, weights, sinh, rq, g, c, finite)
-    per_mode = rq * log_a + g * log_ratio
-    scale = float(n) if finite else 1.0
+        scale = float(n)
     value = scale * per_mode - 0.25 * edge
     err = ROUNDING * (scale * per_mode + 0.25 * edge)
     if tol < err:
         raise ValueError(f"tolerance {tol:.3g} is below the float64 resolution of this value "
                          f"({value:.6g}, error bound {err:.3g}): request a larger one")
-    return PageCurveValue(float(value), len(pairs) if alpha == 1 else 0, float(err), realized)
+    return PageCurveValue(float(value), nodes, float(err), realized)
 
 
 LIMIT_REGIMES = ("small", "large")

@@ -396,10 +396,28 @@ FLOAT_EDGE_CELLS = [
 ] + [((400, 177.8, 0.5), {}), ((10000, 6.0, 0.5), {"tol": 1e-9})]
 
 
-def test_float_terms_match_array_terms(monkeypatch):
+@pytest.fixture
+def memo():
+    """The per-mode sums memo, empty at the start and at the end of the test."""
+    pagecurve._cell_terms.cache_clear()
+    yield pagecurve._cell_terms
+    pagecurve._cell_terms.cache_clear()
+
+
+def _memo_key(alpha, n, s, r):
+    """The memo key of a cell that reaches the sums, else None."""
+    rq = pagecurve._realized_ratio(n, r)[1]
+    if s == 0 or rq == 0 or abs(s) > pagecurve._MAX_SQUEEZING:
+        return None
+    return alpha, abs(math.sinh(2.0 * s)), rq
+
+
+def test_float_terms_match_array_terms(monkeypatch, memo):
     # Every order whose rule is at most _FLOAT_SHIFTS long takes the float
     # evaluator (the numpy one raises here); forcing the bound to 0 sends it
     # through numpy. Values agree within 0.1 trunc_err, refusals to the letter.
+    # The memo is emptied before each pass, so the numpy pass evaluates every
+    # distinct key once instead of reading the float pass's sums.
     assert len(entropy._pattern(FLOAT_ORDERS[-1])[2]) == pagecurve._FLOAT_SHIFTS
     assert len(entropy._pattern(FLOAT_ORDERS[-1] + 1)[2]) > pagecurve._FLOAT_SHIFTS
     s_grid = [round(0.05 + i * 0.05, 12) for i in range(2, 60, 3)]
@@ -407,15 +425,26 @@ def test_float_terms_match_array_terms(monkeypatch):
     sweep = [((n, s, r), {}) for s in s_grid for r in r_grid for n in (100, 101, 400, ASYMPTOTIC)]
     cells = [((alpha, *args), kwargs) for alpha in FLOAT_ORDERS
              for args, kwargs in sweep + FLOAT_EDGE_CELLS]
+    keys = {_memo_key(*args) for args, _ in cells} - {None}
 
     def no_arrays(*args):
         raise AssertionError("a short rule reached the numpy evaluator")
 
+    array_terms = pagecurve._array_terms
+    calls = []
+
+    def counted_arrays(*args):
+        calls.append(args)
+        return array_terms(*args)
+
     with monkeypatch.context() as patch:
         patch.setattr(pagecurve, "_array_terms", no_arrays)
         floats = _outcomes(cells)
+    memo.cache_clear()
+    monkeypatch.setattr(pagecurve, "_array_terms", counted_arrays)
     monkeypatch.setattr(pagecurve, "_FLOAT_SHIFTS", 0)
     arrays = _outcomes(cells)
+    assert len(calls) == len(keys)
     refused = 0
     for cell, new, old in zip(cells, floats, arrays):
         if isinstance(old, str):
@@ -426,6 +455,76 @@ def test_float_terms_match_array_terms(monkeypatch):
         assert new.trunc_err == pytest.approx(old.trunc_err, rel=1e-12, abs=0.0), cell
         assert (new.nodes, new.realized_r) == (old.nodes, old.realized_r) == (0, old.realized_r)
     assert refused >= 2 * len(FLOAT_ORDERS)
+
+
+def test_memo_answers_as_a_fresh_evaluation(memo):
+    # r and 1 - r, n of equal and of odd reduced ratios, s and -s, and orders
+    # on both sides of each evaluator's bound: every field equals the one
+    # computed with the memo emptied first.
+    cells = [(alpha, n, sign * s, r) for alpha in (1, 2, 3, 15, 49, 50)
+             for s in (1e-8, 0.05, 0.5, 3.0, 177.7) for sign in (1, -1)
+             for r in (0.005, 0.3, 0.5, 0.7, 0.995) for n in (100, 101, 400, ASYMPTOTIC)]
+    fresh = []
+    for cell in cells:
+        memo.cache_clear()
+        fresh.append(page_average(*cell))
+    memo.cache_clear()
+    stored = [page_average(*cell) for cell in cells]
+    assert stored == fresh
+    keys = [key for key in (_memo_key(*cell) for cell in cells) if key is not None]
+    info = memo.cache_info()
+    assert info.misses == len(set(keys))
+    assert info.hits == len(keys) - info.misses > len(keys) // 2
+
+
+def test_memo_shares_mirrored_and_resized_cells(memo):
+    for alpha in (1, 2, 15, 50):
+        memo.cache_clear()
+        small = page_average(alpha, 100, 0.5, 0.3)
+        large = page_average(alpha, 400, 0.5, 0.7)
+        info = memo.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        # the same sums, scaled by n: n per_mode - edge / 4
+        per_mode, edge, nodes = memo(alpha, abs(math.sinh(1.0)), 0.3)
+        assert small.value == 100.0 * per_mode - 0.25 * edge
+        assert large.value == 400.0 * per_mode - 0.25 * edge
+        assert small.nodes == large.nodes == nodes
+
+
+def test_memo_stores_no_refusal(memo):
+    # Refused before the sums: no entry, and the same error again.
+    for args in [(1, 400, 177.8, 0.5), (2, 100, -200.0, 0.3), (0, 100, 0.5, 0.3),
+                 (2.5, 100, 0.5, 0.3), (2, 100, 0.5, 1.5), (2, 100, 0.5, None)]:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                page_average(*args)
+    assert memo.cache_info().currsize == 0
+    # A tolerance refusal is decided on each call from the sums, which hold
+    # for any tolerance: the refusal repeats, and the sums answer a larger one.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="float64 resolution"):
+            page_average(2, 400, 0.5, 0.3, tol=1e-16)
+    info = memo.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    answered = page_average(2, 400, 0.5, 0.3)
+    memo.cache_clear()
+    assert answered == page_average(2, 400, 0.5, 0.3)
+
+
+def test_memo_bound_is_fixed():
+    assert pagecurve._cell_terms.cache_info().maxsize == pagecurve._MEMO_SIZE == 1 << 14
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 50])
+def test_asymptotic_error_bound_excludes_the_edge_term(alpha, memo):
+    # The memo always holds the edge sum; the per-mode curve leaves it out
+    # of its value and of its trunc_err, a finite n takes it into both.
+    per_mode, edge, _ = memo(alpha, abs(math.sinh(1.0)), 0.3)
+    assert edge > 0
+    curve = page_average(alpha, ASYMPTOTIC, 0.5, 0.3)
+    assert (curve.value, curve.trunc_err) == (per_mode, pagecurve.ROUNDING * per_mode)
+    finite = page_average(alpha, 100, 0.5, 0.3)
+    assert finite.trunc_err == pagecurve.ROUNDING * (100.0 * per_mode + 0.25 * edge)
 
 
 @pytest.mark.parametrize("alpha", [FLOAT_ORDERS[-2], FLOAT_ORDERS[-1]])
