@@ -12,6 +12,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .entropy import _integer
+
 __all__ = ["haar_frame", "jacobi_transmissions", "sample_generator"]
 
 # Widest diagonal block that the frame's triangular solve inverts whole;
@@ -25,19 +27,19 @@ def sample_generator(master_seed: int, sample_index: int) -> np.random.Generator
     The stream is derived by spawning a child of ``SeedSequence(master_seed)``
     keyed on ``sample_index`` and feeding it to the counter-based Philox
     generator. Streams for distinct indices are statistically independent
-    and do not depend on evaluation order.
+    and do not depend on evaluation order. Both must be integers >= 0.
     """
-    seq = np.random.SeedSequence(int(master_seed), spawn_key=(int(sample_index),))
+    seq = np.random.SeedSequence(_integer("master_seed", master_seed, 0),
+                                 spawn_key=(_integer("sample_index", sample_index, 0),))
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _check_shape(n: int, k: int, sample_index: int) -> None:
-    if n < 1:
-        raise ValueError(f"mode count must be >= 1, got {n}")
+def _check_shape(n: int, k: int) -> tuple[int, int]:
+    n = _integer("mode count", n, 1)
+    k = _integer("subsystem size k", k)
     if not 1 <= k <= n:
         raise ValueError(f"subsystem size k={k} out of range [1, {n}]")
-    if sample_index < 0:
-        raise ValueError(f"sample_index must be >= 0, got {sample_index}")
+    return n, k
 
 
 def haar_frame(n: int, k: int, master_seed: int, sample_index: int = 0) -> np.ndarray:
@@ -98,7 +100,7 @@ def _ginibre(n: int, k: int, master_seed: int, sample_index: int) -> np.ndarray:
     (a + 1j b) / sqrt(2), since numpy divides a complex number by a real
     one as a multiply by the reciprocal.
     """
-    _check_shape(n, k, sample_index)
+    n, k = _check_shape(n, k)
     rng = sample_generator(master_seed, sample_index)
     z = np.empty((n, k), dtype=complex)
     z.real = rng.standard_normal((n, k))
@@ -147,22 +149,22 @@ def _bidiagonal_squares(
     superdiagonal (-s_m c'_{m-1}, ..., -s_2 c'_1), where s = sqrt(1 - c^2);
     the rows returned are those entries squared, in that order, each a
     product of draws and complements in [0, 1] (no square root is taken).
-    A scalar index gives rows of one sample too.
+    A scalar index gives rows of one sample too. Every index gets its
+    stream, so ``sample_generator`` checks it and the seed, also at m = 0.
     """
     indices = np.atleast_1d(sample_index)
-    _check_shape(n, k, indices.min(initial=0))
+    n, k = _check_shape(n, k)
     m = min(k, n - k)
     diag = np.empty((indices.size, m))
     sup = np.empty((indices.size, max(m - 1, 0)))
-    if m:
-        a, b = abs(n - 2 * k), 1
-        i = np.arange(1, m + 1)
-        for row, index in enumerate(indices):
-            rng = sample_generator(master_seed, index)
-            c2 = rng.beta((a + i) / 2, (b + i) / 2)
-            cp2 = rng.beta(i[:-1] / 2, (a + b + 1 + i[:-1]) / 2)
-            diag[row] = c2[::-1] * np.append(1.0, 1.0 - cp2[::-1])
-            sup[row] = (1.0 - c2[:0:-1]) * cp2[::-1]
+    a, b = abs(n - 2 * k), 1
+    i = np.arange(1, m + 1)
+    for row, index in enumerate(indices.tolist()):
+        rng = sample_generator(master_seed, index)
+        c2 = rng.beta((a + i) / 2, (b + i) / 2)
+        cp2 = rng.beta(i[:-1] / 2, (a + b + 1 + i[:-1]) / 2)
+        diag[row] = c2[::-1] * np.append(1.0, 1.0 - cp2[::-1])
+        sup[row] = (1.0 - c2[:0:-1]) * cp2[::-1]
     return diag, sup
 
 

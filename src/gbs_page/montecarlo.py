@@ -367,6 +367,7 @@ def variance_trend(ns, r: float, s: float, alpha: int, n_samples: int, seed: int
     """
     alpha = _check_alpha(alpha, 2)
     n_samples = _integer("n_samples", n_samples, 2)
+    n_boot = _integer("n_boot", n_boot, 1)
     out = []
     for n in ns:
         plan = ExperimentPlan.from_ratio(
@@ -477,6 +478,7 @@ def s2_variance_identity(n: int, r: float, s: float, d_max: int, n_samples: int,
     not used).
     """
     d_max = _integer("d_max", d_max, 2)
+    n_boot = _integer("n_boot", n_boot, 1)
     plan = ExperimentPlan.from_ratio(
         n=n, r=r, squeezing=float(s), alphas=(2,),
         n_samples=_integer("n_samples", n_samples, 2), master_seed=seed,

@@ -51,13 +51,13 @@ shifts (sinh(2s) cosh t)^2 overflow from |s| = 168.14.
 Evaluation
 ----------
 The three sums over the shifts (of w ln A, of w ln(1 + rq^2 x / B) and the
-edge term) have two evaluators of the same formulas and branch.
-``_float_terms`` takes a rule of at most ``_FLOAT_SHIFTS`` shifts (orders 2
-to 49) in one loop over Python floats with ``math``; ``_array_terms`` takes
-longer rules, order 1's 81 to 128 t-nodes among them, in about 20 numpy
-calls, whose fixed cost equals about 24 shifts of the loop. The two agree
-within a few hundredths of ``trunc_err``; the checks, refusals and
-``trunc_err`` around them are one code path.
+edge term) have one formula body, ``_shift_logs``, and two drivers of it.
+``_float_terms`` loops over a rule of at most ``_FLOAT_SHIFTS`` shifts
+(orders 2 to 49) in Python floats with ``math``; ``_array_terms`` takes
+longer rules, order 1's 81 to 128 t-nodes among them, in numpy: about 20
+calls, whose fixed cost equals about 24 shifts of the loop. The two sum in
+different orders and agree within a few hundredths of ``trunc_err``; the
+checks, refusals and ``trunc_err`` around them are one code path.
 
 The value is n times the per-mode curve less a quarter of the edge sum, and
 both depend only on the order, |sinh(2s)| and the reduced ratio
@@ -75,7 +75,7 @@ is stored: the parameter and range checks come before the lookup, and a
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,9 +111,8 @@ _FLOAT_SHIFTS = 24
 _MEMO_SIZE = 1 << 14
 
 
-@dataclass(frozen=True)
-class PageCurveValue:
-    """Result of one analytic average.
+class PageCurveValue(NamedTuple):
+    """Result of one analytic average, a named tuple of four fields.
 
     ``value`` is the total entropy in nats for finite n, or the per-mode
     entropy for an asymptotic query. ``nodes`` is the order-1 rule's t-node
@@ -173,57 +172,51 @@ def _realized_ratio(n, r: float) -> tuple[float, float]:
     return k / n, min(k, n - k) / n
 
 
+def _rule_constants(smallest_root, rq, g, c):
+    return smallest_root < 1.0, 1.0 - 0.5 * c, g, g * g, 2.0 * rq * rq, c
+
+
+def _shift_logs(y, constants, lib):
+    """ln A, ln(1 + rq^2 x / B) and ln((1 + x) / (1 + g^2 x)) at the shift roots y = sqrt(x).
+
+    ``y`` is a Python float with ``lib = math`` or an array with ``lib = numpy``;
+    ``constants`` are ``_rule_constants``, whose first picks the branch (module docstring).
+    """
+    small, p, g, g2, q, c = constants
+    if small:
+        x = y * y
+        one_g2x = 1.0 + g2 * x
+        s_plus = lib.sqrt((1.0 + x) * one_g2x) + 1.0  # S + 1
+        return (lib.log1p(0.5 * x * (p + (one_g2x + g2) / s_plus)),
+                lib.log1p(q * x / (s_plus + g * x)),
+                lib.log1p(c * x / one_g2x))
+    v = 1.0 / y
+    h_1 = lib.hypot(1.0, v)
+    h_g = lib.hypot(g, v)
+    vs = v * v + h_1 * h_g
+    return (2.0 * lib.log(y) + lib.log(0.5 * (vs + p)),
+            lib.log1p(q / (vs + g)),
+            2.0 * lib.log1p(c / (h_g * (h_1 + h_g))))
+
+
 def _array_terms(factors, weights, sinh, rq, g, c):
     """sum_j w_j ln A_j, sum_j w_j ln(1 + rq^2 x_j / B_j) and the edge sum
     sum_j w_j ln((1 + x_j) / (1 + g^2 x_j)), in numpy over the rule's arrays.
-
-    The branch follows the smallest shift (module docstring).
     """
-    p = 1.0 - 0.5 * c
     y = sinh * factors  # square roots of the shifts, ascending
-    if y[0] < 1.0:
-        x = y * y
-        one_g2x = 1.0 + (g * g) * x
-        s_plus = np.sqrt((1.0 + x) * one_g2x) + 1.0  # S + 1
-        log_a = weights.dot(np.log1p(0.5 * x * (p + (one_g2x + g * g) / s_plus)))
-        ratio = (2.0 * rq * rq) * x / (s_plus + g * x)
-        edge = weights.dot(np.log1p(c * x / one_g2x))
-    else:
-        v = 1.0 / y
-        h_1 = np.hypot(1.0, v)
-        h_g = np.hypot(g, v)
-        vs = v * v + h_1 * h_g
-        log_a = 2.0 * weights.dot(np.log(y)) + weights.dot(np.log(0.5 * (vs + p)))
-        ratio = (2.0 * rq * rq) / (vs + g)
-        edge = 2.0 * weights.dot(np.log1p(c / (h_g * (h_1 + h_g))))
-    return log_a, weights.dot(np.log1p(ratio)), edge
+    logs = _shift_logs(y, _rule_constants(y[0], rq, g, c), np)
+    return tuple(weights.dot(term) for term in logs)
 
 
 def _float_terms(pairs, sinh, rq, g, c):
-    """``_array_terms`` term by term over the rule's (a_j, w_j) float pairs, in ``math``."""
-    p = 1.0 - 0.5 * c
-    g2 = g * g
-    q = 2.0 * rq * rq
+    """``_array_terms`` shift by shift over the rule's (a_j, w_j) float pairs, in ``math``."""
+    constants = _rule_constants(sinh * pairs[0][0], rq, g, c)
     log_a = log_ratio = edge = 0.0
-    if sinh * pairs[0][0] < 1.0:
-        for a, w in pairs:
-            y = sinh * a
-            x = y * y
-            one_g2x = 1.0 + g2 * x
-            s_plus = math.sqrt((1.0 + x) * one_g2x) + 1.0
-            log_a += w * math.log1p(0.5 * x * (p + (one_g2x + g2) / s_plus))
-            log_ratio += w * math.log1p(q * x / (s_plus + g * x))
-            edge += w * math.log1p(c * x / one_g2x)
-    else:
-        for a, w in pairs:
-            y = sinh * a
-            v = 1.0 / y
-            h_1 = math.hypot(1.0, v)
-            h_g = math.hypot(g, v)
-            vs = v * v + h_1 * h_g
-            log_a += w * (2.0 * math.log(y) + math.log(0.5 * (vs + p)))
-            log_ratio += w * math.log1p(q / (vs + g))
-            edge += 2.0 * w * math.log1p(c / (h_g * (h_1 + h_g)))
+    for a, w in pairs:
+        term_a, term_ratio, term_edge = _shift_logs(sinh * a, constants, math)
+        log_a += w * term_a
+        log_ratio += w * term_ratio
+        edge += w * term_edge
     return log_a, log_ratio, edge
 
 
@@ -310,7 +303,9 @@ def renyi_unequal_small(alpha, r: float, s_vec) -> float:
     """
     alpha = _check_alpha(alpha, 2)
     r = _check_ratio(r)
-    s = np.asarray(s_vec, dtype=float)
+    s = np.atleast_1d(np.asarray(s_vec, dtype=float))
+    if s.ndim != 1:
+        raise ValueError("squeezing vector must be one-dimensional")
     if s.size == 0:
         raise ValueError("squeezing vector is empty")
     if not np.all(np.isfinite(s)):

@@ -185,6 +185,36 @@ def test_transmissions_reject_bad_shape():
             jacobi_transmissions(n, k, master_seed=1, sample_index=index)
 
 
+def test_integer_spellings_give_the_same_streams():
+    i64 = np.int64
+    assert np.array_equal(sample_generator(i64(7), i64(3)).standard_normal(4),
+                          sample_generator(7, 3).standard_normal(4))
+    assert np.array_equal(jacobi_transmissions(i64(10), i64(4), i64(2), i64(5)),
+                          jacobi_transmissions(10, 4, 2, 5))
+    assert np.array_equal(jacobi_transmissions(10, 4, 2, [i64(5), 6.0]),
+                          jacobi_transmissions(10, 4, 2, [5, 6]))
+    assert np.array_equal(haar_frame(i64(6), i64(3), i64(2), i64(5)), haar_frame(6, 3, 2, 5))
+
+
+@pytest.mark.parametrize("function,args,message", [
+    (sample_generator, (1.7, 0), "^master_seed must be an integer"),
+    (sample_generator, (-1, 0), "^master_seed must be >= 0"),
+    (sample_generator, (1, -1), "^sample_index must be >= 0"),
+    (sample_generator, (1, 2.5), "^sample_index must be an integer"),
+    (jacobi_transmissions, (10, 5, -1), "^master_seed must be >= 0"),
+    (jacobi_transmissions, (10, 10, -1), "^master_seed must be >= 0"),  # m = 0: no draw
+    (jacobi_transmissions, (10.5, 5, 0), "^mode count must be an integer"),
+    (jacobi_transmissions, (10, 2.5, 0), "^subsystem size k must be an integer"),
+    (jacobi_transmissions, (10, 5, 0, [0, 1.5]), "^sample_index must be an integer"),
+    (haar_frame, (True, 1, 0), "^mode count must be an integer"),
+    (haar_frame, (6, 3, 1.7), "^master_seed must be an integer"),
+], ids=["seed-frac", "seed-neg", "index-neg", "index-frac", "T-seed-neg", "T-empty-seed-neg",
+        "T-n-frac", "T-k-frac", "T-indices-frac", "frame-n-bool", "frame-seed-frac"])
+def test_samplers_name_a_bad_integer(function, args, message):
+    with pytest.raises(ValueError, match=message):
+        function(*args)
+
+
 def _z(values, exact):
     return (values.mean() - exact) / (values.std(ddof=1) / np.sqrt(values.size))
 

@@ -406,6 +406,18 @@ def test_variance_functions_check_their_inputs(function, args, message):
         function(*args)
 
 
+def test_variance_functions_check_n_boot():
+    for n_boot in (0, -1, 1.5, True):
+        with pytest.raises(ValueError, match="^n_boot must be"):
+            variance_trend([10], 0.5, 0.5, 2, 10, 1, n_boot=n_boot)
+        with pytest.raises(ValueError, match="^n_boot must be"):
+            s2_variance_identity(20, 0.5, 0.5, 4, 10, 1, n_boot=n_boot)
+    (trend,) = variance_trend([10], 0.5, 0.5, 2, 10, 1, n_boot=2.0)
+    assert trend.ci_low <= trend.ci_high
+    out = s2_variance_identity(20, 0.5, 0.5, 4, 10, 1, n_boot=2.0)
+    assert out["variance_ci"][0] <= out["variance_ci"][1]
+
+
 def test_weak_typicality_proxy():
     plan = ExperimentPlan.from_ratio(n=200, r=0.5, squeezing=0.5, alphas=(2,),
                                      n_samples=1000, master_seed=31)

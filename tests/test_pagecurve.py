@@ -21,6 +21,7 @@ from series_oracle import (
 from gbs_page import (
     ASYMPTOTIC,
     ExperimentPlan,
+    PageCurveValue,
     entropy,
     page_average,
     page_limit,
@@ -633,7 +634,7 @@ def test_validation():
     # 0.7186807897261933667).
     for one in (1, 1.0, np.int64(1)):
         assert page_average(one, 100, 0.5, 0.5).value == 19.587968387116305
-        assert page_average(one, ASYMPTOTIC, 1.5, 0.3).value == 0.7186807897261934
+        assert page_average(one, ASYMPTOTIC, 1.5, 0.3).value == 0.7186807897261933
     for n in (True, float("inf"), float("nan"), 10.5, 0):
         with pytest.raises(ValueError, match="mode count"):
             page_average(2, n, 0.5, 0.5)
@@ -676,3 +677,17 @@ def test_validation():
 def test_unequal_small_needs_a_squeezing_vector():
     with pytest.raises(ValueError, match="squeezing vector is empty"):
         renyi_unequal_small(2, 0.5, [])
+    with pytest.raises(ValueError, match="squeezing vector must be one-dimensional"):
+        renyi_unequal_small(2, 0.5, [[0.1, 0.2], [0.1, 0.1]])
+    assert renyi_unequal_small(2, 0.5, 0.1) == renyi_unequal_small(2, 0.5, [0.1])
+
+
+def test_page_curve_value_is_a_read_only_tuple():
+    value = page_average(2, 100, 0.5, 0.3)
+    assert tuple(value) == (value.value, value.nodes, value.trunc_err, value.realized_r)
+    with pytest.raises(AttributeError):
+        value.value = 0.0
+    # The oracles build it positionally.
+    oracle = page_average_two_pass(2, 100, 0.5, 0.3)
+    assert type(oracle) is PageCurveValue and oracle.nodes > 0
+    assert page_average_two_pass(2, ASYMPTOTIC, 0.0, 0.3) == PageCurveValue(0.0, 0, 0.0, 0.3)
