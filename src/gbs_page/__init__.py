@@ -15,7 +15,7 @@ to set the BLAS thread variables before numpy starts its BLAS.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "haar": ("haar_frame", "jacobi_transmissions", "sample_generator"),
+    "haar": ("haar_frame", "sample_generator"),
     "states": ("reduced_covariance_general",),
     "symplectic": ("symplectic_eigenvalues",),
     "entropy": ("renyi_entropy", "renyi_mode_entropy"),

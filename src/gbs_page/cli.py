@@ -359,12 +359,12 @@ FIXED_PARAM = 0.5
 class FigureSpec:
     """One standard figure: analytic values and Monte-Carlo means on a sweep.
 
-    With ``norm`` set, both files hold entropies divided by ``norm(n, s)``
-    and the analytic file adds the ``page_limit`` law of regime ``limit``,
-    which must share the figure's ``scale``; without it the analytic file
-    is the ``analytic`` table. Every ``mc_stride``-th grid point is
-    simulated unless an explicit Monte-Carlo grid is given, which only a
-    figure with an ``mc_grid_key`` accepts.
+    A figure with a ``limit`` regime divides both files' entropies by the
+    ``scale`` of that regime's ``page_limit`` law at every one of its
+    orders (``SCALE_NORMS``), and its analytic file adds the law; without
+    one, the analytic file is the ``analytic`` table. Every
+    ``mc_stride``-th grid point is simulated; a sweep over s records those
+    points in the manifest as ``mc_s_grid``.
     """
 
     stem: str
@@ -372,29 +372,32 @@ class FigureSpec:
     grid: list[float]
     alphas: tuple[int, ...]
     mc_stride: int
-    norm: Callable[[int, float], float] | None
     limit: str | None
     scale: str | None
     ylabel: str
     grid_key: str
-    mc_grid_key: str | None
 
+
+# The entropy scale each limit law's label names, as a function of (n, s).
+SCALE_NORMS: dict[str, Callable[[int, float], float]] = {
+    "s^2 n": lambda n, s: n * s * s,
+    "s n": lambda n, s: s * n,
+}
 
 FIGURES = {
     "fig1": FigureSpec(
         "fig1", "r", grid("0.05:0.95:0.05"), (1, 2, 3, 4, 5, 6, 7, 15), 1,
-        None, None, None, "entropy (nats)", "r_grid", None),
+        None, None, "entropy (nats)", "r_grid"),
     "small-s": FigureSpec(
         "small_s", "s", grid("0.05:1.0:0.05"), (2, 3, 4, 5, 15), 4,
-        lambda n, s: n * s * s, "small", "s^2 n", "S/(n s^2)", "s_grid", "mc_s_grid"),
+        "small", "s^2 n", "S/(n s^2)", "s_grid"),
     "page-vs-s": FigureSpec(
         "page_vs_s", "s", grid("0.25:3.0:0.25"), (1, 2, 3), 1,
-        lambda n, s: s * n, "large", "s n", "S/(s n)", "analytic_s_grid", "mc_s_grid"),
+        "large", "s n", "S/(s n)", "analytic_s_grid"),
 }
 
 
 def run_figure(name, out_dir, params: FigureParams, seed: int, *,
-               alphas=None, grid=None, mc_grid=None, tol: float = DEFAULT_TOL,
                gnuplot: bool = False) -> dict:
     """Write one figure's analytic and simulated CSVs and its manifest.
 
@@ -402,49 +405,39 @@ def run_figure(name, out_dir, params: FigureParams, seed: int, *,
     squeezing, so ``run_experiment`` runs it on the calling thread.
     """
     spec = FIGURES[name]
-    alphas = tuple(alphas) if alphas is not None else spec.alphas
-    grid = list(grid if grid is not None else spec.grid)
-    if mc_grid is None:
-        mc_grid = grid[::spec.mc_stride]
-    elif spec.mc_grid_key is None:
-        raise ValueError(f"figure {name} simulates its own grid; it takes no mc_grid")
+    mc_grid = spec.grid[::spec.mc_stride]
+    norm = SCALE_NORMS.get(spec.scale)
     n = params.n
 
     def point(x):
         return (FIXED_PARAM, x) if spec.sweep == "r" else (x, FIXED_PARAM)
 
-    # Every plan and limit law is checked, and the directory made, before any work.
-    plans = [ExperimentPlan.from_ratio(n=n, r=r, squeezing=s, alphas=alphas,
+    # Every plan is checked, and the directory made, before any work.
+    plans = [ExperimentPlan.from_ratio(n=n, r=r, squeezing=s, alphas=spec.alphas,
                                        n_samples=params.n_samples, master_seed=seed + idx)
              for idx, (s, r) in enumerate(map(point, mc_grid))]
-    if spec.norm is not None:
-        for alpha in alphas:
-            scale = page_limit(alpha, spec.limit, FIXED_PARAM)[1]
-            if scale != spec.scale:
-                raise ValueError(f"figure {name} is scaled by {spec.scale}, its order-{alpha} "
-                                 f"{spec.limit}-squeezing law by {scale}")
     os.makedirs(out_dir, exist_ok=True)
 
-    prefix = "" if spec.norm is None else "scaled_"
+    prefix = "" if norm is None else "scaled_"
     rows = []
-    for x in grid:
+    for x in spec.grid:
         s, r = point(x)
-        for alpha in alphas:
-            row = _analytic_row(alpha, n, s, r, tol)
-            if spec.norm is None:
+        for alpha in spec.alphas:
+            row = _analytic_row(alpha, n, s, r, DEFAULT_TOL)
+            if norm is None:
                 rows.append(_analytic_csv_row(row))
                 continue
-            rows.append([_fmt(x), str(alpha), _fmt(row["value"] / spec.norm(n, s)),
+            rows.append([_fmt(x), str(alpha), _fmt(row["value"] / norm(n, s)),
                          _fmt(page_limit(alpha, spec.limit, r)[0])])
     files = [f"{spec.stem}_analytic.csv", f"{spec.stem}_simulated.csv"]
-    _write_rows(os.path.join(out_dir, files[0]), ANALYTIC_COLUMNS if spec.norm is None
+    _write_rows(os.path.join(out_dir, files[0]), ANALYTIC_COLUMNS if norm is None
                 else [spec.sweep, "alpha", "scaled_value", "limit_value"], rows)
 
     mc_rows = []
     for x, plan in zip(mc_grid, plans):
         _, summary = run_experiment(plan)
-        scale = 1.0 if spec.norm is None else spec.norm(n, point(x)[0])
-        for alpha in alphas:
+        scale = 1.0 if norm is None else norm(n, point(x)[0])
+        for alpha in spec.alphas:
             st = summary.per_alpha[alpha]
             mc_rows.append([_fmt(x), str(alpha), _fmt(st.mean / scale),
                             _fmt(st.stderr / scale), str(params.n_samples)])
@@ -453,33 +446,33 @@ def run_figure(name, out_dir, params: FigureParams, seed: int, *,
                 [spec.sweep, "alpha", prefix + "mean", prefix + "stderr", "n_samples"], mc_rows)
     if gnuplot:
         files.append(f"{spec.stem}.gp")
-        _write_gnuplot(os.path.join(out_dir, files[2]), spec, alphas)
+        _write_gnuplot(os.path.join(out_dir, files[2]), spec)
     manifest = {
         "figure": name,
         "n": n,
         "n_samples": params.n_samples,
         "s" if spec.sweep == "r" else "r": FIXED_PARAM,
-        "alphas": list(alphas),
-        spec.grid_key: [float(x) for x in grid],
+        "alphas": list(spec.alphas),
+        spec.grid_key: [float(x) for x in spec.grid],
         "seed": seed,
-        "tol": tol,
+        "tol": DEFAULT_TOL,
         "files": files,
     }
-    if spec.mc_grid_key is not None:
-        manifest[spec.mc_grid_key] = [float(x) for x in mc_grid]
+    if spec.sweep == "s":
+        manifest["mc_s_grid"] = [float(x) for x in mc_grid]
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
 
 
-def _write_gnuplot(path: str, spec: FigureSpec, alphas) -> None:
+def _write_gnuplot(path: str, spec: FigureSpec) -> None:
     """Curves and points per alpha; a dashed limit line when the figure is normalised."""
     analytic, simulated = f"{spec.stem}_analytic.csv", f"{spec.stem}_simulated.csv"
-    value_col = ANALYTIC_COLUMNS.index("value") + 1 if spec.norm is None else 3
+    value_col = ANALYTIC_COLUMNS.index("value") + 1 if spec.limit is None else 3
     parts = []
-    for alpha in alphas:
+    for alpha in spec.alphas:
         parts.append(f"  '{analytic}' using 1:($2=={alpha}?${value_col}:1/0) "
                      f"with lines title 'alpha={alpha}'")
-        if spec.norm is not None:
+        if spec.limit is not None:
             parts.append(f"  '{analytic}' using 1:($2=={alpha}?$4:1/0) with lines dt 2 notitle")
         parts.append(f"  '{simulated}' using 1:($2=={alpha}?$3:1/0) with points notitle")
     lines = [

@@ -14,11 +14,15 @@ import numpy as np
 
 from .entropy import _integer
 
-__all__ = ["haar_frame", "jacobi_transmissions", "sample_generator"]
+__all__ = ["haar_frame", "sample_generator"]
 
 # Widest diagonal block that the frame's triangular solve inverts whole;
 # wider ones are split in halves, coupled by one matrix product.
 _LEAF = 48
+
+# Largest stack of dense m x m tridiagonals that ``_squared_singular_values``
+# hands one ``eigvalsh`` (at least one matrix, whatever its size).
+_SOLVE_BYTES = 16 << 20
 
 
 def sample_generator(master_seed: int, sample_index: int) -> np.random.Generator:
@@ -110,32 +114,6 @@ def _ginibre(n: int, k: int, master_seed: int, sample_index: int) -> np.ndarray:
     return z
 
 
-def jacobi_transmissions(
-    n: int, k: int, master_seed: int, sample_index: int | Sequence[int] = 0
-) -> np.ndarray:
-    """Draw the m = min(k, n - k) transmission eigenvalues T of a Haar U, ascending.
-
-    With U_k the first k rows of an ``n x n`` Haar unitary, x = U_k U_k^T is
-    the k x k corner of the COE matrix U U^T, and the eigenvalues of
-    x x^dag are 1 - T for the m values T plus 2k - n exact ones when
-    k > n/2. The T are the transmission eigenvalues of a beta = 1
-    scattering matrix: a real Jacobi ensemble with weight
-    T^{(|n - 2k| - 1)/2} (Beenakker, RMP 69 (1997) 731), and the squared
-    singular values of the bidiagonal B11 that ``_bidiagonal_squares``
-    draws; this takes them from an ``eigvalsh`` of the tridiagonal
-    B11^T B11. The Monte Carlo's entropies need no eigenvalues (it takes
-    log-determinants of the same B11), so this is their agreement oracle
-    and the route of the Tr W^i of the variance diagnostics.
-
-    ``sample_index`` is one index, giving shape ``(m,)``, or a sequence of
-    indices, giving ``(len, m)``: each row is drawn from its own index's
-    stream, so it equals the one-index draw bit for bit, and one stacked
-    ``eigvalsh`` solves every row. The rows are empty when m = 0.
-    """
-    t = _squared_singular_values(*_bidiagonal_squares(n, k, master_seed, sample_index))
-    return t if np.ndim(sample_index) else t[0]
-
-
 def _bidiagonal_squares(
     n: int, k: int, master_seed: int, sample_index: int | Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -172,13 +150,21 @@ def _squared_singular_values(diag: np.ndarray, sup: np.ndarray) -> np.ndarray:
     """Eigenvalues of each row's B11^T B11, ascending, from its squared entries.
 
     The tridiagonal has diagonal diag_i + sup_{i-1} and off-diagonal
-    sqrt(diag_i sup_i) (its sign does not change the eigenvalues); one
-    stacked ``eigvalsh`` solves every row.
+    sqrt(diag_i sup_i) (its sign does not change the eigenvalues). The rows
+    are solved in chunks, one stacked ``eigvalsh`` each, in one dense stack
+    of at most ``_SOLVE_BYTES``: each row is the same LAPACK call in any
+    chunk, so its values do not depend on the chunking.
     """
     rows, m = diag.shape
-    gram = np.zeros((rows, m, m))
+    chunk = max(1, _SOLVE_BYTES // (8 * m * m or 1))
     d = np.arange(m)
-    gram[:, d, d] = diag
-    gram[:, d[1:], d[1:]] += sup
-    gram[:, d[1:], d[:-1]] = np.sqrt(diag[:, :-1] * sup)  # lower triangle, the one eigvalsh reads
-    return np.linalg.eigvalsh(gram)
+    out = np.empty((rows, m))
+    stack = np.zeros((min(chunk, rows), m, m))  # each chunk overwrites the same entries
+    for j in range(0, rows, chunk):
+        rd, rs = diag[j:j + chunk], sup[j:j + chunk]
+        gram = stack[:len(rd)]
+        gram[:, d, d] = rd
+        gram[:, d[1:], d[1:]] += rs
+        gram[:, d[1:], d[:-1]] = np.sqrt(rd[:, :-1] * rs)  # lower triangle, the one eigvalsh reads
+        out[j:j + chunk] = np.linalg.eigvalsh(gram)
+    return out

@@ -355,6 +355,17 @@ def _bootstrap_ci(statistic, m: int, n_boot: int, rng: np.random.Generator,
     return np.percentile(stats, levels, axis=0)
 
 
+def _diagnostic_plan(n: int, r: float, **fields) -> ExperimentPlan:
+    """A variance diagnostic's plan at ratio r: k = round(r n), ties to even.
+
+    The two sides of a pure state's cut have the same entropies, and their
+    Tr W^i differ by a constant, so an empty side (k = 0) runs as its
+    mirror k = n, whose entropies are all zero and traces all n.
+    """
+    k = round(_check_ratio(r) * _integer("n", n, 1))
+    return ExperimentPlan(n=n, k=k or n, **fields)
+
+
 def variance_trend(ns, r: float, s: float, alpha: int, n_samples: int, seed: int,
                    n_boot: int = 2000) -> list[VarianceEstimate]:
     """Unbiased entropy variance vs system size, with bootstrap CIs.
@@ -363,17 +374,16 @@ def variance_trend(ns, r: float, s: float, alpha: int, n_samples: int, seed: int
     (percentile, ``n_boot`` resamples) is seeded per n so the whole trend is
     reproducible. Entropy distributions are skewed at small n, hence the
     bootstrap rather than normal-theory intervals. ``alpha`` is an order
-    >= 2 and ``n_samples`` at least 2.
+    >= 2 and ``n_samples`` at least 2. An n whose side k = round(r n) is
+    empty runs as k = n (``_diagnostic_plan``): variance 0.
     """
     alpha = _check_alpha(alpha, 2)
     n_samples = _integer("n_samples", n_samples, 2)
     n_boot = _integer("n_boot", n_boot, 1)
     out = []
     for n in ns:
-        plan = ExperimentPlan.from_ratio(
-            n=n, r=r, squeezing=float(s), alphas=(alpha,),
-            n_samples=n_samples, master_seed=seed,
-        )
+        plan = _diagnostic_plan(n, r, squeezing=float(s), alphas=(alpha,),
+                                n_samples=n_samples, master_seed=seed)
         table, summary = run_experiment(plan)
         vals = table[:, 0]
         brng = np.random.Generator(
@@ -450,14 +460,12 @@ def estimate_Vd(d_max: int, n: int, r: float, n_samples: int, seed: int) -> np.n
 
     V_d = sum_{ell=1}^{d-1} cov(Tr W^ell, Tr W^{d-ell}) / (ell (d-ell)),
     estimated with unbiased sample covariances from ``n_samples >= 2``
-    draws. Independent of squeezing. The traces of the two sides of a cut
-    differ by a constant, so k = 0 runs as k = n, whose traces are all n:
-    every V_d is zero.
+    draws. Independent of squeezing. An empty side (k = 0) runs as k = n
+    (``_diagnostic_plan``): every V_d is zero.
     """
     d_max = _integer("d_max", d_max, 2)
-    k = round(_check_ratio(r) * _integer("n", n, 1))
-    plan = ExperimentPlan(n=n, k=k or n, squeezing=0.0, master_seed=seed,
-                          n_samples=_integer("n_samples", n_samples, 2))
+    plan = _diagnostic_plan(n, r, squeezing=0.0, master_seed=seed,
+                            n_samples=_integer("n_samples", n_samples, 2))
     return _vd_from_cov(_trace_cov(_trace_powers(plan, d_max - 1)), d_max)
 
 
@@ -475,14 +483,13 @@ def s2_variance_identity(n: int, r: float, s: float, d_max: int, n_samples: int,
     d_max cut biases the model low by a relative O(tanh^{2(d_max+1)}(2s)),
     far inside the CI widths at the intended sample counts (a paired
     difference test would resolve that truncation bias and is deliberately
-    not used).
+    not used). An empty side (k = 0) runs as k = n (``_diagnostic_plan``):
+    variance and model 0.
     """
     d_max = _integer("d_max", d_max, 2)
     n_boot = _integer("n_boot", n_boot, 1)
-    plan = ExperimentPlan.from_ratio(
-        n=n, r=r, squeezing=float(s), alphas=(2,),
-        n_samples=_integer("n_samples", n_samples, 2), master_seed=seed,
-    )
+    plan = _diagnostic_plan(n, r, squeezing=float(s), alphas=(2,),
+                            n_samples=_integer("n_samples", n_samples, 2), master_seed=seed)
     table = np.empty((plan.n_samples, 1))
     trw = np.empty((plan.n_samples, d_max - 1))
     for block in _blocks(plan):

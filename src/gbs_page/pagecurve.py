@@ -102,8 +102,9 @@ ROUNDING = 128 * np.finfo(float).eps
 
 # Longest shift rule that ``page_average`` sums in Python floats; longer
 # ones go through numpy, whose per-call cost is then shared by more shifts.
-# Set at the measured crossover, where both take about 17 us a cell
-# (README; BENCH_analytic.json, "float_terms").
+# Set at the measured crossover of the ``_shift_logs`` drivers, where both
+# take about 15 us a cell (README; BENCH_analytic.json, "float_terms",
+# "crossover_rerun").
 _FLOAT_SHIFTS = 24
 
 # Entries of the per-mode sums memo (``_cell_terms``): about 290 B each,

@@ -25,9 +25,11 @@ symmetric eigendecomposition, the matrix square root S and the Hermitian
 eigenvalues of i S Omega S, and ``symplectic_eigenvalues_svd`` through
 the Cholesky factor and every other singular value of L^T Omega L: two
 cross-checks of the Cholesky and symmetric-eigensolve route of
-``gbs_page.symplectic``. ``frame_transmissions`` takes the
-transmission eigenvalues T = 1 - lambda from the W block of a Haar frame,
-the law ``haar.jacobi_transmissions`` draws from directly.
+``gbs_page.symplectic``. ``jacobi_transmissions`` takes the transmission
+eigenvalues T = 1 - lambda of the sampler's own Jacobi draw from an
+eigensolve of its bidiagonal, the Monte Carlo's agreement oracle and the
+route of the variance diagnostics' Tr W^i; ``frame_transmissions`` takes
+them from the W block of a Haar frame, the law that draw follows.
 ``full_covariance_general`` builds the whole 2n x 2n pure state, which
 ``reduce_modes`` restricts to a mode set; ``purity_symmetry_check`` uses
 both to compare the entropies of the two sides of a cut.
@@ -57,6 +59,7 @@ traces from a second draw of the same samples (``_trace_powers``), and one
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import mpmath
@@ -69,7 +72,7 @@ from gbs_page.entropy import (
     renyi_entropy,
     renyi_mode_entropy,
 )
-from gbs_page.haar import _ginibre, haar_frame
+from gbs_page.haar import _bidiagonal_squares, _ginibre, _squared_singular_values, haar_frame
 from gbs_page.montecarlo import ExperimentPlan, _power_sums, _trace_powers, run_experiment
 from gbs_page.pagecurve import (
     ASYMPTOTIC,
@@ -106,6 +109,32 @@ def w_block_eigenvalues(frame: np.ndarray) -> np.ndarray:
     """
     x = frame.T @ frame
     return np.linalg.eigvalsh(x @ x.conj().T)
+
+
+def jacobi_transmissions(
+    n: int, k: int, master_seed: int, sample_index: int | Sequence[int] = 0
+) -> np.ndarray:
+    """Draw the m = min(k, n - k) transmission eigenvalues T of a Haar U, ascending.
+
+    With U_k the first k rows of an ``n x n`` Haar unitary, x = U_k U_k^T is
+    the k x k corner of the COE matrix U U^T, and the eigenvalues of
+    x x^dag are 1 - T for the m values T plus 2k - n exact ones when
+    k > n/2. The T are the transmission eigenvalues of a beta = 1
+    scattering matrix: a real Jacobi ensemble with weight
+    T^{(|n - 2k| - 1)/2} (Beenakker, RMP 69 (1997) 731), and the squared
+    singular values of the bidiagonal B11 that ``haar._bidiagonal_squares``
+    draws; this takes them from an ``eigvalsh`` of the tridiagonal
+    B11^T B11 (``haar._squared_singular_values``, the route of the
+    variance diagnostics' Tr W^i). The Monte Carlo's entropies need no
+    eigenvalues (it takes log-determinants of the same B11).
+
+    ``sample_index`` is one index, giving shape ``(m,)``, or a sequence of
+    indices, giving ``(len, m)``: each row is drawn from its own index's
+    stream, so it equals the one-index draw bit for bit. The rows are empty
+    when m = 0.
+    """
+    t = _squared_singular_values(*_bidiagonal_squares(n, k, master_seed, sample_index))
+    return t if np.ndim(sample_index) else t[0]
 
 
 def frame_transmissions(n: int, k: int, master_seed: int, sample_index: int = 0) -> np.ndarray:

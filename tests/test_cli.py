@@ -17,11 +17,15 @@ from gbs_page import cli
 from gbs_page.cli import (
     EXIT_NUMERICAL,
     EXIT_USAGE,
+    FIGURES,
+    FIXED_PARAM,
+    SCALE_NORMS,
     FigureParams,
     main,
     run_figure,
 )
 from gbs_page.haar import _ginibre
+from gbs_page.pagecurve import DEFAULT_TOL, page_limit
 
 
 def run_cli(capsys, *argv):
@@ -563,34 +567,30 @@ def test_limits_s_vector(tmp_path, capsys):
 
 def test_figure_bundle_tiny(tmp_path):
     out = tmp_path / "fig"
-    manifest = run_figure(
-        "fig1", str(out), FigureParams(n=12, n_samples=5), seed=3,
-        alphas=(1, 2), grid=[0.25, 0.5], gnuplot=True,
-    )
+    manifest = run_figure("fig1", str(out), FigureParams(n=12, n_samples=5), seed=3, gnuplot=True)
     assert (out / "fig1_analytic.csv").exists()
     assert (out / "fig1_simulated.csv").exists()
     assert (out / "fig1.gp").exists()
     stored = json.loads((out / "manifest.json").read_text())
-    assert stored["alphas"] == [1, 2] and stored["seed"] == 3
+    assert stored["alphas"] == list(FIGURES["fig1"].alphas) and stored["seed"] == 3
+    assert stored["tol"] == DEFAULT_TOL
     assert manifest["files"][0] == "fig1_analytic.csv"
 
     # deterministic re-run
     before = (out / "fig1_simulated.csv").read_bytes()
-    run_figure("fig1", str(out), FigureParams(n=12, n_samples=5), seed=3,
-               alphas=(1, 2), grid=[0.25, 0.5], gnuplot=True)
+    run_figure("fig1", str(out), FigureParams(n=12, n_samples=5), seed=3, gnuplot=True)
     assert (out / "fig1_simulated.csv").read_bytes() == before
 
 
 def test_figure_page_vs_s_strong_squeezing_rows(tmp_path):
     out = tmp_path / "pvs"
-    manifest = run_figure(
-        "page-vs-s", str(out), FigureParams(n=12, n_samples=4), seed=2,
-        alphas=(1, 2), grid=[0.5, 3.0], mc_grid=[0.5],
-    )
+    spec = FIGURES["page-vs-s"]
+    manifest = run_figure("page-vs-s", str(out), FigureParams(n=12, n_samples=4), seed=2)
     assert "analytic_skipped" not in manifest
     _, rows = parse_csv((out / "page_vs_s_analytic.csv").read_text())
-    assert [(row[0], row[1]) for row in rows] == [
-        ("0.5", "1"), ("0.5", "2"), ("3", "1"), ("3", "2")]
+    assert [(float(row[0]), int(row[1])) for row in rows] == [
+        (s, alpha) for s in spec.grid for alpha in spec.alphas]
+    assert spec.grid[-1] == 3.0
     # S/(s n) below its strong-squeezing limit 2 min(r, 1-r) = 1
     assert all(0 < float(row[2]) < float(row[3]) == 1.0 for row in rows)
 
@@ -631,46 +631,49 @@ FIGURE_SCHEMAS = {
 @pytest.mark.parametrize("name", sorted(FIGURE_SCHEMAS))
 def test_figure_schema(tmp_path, name):
     analytic_header, simulated_header, grid_keys = FIGURE_SCHEMAS[name]
-    grid = [0.25, 0.5]
+    spec = FIGURES[name]
+    grid, alphas = spec.grid, spec.alphas
+    mc_grid = grid[::spec.mc_stride]
     manifest = run_figure(name, str(tmp_path), FigureParams(n=12, n_samples=3), seed=5,
-                          alphas=(2, 3), grid=grid, gnuplot=True)
+                          gnuplot=True)
     analytic, simulated, script = manifest["files"]
     header, rows = parse_csv((tmp_path / analytic).read_text())
-    assert header == analytic_header and len(rows) == 4
+    assert header == analytic_header and len(rows) == len(grid) * len(alphas)
     header, rows = parse_csv((tmp_path / simulated).read_text())
-    assert header == simulated_header
+    assert header == simulated_header and len(rows) == len(mc_grid) * len(alphas)
     # the manifest names exactly the points each file holds
-    assert sorted({float(row[0]) for row in rows}) == manifest.get("mc_s_grid", grid)
+    assert sorted({float(row[0]) for row in rows}) == manifest.get("mc_s_grid", grid) == mc_grid
     assert json.loads((tmp_path / "manifest.json").read_text()) == manifest
     common = {"figure", "n", "n_samples", "alphas", "seed", "tol", "files"}
     assert set(manifest) == common | grid_keys
+    assert manifest["alphas"] == list(alphas) and manifest["tol"] == DEFAULT_TOL
     assert all(manifest[key] == grid for key in grid_keys - {"r", "s", "mc_s_grid"})
 
     plot = (tmp_path / script).read_text().split("plot \\\n", 1)[1].split(", \\\n")
     limit_lines = [line for line in plot if "dt 2" in line]
     if name == "fig1":
-        assert limit_lines == [] and len(plot) == 4
+        assert limit_lines == [] and len(plot) == 2 * len(alphas)
         assert all(f"'{analytic}' using 1:($2=={a}?$5:1/0) with lines title 'alpha={a}'"
-                   in plot[2 * i] for i, a in enumerate((2, 3)))
+                   in plot[2 * i] for i, a in enumerate(alphas))
     else:
-        assert len(limit_lines) == 2 and len(plot) == 6
+        assert len(limit_lines) == len(alphas) and len(plot) == 3 * len(alphas)
         assert all(f"'{analytic}' using 1:($2=={a}?$4:1/0) with lines dt 2"
-                   in plot[3 * i + 1] for i, a in enumerate((2, 3)))
+                   in plot[3 * i + 1] for i, a in enumerate(alphas))
 
 
-def test_figure_limit_law_must_share_the_figure_scale(tmp_path):
-    # The order-1 weak-squeezing law is per s^2 log(1/s^2) n, not the n s^2
-    # the small-s figure divides by.
-    with pytest.raises(ValueError, match="scaled by s\\^2 n"):
-        run_figure("small-s", str(tmp_path / "out"), FigureParams(n=12, n_samples=3), seed=5,
-                   alphas=(2, 1), grid=[0.25])
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_figure_fig1_takes_no_mc_grid(tmp_path):
-    with pytest.raises(ValueError, match="mc_grid"):
-        run_figure("fig1", str(tmp_path), FigureParams(n=12, n_samples=3), seed=5,
-                   grid=[0.5], mc_grid=[0.5])
+@pytest.mark.parametrize("name", sorted(FIGURES))
+def test_figure_table_is_consistent(name):
+    # A scaled figure divides by its limit law's scale at every one of its
+    # orders; the order-1 weak-squeezing law, per s^2 log(1/s^2) n, would
+    # not fit the small-s figure's n s^2.
+    spec = FIGURES[name]
+    assert (spec.limit is None) == (spec.scale is None) == (spec.sweep == "r")
+    assert spec.grid == sorted(set(spec.grid)) and spec.mc_stride >= 1
+    assert list(spec.alphas) == sorted(set(spec.alphas))
+    if spec.limit is not None:
+        assert spec.scale in SCALE_NORMS
+        assert {page_limit(alpha, spec.limit, FIXED_PARAM)[1] for alpha in spec.alphas} == {
+            spec.scale}
 
 
 def test_unknown_figure_or_scale(capsys):

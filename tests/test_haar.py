@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
-from oracles import cholesky_qr_frame_inv, frame_transmissions, haar_unitary, householder_frame
+from oracles import (
+    cholesky_qr_frame_inv,
+    frame_transmissions,
+    haar_unitary,
+    householder_frame,
+    jacobi_transmissions,
+)
 from scipy.special import digamma
 
-from gbs_page import haar_frame, jacobi_transmissions, sample_generator
-from gbs_page.haar import _LEAF, _ginibre, _solve_adjoint
+from gbs_page import haar_frame, sample_generator
+from gbs_page import haar
+from gbs_page.haar import _LEAF, _bidiagonal_squares, _ginibre, _solve_adjoint
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 64, 128, 512])
@@ -248,3 +255,18 @@ def test_transmissions_match_frame_oracle(n, k):
     grid = np.sort(np.concatenate([direct, frame]))
     ecdf = [np.searchsorted(np.sort(x), grid, side="right") / x.size for x in (direct, frame)]
     assert np.abs(ecdf[0] - ecdf[1]).max() <= 1.95 * np.sqrt(2 / draws)
+
+
+@pytest.mark.parametrize("n,k,chunk", [(40, 17, 3), (40, 17, 1), (41, 20, 23), (12, 12, 1)])
+def test_chunked_tridiagonal_solve_matches_one_stack(monkeypatch, n, k, chunk):
+    # Chunks of `chunk` rows (the last one shorter) give the one-stack values bit for bit.
+    diag, sup = _bidiagonal_squares(n, k, 3, range(23))
+    m = diag.shape[1]
+    gram = np.zeros((23, m, m))
+    d = np.arange(m)
+    gram[:, d, d] = diag
+    gram[:, d[1:], d[1:]] += sup
+    gram[:, d[1:], d[:-1]] = np.sqrt(diag[:, :-1] * sup)
+    monkeypatch.setattr(haar, "_SOLVE_BYTES", chunk * 8 * m * m)
+    assert np.array_equal(haar._squared_singular_values(diag, sup), np.linalg.eigvalsh(gram))
+

@@ -1,5 +1,6 @@
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from oracles import (
     equal_squeezing_spectrum,
     gram_full_product,
     haar_unitary,
+    jacobi_transmissions,
     purity_symmetry_check,
     s2_variance_identity_loop,
     vd_from_trw_loop,
@@ -18,7 +20,6 @@ from gbs_page import (
     SampleFailure,
     estimate_Vd,
     haar_frame,
-    jacobi_transmissions,
     page_average,
     reduced_covariance_general,
     renyi_entropy,
@@ -27,7 +28,7 @@ from gbs_page import (
     symplectic_eigenvalues,
     variance_trend,
 )
-from gbs_page import montecarlo
+from gbs_page import haar, montecarlo
 from gbs_page.entropy import bidiagonal_entropies, spectrum_entropies
 from gbs_page.haar import _bidiagonal_squares, _ginibre
 from gbs_page.symplectic import _gram_spectrum
@@ -328,6 +329,35 @@ def test_variance_diagnostics_keep_their_values():
     assert out["variance_ci"] == pytest.approx((0.01691655369397683, 0.022820786308927705),
                                                rel=1e-12)
     assert out["consistent"]
+
+
+def test_trace_route_memory_is_bounded():
+    # A 64-sample block at n = 1000 once stacked 64 dense 500 x 500
+    # tridiagonals (128 MB); the chunked solve keeps one stack of at most
+    # 16 MiB, with the values of the one-stack solve.
+    tracemalloc.start()
+    try:
+        vd = estimate_Vd(4, 1000, 0.5, 64, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [x.hex() for x in vd] == ["0x1.bba8745b590d1p-4", "0x1.b2ed7e4650b79p-4",
+                                     "0x1.880616f4fc88ap-4"]
+    assert peak < 1.25 * haar._SOLVE_BYTES
+
+
+@pytest.mark.parametrize("diagnostic,zeros", [
+    (lambda r: estimate_Vd(4, 10, r, 20, 1).tolist(), [0.0, 0.0, 0.0]),
+    (lambda r: [(est.variance, est.ci_low, est.ci_high)
+                for est in variance_trend([10, 11], r, 0.5, 2, 20, 1, n_boot=50)],
+     [(0.0, 0.0, 0.0)] * 2),
+    (lambda r: s2_variance_identity(10, r, 0.5, 4, 20, 1, n_boot=50),
+     {"variance": 0.0, "model": 0.0, "variance_ci": (0.0, 0.0), "model_ci": (0.0, 0.0),
+      "consistent": True}),
+], ids=["estimate_Vd", "variance_trend", "s2_variance_identity"])
+def test_variance_diagnostics_mirror_an_empty_side(diagnostic, zeros):
+    # r n rounding to k = 0 runs the mirror k = n, as r = 1 does.
+    assert diagnostic(0.0) == diagnostic(0.04) == diagnostic(1.0) == zeros
 
 
 @pytest.mark.parametrize("args", [

@@ -6,6 +6,7 @@ from oracles import (
     full_covariance_general,
     gram_full_product,
     haar_unitary,
+    jacobi_transmissions,
     reduced_covariance_equal,
     symplectic_eigenvalues_eigh,
     symplectic_eigenvalues_svd,
@@ -14,7 +15,6 @@ from oracles import (
 
 from gbs_page import (
     haar_frame,
-    jacobi_transmissions,
     reduced_covariance_general,
     renyi_entropy,
     symplectic_eigenvalues,
