@@ -1,11 +1,12 @@
-"""Seedable sampling of Haar-random column frames and of the spectrum they set.
+"""Seedable sampling of Haar-random column frames and of the Jacobi bidiagonal.
 
 Every sample is a pure function of its shape, ``master_seed`` and
 ``sample_index``: each index gets its own counter-based stream, so a run
 partitioned over any number of workers reproduces the single-threaded
 result bit for bit. A frame is the Cholesky QR of a complex Ginibre draw,
-whose every step numpy runs without the interpreter lock; the equal-squeezing
-spectrum is drawn directly from the Jacobi bidiagonal model.
+whose every step numpy runs without the interpreter lock; equal squeezing
+draws the squared entries of the Jacobi bidiagonal model instead, whose
+singular values set the spectrum, and no eigenvalues.
 """
 
 from collections.abc import Sequence
@@ -19,10 +20,6 @@ __all__ = ["haar_frame", "sample_generator"]
 # Widest diagonal block that the frame's triangular solve inverts whole;
 # wider ones are split in halves, coupled by one matrix product.
 _LEAF = 48
-
-# Largest stack of dense m x m tridiagonals that ``_squared_singular_values``
-# hands one ``eigvalsh`` (at least one matrix, whatever its size).
-_SOLVE_BYTES = 16 << 20
 
 
 def sample_generator(master_seed: int, sample_index: int) -> np.random.Generator:
@@ -145,26 +142,3 @@ def _bidiagonal_squares(
         sup[row] = (1.0 - c2[:0:-1]) * cp2[::-1]
     return diag, sup
 
-
-def _squared_singular_values(diag: np.ndarray, sup: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each row's B11^T B11, ascending, from its squared entries.
-
-    The tridiagonal has diagonal diag_i + sup_{i-1} and off-diagonal
-    sqrt(diag_i sup_i) (its sign does not change the eigenvalues). The rows
-    are solved in chunks, one stacked ``eigvalsh`` each, in one dense stack
-    of at most ``_SOLVE_BYTES``: each row is the same LAPACK call in any
-    chunk, so its values do not depend on the chunking.
-    """
-    rows, m = diag.shape
-    chunk = max(1, _SOLVE_BYTES // (8 * m * m or 1))
-    d = np.arange(m)
-    out = np.empty((rows, m))
-    stack = np.zeros((min(chunk, rows), m, m))  # each chunk overwrites the same entries
-    for j in range(0, rows, chunk):
-        rd, rs = diag[j:j + chunk], sup[j:j + chunk]
-        gram = stack[:len(rd)]
-        gram[:, d, d] = rd
-        gram[:, d[1:], d[1:]] += rs
-        gram[:, d[1:], d[:-1]] = np.sqrt(rd[:, :-1] * rs)  # lower triangle, the one eigvalsh reads
-        out[j:j + chunk] = np.linalg.eigvalsh(gram)
-    return out

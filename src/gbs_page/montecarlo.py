@@ -18,8 +18,9 @@ numerically aborts the whole experiment, naming the first failing index:
 the constructions are physically guaranteed to be valid states, so a
 failure indicates a bug, and silently skipping it would bias the means.
 The table holds entropies only; the variance diagnostics take Tr W^i from
-the same draws (``_trace_powers``), and ``s2_variance_identity`` takes
-both from one draw per block.
+the same draws as traces of banded powers of the tridiagonal I - B^T B
+(``_trace_powers``), again with no eigensolve, and ``s2_variance_identity``
+takes both from one draw per block.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import _check_alpha, _integer, _shift_rule, bidiagonal_entropies, spectrum_entropies
-from .haar import _bidiagonal_squares, _squared_singular_values, haar_frame
+from .haar import _bidiagonal_squares, haar_frame
 from .pagecurve import _check_ratio
 from .states import reduced_covariance_general
 from .symplectic import _gram, _gram_spectrum
@@ -387,33 +388,57 @@ def variance_trend(ns, r: float, s: float, alpha: int, n_samples: int, seed: int
         table, summary = run_experiment(plan)
         vals = table[:, 0]
         brng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0xB007, n)))
+            np.random.Philox(np.random.SeedSequence(plan.master_seed, spawn_key=(0xB007, plan.n)))
         )
         lo, hi = _bootstrap_ci(lambda idx: vals[idx].var(axis=1, ddof=1), len(vals), n_boot,
                                brng)
-        out.append(VarianceEstimate(n=n, variance=summary.per_alpha[alpha].variance,
+        out.append(VarianceEstimate(n=plan.n, variance=summary.per_alpha[alpha].variance,
                                     ci_low=float(lo), ci_high=float(hi)))
     return out
-
-
-def _power_sums(lam: np.ndarray, max_power: int) -> np.ndarray:
-    """sum_j lam_j^i for i = 1..max_power, over the last axis of lam."""
-    return np.sum(lam[..., None, :] ** np.arange(1, max_power + 1)[:, None], axis=-1)
 
 
 def _block_trace_powers(plan: ExperimentPlan, block: range, squares, max_power: int) -> np.ndarray:
     """Tr W^i, i = 1..max_power, of a block's samples from its ``_squares``.
 
     A row out of [0, 1] is a ``SampleFailure`` naming the first such index.
-    The eigenvalues of W are lambda = 1 - T, with T from one stacked
-    ``eigvalsh`` of the block, and k - m ones.
+    W has the eigenvalues of M = I - B11^T B11 and k - m ones. M is
+    tridiagonal: diagonal 1 - diag_i - sup_{i-1}, off-diagonal
+    -sqrt(diag_i sup_i). So M^q is symmetric with bandwidth q, kept as its
+    upper band, ``band[:, j, i] = (M^q)_{i, i+j}`` (zero past the matrix),
+    and one product with M is four updates over the block's rows. Then
+    Tr M^{2q} = <M^q, M^q>_F and Tr M^{2q-1} = <M^{q-1}, M^q>_F for
+    q <= ceil(max_power / 2): O(m max_power^2) per sample, no eigenvalues.
     """
     diag, sup, in_range = squares
     if not in_range.all():
         raise SampleFailure(block[int(np.argmin(in_range))], ValueError(_OUT_OF_RANGE))
-    t = _squared_singular_values(diag, sup)
-    lam = np.concatenate([1.0 - t, np.ones((len(block), plan.k - t.shape[1]))], axis=1)
-    return _power_sums(lam, max_power)
+    rows, m = diag.shape
+    width = (max_power + 1) // 2 + 1  # diagonals of M^ceil(max_power / 2)
+    # M's diagonal alpha_i and off-diagonal beta_i = M_{i-1, i}, zero outside
+    # 0 <= i < m (beta_0 too), seen as windows: window j holds x_{i+j} at i.
+    alpha, beta = np.zeros((2, rows, m + width))
+    alpha[:, :m] = 1.0 - diag
+    alpha[:, 1:m] -= sup
+    beta[:, 1:m] = -np.sqrt(diag[:, :-1] * sup)
+    alpha, beta = (np.lib.stride_tricks.sliding_window_view(x, m, axis=1) for x in (alpha, beta))
+
+    def frobenius(a, b):
+        terms = (a * b).sum(axis=-1)
+        return terms[:, 0] + 2.0 * terms[:, 1:].sum(axis=-1)
+
+    out = np.empty((rows, max_power))
+    band = np.zeros((rows, width, m))
+    band[:, 0] = 1.0
+    for q in range(1, width):
+        prev = band  # M^{q-1}, whose top diagonal is zero
+        band = prev * alpha[:, :width]
+        band[:, 1:] += prev[:, :-1] * beta[:, 1:width]
+        band[:, :-1] += prev[:, 1:] * beta[:, 1:width]
+        band[:, 0, 1:] += prev[:, 1, :-1] * beta[:, 0, 1:]
+        out[:, 2 * q - 2] = frobenius(prev, band)
+        if 2 * q <= max_power:
+            out[:, 2 * q - 1] = frobenius(band, band)
+    return out + (plan.k - m)
 
 
 def _trace_powers(plan: ExperimentPlan, max_power: int) -> np.ndarray:
@@ -497,7 +522,7 @@ def s2_variance_identity(n: int, r: float, s: float, d_max: int, n_samples: int,
         _equal_rows(plan, block, squares, table)
         trw[block.start:block.stop] = _block_trace_powers(plan, block, squares, d_max - 1)
     s2 = table[:, 0]
-    t2 = np.tanh(2.0 * s) ** 2
+    t2 = np.tanh(2.0 * plan.squeezing) ** 2
     weights = 0.25 * t2 ** np.arange(2, d_max + 1)
 
     var_s2 = float(s2.var(ddof=1))
@@ -509,7 +534,7 @@ def s2_variance_identity(n: int, r: float, s: float, d_max: int, n_samples: int,
         return np.column_stack([s2[idx].var(axis=1, ddof=1), [weights @ row for row in vd]])
 
     brng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0xD1FF,)))
+        np.random.Philox(np.random.SeedSequence(plan.master_seed, spawn_key=(0xD1FF,)))
     )
     var_ci, model_ci = (tuple(float(x) for x in ci) for ci in _bootstrap_ci(
         resampled, plan.n_samples, n_boot, brng).T)

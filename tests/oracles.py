@@ -26,10 +26,12 @@ eigenvalues of i S Omega S, and ``symplectic_eigenvalues_svd`` through
 the Cholesky factor and every other singular value of L^T Omega L: two
 cross-checks of the Cholesky and symmetric-eigensolve route of
 ``gbs_page.symplectic``. ``jacobi_transmissions`` takes the transmission
-eigenvalues T = 1 - lambda of the sampler's own Jacobi draw from an
-eigensolve of its bidiagonal, the Monte Carlo's agreement oracle and the
-route of the variance diagnostics' Tr W^i; ``frame_transmissions`` takes
-them from the W block of a Haar frame, the law that draw follows.
+eigenvalues T = 1 - lambda of the sampler's own Jacobi draw from a dense
+eigensolve of its tridiagonal B11^T B11, the Monte Carlo's agreement
+oracle; ``jacobi_trace_powers`` takes the ``power_sums`` of 1 - T, the
+check of the variance diagnostics' Tr W^i, which the package takes from
+banded powers of I - B11^T B11; ``frame_transmissions`` takes the T from
+the W block of a Haar frame, the law that draw follows.
 ``full_covariance_general`` builds the whole 2n x 2n pure state, which
 ``reduce_modes`` restricts to a mode set; ``purity_symmetry_check`` uses
 both to compare the entropies of the two sides of a cut.
@@ -72,8 +74,8 @@ from gbs_page.entropy import (
     renyi_entropy,
     renyi_mode_entropy,
 )
-from gbs_page.haar import _bidiagonal_squares, _ginibre, _squared_singular_values, haar_frame
-from gbs_page.montecarlo import ExperimentPlan, _power_sums, _trace_powers, run_experiment
+from gbs_page.haar import _bidiagonal_squares, _ginibre, haar_frame
+from gbs_page.montecarlo import ExperimentPlan, _trace_powers, run_experiment
 from gbs_page.pagecurve import (
     ASYMPTOTIC,
     DEFAULT_TOL,
@@ -123,18 +125,44 @@ def jacobi_transmissions(
     scattering matrix: a real Jacobi ensemble with weight
     T^{(|n - 2k| - 1)/2} (Beenakker, RMP 69 (1997) 731), and the squared
     singular values of the bidiagonal B11 that ``haar._bidiagonal_squares``
-    draws; this takes them from an ``eigvalsh`` of the tridiagonal
-    B11^T B11 (``haar._squared_singular_values``, the route of the
-    variance diagnostics' Tr W^i). The Monte Carlo's entropies need no
-    eigenvalues (it takes log-determinants of the same B11).
+    draws; this takes them from one stacked ``eigvalsh`` of the dense
+    tridiagonals B11^T B11, with diagonal diag_i + sup_{i-1} and
+    off-diagonal sqrt(diag_i sup_i) (its sign does not change the
+    eigenvalues). The Monte Carlo needs no eigenvalues: it takes
+    log-determinants and traces of powers of the same B11.
 
     ``sample_index`` is one index, giving shape ``(m,)``, or a sequence of
     indices, giving ``(len, m)``: each row is drawn from its own index's
-    stream, so it equals the one-index draw bit for bit. The rows are empty
-    when m = 0.
+    stream and solved by its own LAPACK call, so it equals the one-index
+    draw bit for bit. The rows are empty when m = 0.
     """
-    t = _squared_singular_values(*_bidiagonal_squares(n, k, master_seed, sample_index))
+    diag, sup = _bidiagonal_squares(n, k, master_seed, sample_index)
+    rows, m = diag.shape
+    d = np.arange(m)
+    gram = np.zeros((rows, m, m))
+    gram[:, d, d] = diag
+    gram[:, d[1:], d[1:]] += sup
+    gram[:, d[1:], d[:-1]] = np.sqrt(diag[:, :-1] * sup)  # lower triangle, the one eigvalsh reads
+    t = np.linalg.eigvalsh(gram)
     return t if np.ndim(sample_index) else t[0]
+
+
+def power_sums(lam: np.ndarray, max_power: int) -> np.ndarray:
+    """sum_j lam_j^i for i = 1..max_power, over the last axis of lam."""
+    return np.sum(lam[..., None, :] ** np.arange(1, max_power + 1)[:, None], axis=-1)
+
+
+def jacobi_trace_powers(plan: ExperimentPlan, max_power: int) -> np.ndarray:
+    """Tr W^i, i = 1..max_power, of each sample of the plan, one eigensolve per sample.
+
+    W has the eigenvalues lambda = 1 - T of the sample's
+    ``jacobi_transmissions`` and k - m ones.
+    """
+    rows = []
+    for index in range(plan.n_samples):
+        t = jacobi_transmissions(plan.n, plan.k, plan.master_seed, index)
+        rows.append(power_sums(np.concatenate([1.0 - t, np.ones(plan.k - t.size)]), max_power))
+    return np.array(rows)
 
 
 def frame_transmissions(n: int, k: int, master_seed: int, sample_index: int = 0) -> np.ndarray:
@@ -353,7 +381,7 @@ def trW_moments(U: np.ndarray, k: int, max_power: int) -> np.ndarray:
     _check_k(U, k)
     if max_power < 1:
         raise ValueError(f"max_power must be >= 1, got {max_power}")
-    return _power_sums(w_block_eigenvalues(U[:k].T), max_power)
+    return power_sums(w_block_eigenvalues(U[:k].T), max_power)
 
 
 def symplectic_eigenvalues_eigh(sigma: np.ndarray) -> np.ndarray:

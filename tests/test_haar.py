@@ -10,7 +10,6 @@ from oracles import (
 from scipy.special import digamma
 
 from gbs_page import haar_frame, sample_generator
-from gbs_page import haar
 from gbs_page.haar import _LEAF, _bidiagonal_squares, _ginibre, _solve_adjoint
 
 
@@ -174,8 +173,8 @@ def test_transmissions_shape_and_range(n, k):
 
 @pytest.mark.parametrize("n,k", [(10, 10), (2, 1), (61, 60), (9, 6), (400, 200), (1002, 501)])
 def test_transmissions_of_many_indices_are_the_one_index_draws(n, k):
-    # m = 0, m = 1 (k > n/2 at (61, 60)), k > n/2, and m = 501, past the
-    # 500-value threshold at which the samples stop sharing an eigensolve.
+    # m = 0, m = 1 (k > n/2 at (61, 60)), k > n/2, and m = 501: each row of
+    # the stacked eigensolve is its own LAPACK call.
     m = min(k, n - k)
     indices = [3, 0, 7, 4]
     stack = jacobi_transmissions(n, k, master_seed=12, sample_index=indices)
@@ -255,18 +254,4 @@ def test_transmissions_match_frame_oracle(n, k):
     grid = np.sort(np.concatenate([direct, frame]))
     ecdf = [np.searchsorted(np.sort(x), grid, side="right") / x.size for x in (direct, frame)]
     assert np.abs(ecdf[0] - ecdf[1]).max() <= 1.95 * np.sqrt(2 / draws)
-
-
-@pytest.mark.parametrize("n,k,chunk", [(40, 17, 3), (40, 17, 1), (41, 20, 23), (12, 12, 1)])
-def test_chunked_tridiagonal_solve_matches_one_stack(monkeypatch, n, k, chunk):
-    # Chunks of `chunk` rows (the last one shorter) give the one-stack values bit for bit.
-    diag, sup = _bidiagonal_squares(n, k, 3, range(23))
-    m = diag.shape[1]
-    gram = np.zeros((23, m, m))
-    d = np.arange(m)
-    gram[:, d, d] = diag
-    gram[:, d[1:], d[1:]] += sup
-    gram[:, d[1:], d[:-1]] = np.sqrt(diag[:, :-1] * sup)
-    monkeypatch.setattr(haar, "_SOLVE_BYTES", chunk * 8 * m * m)
-    assert np.array_equal(haar._squared_singular_values(diag, sup), np.linalg.eigvalsh(gram))
 

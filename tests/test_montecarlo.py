@@ -9,6 +9,7 @@ from oracles import (
     equal_squeezing_spectrum,
     gram_full_product,
     haar_unitary,
+    jacobi_trace_powers,
     jacobi_transmissions,
     purity_symmetry_check,
     s2_variance_identity_loop,
@@ -28,7 +29,7 @@ from gbs_page import (
     symplectic_eigenvalues,
     variance_trend,
 )
-from gbs_page import haar, montecarlo
+from gbs_page import montecarlo
 from gbs_page.entropy import bidiagonal_entropies, spectrum_entropies
 from gbs_page.haar import _bidiagonal_squares, _ginibre
 from gbs_page.symplectic import _gram_spectrum
@@ -162,19 +163,28 @@ def test_trace_powers_fall_with_the_power():
     assert np.all(trw[:, 1:] <= trw[:, :-1] + 1e-12)
 
 
-def test_equal_trw_are_power_sums_of_the_sample_draw():
-    # Tr W^i come from each sample's own transmission draw, the one its
-    # entropies use: lambda = 1 - T, padded with k - m ones. k > n/2 here,
-    # so m = 3 < k = 6; 70 samples make two blocks.
-    plan = ExperimentPlan(n=9, k=6, squeezing=0.3, alphas=(2,), n_samples=70,
+@pytest.mark.parametrize("max_power", [1, 2, 5, 11])
+@pytest.mark.parametrize("n,k", [(12, 12), (40, 39), (41, 20), (9, 6), (13, 7), (40, 17),
+                                 (400, 200)])
+def test_equal_trw_are_power_sums_of_the_sample_draw(n, k, max_power):
+    # Tr W^i come from each sample's own draw, the one its entropies use:
+    # the power sums of lambda = 1 - T, padded with k - m ones, with T from
+    # the oracle's dense eigensolve. m = 0, m = 1, odd n, k > n/2 (m = 3 < 6
+    # at (9, 6)) and n = 400; 70 samples make two blocks.
+    plan = ExperimentPlan(n=n, k=k, squeezing=0.3, alphas=(2,), n_samples=70,
                           master_seed=21)
-    trw = montecarlo._trace_powers(plan, 5)
-    assert trw.shape == (70, 5)
-    for index in (0, 33, 69):
-        t = jacobi_transmissions(9, 6, master_seed=21, sample_index=index)
-        lam = np.concatenate([1.0 - t, np.ones(3)])
-        want = [np.sum(lam ** i) for i in range(1, 6)]
-        assert t.size == 3 and np.allclose(trw[index], want, rtol=0, atol=1e-12)
+    trw = montecarlo._trace_powers(plan, max_power)
+    assert trw.shape == (70, max_power)
+    assert np.allclose(trw, jacobi_trace_powers(plan, max_power), rtol=1e-12, atol=0)
+
+
+def test_variance_diagnostics_take_no_eigenvalues(monkeypatch):
+    def eigvalsh(*args, **kwargs):
+        raise AssertionError("the variance diagnostics called eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    assert estimate_Vd(6, 41, 0.5, 70, 2)[0] > 0
+    assert s2_variance_identity(41, 0.5, 0.5, 6, 70, 2, n_boot=20)["model"] > 0
 
 
 @pytest.mark.parametrize("bad", [[5], [montecarlo._BLOCK_SAMPLES + 2], [70, 9]])
@@ -315,16 +325,22 @@ def test_s2_variance_identity_quick():
 
 
 def test_variance_diagnostics_keep_their_values():
-    # Values of the route that recorded Tr W^i inside the sampling engine:
-    # the traces are the same draws, so V_d and the model are bit for bit;
-    # Var(S_2) moves in the last bits with the log-determinant recurrence.
+    # Values of the banded trace route; each is within 1e-12 of the dense
+    # eigensolve's (5e-15 when pinned). Var(S_2) moves in the last bits
+    # with the log-determinant recurrence.
     vd = estimate_Vd(6, 400, 0.5, 256, seed=3)
-    assert [x.hex() for x in vd] == ["0x1.ebd96e310fe1ep-4", "0x1.e8675032c2c13p-4",
-                                     "0x1.b6f63e88f4022p-4", "0x1.86b1d58d72c0ep-4",
-                                     "0x1.5dbf030fb738ep-4"]
+    assert [x.hex() for x in vd] == ["0x1.ebd96e310fe2cp-4", "0x1.e8675032c2c41p-4",
+                                     "0x1.b6f63e88f403ep-4", "0x1.86b1d58d72c23p-4",
+                                     "0x1.5dbf030fb739fp-4"]
+    plan = ExperimentPlan(n=400, k=200, squeezing=0.0, n_samples=256, master_seed=3)
+    assert np.allclose(vd, vd_from_trw_loop(jacobi_trace_powers(plan, 5), 6), rtol=1e-12, atol=0)
     out = s2_variance_identity(60, 0.5, 0.5, 12, 300, 29, n_boot=500)
-    assert out["model"] == 0.019717439650402447
-    assert out["model_ci"] == (0.016897745062776227, 0.02279486111816409)
+    assert out["model"] == 0.019717439650402454
+    assert out["model_ci"] == (0.016897745062776245, 0.022794861118164093)
+    weights = 0.25 * (np.tanh(1.0) ** 2) ** np.arange(2, 13)
+    plan = ExperimentPlan(n=60, k=30, squeezing=0.0, n_samples=300, master_seed=29)
+    assert out["model"] == pytest.approx(
+        weights @ vd_from_trw_loop(jacobi_trace_powers(plan, 11), 12), rel=1e-12)
     assert out["variance"] == pytest.approx(0.01974010483604088, rel=1e-12)
     assert out["variance_ci"] == pytest.approx((0.01691655369397683, 0.022820786308927705),
                                                rel=1e-12)
@@ -333,17 +349,18 @@ def test_variance_diagnostics_keep_their_values():
 
 def test_trace_route_memory_is_bounded():
     # A 64-sample block at n = 1000 once stacked 64 dense 500 x 500
-    # tridiagonals (128 MB); the chunked solve keeps one stack of at most
-    # 16 MiB, with the values of the one-stack solve.
+    # tridiagonals (128 MB), and later solved them in chunks of 16 MiB. The
+    # banded powers of three 64 x 500 diagonals peak near 3.2 MiB. The
+    # values are within 1.6e-14 of the dense eigensolve's.
     tracemalloc.start()
     try:
         vd = estimate_Vd(4, 1000, 0.5, 64, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [x.hex() for x in vd] == ["0x1.bba8745b590d1p-4", "0x1.b2ed7e4650b79p-4",
-                                     "0x1.880616f4fc88ap-4"]
-    assert peak < 1.25 * haar._SOLVE_BYTES
+    assert [x.hex() for x in vd] == ["0x1.bba8745b59054p-4", "0x1.b2ed7e4650b46p-4",
+                                     "0x1.880616f4fc876p-4"]
+    assert peak < 6 << 20
 
 
 @pytest.mark.parametrize("diagnostic,zeros", [
@@ -446,6 +463,16 @@ def test_variance_functions_check_n_boot():
     assert trend.ci_low <= trend.ci_high
     out = s2_variance_identity(20, 0.5, 0.5, 4, 10, 1, n_boot=2.0)
     assert out["variance_ci"][0] <= out["variance_ci"][1]
+
+
+@pytest.mark.parametrize("ten", [10, 10.0, "10", np.int64(10)], ids=repr)
+def test_variance_functions_take_the_plan_integers(ten):
+    # n and the seed seed the bootstrap as the plan's checked integers.
+    (trend,) = variance_trend([ten], 0.5, 0.5, 2, 10, ten, n_boot=50)
+    assert type(trend.n) is int
+    assert trend == variance_trend([10], 0.5, 0.5, 2, 10, 10, n_boot=50)[0]
+    assert (s2_variance_identity(ten, 0.5, 0.5, 4, 10, ten, n_boot=50)
+            == s2_variance_identity(10, 0.5, 0.5, 4, 10, 10, n_boot=50))
 
 
 def test_weak_typicality_proxy():
