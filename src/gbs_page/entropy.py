@@ -14,8 +14,10 @@ here, and every average and limit law built on them, takes order 1 as the
 von Neumann entropy. ``_integer`` is the rule for every integer-valued
 parameter of the package. The entropy of a spectrum is a sum of vectorized
 per-mode entropies (``renyi_mode_entropy``); ``spectrum_entropies``
-evaluates several orders of one spectrum at once. All three read a
-spectrum through one check (``_as_spectrum``): finite values nu >= 1.
+evaluates several orders of one spectrum after one check of it. All three
+read a spectrum through that check (``_as_spectrum``): finite values nu >= 1.
+Every order is computed from its own formula alone, so its values do not
+depend on which other orders are asked for.
 
 At equal squeezing s every nu_j^2 = 1 + c T_j with c = sinh^2(2s), and
 each entropy is a weighted sum of the log-determinants
@@ -33,9 +35,10 @@ u = tanh(t)
 
 an integrand analytic in the strip |Im t| < pi/2 for every c and T_j; the
 trapezoidal rule converges geometrically there (``_von_neumann_count``).
-Each order's shifts and weights come from one cached pattern
+Each order's shifts and weights come from its own cached pattern
 (``_pattern``, cut at c by ``_order_rule``), which the analytic average
-reads too, as arrays or as Python float pairs.
+reads too, as arrays or as Python float pairs. One ``_log_dets`` pass takes
+every order's shifts, and each order sums its own.
 """
 
 import math
@@ -103,11 +106,11 @@ def _check_alpha(alpha, minimum: int = 1) -> int:
     return _integer("Renyi order", alpha, minimum)
 
 
-def _mode_terms(nu, orders) -> list[np.ndarray]:
-    """Per-mode entropies of a spectrum, one array per checked order (1 = von Neumann g).
+def _mode_term(arr: np.ndarray, alpha: int) -> np.ndarray:
+    """Per-mode entropies of order alpha (1 = von Neumann g) of a checked spectrum.
 
-    Orders alpha >= 2 share ln((nu+1)/2) and ln((nu-1)/(nu+1)), the latter
-    by log1p, which stays accurate when the ratio is within one ulp of 1, as
+    Orders alpha >= 2 take ln((nu+1)/2) and ln((nu-1)/(nu+1)), the latter by
+    log1p, which stays accurate when the ratio is within one ulp of 1, as
     1 - ratio^alpha does by expm1. Order 1 is g = ln(1 + a) + a ln(1 + 1/a)
     with a = (nu-1)/2: two non-negative terms, each from ``log1p`` of an
     argument with a relative error of at most one rounding, so g is good to
@@ -116,21 +119,15 @@ def _mode_terms(nu, orders) -> list[np.ndarray]:
     at nu = 1 (and, for orders >= 2, the float above it) leads quietly to an
     exact zero.
     """
-    arr = _as_spectrum(nu)
-    out = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        if any(alpha > 1 for alpha in orders):
+        if alpha > 1:
             nu_plus = arr + 1.0
-            log_plus, log_ratio = np.log(0.5 * nu_plus), np.log1p(-2.0 / nu_plus)
-        for alpha in orders:
-            if alpha > 1:
-                out.append((alpha * log_plus + np.log(-np.expm1(alpha * log_ratio))) / (alpha - 1))
-                continue
-            a = 0.5 * (arr - 1.0)
-            g = np.log1p(a) + a * np.log1p(1.0 / a)
-            g[a == 0.0] = 0.0  # g(1) = 0, where the line above gives 0 * inf
-            out.append(g)
-    return out
+            return (alpha * np.log(0.5 * nu_plus)
+                    + np.log(-np.expm1(alpha * np.log1p(-2.0 / nu_plus)))) / (alpha - 1)
+        a = 0.5 * (arr - 1.0)
+        g = np.log1p(a) + a * np.log1p(1.0 / a)
+    g[a == 0.0] = 0.0  # g(1) = 0, where the line above gives 0 * inf
+    return g
 
 
 def renyi_mode_entropy(nu, alpha: int):
@@ -147,19 +144,20 @@ def renyi_mode_entropy(nu, alpha: int):
     A single value gives a float. Raises ValueError for a value below 1 or
     not finite.
     """
-    (out,) = _mode_terms(nu, [_check_alpha(alpha)])
+    alpha = _check_alpha(alpha)
+    out = _mode_term(_as_spectrum(nu), alpha)
     return float(out[0]) if out.size == 1 else out
 
 
 def spectrum_entropies(nu, alphas) -> np.ndarray:
     """Entropies of one spectrum, one per order of ``alphas`` in the order given (1 = von Neumann).
 
-    The spectrum is checked once, and ln((nu+1)/2) and ln((nu-1)/(nu+1)) are
-    computed once for all orders >= 2; each sum is the same per-mode
-    sequence and ``np.sum`` as for a single order.
+    The spectrum is checked once; each order is the ``np.sum`` of its own
+    per-mode entropies, the same as for a single order.
     """
     orders = [_check_alpha(a) for a in alphas]
-    return np.array([np.sum(terms) for terms in _mode_terms(nu, orders)])
+    arr = _as_spectrum(nu)
+    return np.array([np.sum(_mode_term(arr, alpha)) for alpha in orders])
 
 
 def renyi_entropy(nu, alpha: int) -> float:
@@ -189,8 +187,8 @@ def _pattern(alpha: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[float, flo
     the rule at c has the first ``_von_neumann_count(c)``, with shifts
     (sinh(2s) a_j)^2. The third item is the same rule as Python float pairs
     (a_j, w_j). ``_order_rule`` cuts the rule at c; ``_shift_rule`` reads
-    its arrays, and ``pagecurve.page_average`` its arrays or, for a short
-    rule, its pairs.
+    its arrays, one order at a time, and ``pagecurve.page_average`` its
+    arrays or, for a short rule, its pairs.
     """
     if alpha == 1:
         t = _VN_STEP * np.arange(_von_neumann_count(np.finfo(float).smallest_subnormal))
@@ -199,8 +197,10 @@ def _pattern(alpha: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[float, flo
         weights[0] *= 0.5
         factors = np.cosh(t)
     else:
-        # j/alpha in lowest terms, so that equal fractions of two orders give
-        # the same float, which ``_shift_rule`` then evaluates once.
+        # j/alpha in lowest terms, so that a fraction's factor is one float
+        # whatever order it comes from, in the sampler and in
+        # ``page_average`` alike. From order 36 up the unreduced j/alpha
+        # rounds to other floats: an ulp off at 623 of the orders 2-1000.
         j = np.arange(1, alpha // 2 + 1)
         g = np.gcd(j, alpha)
         factors = np.sin(np.pi * (j // g) / (alpha // g))
@@ -219,11 +219,9 @@ def _order_rule(alpha: int, c: float) -> tuple[np.ndarray, np.ndarray, tuple]:
     return factors[:count], weights[:count], pairs[:count]
 
 
-def _shift_rule(s: float, orders) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]]]:
-    """Shifts x_j >= 0 and, per order, (indices, weights) with S_alpha = sum w L(x[indices]).
+def _shift_rule(s: float, orders) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each order's shifts x_j >= 0 and weights w_j, in the order given: S_alpha = sum w L(x).
 
-    Shared shifts (c for every even order and the order-1 node t = 0, and
-    c sin^2(pi j/alpha) for equal fractions j/alpha) are evaluated once.
     Raises ValueError for a non-finite s, and for an s whose largest shift
     overflows (|s| above ``_VN_MAX_SQUEEZING`` with order 1, above
     ``_MAX_SQUEEZING`` without).
@@ -233,23 +231,17 @@ def _shift_rule(s: float, orders) -> tuple[np.ndarray, dict[int, tuple[np.ndarra
     with np.errstate(over="ignore"):  # an overflowing shift is reported below
         sinh = float(np.sinh(2.0 * s))
         c = sinh * sinh
-        parts = {}
+        rule = []
         for alpha in orders:
             factors, weights, _ = _order_rule(alpha, c)
             # c cosh^2 t at order 1, c sin^2(pi j/alpha) above
-            parts[alpha] = ((sinh * factors) ** 2 if alpha == 1 else c * factors**2, weights)
-    shifts, inverse = np.unique(np.concatenate([x for x, _ in parts.values()]),
-                                return_inverse=True)
-    if not np.isfinite(shifts[-1]):
-        limit = _VN_MAX_SQUEEZING if 1 in parts else _MAX_SQUEEZING
+            rule.append(((sinh * factors) ** 2 if alpha == 1 else c * factors**2, weights))
+    if not all(np.isfinite(shifts[-1]) for shifts, _ in rule):
+        limit = _VN_MAX_SQUEEZING if 1 in orders else _MAX_SQUEEZING
         raise ValueError(f"squeezing strength {s!r} is beyond the float64 range of the "
-                         f"log-determinant route for orders {sorted(parts)}: its shifts "
+                         f"log-determinant route for orders {sorted(set(orders))}: its shifts "
                          f"overflow above |s| = {limit:.2f}")
-    rule, start = {}, 0
-    for alpha, (x, weights) in parts.items():
-        rule[alpha] = (inverse[start:start + x.size], weights)
-        start += x.size
-    return shifts, rule
+    return rule
 
 
 def _log_dets(diag: np.ndarray, sup: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -292,19 +284,21 @@ def bidiagonal_entropies(diag, sup, s: float, alphas) -> np.ndarray:
     of a sample (``haar._bidiagonal_squares``); the k - m other modes are
     in vacuum and add nothing. Returns a (rows, orders) table whose column
     j holds the entropies of order ``alphas[j]`` (1 = von Neumann), each a
-    fixed weighted sum of ``_log_dets``. For entries in [0, 1] every LDL^T
-    pivot is >= 1, and all of a row's pivots are finite exactly when its
-    values are. Raises ValueError for a non-finite s and for one whose
-    shifts overflow (``_shift_rule``).
+    fixed weighted sum of ``_log_dets`` at that order's own shifts. For
+    entries in [0, 1] every LDL^T pivot is >= 1, and all of a row's pivots
+    are finite exactly when its values are. Raises ValueError for a
+    non-finite s and for one whose shifts overflow (``_shift_rule``).
     """
     orders = [_check_alpha(a) for a in alphas]
     diag = np.asarray(diag, dtype=float)
     sup = np.asarray(sup, dtype=float)
-    shifts, rule = _shift_rule(s, orders)
-    dets = _log_dets(diag, sup, shifts)
+    rule = _shift_rule(s, orders)
+    dets = _log_dets(diag, sup, np.concatenate([shifts for shifts, _ in rule]))
     out = np.zeros((dets.shape[0], len(orders)))
-    for column, alpha in zip(out.T, orders):
+    j = 0
+    for column, (_, weights) in zip(out.T, rule):
         # One shift at a time: np.sum over an axis may reorder by shape.
-        for j, weight in zip(*rule[alpha]):
+        for weight in weights:
             column += weight * dets[:, j]
+            j += 1
     return out

@@ -30,7 +30,7 @@ import numpy as np
 
 from .entropy import _check_alpha, _integer, _shift_rule, bidiagonal_entropies, spectrum_entropies
 from .haar import _bidiagonal_squares, haar_frame
-from .pagecurve import _check_ratio
+from .pagecurve import _check_ratio, _real
 from .states import reduced_covariance_general
 from .symplectic import _gram, _gram_spectrum
 
@@ -137,7 +137,7 @@ class ExperimentPlan:
     @classmethod
     def from_ratio(cls, n: int, r: float, **kwargs) -> "ExperimentPlan":
         """Build a plan from a partition ratio; k = round(r n), ties to even."""
-        return cls(n=n, k=round(_check_ratio(r) * n), **kwargs)
+        return cls(n=n, k=round(_check_ratio(r) * _integer("n", n, 1)), **kwargs)
 
     @property
     def realized_r(self) -> float:
@@ -339,21 +339,21 @@ class VarianceEstimate:
     ci_high: float
 
 
-def _bootstrap_ci(statistic, m: int, n_boot: int, rng: np.random.Generator,
-                  levels=(2.5, 97.5)) -> np.ndarray:
+def _bootstrap_ci(statistic, m: int, n_boot: int, rng: np.random.Generator) -> np.ndarray:
     """Percentile bootstrap of ``statistic`` over ``n_boot`` resamples of m indices.
 
     Each resample draws its m indices with one ``rng.integers`` call, in
     turn. ``statistic`` maps a stack of resamples, an index array of shape
     (resamples, m), to one value or one vector of values per resample; it
     sees the resamples in runs of at most ``_BOOT_INDICES`` indices. The
-    result has one row per level and one column per value.
+    result has two rows, the 2.5th and 97.5th percentiles, and one column
+    per value.
     """
     draws = [rng.integers(0, m, m) for _ in range(n_boot)]
     run = max(1, _BOOT_INDICES // m)
     stats = np.concatenate([statistic(np.array(draws[j:j + run]))
                             for j in range(0, n_boot, run)])
-    return np.percentile(stats, levels, axis=0)
+    return np.percentile(stats, (2.5, 97.5), axis=0)
 
 
 def _diagnostic_plan(n: int, r: float, **fields) -> ExperimentPlan:
@@ -381,9 +381,10 @@ def variance_trend(ns, r: float, s: float, alpha: int, n_samples: int, seed: int
     alpha = _check_alpha(alpha, 2)
     n_samples = _integer("n_samples", n_samples, 2)
     n_boot = _integer("n_boot", n_boot, 1)
+    s = _real("squeezing strength", s)
     out = []
     for n in ns:
-        plan = _diagnostic_plan(n, r, squeezing=float(s), alphas=(alpha,),
+        plan = _diagnostic_plan(n, r, squeezing=s, alphas=(alpha,),
                                 n_samples=n_samples, master_seed=seed)
         table, summary = run_experiment(plan)
         vals = table[:, 0]
@@ -513,7 +514,8 @@ def s2_variance_identity(n: int, r: float, s: float, d_max: int, n_samples: int,
     """
     d_max = _integer("d_max", d_max, 2)
     n_boot = _integer("n_boot", n_boot, 1)
-    plan = _diagnostic_plan(n, r, squeezing=float(s), alphas=(2,),
+    s = _real("squeezing strength", s)
+    plan = _diagnostic_plan(n, r, squeezing=s, alphas=(2,),
                             n_samples=_integer("n_samples", n_samples, 2), master_seed=seed)
     table = np.empty((plan.n_samples, 1))
     trw = np.empty((plan.n_samples, d_max - 1))

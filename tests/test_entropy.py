@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from oracles import bidiagonal_entropies_mpmath, renyi_entropy_factored
 
-from gbs_page import renyi_entropy, renyi_mode_entropy
+from gbs_page import ExperimentPlan, renyi_entropy, renyi_mode_entropy, run_experiment
 from gbs_page.entropy import _shift_rule, bidiagonal_entropies, spectrum_entropies
 from gbs_page.haar import _bidiagonal_squares
 
@@ -221,7 +221,9 @@ def test_bidiagonal_entropies_match_mpmath(n, k):
 def test_shift_rule_floats_are_those_built_per_call():
     # The cached patterns give the floats of the rule built from scratch:
     # (sinh(2s) cosh t)^2 at the trapezoid nodes, and c sin^2(pi j/alpha)
-    # with j/alpha in lowest terms.
+    # with j/alpha in lowest terms, one (shifts, weights) pair per order in
+    # the order given.
+    orders = (15, 1, 3, 2)
     for s in (0.0, 1e-5, 0.05, 0.3, 0.5, 3.0, -2.0):
         sinh = float(np.sinh(2.0 * s))
         c = sinh * sinh
@@ -230,14 +232,35 @@ def test_shift_rule_floats_are_those_built_per_call():
         sech = 1.0 / np.cosh(t)
         weights = 0.125 * sech * sech
         weights[0] *= 0.5
-        shifts, rule = _shift_rule(s, (1, 2, 3, 15))
-        assert np.array_equal(shifts[rule[1][0]], (sinh * np.cosh(t)) ** 2)
-        assert np.array_equal(rule[1][1], weights)
-        for alpha in (2, 3, 15):
+        rule = _shift_rule(s, orders)
+        assert len(rule) == len(orders)
+        for alpha, (shifts, got_weights) in zip(orders, rule):
+            if alpha == 1:
+                assert np.array_equal(shifts, (sinh * np.cosh(t)) ** 2)
+                assert np.array_equal(got_weights, weights)
+                continue
             j = np.arange(1, alpha // 2 + 1)
             g = np.gcd(j, alpha)
-            want = c * np.sin(np.pi * (j // g) / (alpha // g)) ** 2
-            assert np.array_equal(shifts[rule[alpha][0]], want)
+            assert np.array_equal(shifts, c * np.sin(np.pi * (j // g) / (alpha // g)) ** 2)
+            assert np.array_equal(got_weights, np.where(2 * j == alpha, 0.5, 1.0) / (alpha - 1))
+
+
+@pytest.mark.parametrize("s", [1e-5, 0.05, 0.5, 3.0])
+def test_an_order_does_not_depend_on_the_other_orders(s):
+    # Each order comes from its own formula alone, bit for bit, in both
+    # kernels and in the tables built on them.
+    orders = (1, 2, 3, 4, 5, 6, 7, 15)
+    diag, sup = _bidiagonal_squares(41, 17, 3, [0, 1, 2])
+    assert np.array_equal(bidiagonal_entropies(diag, sup, s, orders),
+                          np.hstack([bidiagonal_entropies(diag, sup, s, (a,)) for a in orders]))
+    nu = np.sqrt(1.0 + np.sinh(2.0 * s) ** 2 * np.linspace(0.0, 1.0, 9))
+    assert np.array_equal(spectrum_entropies(nu, orders),
+                          [renyi_entropy(nu, a) for a in orders])
+    for squeezing in (s, tuple(s * np.linspace(0.5, 1.5, 12))):
+        plan = dict(n=12, k=5, squeezing=squeezing, n_samples=4, master_seed=3)
+        full, _ = run_experiment(ExperimentPlan(alphas=orders, **plan))
+        pair, _ = run_experiment(ExperimentPlan(alphas=(2, 15), **plan))
+        assert np.array_equal(full[:, [1, 7]], pair)
 
 
 def test_bidiagonal_entropies_of_no_transmission_or_squeezing_are_zero():

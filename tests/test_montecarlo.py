@@ -443,14 +443,30 @@ def test_s2_variance_identity_names_a_bad_sample(monkeypatch):
     (variance_trend, ([10], 0.5, 0.5, 1, 10, 1), "^Renyi order must be >= 2"),
     (variance_trend, ([10], 0.5, 0.5, "x", 10, 1), "^Renyi order must be an integer"),
     (variance_trend, ([10], 0.5, 0.5, 2, 1, 1), "^n_samples must be >= 2"),
+    (s2_variance_identity, (20, 0.5, None, 4, 10, 1), "^squeezing strength must be a real"),
+    (s2_variance_identity, (20, 0.5, "x", 4, 10, 1), "^squeezing strength must be a real"),
+    (variance_trend, ([10], 0.5, None, 2, 10, 1), "^squeezing strength must be a real"),
+    (variance_trend, ([10], 0.5, "x", 2, 10, 1), "^squeezing strength must be a real"),
 ], ids=["Vd-r-inf", "Vd-r-nan", "Vd-n-0", "Vd-seed", "Vd-samples", "Vd-d_max", "Vd-d_max-frac",
         "s2-d_max", "s2-d_max-frac", "s2-samples", "s2-r-nan", "trend-alpha", "trend-alpha-x",
-        "trend-samples"])
+        "trend-samples", "s2-s-none", "s2-s-x", "trend-s-none", "trend-s-x"])
 def test_variance_functions_check_their_inputs(function, args, message):
     # The package rules, before any shortcut: k = 0 or a vacuum run would
     # otherwise return zeros for a bad n or seed.
     with pytest.raises(ValueError, match=message):
         function(*args)
+
+
+def test_variance_functions_fail_in_sample_0_for_a_non_finite_s():
+    # A non-finite s passes the plan and fails in its first sample, as in
+    # run_experiment.
+    for s in (np.inf, np.nan):
+        with pytest.raises(SampleFailure) as err:
+            variance_trend([10], 0.5, s, 2, 10, 1, n_boot=5)
+        assert err.value.sample_index == 0
+        with pytest.raises(SampleFailure) as err:
+            s2_variance_identity(20, 0.5, s, 4, 10, 1, n_boot=5)
+        assert err.value.sample_index == 0
 
 
 def test_variance_functions_check_n_boot():
@@ -762,6 +778,19 @@ def test_plan_validation():
     assert plan.k == 3 and plan.realized_r == pytest.approx(0.3)
     with pytest.raises(ValueError):
         run_experiment(ExperimentPlan(n=4, k=2, squeezing=0.5), threads=0)
+
+
+def test_from_ratio_reads_n_by_the_integer_rule():
+    # k = round(r n) from the checked integer n; r is checked first.
+    plans = [ExperimentPlan.from_ratio(n=ten, r=0.5, squeezing=0.5)
+             for ten in (10, 10.0, "10", np.int64(10))]
+    assert all(plan == plans[0] for plan in plans)
+    assert type(plans[0].n) is int and plans[0].k == 5
+    for bad in (None, "x"):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            ExperimentPlan.from_ratio(n=bad, r=0.5, squeezing=0.5)
+    with pytest.raises(ValueError, match="^partition ratio must lie in"):
+        ExperimentPlan.from_ratio(n=None, r=1.5, squeezing=0.5)
 
 
 def test_plan_orders_are_sorted_and_distinct():
