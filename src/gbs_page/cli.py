@@ -30,9 +30,9 @@ callers who run per-mode plans set it themselves too.
 
 This module only turns text into arguments; the library checks every
 parameter. Exit codes: 0 success, 2 invalid flags, config or parameter (any
-``ValueError``, including a ``--tol`` below the float64 error bound of an
-analytic value) or an output path that cannot be written, 4 numerical
-failure in a sample. Numeric output is full-precision (17 significant
+``ValueError``, such as a non-finite ``--s`` or a ``--tol`` below the
+float64 error bound) or an unwritable output path, 4 only a numerical
+failure inside a sample. Numeric output is full-precision (17 significant
 digits); identical invocations produce byte-identical files.
 """
 

@@ -11,7 +11,7 @@ and its alpha -> 1 limit, order 1, is the von Neumann entropy sum_j g(nu_j) with
 
 A Renyi order is any integer >= 1 (``_check_alpha``), so every function
 here, and every average and limit law built on them, takes order 1 as the
-von Neumann entropy. ``_integer`` is the rule for every integer-valued
+von Neumann entropy. ``_integer`` and ``_real`` read every integer and real
 parameter of the package. The entropy of a spectrum is a sum of vectorized
 per-mode entropies (``renyi_mode_entropy``); ``spectrum_entropies``
 evaluates several orders of one spectrum after one check of it. All three
@@ -77,7 +77,7 @@ def _as_spectrum(nu) -> np.ndarray:
         bad = arr[~np.isfinite(arr)]
         if bad.size:
             raise ValueError(f"symplectic eigenvalues must be finite, got {float(bad[0])!r}")
-        raise ValueError(f"symplectic eigenvalues must be >= 1, got min {arr.min()!r}")
+        raise ValueError(f"symplectic eigenvalues must be >= 1, got min {float(arr.min())!r}")
     return arr
 
 
@@ -99,6 +99,23 @@ def _integer(name: str, value, minimum: int | None = None) -> int:
     if minimum is not None and number < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {number}")
     return number
+
+
+def _real(name: str, value) -> float:
+    """A real-valued parameter as a float, read through float()."""
+    if type(value) is float:
+        return value
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+
+
+def _check_ratio(r: float) -> float:
+    r = _real("partition ratio", r)
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"partition ratio must lie in [0, 1], got {r!r}")
+    return r
 
 
 def _check_alpha(alpha, minimum: int = 1) -> int:
@@ -227,7 +244,7 @@ def _shift_rule(s: float, orders) -> list[tuple[np.ndarray, np.ndarray]]:
     ``_MAX_SQUEEZING`` without).
     """
     if not np.isfinite(s):
-        raise ValueError("squeezing strength must be finite")
+        raise ValueError(f"squeezing strength must be finite, got {float(s)!r}")
     with np.errstate(over="ignore"):  # an overflowing shift is reported below
         sinh = float(np.sinh(2.0 * s))
         c = sinh * sinh
@@ -238,7 +255,7 @@ def _shift_rule(s: float, orders) -> list[tuple[np.ndarray, np.ndarray]]:
             rule.append(((sinh * factors) ** 2 if alpha == 1 else c * factors**2, weights))
     if not all(np.isfinite(shifts[-1]) for shifts, _ in rule):
         limit = _VN_MAX_SQUEEZING if 1 in orders else _MAX_SQUEEZING
-        raise ValueError(f"squeezing strength {s!r} is beyond the float64 range of the "
+        raise ValueError(f"squeezing strength {float(s)!r} is beyond the float64 range of the "
                          f"log-determinant route for orders {sorted(set(orders))}: its shifts "
                          f"overflow above |s| = {limit:.2f}")
     return rule

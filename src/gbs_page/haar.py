@@ -38,8 +38,8 @@ def sample_generator(master_seed: int, sample_index: int) -> np.random.Generator
 def _check_shape(n: int, k: int) -> tuple[int, int]:
     n = _integer("mode count", n, 1)
     k = _integer("subsystem size k", k)
-    if not 1 <= k <= n:
-        raise ValueError(f"subsystem size k={k} out of range [1, {n}]")
+    if not 0 <= k <= n:
+        raise ValueError(f"subsystem size k={k} out of range [0, {n}]")
     return n, k
 
 
@@ -52,7 +52,7 @@ def haar_frame(n: int, k: int, master_seed: int, sample_index: int = 0) -> np.nd
     triangular with a positive diagonal, the one QR of Z with that
     property, so Q is the phase-fixed Q of a Householder QR in exact
     arithmetic and has the law of k columns of a Haar unitary (Mezzadri,
-    Notices AMS 54 (2007) 592); ``k = n`` is one.
+    Notices AMS 54 (2007) 592); ``k = n`` is one, and ``k = 0`` is empty.
 
     Route and cost per pass: Z^dag Z (8 n k^2 real flops), its ``k x k``
     Cholesky factor, and Q from the triangular system Q L^dag = Z, solved

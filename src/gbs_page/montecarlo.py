@@ -13,10 +13,11 @@ are the ones it would have alone; these blocks run on the calling thread.
 Per-mode squeezing evaluates the smaller side of the cut (the global state
 is pure) in blocks of two samples: each sample draws its frame and forms
 its Gram matrix on its own, and the pair shares one stacked ``eigvalsh``,
-whose rows are the values each sample gets alone. A sample that fails
-numerically aborts the whole experiment, naming the first failing index:
-the constructions are physically guaranteed to be valid states, so a
-failure indicates a bug, and silently skipping it would bias the means.
+whose rows are the values each sample gets alone. An empty side (k = 0 or
+n) draws nothing. A sample that fails numerically aborts the whole
+experiment, naming the first failing index: the constructions are
+physically guaranteed to be valid states, so a failure indicates a bug,
+and silently skipping it would bias the means.
 The table holds entropies only; the variance diagnostics take Tr W^i from
 the same draws as traces of banded powers of the tridiagonal I - B^T B
 (``_trace_powers``), again with no eigensolve, and ``s2_variance_identity``
@@ -28,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _check_alpha, _integer, _shift_rule, bidiagonal_entropies, spectrum_entropies
-from .haar import _bidiagonal_squares, haar_frame
-from .pagecurve import _check_ratio, _real
+from .entropy import (_check_alpha, _check_ratio, _integer, _real, _shift_rule,
+                      bidiagonal_entropies, spectrum_entropies)
+from .haar import _bidiagonal_squares, _check_shape, haar_frame
 from .states import reduced_covariance_general
 from .symplectic import _gram, _gram_spectrum
 
@@ -93,14 +94,17 @@ class ExperimentPlan:
 
     ``squeezing`` is a scalar for the equal case (spectrum from the drawn
     transmission eigenvalues) or a length-n sequence for the general case
-    (reduced covariance of the first k modes built from an n x k Haar frame).
-    ``alphas`` may include 1, meaning the von Neumann entropy; the plan keeps
-    them sorted and distinct, the column order of ``run_experiment``'s
-    table. The integer fields take integral values only (6 or 6.0, not 6.7
-    or True), and ``master_seed`` must be >= 0. A finite equal squeezing
-    must lie within the float64 range of the log-determinant route
-    (|s| <= 168.14 with order 1, 177.79 without); a non-finite one fails in
-    its first sample.
+    (reduced covariance of the smaller side of the cut, built from an
+    n x min(k, n - k) Haar frame). ``alphas`` may include 1, meaning the
+    von Neumann entropy; the plan keeps them sorted and distinct, the column
+    order of ``run_experiment``'s table. The integer fields take integral
+    values only (6 or 6.0, not 6.7 or True), ``master_seed`` must be >= 0
+    and 0 <= k <= n; an empty side (k = 0 or n) has every entropy 0. The
+    squeezing must be finite, and an equal one must lie within the float64
+    range of the log-determinant route (|s| <= 168.14 with order 1, 177.79
+    without). Known limit: per-mode plans with one input squeezed to
+    s_0 >= 12.75 and the rest in vacuum can fail, with a symplectic
+    eigenvalue below 1 - 1e-6 (at (n, k) = (12, 10) and (40, 38), seed 4).
     """
 
     n: int
@@ -113,8 +117,7 @@ class ExperimentPlan:
     def __post_init__(self):
         for name, minimum in (("n", 1), ("k", None), ("n_samples", 1), ("master_seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"subsystem size k={self.k} out of range [1, {self.n}]")
+        _check_shape(self.n, self.k)
         if np.ndim(self.alphas) != 1 or len(self.alphas) == 0:
             raise ValueError(f"alphas must be a non-empty sequence of Renyi orders, "
                              f"got {self.alphas!r}")
@@ -129,10 +132,12 @@ class ExperimentPlan:
             raise ValueError(f"squeezing must be a number or a sequence of n numbers, "
                              f"got {self.squeezing!r}") from exc
         object.__setattr__(self, "squeezing", squeezing)
-        if not self.equal_squeezing and len(squeezing) != self.n:
+        if self.equal_squeezing:
+            _shift_rule(squeezing, self.alphas)  # rejects a non-finite s and one that overflows
+        elif len(squeezing) != self.n:
             raise ValueError(f"squeezing vector has {len(squeezing)} entries for n={self.n}")
-        if self.equal_squeezing and np.isfinite(squeezing):
-            _shift_rule(squeezing, self.alphas)  # rejects an s whose shifts overflow
+        elif not np.isfinite(squeezing).all():
+            raise ValueError("squeezing strengths must be finite")
 
     @classmethod
     def from_ratio(cls, n: int, r: float, **kwargs) -> "ExperimentPlan":
@@ -195,9 +200,9 @@ def _sample_gram(plan: ExperimentPlan, index: int, out: np.ndarray) -> None:
     The global state is pure, so the k modes have the entropies of the
     other n - k. The sample takes the smaller side, m = min(k, n - k)
     modes: the covariance of an ``n x m`` Haar frame, and its Gram matrix
-    as ``symplectic_eigenvalues`` forms it. At k = n it draws nothing
-    (m = 0). The frame is freed before the Gram matrix is formed, the
-    covariance and Cholesky factor when this returns.
+    as ``symplectic_eigenvalues`` forms it. At an empty side (k = 0 or n)
+    it draws nothing (m = 0). The frame is freed before the Gram matrix is
+    formed, the covariance and Cholesky factor when this returns.
     """
     m = min(plan.k, plan.n - plan.k)
     if m:
@@ -356,17 +361,6 @@ def _bootstrap_ci(statistic, m: int, n_boot: int, rng: np.random.Generator) -> n
     return np.percentile(stats, (2.5, 97.5), axis=0)
 
 
-def _diagnostic_plan(n: int, r: float, **fields) -> ExperimentPlan:
-    """A variance diagnostic's plan at ratio r: k = round(r n), ties to even.
-
-    The two sides of a pure state's cut have the same entropies, and their
-    Tr W^i differ by a constant, so an empty side (k = 0) runs as its
-    mirror k = n, whose entropies are all zero and traces all n.
-    """
-    k = round(_check_ratio(r) * _integer("n", n, 1))
-    return ExperimentPlan(n=n, k=k or n, **fields)
-
-
 def variance_trend(ns, r: float, s: float, alpha: int, n_samples: int, seed: int,
                    n_boot: int = 2000) -> list[VarianceEstimate]:
     """Unbiased entropy variance vs system size, with bootstrap CIs.
@@ -374,18 +368,21 @@ def variance_trend(ns, r: float, s: float, alpha: int, n_samples: int, seed: int
     One experiment per n (same r, s, alpha, sample count); the bootstrap
     (percentile, ``n_boot`` resamples) is seeded per n so the whole trend is
     reproducible. Entropy distributions are skewed at small n, hence the
-    bootstrap rather than normal-theory intervals. ``alpha`` is an order
-    >= 2 and ``n_samples`` at least 2. An n whose side k = round(r n) is
-    empty runs as k = n (``_diagnostic_plan``): variance 0.
+    bootstrap rather than normal-theory intervals. ``ns`` is a
+    one-dimensional sequence of mode counts, ``alpha`` an order >= 2 and
+    ``n_samples`` at least 2. An n whose side k = round(r n) is empty has
+    variance 0.
     """
     alpha = _check_alpha(alpha, 2)
     n_samples = _integer("n_samples", n_samples, 2)
     n_boot = _integer("n_boot", n_boot, 1)
     s = _real("squeezing strength", s)
+    if np.ndim(ns) != 1:
+        raise ValueError(f"ns must be a one-dimensional sequence of mode counts, got {ns!r}")
     out = []
     for n in ns:
-        plan = _diagnostic_plan(n, r, squeezing=s, alphas=(alpha,),
-                                n_samples=n_samples, master_seed=seed)
+        plan = ExperimentPlan.from_ratio(n, r, squeezing=s, alphas=(alpha,),
+                                         n_samples=n_samples, master_seed=seed)
         table, summary = run_experiment(plan)
         vals = table[:, 0]
         brng = np.random.Generator(
@@ -486,12 +483,12 @@ def estimate_Vd(d_max: int, n: int, r: float, n_samples: int, seed: int) -> np.n
 
     V_d = sum_{ell=1}^{d-1} cov(Tr W^ell, Tr W^{d-ell}) / (ell (d-ell)),
     estimated with unbiased sample covariances from ``n_samples >= 2``
-    draws. Independent of squeezing. An empty side (k = 0) runs as k = n
-    (``_diagnostic_plan``): every V_d is zero.
+    draws. Independent of squeezing. At an empty side (k = round(r n) = 0
+    or n) every V_d is zero.
     """
     d_max = _integer("d_max", d_max, 2)
-    plan = _diagnostic_plan(n, r, squeezing=0.0, master_seed=seed,
-                            n_samples=_integer("n_samples", n_samples, 2))
+    plan = ExperimentPlan.from_ratio(n, r, squeezing=0.0, master_seed=seed,
+                                     n_samples=_integer("n_samples", n_samples, 2))
     return _vd_from_cov(_trace_cov(_trace_powers(plan, d_max - 1)), d_max)
 
 
@@ -509,14 +506,14 @@ def s2_variance_identity(n: int, r: float, s: float, d_max: int, n_samples: int,
     d_max cut biases the model low by a relative O(tanh^{2(d_max+1)}(2s)),
     far inside the CI widths at the intended sample counts (a paired
     difference test would resolve that truncation bias and is deliberately
-    not used). An empty side (k = 0) runs as k = n (``_diagnostic_plan``):
-    variance and model 0.
+    not used). At an empty side (k = round(r n) = 0 or n) the variance and
+    the model are 0.
     """
     d_max = _integer("d_max", d_max, 2)
     n_boot = _integer("n_boot", n_boot, 1)
     s = _real("squeezing strength", s)
-    plan = _diagnostic_plan(n, r, squeezing=s, alphas=(2,),
-                            n_samples=_integer("n_samples", n_samples, 2), master_seed=seed)
+    plan = ExperimentPlan.from_ratio(n, r, squeezing=s, alphas=(2,), master_seed=seed,
+                                     n_samples=_integer("n_samples", n_samples, 2))
     table = np.empty((plan.n_samples, 1))
     trw = np.empty((plan.n_samples, d_max - 1))
     for block in _blocks(plan):

@@ -79,7 +79,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import _MAX_SQUEEZING, _check_alpha, _integer, _order_rule
+from .entropy import _MAX_SQUEEZING, _check_alpha, _check_ratio, _integer, _order_rule, _real
 
 __all__ = [
     "ASYMPTOTIC",
@@ -127,23 +127,6 @@ class PageCurveValue(NamedTuple):
     nodes: int
     trunc_err: float
     realized_r: float
-
-
-def _real(name: str, value) -> float:
-    """A real-valued parameter as a float, read through float()."""
-    if type(value) is float:
-        return value
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a real number, got {value!r}") from None
-
-
-def _check_ratio(r: float) -> float:
-    r = _real("partition ratio", r)
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"partition ratio must lie in [0, 1], got {r!r}")
-    return r
 
 
 def _check_squeezing(s: float) -> float:

@@ -40,6 +40,7 @@ def reduced_covariance_general(frame: np.ndarray, s) -> np.ndarray:
     or imaginary part by a column of scale factors e^{+-s}, written row by
     row, and sigma = h^T h.
     """
+    frame = np.asarray(frame)
     s = np.asarray(s, dtype=float)
     if frame.ndim != 2 or s.shape != (frame.shape[0],) or frame.shape[1] > s.size:
         raise ValueError(f"need an n x k frame with k <= n and n strengths, got "

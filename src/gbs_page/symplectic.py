@@ -92,7 +92,7 @@ def _physical_spectrum(nu: np.ndarray) -> np.ndarray:
     low = nu.min(initial=np.inf)
     if low < 1.0 - FAIL_TOL:
         raise ValueError(
-            f"symplectic eigenvalue {low!r} below 1 - {FAIL_TOL}: unphysical state"
+            f"symplectic eigenvalue {float(low)!r} below 1 - {FAIL_TOL}: unphysical state"
         )
     nu[nu < 1.0] = 1.0
     return nu

@@ -147,6 +147,17 @@ def jacobi_transmissions(
     return t if np.ndim(sample_index) else t[0]
 
 
+def out_of_range_bidiagonal_squares(n: int, k: int, master_seed: int, sample_index):
+    """A test double of ``haar._bidiagonal_squares`` whose every row leaves [0, 1].
+
+    Each row's first squared diagonal entry is 1.5, so the first sample of
+    every block fails numerically.
+    """
+    diag, sup = _bidiagonal_squares(n, k, master_seed, sample_index)
+    diag[:, 0] = 1.5
+    return diag, sup
+
+
 def power_sums(lam: np.ndarray, max_power: int) -> np.ndarray:
     """sum_j lam_j^i for i = 1..max_power, over the last axis of lam."""
     return np.sum(lam[..., None, :] ** np.arange(1, max_power + 1)[:, None], axis=-1)

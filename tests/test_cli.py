@@ -10,15 +10,17 @@ import tracemalloc
 import types
 
 import pytest
-from oracles import householder_frame
+from oracles import householder_frame, out_of_range_bidiagonal_squares
 
 import gbs_page
-from gbs_page import cli
+from gbs_page import cli, montecarlo
 from gbs_page.cli import (
     EXIT_NUMERICAL,
+    EXIT_OK,
     EXIT_USAGE,
     FIGURES,
     FIXED_PARAM,
+    SAMPLES_COLUMNS,
     SCALE_NORMS,
     FigureParams,
     main,
@@ -484,13 +486,33 @@ def test_simulate_flag_validation(capsys):
     assert code == EXIT_USAGE  # squeezing vector length mismatch
 
 
-def test_simulate_numerical_failure_exit_code(capsys):
+def test_simulate_numerical_failure_exit_code(capsys, monkeypatch):
+    # A numerical failure inside sample 0, the one cause of exit 4.
+    monkeypatch.setattr(montecarlo, "_bidiagonal_squares", out_of_range_bidiagonal_squares)
     code, _, err = run_cli(
-        capsys, "simulate", "--n", "4", "--k", "2", "--s", "inf",
+        capsys, "simulate", "--n", "4", "--k", "2", "--s", "0.5",
         "--alphas", "2", "--samples", "2", "--seed", "1", "--threads", "1",
     )
     assert code == EXIT_NUMERICAL
-    assert "sample 0" in err
+    assert "sample 0 failed" in err
+
+
+@pytest.mark.parametrize("s", ["inf", "-inf", "nan", "0.1,inf,0.2,0.3", "0.1,0.2,nan,0.3"])
+def test_simulate_non_finite_squeezing_is_usage_error(capsys, s):
+    # The plan refuses it before any sample runs.
+    code, out, err = run_cli(capsys, "simulate", "--n", "4", "--k", "2", f"--s={s}",
+                             "--alphas", "2", "--samples", "2", "--seed", "1")
+    assert code == EXIT_USAGE and out == ""
+    assert "must be finite" in err and "sample" not in err
+
+
+@pytest.mark.parametrize("cut", [("--k", "0"), ("--r", "0.04"), ("--k", "10")])
+def test_simulate_an_empty_side_answers_zero(capsys, cut):
+    code, out, _ = run_cli(capsys, "simulate", "--n", "10", *cut, "--s", "0.5",
+                           "--alphas", "1,2", "--samples", "2", "--seed", "1")
+    assert code == EXIT_OK
+    header, rows = parse_csv(out[:out.index("{")])
+    assert header == SAMPLES_COLUMNS and [row[2] for row in rows] == ["0"] * 4
 
 
 def test_squeezing_beyond_float64_range_is_usage_error(capsys):

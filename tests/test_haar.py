@@ -140,11 +140,12 @@ def test_frame_orthonormal(n, k):
 
 
 def test_frame_rejects_bad_width():
-    with pytest.raises(ValueError):
-        haar_frame(4, 0, master_seed=1)
-    with pytest.raises(ValueError):
+    assert haar_frame(4, 0, master_seed=1).shape == (4, 0)  # an empty side
+    with pytest.raises(ValueError, match=r"out of range \[0, 4\]"):
         haar_frame(4, 5, master_seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"out of range \[0, 4\]"):
+        haar_frame(4, -1, master_seed=1)
+    with pytest.raises(ValueError, match="^mode count must be >= 1"):
         haar_frame(0, 0, master_seed=1)
 
 
@@ -186,7 +187,8 @@ def test_transmissions_of_many_indices_are_the_one_index_draws(n, k):
 
 
 def test_transmissions_reject_bad_shape():
-    for n, k, index in [(4, 0, 0), (4, 5, 0), (0, 0, 0), (4, 2, -1)]:
+    assert jacobi_transmissions(4, 0, master_seed=1).shape == (0,)  # an empty side
+    for n, k, index in [(4, -1, 0), (4, 5, 0), (0, 0, 0), (4, 2, -1)]:
         with pytest.raises(ValueError):
             jacobi_transmissions(n, k, master_seed=1, sample_index=index)
 

@@ -1,4 +1,5 @@
-"""Package import layout: lazy public names, BLAS thread pinning by the CLI, and no scipy.
+"""Package import layout: lazy public names, BLAS thread pinning by the CLI, a
+sampler independent of the closed form, and no scipy.
 
 Each check runs in a fresh interpreter, because what it looks at (which
 modules are loaded, the environment numpy's BLAS starts from) is settled
@@ -60,6 +61,13 @@ print(json.dumps({"all": gbs_page.__all__, "star": sorted(names), "same": same,
     # here, where other tests have imported more (gbs_page.cli), too
     assert gbs_page.page_average is gbs_page.pagecurve.page_average
     assert set(PUBLIC_DIR) <= set(dir(gbs_page))
+
+
+def test_sampler_leaves_out_the_closed_form():
+    # The Monte Carlo checks the closed form, so it shares none of its code:
+    # neither it nor what it imports loads gbs_page.pagecurve.
+    assert run_python("import json, sys, gbs_page.montecarlo\n"
+                      "print(json.dumps('gbs_page.pagecurve' in sys.modules))") is False
 
 
 def test_unknown_attribute_raises():

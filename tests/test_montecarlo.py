@@ -11,6 +11,7 @@ from oracles import (
     haar_unitary,
     jacobi_trace_powers,
     jacobi_transmissions,
+    out_of_range_bidiagonal_squares,
     purity_symmetry_check,
     s2_variance_identity_loop,
     vd_from_trw_loop,
@@ -265,6 +266,16 @@ def test_near_pure_per_mode_state_answers(n, k):
     assert np.array_equal(table[11], spectrum_entropies(nu, plan.alphas))
 
 
+@pytest.mark.xfail(strict=True, raises=SampleFailure,
+                   reason="a symplectic eigenvalue of one near e^26 is resolved below 1 - 1e-6")
+def test_nearer_pure_per_mode_state_answers():
+    # The ExperimentPlan's known limit: at s_0 = 13 sample 2 fails.
+    s = (13.0,) + (0.0,) * 11
+    plan = ExperimentPlan(n=12, k=10, squeezing=s, alphas=(1, 2, 3), n_samples=40, master_seed=4)
+    table, _ = run_experiment(plan)
+    assert np.all(np.isfinite(table)) and np.all(table >= 0)
+
+
 def test_equal_squeezing_beyond_the_log_determinant_range_is_rejected():
     # The last order-1 shift sinh^2(2s) cosh^2(20) overflows above |s| = 168.14,
     # sinh^2(2s) above 177.79; a plan names the limit of its orders.
@@ -373,7 +384,7 @@ def test_trace_route_memory_is_bounded():
       "consistent": True}),
 ], ids=["estimate_Vd", "variance_trend", "s2_variance_identity"])
 def test_variance_diagnostics_mirror_an_empty_side(diagnostic, zeros):
-    # r n rounding to k = 0 runs the mirror k = n, as r = 1 does.
+    # Both empty sides, r n rounding to k = 0 and r = 1, answer zeros.
     assert diagnostic(0.0) == diagnostic(0.04) == diagnostic(1.0) == zeros
 
 
@@ -443,13 +454,16 @@ def test_s2_variance_identity_names_a_bad_sample(monkeypatch):
     (variance_trend, ([10], 0.5, 0.5, 1, 10, 1), "^Renyi order must be >= 2"),
     (variance_trend, ([10], 0.5, 0.5, "x", 10, 1), "^Renyi order must be an integer"),
     (variance_trend, ([10], 0.5, 0.5, 2, 1, 1), "^n_samples must be >= 2"),
+    (variance_trend, (10, 0.5, 0.5, 2, 10, 1), "^ns must be a one-dimensional sequence"),
+    (variance_trend, (None, 0.5, 0.5, 2, 10, 1), "^ns must be a one-dimensional sequence"),
     (s2_variance_identity, (20, 0.5, None, 4, 10, 1), "^squeezing strength must be a real"),
     (s2_variance_identity, (20, 0.5, "x", 4, 10, 1), "^squeezing strength must be a real"),
     (variance_trend, ([10], 0.5, None, 2, 10, 1), "^squeezing strength must be a real"),
     (variance_trend, ([10], 0.5, "x", 2, 10, 1), "^squeezing strength must be a real"),
 ], ids=["Vd-r-inf", "Vd-r-nan", "Vd-n-0", "Vd-seed", "Vd-samples", "Vd-d_max", "Vd-d_max-frac",
         "s2-d_max", "s2-d_max-frac", "s2-samples", "s2-r-nan", "trend-alpha", "trend-alpha-x",
-        "trend-samples", "s2-s-none", "s2-s-x", "trend-s-none", "trend-s-x"])
+        "trend-samples", "trend-ns-int", "trend-ns-none", "s2-s-none", "s2-s-x", "trend-s-none",
+        "trend-s-x"])
 def test_variance_functions_check_their_inputs(function, args, message):
     # The package rules, before any shortcut: k = 0 or a vacuum run would
     # otherwise return zeros for a bad n or seed.
@@ -457,15 +471,22 @@ def test_variance_functions_check_their_inputs(function, args, message):
         function(*args)
 
 
-def test_variance_functions_fail_in_sample_0_for_a_non_finite_s():
-    # A non-finite s passes the plan and fails in its first sample, as in
-    # run_experiment.
-    for s in (np.inf, np.nan):
-        with pytest.raises(SampleFailure) as err:
+def test_variance_functions_refuse_a_non_finite_s():
+    # The plan refuses it, as in run_experiment, before any sample runs.
+    for s in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="^squeezing strength must be finite"):
             variance_trend([10], 0.5, s, 2, 10, 1, n_boot=5)
-        assert err.value.sample_index == 0
-        with pytest.raises(SampleFailure) as err:
+        with pytest.raises(ValueError, match="^squeezing strength must be finite"):
             s2_variance_identity(20, 0.5, s, 4, 10, 1, n_boot=5)
+
+
+def test_variance_functions_name_a_failing_sample_0(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_bidiagonal_squares", out_of_range_bidiagonal_squares)
+    for diagnostic in (lambda: variance_trend([10], 0.5, 0.5, 2, 10, 1, n_boot=5),
+                       lambda: s2_variance_identity(20, 0.5, 0.5, 4, 10, 1, n_boot=5),
+                       lambda: estimate_Vd(4, 20, 0.5, 10, 1)):
+        with pytest.raises(SampleFailure, match="^sample 0 failed") as err:
+            diagnostic()
         assert err.value.sample_index == 0
 
 
@@ -501,12 +522,41 @@ def test_weak_typicality_proxy():
     assert fraction > 0.99
 
 
-def test_sample_failure_aborts_with_index():
-    plan = ExperimentPlan(n=4, k=2, squeezing=float("inf"), alphas=(2,),
-                          n_samples=3, master_seed=1)
-    with pytest.raises(SampleFailure) as err:
+def test_sample_failure_aborts_with_index(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_bidiagonal_squares", out_of_range_bidiagonal_squares)
+    plan = ExperimentPlan(n=4, k=2, squeezing=0.5, alphas=(2,), n_samples=3, master_seed=1)
+    with pytest.raises(SampleFailure, match="^sample 0 failed") as err:
         run_experiment(plan)
     assert err.value.sample_index == 0
+
+
+@pytest.mark.parametrize("squeezing", [np.inf, -np.inf, np.nan, (0.1, np.inf, 0.2, 0.3),
+                                       (0.1, 0.2, np.nan, 0.3)], ids=repr)
+def test_plan_refuses_a_non_finite_squeezing(squeezing):
+    message = "squeezing strengths? must be finite"
+    with pytest.raises(ValueError, match=message):
+        ExperimentPlan(n=4, k=2, squeezing=squeezing)
+    with pytest.raises(ValueError, match=message):
+        ExperimentPlan.from_ratio(n=4, r=0.5, squeezing=squeezing)
+
+
+@pytest.mark.parametrize("squeezing", [0.5, tuple(np.linspace(0.0, 0.3, 10))],
+                         ids=["equal", "per-mode"])
+def test_an_empty_side_gives_zero_entropies(squeezing):
+    # k = 0 and k = n are the two empty sides of a cut: nothing is drawn.
+    tables = []
+    for plan in (ExperimentPlan(n=10, k=0, squeezing=squeezing, alphas=(1, 2, 3), n_samples=5,
+                                master_seed=1),
+                 ExperimentPlan.from_ratio(n=10, r=0.04, squeezing=squeezing, alphas=(1, 2, 3),
+                                           n_samples=5, master_seed=1),
+                 ExperimentPlan(n=10, k=10, squeezing=squeezing, alphas=(1, 2, 3), n_samples=5,
+                                master_seed=1)):
+        for threads in (1, 2):
+            table, summary = run_experiment(plan, threads)
+            tables.append(table.tolist())
+            assert all(st == montecarlo.AlphaStats(0.0, 0.0, 0.0)
+                       for st in summary.per_alpha.values())
+    assert tables == [[[0.0] * 3] * 5] * 6
 
 
 @pytest.mark.parametrize("lam", [[0.2, np.nan], [0.2, 1.5], [0.2, 1.0 + 1e-3]])
@@ -762,10 +812,9 @@ def test_equal_samples_match_the_eigvalsh_oracle(n, k):
 
 
 def test_plan_validation():
-    with pytest.raises(ValueError):
-        ExperimentPlan(n=5, k=0, squeezing=0.5)
-    with pytest.raises(ValueError):
-        ExperimentPlan(n=5, k=6, squeezing=0.5)
+    for k in (-1, 6):
+        with pytest.raises(ValueError, match=rf"^subsystem size k={k} out of range \[0, 5\]"):
+            ExperimentPlan(n=5, k=k, squeezing=0.5)
     with pytest.raises(ValueError):
         ExperimentPlan(n=5, k=2, squeezing=0.5, alphas=(0,))
     with pytest.raises(ValueError):

@@ -195,3 +195,8 @@ def test_validation_errors():
         SqueezingConfig(s=(0.1, np.nan))
     with pytest.raises(ValueError):
         full_covariance_general(U, SqueezingConfig.equal(3, 0.1))
+    # reduced_covariance_general reads a nested list as its array
+    assert np.array_equal(reduced_covariance_general([[1.0]], [0.1]),
+                          reduced_covariance_general(np.ones((1, 1)), np.array([0.1])))
+    with pytest.raises(ValueError, match="^need an n x k frame"):
+        reduced_covariance_general([1.0, 0.0], [0.1, 0.2])

@@ -66,7 +66,7 @@ def test_determinant_is_product_of_squares():
 def test_clamp_window_and_failure():
     nu = symplectic_eigenvalues((1 - 5e-9) * np.eye(2))
     assert nu[0] == 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^symplectic eigenvalue 0\.99999\d* below 1 - 1e-06"):
         symplectic_eigenvalues((1 - 1e-5) * np.eye(2))
 
 
