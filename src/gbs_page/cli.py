@@ -504,7 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analytic", help="closed-form entropy averages on an r grid")
     p.add_argument("--alpha", type=int_list, required=True,
                    help="comma list of Renyi orders; 1 = von Neumann")
-    p.add_argument("--s", type=float, required=True, help="equal squeezing strength")
+    p.add_argument("--s", type=float, required=True,
+                   help="equal squeezing strength; give one that starts with '-' as --s=-1e-3")
     size = p.add_mutually_exclusive_group(required=True)
     size.add_argument("--n", type=int, help="mode count")
     size.add_argument("--asymptotic", action="store_true", help="n -> infinity (per-mode values)")
@@ -521,7 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
     size = p.add_mutually_exclusive_group()
     size.add_argument("--k", type=int, help="subsystem mode count")
     size.add_argument("--r", type=float, help="subsystem ratio (k = round(r n))")
-    p.add_argument("--s", type=squeezing, help="squeezing: scalar or comma list of n values")
+    p.add_argument("--s", type=squeezing,
+                   help="squeezing: scalar or comma list of n values; give one that starts "
+                        "with '-' as --s=-0.1,0.2")
     p.add_argument("--alphas", type=int_list, help="comma list of Renyi orders; 1 = von Neumann")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)

@@ -12,10 +12,11 @@ and its alpha -> 1 limit, order 1, is the von Neumann entropy sum_j g(nu_j) with
 A Renyi order is any integer >= 1 (``_check_alpha``), so every function
 here, and every average and limit law built on them, takes order 1 as the
 von Neumann entropy. ``_integer`` and ``_real`` read every integer and real
-parameter of the package. The entropy of a spectrum is a sum of vectorized
-per-mode entropies (``renyi_mode_entropy``); ``spectrum_entropies``
-evaluates several orders of one spectrum after one check of it. All three
-read a spectrum through that check (``_as_spectrum``): finite values nu >= 1.
+parameter of the package, and ``_check_squeezing`` every equal squeezing.
+The entropy of a spectrum is a sum of vectorized per-mode entropies
+(``renyi_mode_entropy``); ``spectrum_entropies`` evaluates several orders
+of one spectrum after one check of it. All three read a spectrum through
+that check (``_as_spectrum``): finite values nu >= 1.
 Every order is computed from its own formula alone, so its values do not
 depend on which other orders are asked for.
 
@@ -109,6 +110,14 @@ def _real(name: str, value) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a real number, got {value!r}") from None
+
+
+def _check_squeezing(s) -> float:
+    """An equal squeezing strength: a finite real, read through ``_real``."""
+    s = _real("squeezing strength", s)
+    if not math.isfinite(s):
+        raise ValueError(f"squeezing strength must be finite, got {s!r}")
+    return s
 
 
 def _check_ratio(r: float) -> float:
@@ -243,8 +252,7 @@ def _shift_rule(s: float, orders) -> list[tuple[np.ndarray, np.ndarray]]:
     overflows (|s| above ``_VN_MAX_SQUEEZING`` with order 1, above
     ``_MAX_SQUEEZING`` without).
     """
-    if not np.isfinite(s):
-        raise ValueError(f"squeezing strength must be finite, got {float(s)!r}")
+    s = _check_squeezing(s)
     with np.errstate(over="ignore"):  # an overflowing shift is reported below
         sinh = float(np.sinh(2.0 * s))
         c = sinh * sinh
@@ -255,7 +263,7 @@ def _shift_rule(s: float, orders) -> list[tuple[np.ndarray, np.ndarray]]:
             rule.append(((sinh * factors) ** 2 if alpha == 1 else c * factors**2, weights))
     if not all(np.isfinite(shifts[-1]) for shifts, _ in rule):
         limit = _VN_MAX_SQUEEZING if 1 in orders else _MAX_SQUEEZING
-        raise ValueError(f"squeezing strength {float(s)!r} is beyond the float64 range of the "
+        raise ValueError(f"squeezing strength {s!r} is beyond the float64 range of the "
                          f"log-determinant route for orders {sorted(set(orders))}: its shifts "
                          f"overflow above |s| = {limit:.2f}")
     return rule

@@ -14,10 +14,11 @@ Per-mode squeezing evaluates the smaller side of the cut (the global state
 is pure) in blocks of two samples: each sample draws its frame and forms
 its Gram matrix on its own, and the pair shares one stacked ``eigvalsh``,
 whose rows are the values each sample gets alone. An empty side (k = 0 or
-n) draws nothing. A sample that fails numerically aborts the whole
-experiment, naming the first failing index: the constructions are
-physically guaranteed to be valid states, so a failure indicates a bug,
-and silently skipping it would bias the means.
+n) draws nothing. A block that fails numerically is run again one sample
+at a time, in index order (``_named``), and the first sample that fails
+alone aborts the whole experiment as a ``SampleFailure`` naming its
+index: the constructions are physically guaranteed to be valid states, so
+a failure indicates a bug, and silently skipping it would bias the means.
 The table holds entropies only; the variance diagnostics take Tr W^i from
 the same draws as traces of banded powers of the tridiagonal I - B^T B
 (``_trace_powers``), again with no eigensolve, and ``s2_variance_identity``
@@ -75,9 +76,6 @@ _PAIR_SAMPLES = 2
 # sampler 3 drew it for equal squeezing too, sampler 2 only for equal
 # squeezing, sampler 1 never.
 SAMPLER = 5
-
-_OUT_OF_RANGE = "squared bidiagonal entries must be finite and in [0, 1]"
-
 
 class SampleFailure(RuntimeError):
     """Numerical failure inside one Monte-Carlo sample; ``cause`` is also its ``__cause__``."""
@@ -167,31 +165,41 @@ class Summary:
     realized_r: float
 
 
-def _check_rows(rows: np.ndarray, block: range, in_range=True) -> None:
-    """Name the first of the block's rows that is not a physical sample.
+def _named(block: range, work) -> None:
+    """Run ``work(indices)``, which writes those samples' rows, on the block.
 
-    ``rows`` holds the entropies of the block's first ``len(rows)`` samples,
-    orders rising along a row. A row fails when its draw is out of range
-    or an entropy is not finite (``ValueError``), or when an entropy is
-    negative or grows with the order (``FloatingPointError``); the first
-    failing row raises its first cause as a ``SampleFailure``.
+    If it raises, the block runs again one sample at a time, in index order,
+    and the first sample that raises alone is the ``SampleFailure`` (the
+    only place one is raised). A row does not depend on its block, so the
+    replayed rows are the block's own; if no sample fails alone, they stand.
     """
-    in_range = np.broadcast_to(in_range, len(rows))
+    try:
+        work(block)
+    except Exception:
+        for index in block:
+            try:
+                work(range(index, index + 1))
+            except Exception as exc:
+                raise SampleFailure(index, exc)
+
+
+def _check_rows(rows: np.ndarray) -> None:
+    """Raise the cause of the first row of entropies (orders rising) that is not physical.
+
+    A row fails when an entropy is not finite (``ValueError``), or when one
+    is negative or grows with the order (``FloatingPointError``).
+    """
     finite = np.isfinite(rows).all(axis=1)
     negative = (rows < -_MONOTONE_TOL).any(axis=1)
     rising = (rows[:, 1:] > rows[:, :-1] + _MONOTONE_TOL).any(axis=1)
-    bad = ~in_range | ~finite | negative | rising
+    bad = ~finite | negative | rising
     if bad.any():
         row = int(np.argmax(bad))
-        if not in_range[row]:
-            cause = ValueError(_OUT_OF_RANGE)
-        elif not finite[row]:
-            cause = ValueError("log-determinant pivots must be finite and positive")
-        elif negative[row]:
-            cause = FloatingPointError(f"negative entropy {float(rows[row].min())!r}")
-        else:
-            cause = FloatingPointError(f"entropies not monotone in alpha: {rows[row].tolist()!r}")
-        raise SampleFailure(block[row], cause)
+        if not finite[row]:
+            raise ValueError("log-determinant pivots must be finite and positive")
+        if negative[row]:
+            raise FloatingPointError(f"negative entropy {float(rows[row].min())!r}")
+        raise FloatingPointError(f"entropies not monotone in alpha: {rows[row].tolist()!r}")
 
 
 def _sample_gram(plan: ExperimentPlan, index: int, out: np.ndarray) -> None:
@@ -212,67 +220,36 @@ def _sample_gram(plan: ExperimentPlan, index: int, out: np.ndarray) -> None:
         _gram(sigma, out=out)
 
 
-def _evaluate_per_mode_block(plan: ExperimentPlan, block: range, table: np.ndarray) -> None:
-    """A block of per-mode samples whose Gram matrices share one stacked ``eigvalsh``.
+def _per_mode_rows(plan: ExperimentPlan, block: range) -> np.ndarray:
+    """Checked entropies of per-mode samples whose Gram matrices share one stacked ``eigvalsh``.
 
-    Each sample fills its row of the stack in index order. A sample that
-    fails there, or in its spectrum or entropies, ends the block: the rows
-    before it are still evaluated and checked, so the failure named is the
-    block's first. If the stacked solve raises, each row is solved alone,
-    which names the row it fails on.
+    Each row of the solve is the one that sample gets alone.
     """
     m = min(plan.k, plan.n - plan.k)
     grams = np.empty((len(block), 2 * m, 2 * m))
-    done, failure = len(block), None
     for row, index in enumerate(block):
-        try:
-            _sample_gram(plan, index, grams[row])
-        except Exception as exc:
-            done, failure = row, exc
-            break
-    grams = grams[:done]
-    try:
-        values = np.linalg.eigvalsh(grams)
-    except np.linalg.LinAlgError:
-        values = None
-    rows = table[block.start:block.stop]
-    for row in range(done):
-        try:
-            nu = _gram_spectrum(np.linalg.eigvalsh(grams[row]) if values is None else values[row])
-            rows[row] = spectrum_entropies(nu, plan.alphas)
-        except Exception as exc:
-            done, failure = row, exc
-            break
-    _check_rows(rows[:done], block)
-    if failure is not None:
-        raise SampleFailure(block[done], failure)
+        _sample_gram(plan, index, grams[row])
+    rows = np.array([spectrum_entropies(_gram_spectrum(values), plan.alphas)
+                     for values in np.linalg.eigvalsh(grams)])
+    _check_rows(rows)
+    return rows
 
 
-def _squares(plan: ExperimentPlan, block: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The block's squared bidiagonals and, per row, whether every entry lies in [0, 1]."""
-    try:
-        diag, sup = _bidiagonal_squares(plan.n, plan.k, plan.master_seed, block)
-    except Exception as exc:
-        raise SampleFailure(block[0], exc)
-    in_range = np.all((diag >= 0) & (diag <= 1), axis=1) & np.all((sup >= 0) & (sup <= 1), axis=1)
-    return diag, sup, in_range
+def _squares(plan: ExperimentPlan, block: range) -> tuple[np.ndarray, np.ndarray]:
+    """The block's squared bidiagonals; ``ValueError`` unless every entry lies in [0, 1]."""
+    diag, sup = _bidiagonal_squares(plan.n, plan.k, plan.master_seed, block)
+    if not (np.all((diag >= 0) & (diag <= 1)) and np.all((sup >= 0) & (sup <= 1))):
+        raise ValueError("squared bidiagonal entries must be finite and in [0, 1]")
+    return diag, sup
 
 
-def _equal_rows(plan: ExperimentPlan, block: range, squares, table: np.ndarray) -> None:
-    """Write the block's rows of ``table`` from its ``_squares``.
-
-    A row is physical when its squared entries lie in [0, 1] and its
-    entropies are finite (then every log-determinant pivot is finite and
-    >= 1).
-    """
-    diag, sup, in_range = squares
-    rows = table[block.start:block.stop]
-    try:
-        with np.errstate(all="ignore"):  # an unphysical row fails its own check below
-            rows[:] = bidiagonal_entropies(diag, sup, plan.squeezing, plan.alphas)
-    except Exception as exc:
-        raise SampleFailure(block[0], exc)
-    _check_rows(rows, block, in_range)
+def _equal_rows(plan: ExperimentPlan, squares) -> np.ndarray:
+    """Checked entropies of the samples whose ``_squares`` are given, one row each."""
+    diag, sup = squares
+    with np.errstate(all="ignore"):  # a row that comes out unphysical fails its check
+        rows = bidiagonal_entropies(diag, sup, plan.squeezing, plan.alphas)
+    _check_rows(rows)
+    return rows
 
 
 def _blocks(plan: ExperimentPlan) -> list[range]:
@@ -287,11 +264,13 @@ def _blocks(plan: ExperimentPlan) -> list[range]:
 
 
 def _evaluate_block(plan: ExperimentPlan, block: range, table: np.ndarray) -> None:
-    """Write the block's rows of ``table``, the entropies of its samples."""
-    if plan.equal_squeezing:
-        _equal_rows(plan, block, _squares(plan, block), table)
-    else:
-        _evaluate_per_mode_block(plan, block, table)
+    """Write the block's rows of ``table``, naming a failing sample (``_named``)."""
+    def rows(indices):
+        table[indices.start:indices.stop] = (
+            _equal_rows(plan, _squares(plan, indices)) if plan.equal_squeezing
+            else _per_mode_rows(plan, indices))
+
+    _named(block, rows)
 
 
 def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple[np.ndarray, Summary]:
@@ -301,7 +280,9 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple[np.ndarray, 
     row i is sample i and column j the order ``plan.alphas[j]``. Samples
     are evaluated in the fixed blocks of ``_blocks``, one block per task,
     each writing its own rows; identical plans give bit-identical tables
-    whatever the thread count.
+    whatever the thread count. A failing block is replayed one sample at a
+    time, and the run raises a ``SampleFailure`` naming the first sample
+    that fails alone in the first failing block.
     Equal-squeezing plans run on the calling thread whatever ``threads`` is:
     their blocks are chains of short numpy calls that take the interpreter
     lock back every few microseconds, so a second worker only adds
@@ -395,10 +376,9 @@ def variance_trend(ns, r: float, s: float, alpha: int, n_samples: int, seed: int
     return out
 
 
-def _block_trace_powers(plan: ExperimentPlan, block: range, squares, max_power: int) -> np.ndarray:
+def _block_trace_powers(plan: ExperimentPlan, squares, max_power: int) -> np.ndarray:
     """Tr W^i, i = 1..max_power, of a block's samples from its ``_squares``.
 
-    A row out of [0, 1] is a ``SampleFailure`` naming the first such index.
     W has the eigenvalues of M = I - B11^T B11 and k - m ones. M is
     tridiagonal: diagonal 1 - diag_i - sup_{i-1}, off-diagonal
     -sqrt(diag_i sup_i). So M^q is symmetric with bandwidth q, kept as its
@@ -407,9 +387,7 @@ def _block_trace_powers(plan: ExperimentPlan, block: range, squares, max_power: 
     Tr M^{2q} = <M^q, M^q>_F and Tr M^{2q-1} = <M^{q-1}, M^q>_F for
     q <= ceil(max_power / 2): O(m max_power^2) per sample, no eigenvalues.
     """
-    diag, sup, in_range = squares
-    if not in_range.all():
-        raise SampleFailure(block[int(np.argmin(in_range))], ValueError(_OUT_OF_RANGE))
+    diag, sup = squares
     rows, m = diag.shape
     width = (max_power + 1) // 2 + 1  # diagonals of M^ceil(max_power / 2)
     # M's diagonal alpha_i and off-diagonal beta_i = M_{i-1, i}, zero outside
@@ -443,12 +421,17 @@ def _trace_powers(plan: ExperimentPlan, max_power: int) -> np.ndarray:
     """Tr W^i, i = 1..max_power, of every sample of the plan: shape (n_samples, max_power).
 
     Tr W^i does not depend on squeezing. Each block of ``_blocks`` draws
-    its squared bidiagonals as an equal-squeezing block does.
+    its squared bidiagonals as an equal-squeezing block does, and a failing
+    block names its first failing sample (``_named``).
     """
     out = np.empty((plan.n_samples, max_power))
+
+    def traces(indices):
+        out[indices.start:indices.stop] = _block_trace_powers(plan, _squares(plan, indices),
+                                                              max_power)
+
     for block in _blocks(plan):
-        out[block.start:block.stop] = _block_trace_powers(plan, block, _squares(plan, block),
-                                                          max_power)
+        _named(block, traces)
     return out
 
 
@@ -516,10 +499,14 @@ def s2_variance_identity(n: int, r: float, s: float, d_max: int, n_samples: int,
                                      n_samples=_integer("n_samples", n_samples, 2))
     table = np.empty((plan.n_samples, 1))
     trw = np.empty((plan.n_samples, d_max - 1))
+
+    def draw(indices):
+        squares = _squares(plan, indices)
+        table[indices.start:indices.stop] = _equal_rows(plan, squares)
+        trw[indices.start:indices.stop] = _block_trace_powers(plan, squares, d_max - 1)
+
     for block in _blocks(plan):
-        squares = _squares(plan, block)
-        _equal_rows(plan, block, squares, table)
-        trw[block.start:block.stop] = _block_trace_powers(plan, block, squares, d_max - 1)
+        _named(block, draw)
     s2 = table[:, 0]
     t2 = np.tanh(2.0 * plan.squeezing) ** 2
     weights = 0.25 * t2 ** np.arange(2, d_max + 1)

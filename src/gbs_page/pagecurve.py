@@ -79,7 +79,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import _MAX_SQUEEZING, _check_alpha, _check_ratio, _integer, _order_rule, _real
+from .entropy import (_MAX_SQUEEZING, _check_alpha, _check_ratio, _check_squeezing, _integer,
+                      _order_rule, _real)
 
 __all__ = [
     "ASYMPTOTIC",
@@ -127,13 +128,6 @@ class PageCurveValue(NamedTuple):
     nodes: int
     trunc_err: float
     realized_r: float
-
-
-def _check_squeezing(s: float) -> float:
-    s = _real("squeezing strength", s)
-    if not math.isfinite(s):
-        raise ValueError(f"squeezing strength must be finite, got {s!r}")
-    return s
 
 
 def _check_tol(tol: float) -> float:

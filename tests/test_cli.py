@@ -506,6 +506,22 @@ def test_simulate_non_finite_squeezing_is_usage_error(capsys, s):
     assert "must be finite" in err and "sample" not in err
 
 
+def test_a_squeezing_that_starts_with_a_minus_takes_the_equals_form(capsys, monkeypatch):
+    # argparse reads "--s -0.1,0.2" as a flag without its value; "--s=" hands
+    # any value to the library (--s=-inf is refused there, see
+    # test_simulate_non_finite_squeezing_is_usage_error), and the help says so.
+    code, out, err = run_cli(capsys, "simulate", "--n", "2", "--k", "1", "--s=-0.1,0.2",
+                             "--alphas", "1,2", "--samples", "2", "--seed", "1",
+                             "--threads", "1")
+    assert code == EXIT_OK, err
+    assert json.loads(out[out.index("{"):])["config"]["s"] == [-0.1, 0.2]
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per flag
+    code, out, _ = run_cli(capsys, "simulate", "--help")
+    assert code == EXIT_OK and "as --s=-0.1,0.2" in out
+    code, out, _ = run_cli(capsys, "analytic", "--help")
+    assert code == EXIT_OK and "as --s=-1e-3" in out
+
+
 @pytest.mark.parametrize("cut", [("--k", "0"), ("--r", "0.04"), ("--k", "10")])
 def test_simulate_an_empty_side_answers_zero(capsys, cut):
     code, out, _ = run_cli(capsys, "simulate", "--n", "10", *cut, "--s", "0.5",

@@ -593,15 +593,57 @@ def test_failure_inside_a_block_names_its_sample(monkeypatch, threads):
     assert err.value.sample_index == 4 and isinstance(err.value.cause, ValueError)
 
 
+def test_a_draw_that_raises_names_its_sample(monkeypatch):
+    # The draw raises for any block that holds index 5: the entropies and
+    # both trace routes name sample 5, not the first index of its block.
+    def draw(n, k, seed, index):
+        if 5 in index:
+            raise FloatingPointError("draw failed")
+        return _bidiagonal_squares(n, k, seed, index)
+
+    monkeypatch.setattr(montecarlo, "_bidiagonal_squares", draw)
+    plan = ExperimentPlan(n=20, k=9, squeezing=0.5, alphas=(1, 2), n_samples=10, master_seed=1)
+    for run in (lambda: run_experiment(plan),
+                lambda: estimate_Vd(4, 20, 0.45, 10, 1),
+                lambda: s2_variance_identity(20, 0.45, 0.5, 4, 10, 1, n_boot=5)):
+        with pytest.raises(SampleFailure, match="^sample 5 failed: draw failed$") as err:
+            run()
+        assert err.value.sample_index == 5
+        assert isinstance(err.value.cause, FloatingPointError)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_per_mode_frame_that_raises_names_its_sample(monkeypatch, threads):
+    # Pairs [0, 2), [2, 4), [4, 6), [6]; the frame of sample 3 raises.
+    draw = montecarlo.haar_frame
+
+    def frame(n, k, seed, index):
+        if index == 3:
+            raise np.linalg.LinAlgError("frame failed")
+        return draw(n, k, seed, index)
+
+    monkeypatch.setattr(montecarlo, "haar_frame", frame)
+    plan = ExperimentPlan(n=8, k=3, squeezing=tuple(np.linspace(0.1, 0.8, 8)), alphas=(1, 2),
+                          n_samples=7, master_seed=1)
+    with pytest.raises(SampleFailure, match="^sample 3 failed: frame failed$") as err:
+        run_experiment(plan, threads=threads)
+    assert err.value.sample_index == 3
+    assert isinstance(err.value.cause, np.linalg.LinAlgError)
+
+
 def test_non_finite_log_determinant_names_its_sample(monkeypatch):
     # The pivot check: in-range entries whose entropies come out non-finite.
+    # Sample 3 is told apart by its von Neumann entropy in a run without the
+    # patch, in whatever block it is evaluated.
+    plan = ExperimentPlan(n=20, k=9, squeezing=0.5, alphas=(1, 2), n_samples=6, master_seed=1)
+    table, _ = run_experiment(plan)
+
     def entropies(diag, sup, s, alphas):
         values = bidiagonal_entropies(diag, sup, s, alphas)
-        values[3, 1] = np.inf  # sample 3, order 2
+        values[values[:, 0] == table[3, 0], 1] = np.inf  # sample 3, order 2
         return values
 
     monkeypatch.setattr(montecarlo, "bidiagonal_entropies", entropies)
-    plan = ExperimentPlan(n=20, k=9, squeezing=0.5, alphas=(1, 2), n_samples=6, master_seed=1)
     with pytest.raises(SampleFailure, match="pivots") as err:
         run_experiment(plan)
     assert err.value.sample_index == 3 and isinstance(err.value.cause, ValueError)
@@ -620,19 +662,21 @@ UNPHYSICAL_ROWS = [
 
 @pytest.mark.parametrize("kind,message", UNPHYSICAL_ROWS)
 def test_unphysical_equal_row_in_a_later_block_names_its_sample(monkeypatch, kind, message):
-    # Blocks [0, B) and [B, B + 7); rows 2 and 4 of the second are bad.
+    # Blocks [0, B) and [B, B + 7); rows 2 and 4 of the second are bad, told
+    # apart by their von Neumann entropies in a run without the patch.
     size = montecarlo._BLOCK_SAMPLES
+    plan = ExperimentPlan(n=20, k=9, squeezing=0.5, alphas=(1, 2), n_samples=size + 7,
+                          master_seed=1)
+    table, _ = run_experiment(plan)
 
     def entropies(diag, sup, s, alphas):
         values = bidiagonal_entropies(diag, sup, s, alphas)
-        if len(values) == 7:
-            _spoil(values[2], kind)
-            _spoil(values[4], kind)
+        for row in values:
+            if row[0] in (table[size + 2, 0], table[size + 4, 0]):
+                _spoil(row, kind)
         return values
 
     monkeypatch.setattr(montecarlo, "bidiagonal_entropies", entropies)
-    plan = ExperimentPlan(n=20, k=9, squeezing=0.5, alphas=(1, 2), n_samples=size + 7,
-                          master_seed=1)
     with pytest.raises(SampleFailure) as err:
         run_experiment(plan)
     assert err.value.sample_index == size + 2
@@ -767,22 +811,23 @@ def test_bad_sample_in_a_pair_names_its_index(monkeypatch, threads, changes, fir
 
 
 def test_stacked_eigensolve_failure_falls_back_to_one_sample_at_a_time(monkeypatch):
-    # Every stacked eigvalsh raises: each sample is then solved alone, with
-    # the same table; a one-sample solve that raises names its index.
+    # Every stack of more than one matrix fails to solve: each sample is then
+    # solved alone, as a stack of one, with the same table; a one-sample
+    # solve that raises names its index.
     plan = ExperimentPlan(n=12, k=5, squeezing=tuple(np.linspace(0.0, 0.5, 12)),
                           alphas=(1, 2), n_samples=5, master_seed=3)
     want, _ = run_experiment(plan)
     eigvalsh, solved, fail_at = np.linalg.eigvalsh, [], []
 
     def stacked_fails(a):
-        if a.ndim == 3 or len(solved) in fail_at:
+        if a.ndim == 3 and len(a) > 1 or len(solved) in fail_at:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         solved.append(a.shape)
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", stacked_fails)
     assert np.array_equal(run_experiment(plan)[0], want)
-    assert solved == [(10, 10)] * 5
+    assert solved == [(1, 10, 10)] * 5
     solved.clear()
     fail_at.append(3)  # the fourth one-sample solve: index 3, second of its pair
     with pytest.raises(SampleFailure) as err:
