@@ -13,7 +13,8 @@ The three figures are entries of ``FIGURES`` run by one driver,
 
 Worker threads come from ``--threads`` (default ``auto``, one per CPU this
 process may run on) or from a ``simulate --config`` file's ``threads``
-(default 1), which ``--threads`` overrides. The thread count never changes
+(default 1), which ``--threads`` overrides; ``run_experiment`` starts no
+more workers than there are such CPUs. The thread count never changes
 results. ``figure`` still accepts and checks ``--threads``, so existing
 command lines keep working, but runs on one thread: its plans are all equal
 squeezing, which ``run_experiment`` keeps on the calling thread. The
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import _integer
-from .montecarlo import SAMPLER, ExperimentPlan, SampleFailure, run_experiment
+from .montecarlo import SAMPLER, ExperimentPlan, SampleFailure, _usable_cpus, run_experiment
 from .pagecurve import (
     ASYMPTOTIC,
     DEFAULT_TOL,
@@ -108,15 +109,6 @@ def squeezing(text: str):
     """Scalar s or comma-separated per-mode list."""
     parts = [float(p) for p in text.split(",")]
     return parts[0] if len(parts) == 1 else tuple(parts)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask), not the host's count."""
-    if hasattr(os, "process_cpu_count"):  # Python 3.13+
-        return os.process_cpu_count() or 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _resolve_threads(requested) -> int:

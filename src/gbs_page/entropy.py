@@ -127,6 +127,15 @@ def _check_ratio(r: float) -> float:
     return r
 
 
+def _side(r: float, n: int) -> int:
+    """k = round(r n), ties to even, of a checked ratio and mode count; n must fit in float64."""
+    try:
+        return round(r * n)
+    except OverflowError:
+        raise ValueError(f"mode count n={n} is beyond float64, so k = round(r n) "
+                         f"cannot be formed") from None
+
+
 def _check_alpha(alpha, minimum: int = 1) -> int:
     """A Renyi order: an integer >= ``minimum``; order 1 is von Neumann."""
     return _integer("Renyi order", alpha, minimum)

@@ -40,6 +40,9 @@ def _check_shape(n: int, k: int) -> tuple[int, int]:
     k = _integer("subsystem size k", k)
     if not 0 <= k <= n:
         raise ValueError(f"subsystem size k={k} out of range [0, {n}]")
+    if abs(n - 2 * k) > 2**63 - 1:
+        raise ValueError(f"mode count n={n} is beyond the range of the Jacobi draw at k={k}: "
+                         f"|n - 2k| > 2**63 - 1")
     return n, k
 
 
@@ -133,7 +136,7 @@ def _bidiagonal_squares(
     diag = np.empty((indices.size, m))
     sup = np.empty((indices.size, max(m - 1, 0)))
     a, b = abs(n - 2 * k), 1
-    i = np.arange(1, m + 1)
+    i = np.arange(1.0, m + 1)  # float, so that a + i cannot wrap around as an int64 would
     for row, index in enumerate(indices.tolist()):
         rng = sample_generator(master_seed, index)
         c2 = rng.beta((a + i) / 2, (b + i) / 2)

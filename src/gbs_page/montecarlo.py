@@ -15,7 +15,7 @@ is pure) in blocks of two samples: each sample draws its frame and forms
 its Gram matrix on its own, and the pair shares one stacked ``eigvalsh``,
 whose rows are the values each sample gets alone. An empty side (k = 0 or
 n) draws nothing. A block that fails numerically is run again one sample
-at a time, in index order (``_named``), and the first sample that fails
+at a time, in index order (``_fill``), and the first sample that fails
 alone aborts the whole experiment as a ``SampleFailure`` naming its
 index: the constructions are physically guaranteed to be valid states, so
 a failure indicates a bug, and silently skipping it would bias the means.
@@ -25,12 +25,13 @@ the same draws as traces of banded powers of the tridiagonal I - B^T B
 takes both from one draw per block.
 """
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import (_check_alpha, _check_ratio, _integer, _real, _shift_rule,
+from .entropy import (_check_alpha, _check_ratio, _integer, _real, _shift_rule, _side,
                       bidiagonal_entropies, spectrum_entropies)
 from .haar import _bidiagonal_squares, _check_shape, haar_frame
 from .states import reduced_covariance_general
@@ -96,13 +97,14 @@ class ExperimentPlan:
     n x min(k, n - k) Haar frame). ``alphas`` may include 1, meaning the
     von Neumann entropy; the plan keeps them sorted and distinct, the column
     order of ``run_experiment``'s table. The integer fields take integral
-    values only (6 or 6.0, not 6.7 or True), ``master_seed`` must be >= 0
-    and 0 <= k <= n; an empty side (k = 0 or n) has every entropy 0. The
-    squeezing must be finite, and an equal one must lie within the float64
-    range of the log-determinant route (|s| <= 168.14 with order 1, 177.79
-    without). Known limit: per-mode plans with one input squeezed to
-    s_0 >= 12.75 and the rest in vacuum can fail, with a symplectic
-    eigenvalue below 1 - 1e-6 (at (n, k) = (12, 10) and (40, 38), seed 4).
+    values only (6 or 6.0, not 6.7 or True), ``master_seed`` must be >= 0,
+    0 <= k <= n and |n - 2k| <= 2**63 - 1 (the Jacobi draw's range); an
+    empty side (k = 0 or n) has every entropy 0. The squeezing must be
+    finite, and an equal one must lie within the float64 range of the
+    log-determinant route (|s| <= 168.14 with order 1, 177.79 without).
+    Known limit: per-mode plans with one input squeezed to s_0 >= 12.75 and
+    the rest in vacuum can fail, with a symplectic eigenvalue below
+    1 - 1e-6 (at (n, k) = (12, 10) and (40, 38), seed 4).
     """
 
     n: int
@@ -140,7 +142,7 @@ class ExperimentPlan:
     @classmethod
     def from_ratio(cls, n: int, r: float, **kwargs) -> "ExperimentPlan":
         """Build a plan from a partition ratio; k = round(r n), ties to even."""
-        return cls(n=n, k=round(_check_ratio(r) * _integer("n", n, 1)), **kwargs)
+        return cls(n=n, k=_side(_check_ratio(r), _integer("n", n, 1)), **kwargs)
 
     @property
     def realized_r(self) -> float:
@@ -163,24 +165,6 @@ class Summary:
     per_alpha: dict[int, AlphaStats]
     n_samples: int
     realized_r: float
-
-
-def _named(block: range, work) -> None:
-    """Run ``work(indices)``, which writes those samples' rows, on the block.
-
-    If it raises, the block runs again one sample at a time, in index order,
-    and the first sample that raises alone is the ``SampleFailure`` (the
-    only place one is raised). A row does not depend on its block, so the
-    replayed rows are the block's own; if no sample fails alone, they stand.
-    """
-    try:
-        work(block)
-    except Exception:
-        for index in block:
-            try:
-                work(range(index, index + 1))
-            except Exception as exc:
-                raise SampleFailure(index, exc)
 
 
 def _check_rows(rows: np.ndarray) -> None:
@@ -263,45 +247,71 @@ def _blocks(plan: ExperimentPlan) -> list[range]:
     return [range(j, min(j + size, plan.n_samples)) for j in range(0, plan.n_samples, size)]
 
 
-def _evaluate_block(plan: ExperimentPlan, block: range, table: np.ndarray) -> None:
-    """Write the block's rows of ``table``, naming a failing sample (``_named``)."""
-    def rows(indices):
-        table[indices.start:indices.stop] = (
-            _equal_rows(plan, _squares(plan, indices)) if plan.equal_squeezing
-            else _per_mode_rows(plan, indices))
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask), not the host's count."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13+
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    _named(block, rows)
+
+def _fill(plan: ExperimentPlan, width: int, rows_of, threads: int = 1) -> np.ndarray:
+    """The (n_samples, width) table whose rows ``rows_of(indices)`` gives, block by block.
+
+    A sample's row must not depend on its block (``_blocks``). A block that
+    raises runs again one sample at a time, in index order, and the first
+    sample that raises alone is the ``SampleFailure``, the only one built;
+    if none does, the replayed rows stand. The one thread rule: per-mode
+    plans run on min(threads, usable CPUs, blocks) workers, and equal
+    squeezing, like a single worker, on the calling thread.
+    """
+    table = np.empty((plan.n_samples, width))
+
+    def run(block):
+        try:
+            table[block.start:block.stop] = rows_of(block)
+        except Exception:
+            for index in block:
+                try:
+                    table[index] = rows_of(range(index, index + 1))
+                except Exception as exc:
+                    raise SampleFailure(index, exc)
+
+    blocks = _blocks(plan)
+    workers = min(_integer("thread count", threads, 1), _usable_cpus(), len(blocks))
+    if plan.equal_squeezing or workers == 1:
+        for block in blocks:
+            run(block)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, blocks))
+    return table
+
+
+def _entropy_rows(plan: ExperimentPlan, indices: range) -> np.ndarray:
+    """Checked entropies of the samples at ``indices`` (one sample too), one row each."""
+    return (_equal_rows(plan, _squares(plan, indices)) if plan.equal_squeezing
+            else _per_mode_rows(plan, indices))
 
 
 def run_experiment(plan: ExperimentPlan, threads: int = 1) -> tuple[np.ndarray, Summary]:
     """Run every sample of the plan and aggregate summary statistics.
 
     Returns the entropies as a float64 table of shape (n_samples, orders):
-    row i is sample i and column j the order ``plan.alphas[j]``. Samples
-    are evaluated in the fixed blocks of ``_blocks``, one block per task,
-    each writing its own rows; identical plans give bit-identical tables
-    whatever the thread count. A failing block is replayed one sample at a
-    time, and the run raises a ``SampleFailure`` naming the first sample
-    that fails alone in the first failing block.
-    Equal-squeezing plans run on the calling thread whatever ``threads`` is:
-    their blocks are chains of short numpy calls that take the interpreter
-    lock back every few microseconds, so a second worker only adds
-    contention. Per-mode plans with ``threads > 1`` run their blocks on a
-    pool of that many workers. Pin the process's BLAS to one thread before
-    numpy loads (as ``gbs_page.cli`` does), or each worker's BLAS calls
-    start threads that compete with the other workers.
+    row i is sample i and column j the order ``plan.alphas[j]``, from
+    ``_entropy_rows`` in the fixed blocks of ``_fill``: identical plans give
+    bit-identical tables whatever the thread count, and a failure is the
+    ``SampleFailure`` of the first sample that fails alone in the first
+    failing block. Equal-squeezing plans run on the calling thread: their
+    blocks are chains of short numpy calls that take the interpreter lock
+    back every few microseconds, so a second worker only adds contention.
+    Per-mode plans run on at most ``threads`` workers, and on no more than
+    the CPUs the process may use. Pin the process's BLAS to one thread
+    before numpy loads (as ``gbs_page.cli`` does), or each worker's BLAS
+    calls start threads that compete with the other workers.
     """
-    threads = _integer("thread count", threads, 1)
-    table = np.empty((plan.n_samples, len(plan.alphas)))
-    blocks = _blocks(plan)
-    if threads == 1 or plan.equal_squeezing:
-        for block in blocks:
-            _evaluate_block(plan, block, table)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # Draining the map raises the error of the first failing block.
-            list(pool.map(lambda block: _evaluate_block(plan, block, table), blocks))
-
+    table = _fill(plan, len(plan.alphas), lambda indices: _entropy_rows(plan, indices), threads)
     per_alpha = {}
     for a, vals in zip(plan.alphas, table.T):
         # One 1-D column at a time: a reduction over axis 0 sums in another order.
@@ -420,19 +430,11 @@ def _block_trace_powers(plan: ExperimentPlan, squares, max_power: int) -> np.nda
 def _trace_powers(plan: ExperimentPlan, max_power: int) -> np.ndarray:
     """Tr W^i, i = 1..max_power, of every sample of the plan: shape (n_samples, max_power).
 
-    Tr W^i does not depend on squeezing. Each block of ``_blocks`` draws
-    its squared bidiagonals as an equal-squeezing block does, and a failing
-    block names its first failing sample (``_named``).
+    Tr W^i does not depend on squeezing. Each block draws its squared
+    bidiagonals as an equal-squeezing block does.
     """
-    out = np.empty((plan.n_samples, max_power))
-
-    def traces(indices):
-        out[indices.start:indices.stop] = _block_trace_powers(plan, _squares(plan, indices),
-                                                              max_power)
-
-    for block in _blocks(plan):
-        _named(block, traces)
-    return out
+    return _fill(plan, max_power, lambda indices: _block_trace_powers(
+        plan, _squares(plan, indices), max_power))
 
 
 def _trace_cov(trw: np.ndarray) -> np.ndarray:
@@ -497,17 +499,14 @@ def s2_variance_identity(n: int, r: float, s: float, d_max: int, n_samples: int,
     s = _real("squeezing strength", s)
     plan = ExperimentPlan.from_ratio(n, r, squeezing=s, alphas=(2,), master_seed=seed,
                                      n_samples=_integer("n_samples", n_samples, 2))
-    table = np.empty((plan.n_samples, 1))
-    trw = np.empty((plan.n_samples, d_max - 1))
 
     def draw(indices):
         squares = _squares(plan, indices)
-        table[indices.start:indices.stop] = _equal_rows(plan, squares)
-        trw[indices.start:indices.stop] = _block_trace_powers(plan, squares, d_max - 1)
+        return np.hstack([_equal_rows(plan, squares),
+                          _block_trace_powers(plan, squares, d_max - 1)])
 
-    for block in _blocks(plan):
-        _named(block, draw)
-    s2 = table[:, 0]
+    table = _fill(plan, d_max, draw)
+    s2, trw = table[:, 0], table[:, 1:]
     t2 = np.tanh(2.0 * plan.squeezing) ** 2
     weights = 0.25 * t2 ** np.arange(2, d_max + 1)
 

@@ -80,7 +80,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .entropy import (_MAX_SQUEEZING, _check_alpha, _check_ratio, _check_squeezing, _integer,
-                      _order_rule, _real)
+                      _order_rule, _real, _side)
 
 __all__ = [
     "ASYMPTOTIC",
@@ -146,7 +146,7 @@ def _realized_ratio(n, r: float) -> tuple[float, float]:
     if n is ASYMPTOTIC:
         return r, min(r, 1.0 - r)
     n = _integer("mode count", n, 1)
-    k = round(r * n)
+    k = _side(r, n)
     return k / n, min(k, n - k) / n
 
 

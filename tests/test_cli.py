@@ -540,6 +540,22 @@ def test_squeezing_beyond_float64_range_is_usage_error(capsys):
     assert code == EXIT_USAGE and "168.14" in err
 
 
+def test_a_mode_count_beyond_a_route_is_a_usage_error(capsys):
+    # Each once exited 1 (an uncaught OverflowError) or 4: r n beyond float64,
+    # or |n - 2k| beyond 2**63 - 1. Just inside, a run answers.
+    huge = "1" + "0" * 400
+    common = ("--s", "0.5", "--alphas", "1,2", "--samples", "2", "--seed", "1")
+    for argv in (("analytic", "--alpha", "2", "--s", "0.5", "--n", huge, "--r-grid", "0.5:0.5:1"),
+                 ("simulate", "--n", huge, "--r", "0.5", *common),
+                 ("simulate", "--n", "9223372036854775814", "--k", "3", *common)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"error: mode count n={argv[argv.index('--n') + 1]} is beyond")
+    for n in ("9223372036854775808", "9223372036854775813"):
+        code, _, err = run_cli(capsys, "simulate", "--n", n, "--k", "3", *common)
+        assert code == EXIT_OK, err
+
+
 def test_simulate_answers_just_inside_the_float64_range(capsys):
     # Both once exited 4: a pivot recurrence that overflowed below the limits.
     for n, k, s, alphas, samples in (("8", "4", "168.1", "1,2", "4"),

@@ -100,14 +100,33 @@ def test_equal_squeezing_runs_on_the_calling_thread(monkeypatch):
 
 def test_per_mode_plans_start_a_pool_of_threads(monkeypatch):
     # The one other case of the thread rule: a per-mode plan runs on a pool
-    # of ``threads`` workers when threads > 1, with the one-thread table.
+    # of ``threads`` workers, at most one per usable CPU, with the one-thread
+    # table. A single worker runs on the calling thread.
     pools = _recording_pools(monkeypatch)
     plan = ExperimentPlan(n=12, k=5, squeezing=tuple(np.linspace(0.0, 0.5, 12)),
                           alphas=(1, 2), n_samples=5, master_seed=2)
     want, _ = run_experiment(plan, threads=1)
     assert pools == []
     assert np.array_equal(run_experiment(plan, threads=3)[0], want)
-    assert pools == [3]
+    workers = min(3, montecarlo._usable_cpus())
+    assert pools == ([workers] if workers > 1 else [])
+
+
+def test_the_pool_never_outgrows_the_cpus_or_the_blocks(monkeypatch):
+    # With two usable CPUs, 64 requested threads start two workers for 21
+    # pairs, and a plan of one pair starts none: the bound costs no result.
+    pools = _recording_pools(monkeypatch)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    squeezing = tuple(np.linspace(0.0, 0.5, 12))
+    plan = ExperimentPlan(n=12, k=5, squeezing=squeezing, alphas=(1, 2), n_samples=41,
+                          master_seed=2)
+    assert len(montecarlo._blocks(plan)) == 21
+    assert np.array_equal(run_experiment(plan, threads=64)[0], run_experiment(plan)[0])
+    assert pools == [2]
+    pair = ExperimentPlan(n=12, k=5, squeezing=squeezing, alphas=(1, 2), n_samples=2,
+                          master_seed=2)
+    assert np.array_equal(run_experiment(pair, threads=64)[0], run_experiment(pair)[0])
+    assert pools == [2]
 
 
 def test_determinism_and_thread_independence():
@@ -715,9 +734,8 @@ def test_blocks_match_one_sample_at_a_time_for_any_thread_count():
     plan = ExperimentPlan(n=400, k=200, squeezing=0.5, alphas=(1, 2, 3), n_samples=size + 7,
                           master_seed=8)
     assert [len(b) for b in montecarlo._blocks(plan)] == [size, 7]
-    single = np.empty((plan.n_samples, 3))
-    for i in range(plan.n_samples):
-        montecarlo._evaluate_block(plan, range(i, i + 1), single)
+    single = np.vstack([montecarlo._entropy_rows(plan, range(i, i + 1))
+                        for i in range(plan.n_samples)])
     for threads in (1, 2, 3):
         assert np.array_equal(run_experiment(plan, threads=threads)[0], single)
 
@@ -737,12 +755,12 @@ def test_blocks_cover_every_index_and_depend_on_the_plan_alone(monkeypatch, n, k
     assert [i for b in montecarlo._blocks(per_mode) for i in b] == list(range(11))
     assert [len(b) for b in montecarlo._blocks(per_mode)] == [2] * 5 + [1]
 
-    evaluate = montecarlo._evaluate_block
+    evaluate = montecarlo._entropy_rows
     small = ExperimentPlan(n=n, k=k, squeezing=0.5, n_samples=size + 3)
     seen = {}
     for threads in (1, 3):
-        monkeypatch.setattr(montecarlo, "_evaluate_block", lambda plan, block, table: (
-            seen.setdefault(threads, []).append(block) or evaluate(plan, block, table)))
+        monkeypatch.setattr(montecarlo, "_entropy_rows", lambda plan, block: (
+            seen.setdefault(threads, []).append(block) or evaluate(plan, block)))
         run_experiment(small, threads=threads)
     assert sorted(seen[1], key=min) == sorted(seen[3], key=min) == montecarlo._blocks(small)
 
@@ -759,9 +777,8 @@ def test_pairs_match_one_sample_at_a_time_for_any_thread_count(n, k):
     plan = ExperimentPlan(n=n, k=k, squeezing=PER_MODE_S[:n], alphas=(1, 2, 3), n_samples=7,
                           master_seed=8)
     assert [len(b) for b in montecarlo._blocks(plan)] == [2, 2, 2, 1]
-    single = np.empty((plan.n_samples, 3))
-    for i in range(plan.n_samples):
-        montecarlo._evaluate_block(plan, range(i, i + 1), single)
+    single = np.vstack([montecarlo._entropy_rows(plan, range(i, i + 1))
+                        for i in range(plan.n_samples)])
     m = min(k, n - k)
     for index, row in enumerate(single):
         nu = (symplectic_eigenvalues(reduced_covariance_general(
@@ -872,6 +889,21 @@ def test_plan_validation():
     assert plan.k == 3 and plan.realized_r == pytest.approx(0.3)
     with pytest.raises(ValueError):
         run_experiment(ExperimentPlan(n=4, k=2, squeezing=0.5), threads=0)
+
+
+def test_plan_refuses_a_mode_count_beyond_the_draws_range():
+    # The Jacobi draw takes |n - 2k| up to 2**63 - 1, and from_ratio forms
+    # r n as a float64. Up to that bound a sample answers, also where the
+    # draw's int64 parameters once wrapped (n = 2**63 + 5, k = 3) or could
+    # not be formed (k = 0 and 1).
+    limit = 2**63 - 1
+    with pytest.raises(ValueError, match=rf"^mode count n={limit + 7} is beyond"):
+        ExperimentPlan(n=limit + 7, k=3, squeezing=0.5)
+    with pytest.raises(ValueError, match=r"^mode count n=10{400} is beyond float64"):
+        ExperimentPlan.from_ratio(n=10**400, r=0.5, squeezing=0.5)
+    for n, k in ((limit + 6, 3), (limit, 0), (limit + 1, 1), (limit + 1, 3)):
+        table, _ = run_experiment(ExperimentPlan(n=n, k=k, squeezing=0.5, n_samples=2))
+        assert np.isfinite(table).all() and (table > 0).all() == (k > 0)
 
 
 def test_from_ratio_reads_n_by_the_integer_rule():

@@ -628,6 +628,13 @@ def test_page_limit_reproduces_the_four_laws():
             page_limit(*bad)
 
 
+def test_a_mode_count_beyond_float64_is_refused():
+    # k = round(r n) needs r n as a float64: n = 10**400 is named, 10**308 answers.
+    with pytest.raises(ValueError, match=r"^mode count n=10{400} is beyond float64"):
+        page_average(2, 10**400, 0.5, 0.5)
+    assert page_average(2, 10**308, 0.5, 0.5, tol=1e300).realized_r == 0.5
+
+
 def test_validation():
     # Order 1 is the von Neumann average, to the bit, under any integral
     # spelling of 1 (the 50-digit integrals are 19.58796838711631644 and
