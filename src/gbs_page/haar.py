@@ -41,7 +41,7 @@ def _check_shape(n: int, k: int) -> tuple[int, int]:
     if not 0 <= k <= n:
         raise ValueError(f"subsystem size k={k} out of range [0, {n}]")
     if abs(n - 2 * k) > 2**63 - 1:
-        raise ValueError(f"mode count n={n} is beyond the range of the Jacobi draw at k={k}: "
+        raise ValueError(f"mode count n={n} is beyond the samplers' range at k={k}: "
                          f"|n - 2k| > 2**63 - 1")
     return n, k
 
@@ -136,11 +136,14 @@ def _bidiagonal_squares(
     diag = np.empty((indices.size, m))
     sup = np.empty((indices.size, max(m - 1, 0)))
     a, b = abs(n - 2 * k), 1
-    i = np.arange(1.0, m + 1)  # float, so that a + i cannot wrap around as an int64 would
+    # Python ints: each parameter is formed exactly and rounded to float64 once.
+    i = np.arange(1, m + 1, dtype=object)
+    c_shape = ((a + i) / 2).astype(float), ((b + i) / 2).astype(float)
+    cp_shape = (i[:-1] / 2).astype(float), ((a + b + 1 + i[:-1]) / 2).astype(float)
     for row, index in enumerate(indices.tolist()):
         rng = sample_generator(master_seed, index)
-        c2 = rng.beta((a + i) / 2, (b + i) / 2)
-        cp2 = rng.beta(i[:-1] / 2, (a + b + 1 + i[:-1]) / 2)
+        c2 = rng.beta(*c_shape)
+        cp2 = rng.beta(*cp_shape)
         diag[row] = c2[::-1] * np.append(1.0, 1.0 - cp2[::-1])
         sup[row] = (1.0 - c2[:0:-1]) * cp2[::-1]
     return diag, sup

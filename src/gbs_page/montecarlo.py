@@ -98,7 +98,7 @@ class ExperimentPlan:
     von Neumann entropy; the plan keeps them sorted and distinct, the column
     order of ``run_experiment``'s table. The integer fields take integral
     values only (6 or 6.0, not 6.7 or True), ``master_seed`` must be >= 0,
-    0 <= k <= n and |n - 2k| <= 2**63 - 1 (the Jacobi draw's range); an
+    0 <= k <= n and |n - 2k| <= 2**63 - 1 (the samplers' range); an
     empty side (k = 0 or n) has every entropy 0. The squeezing must be
     finite, and an equal one must lie within the float64 range of the
     log-determinant route (|s| <= 168.14 with order 1, 177.79 without).

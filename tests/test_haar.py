@@ -9,7 +9,7 @@ from oracles import (
 )
 from scipy.special import digamma
 
-from gbs_page import haar_frame, sample_generator
+from gbs_page import haar, haar_frame, sample_generator
 from gbs_page.haar import _LEAF, _bidiagonal_squares, _ginibre, _solve_adjoint
 
 
@@ -221,6 +221,37 @@ def test_integer_spellings_give_the_same_streams():
 def test_samplers_name_a_bad_integer(function, args, message):
     with pytest.raises(ValueError, match=message):
         function(*args)
+
+
+def test_beta_parameters_are_exact_and_rounded_once(monkeypatch):
+    # Each Beta parameter of the Jacobi draw is its exact value rounded to
+    # float64 once, as an int64 sum gave wherever it did not wrap: at
+    # n = 2**53 + 3, k = 1 the first is (2**53 + 2) / 2 = 2**52 + 1, which
+    # float(a) + 1 would round to 2**52. (2**63 + 5, 3) is where int64 wrapped.
+    calls = []
+
+    class Recording:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def beta(self, p, q):
+            calls.append((p, q))
+            return self.rng.beta(p, q)
+
+    monkeypatch.setattr(haar, "sample_generator",
+                        lambda seed, index: Recording(sample_generator(seed, index)))
+    for n, k in ((2**53 + 3, 1), (2**53 + 7, 2), (2**63 + 5, 3), (41, 17)):
+        calls.clear()
+        _bidiagonal_squares(n, k, 6, [0, 1])
+        a, m = abs(n - 2 * k), min(k, n - k)
+        c = [[(a + i) / 2 for i in range(1, m + 1)], [(1 + i) / 2 for i in range(1, m + 1)]]
+        cp = [[i / 2 for i in range(1, m)], [(a + 2 + i) / 2 for i in range(1, m)]]
+        assert len(calls) == 4
+        for (p, q), exact in zip(calls, (c, cp, c, cp)):
+            assert p.dtype == q.dtype == float
+            assert p.tolist() == exact[0] and q.tolist() == exact[1]
+        if n == 2**53 + 3:
+            assert calls[0][0].tolist() == [2.0**52 + 1]
 
 
 def _z(values, exact):

@@ -892,8 +892,8 @@ def test_plan_validation():
 
 
 def test_plan_refuses_a_mode_count_beyond_the_draws_range():
-    # The Jacobi draw takes |n - 2k| up to 2**63 - 1, and from_ratio forms
-    # r n as a float64. Up to that bound a sample answers, also where the
+    # The samplers take |n - 2k| up to 2**63 - 1, and from_ratio forms r n
+    # as a float64. Up to that bound a sample answers, also where the Jacobi
     # draw's int64 parameters once wrapped (n = 2**63 + 5, k = 3) or could
     # not be formed (k = 0 and 1).
     limit = 2**63 - 1
