@@ -31,10 +31,13 @@ callers who run per-mode plans set it themselves too.
 
 This module only turns text into arguments; the library checks every
 parameter. Exit codes: 0 success, 2 invalid flags, config or parameter (any
-``ValueError``, such as a non-finite ``--s`` or a ``--tol`` below the
-float64 error bound) or an unwritable output path, 4 only a numerical
-failure inside a sample. Numeric output is full-precision (17 significant
-digits); identical invocations produce byte-identical files.
+``ValueError``, such as a non-finite ``--s``, a squeezing or mode count
+beyond the float64 range of its route, or a ``--tol`` below the float64
+error bound), a request larger than memory (a ``MemoryError``, such as a
+sample table or an order's shift rule that cannot be allocated) or an
+unwritable output path, 4 only a numerical failure inside a sample.
+Numeric output is full-precision (17 significant digits); identical
+invocations produce byte-identical files.
 """
 
 import os
@@ -561,6 +564,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a request larger than memory, such as numpy's table
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:  # reading an input raises a ValueError; this is an output
         print(f"error: cannot write {exc.filename or 'stdout'}: {exc.strerror or exc}",

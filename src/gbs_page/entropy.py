@@ -12,7 +12,7 @@ and its alpha -> 1 limit, order 1, is the von Neumann entropy sum_j g(nu_j) with
 A Renyi order is any integer >= 1 (``_check_alpha``), so every function
 here, and every average and limit law built on them, takes order 1 as the
 von Neumann entropy. ``_integer`` and ``_real`` read every integer and real
-parameter of the package, and ``_check_squeezing`` every equal squeezing.
+parameter, ``_mode_count`` every n and ``_check_squeezing`` every s.
 The entropy of a spectrum is a sum of vectorized per-mode entropies
 (``renyi_mode_entropy``); ``spectrum_entropies`` evaluates several orders
 of one spectrum after one check of it. All three read a spectrum through
@@ -60,13 +60,17 @@ __all__ = ["bidiagonal_entropies", "renyi_entropy", "renyi_mode_entropy",
 _VN_STEP = 0.25
 _VN_REACH = 20.0
 
-# Largest |s| whose log-determinant shifts are finite floats: sinh^2(2s) for
-# the orders >= 2 (177.79), and sinh^2(2s) cosh^2(_VN_REACH) at the last
-# order-1 node (168.14). The analytic average needs only the square roots
-# of the shifts, so it answers up to _MAX_SQUEEZING at every order.
-_FLOAT_ROOT = float(np.sqrt(np.finfo(float).max))
-_MAX_SQUEEZING = float(np.arcsinh(_FLOAT_ROOT)) / 2
-_VN_MAX_SQUEEZING = float(np.arcsinh(_FLOAT_ROOT / np.cosh(_VN_REACH))) / 2
+_FLOAT_MAX = float(np.finfo(float).max)  # where every input range of the package ends
+
+
+@lru_cache(maxsize=None)
+def _squeezing_limit(power: int, von_neumann: bool) -> float:
+    """Largest |s| with each (sinh(2s) a_j)^power finite, a_j <= cosh(_VN_REACH) or 1."""
+    a_max = math.cosh(_VN_REACH) if von_neumann else 1.0
+    return math.asinh(_FLOAT_MAX ** (1 / power) / a_max) / 2
+
+
+_MAX_SQUEEZING = _squeezing_limit(2, False)  # c = sinh^2(2s) is finite up to |s| = 177.79
 
 
 def _as_spectrum(nu) -> np.ndarray:
@@ -112,11 +116,14 @@ def _real(name: str, value) -> float:
         raise ValueError(f"{name} must be a real number, got {value!r}") from None
 
 
-def _check_squeezing(s) -> float:
-    """An equal squeezing strength: a finite real, read through ``_real``."""
+def _check_squeezing(s, limit: float) -> float:
+    """A squeezing strength read through ``_real``: finite, |s| <= its route's ``limit``."""
     s = _real("squeezing strength", s)
     if not math.isfinite(s):
         raise ValueError(f"squeezing strength must be finite, got {s!r}")
+    if abs(s) > limit:
+        raise ValueError(f"squeezing strength {s!r} is beyond the float64 range of this "
+                         f"computation: its terms overflow above |s| = {limit:.2f}")
     return s
 
 
@@ -127,13 +134,17 @@ def _check_ratio(r: float) -> float:
     return r
 
 
+def _mode_count(n, name: str = "mode count") -> int:
+    """A mode count: an integer from 1 to the largest float64, so that r n is a float."""
+    n = _integer(name, n, 1)
+    if n > _FLOAT_MAX:
+        raise ValueError(f"mode count n of {n.bit_length()} bits is beyond float64")
+    return n
+
+
 def _side(r: float, n: int) -> int:
-    """k = round(r n), ties to even, of a checked ratio and mode count; n must fit in float64."""
-    try:
-        return round(r * n)
-    except OverflowError:
-        raise ValueError(f"mode count n={n} is beyond float64, so k = round(r n) "
-                         f"cannot be formed") from None
+    """k = round(r n), ties to even, of a checked ratio and mode count (``_mode_count``)."""
+    return round(r * n)
 
 
 def _check_alpha(alpha, minimum: int = 1) -> int:
@@ -257,25 +268,15 @@ def _order_rule(alpha: int, c: float) -> tuple[np.ndarray, np.ndarray, tuple]:
 def _shift_rule(s: float, orders) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each order's shifts x_j >= 0 and weights w_j, in the order given: S_alpha = sum w L(x).
 
-    Raises ValueError for a non-finite s, and for an s whose largest shift
-    overflows (|s| above ``_VN_MAX_SQUEEZING`` with order 1, above
-    ``_MAX_SQUEEZING`` without).
+    Raises ValueError for a non-finite s and for one whose largest shift
+    would overflow: |s| above 168.14 with order 1, 177.79 without.
     """
-    s = _check_squeezing(s)
-    with np.errstate(over="ignore"):  # an overflowing shift is reported below
-        sinh = float(np.sinh(2.0 * s))
-        c = sinh * sinh
-        rule = []
-        for alpha in orders:
-            factors, weights, _ = _order_rule(alpha, c)
-            # c cosh^2 t at order 1, c sin^2(pi j/alpha) above
-            rule.append(((sinh * factors) ** 2 if alpha == 1 else c * factors**2, weights))
-    if not all(np.isfinite(shifts[-1]) for shifts, _ in rule):
-        limit = _VN_MAX_SQUEEZING if 1 in orders else _MAX_SQUEEZING
-        raise ValueError(f"squeezing strength {s!r} is beyond the float64 range of the "
-                         f"log-determinant route for orders {sorted(set(orders))}: its shifts "
-                         f"overflow above |s| = {limit:.2f}")
-    return rule
+    s = _check_squeezing(s, _squeezing_limit(2, 1 in orders))
+    sinh = float(np.sinh(2.0 * s))
+    c = sinh * sinh
+    rules = [(alpha, *_order_rule(alpha, c)) for alpha in orders]
+    # factors a_j, weights w_j; shifts c cosh^2 t at order 1, c sin^2(pi j/alpha) above
+    return [((sinh * a) ** 2 if alpha == 1 else c * a**2, w) for alpha, a, w, _ in rules]
 
 
 def _log_dets(diag: np.ndarray, sup: np.ndarray, shifts: np.ndarray) -> np.ndarray:

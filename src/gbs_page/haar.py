@@ -13,7 +13,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .entropy import _integer
+from .entropy import _integer, _mode_count
 
 __all__ = ["haar_frame", "sample_generator"]
 
@@ -36,13 +36,10 @@ def sample_generator(master_seed: int, sample_index: int) -> np.random.Generator
 
 
 def _check_shape(n: int, k: int) -> tuple[int, int]:
-    n = _integer("mode count", n, 1)
+    n = _mode_count(n)
     k = _integer("subsystem size k", k)
     if not 0 <= k <= n:
         raise ValueError(f"subsystem size k={k} out of range [0, {n}]")
-    if abs(n - 2 * k) > 2**63 - 1:
-        raise ValueError(f"mode count n={n} is beyond the samplers' range at k={k}: "
-                         f"|n - 2k| > 2**63 - 1")
     return n, k
 
 

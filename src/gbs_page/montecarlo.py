@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import (_check_alpha, _check_ratio, _integer, _real, _shift_rule, _side,
-                      bidiagonal_entropies, spectrum_entropies)
+from .entropy import (_MAX_SQUEEZING, _check_alpha, _check_ratio, _check_squeezing, _integer,
+                      _mode_count, _real, _shift_rule, _side, bidiagonal_entropies,
+                      spectrum_entropies)
 from .haar import _bidiagonal_squares, _check_shape, haar_frame
 from .states import reduced_covariance_general
 from .symplectic import _gram, _gram_spectrum
@@ -98,10 +99,10 @@ class ExperimentPlan:
     von Neumann entropy; the plan keeps them sorted and distinct, the column
     order of ``run_experiment``'s table. The integer fields take integral
     values only (6 or 6.0, not 6.7 or True), ``master_seed`` must be >= 0,
-    0 <= k <= n and |n - 2k| <= 2**63 - 1 (the samplers' range); an
-    empty side (k = 0 or n) has every entropy 0. The squeezing must be
-    finite, and an equal one must lie within the float64 range of the
-    log-determinant route (|s| <= 168.14 with order 1, 177.79 without).
+    n at most the largest float64 and 0 <= k <= n; an empty side (k = 0 or
+    n) has every entropy 0. The squeezing must be finite and within float64:
+    |s| <= 168.14 with order 1 and 177.79 without at equal squeezing (the
+    shifts), every |s_i| <= 177.79 per mode (nu^2 <= cosh^2(2 s_i)).
     Known limit: per-mode plans with one input squeezed to s_0 >= 12.75 and
     the rest in vacuum can fail, with a symplectic eigenvalue below
     1 - 1e-6 (at (n, k) = (12, 10) and (40, 38), seed 4).
@@ -138,11 +139,13 @@ class ExperimentPlan:
             raise ValueError(f"squeezing vector has {len(squeezing)} entries for n={self.n}")
         elif not np.isfinite(squeezing).all():
             raise ValueError("squeezing strengths must be finite")
+        else:
+            _check_squeezing(max(squeezing, key=abs), _MAX_SQUEEZING)
 
     @classmethod
     def from_ratio(cls, n: int, r: float, **kwargs) -> "ExperimentPlan":
         """Build a plan from a partition ratio; k = round(r n), ties to even."""
-        return cls(n=n, k=_side(_check_ratio(r), _integer("n", n, 1)), **kwargs)
+        return cls(n=n, k=_side(_check_ratio(r), _mode_count(n, "n")), **kwargs)
 
     @property
     def realized_r(self) -> float:

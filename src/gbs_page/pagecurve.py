@@ -45,8 +45,8 @@ in log space, from y = sqrt(x), v = 1/y, h_1 = hypot(1, v), h_g = hypot(g, v):
     rq^2 x / B = 2 rq^2 / (v^2 + g + h_1 h_g),
     ln((1 + x) / (1 + g^2 x)) = 2 log1p(c / (h_g (h_1 + h_g))),
 
-so order 1 answers up to |s| = 177.79 like the others, though its largest
-shifts (sinh(2s) cosh t)^2 overflow from |s| = 168.14.
+so the sums need only the roots sinh(2s) a_j: they answer up to |s| = 355.24
+(345.58 at order 1), the Monte Carlo, which forms shifts, to 177.79 (168.14).
 
 Evaluation
 ----------
@@ -79,8 +79,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import (_MAX_SQUEEZING, _check_alpha, _check_ratio, _check_squeezing, _integer,
-                      _order_rule, _real, _side)
+from .entropy import (_check_alpha, _check_ratio, _check_squeezing, _mode_count, _order_rule,
+                      _real, _side, _squeezing_limit)
 
 __all__ = [
     "ASYMPTOTIC",
@@ -145,7 +145,7 @@ def _realized_ratio(n, r: float) -> tuple[float, float]:
     """
     if n is ASYMPTOTIC:
         return r, min(r, 1.0 - r)
-    n = _integer("mode count", n, 1)
+    n = _mode_count(n)
     k = _side(r, n)
     return k / n, min(k, n - k) / n
 
@@ -221,8 +221,9 @@ def page_average(alpha, n, s: float, r: float, tol: float = DEFAULT_TOL) -> Page
     ``n=ASYMPTOTIC`` returns the per-mode curve; the value is exactly zero at
     s = 0 and at r in {0, 1}. ``s``, ``r`` and ``tol`` are read through
     float(), and one that float() cannot read raises ValueError naming it.
-    Raises ValueError too for an s that is not finite or whose sinh^2(2s)
-    overflows float64 (|s| above 177.79), and for a ``tol`` below the
+    Raises ValueError too for an s that is not finite or whose roots
+    sinh(2s) a_j overflow (|s| above 355.24, 345.58 at order 1, checked also
+    at an empty side), and for a ``tol`` below the
     value's float64 error bound ``trunc_err``. The sums behind the value
     are memoised on (alpha, |sinh(2s)|, min(k, n - k)/n), at most
     ``_MEMO_SIZE`` of them; every check and refusal is made on each call,
@@ -231,13 +232,10 @@ def page_average(alpha, n, s: float, r: float, tol: float = DEFAULT_TOL) -> Page
     alpha = _check_alpha(alpha)
     r = _check_ratio(r)
     tol = _check_tol(tol)
-    s = _check_squeezing(s)
+    s = _check_squeezing(s, _squeezing_limit(1, alpha == 1))
     realized, rq = _realized_ratio(n, r)
     if s == 0 or rq == 0:
         return PageCurveValue(0.0, 0, 0.0, realized)
-    if abs(s) > _MAX_SQUEEZING:
-        raise ValueError(f"squeezing strength {s!r} is beyond the float64 range of the "
-                         f"average: sinh^2(2s) overflows above |s| = {_MAX_SQUEEZING:.2f}")
     per_mode, edge, nodes = _cell_terms(alpha, abs(math.sinh(2.0 * s)), rq)
     if n is ASYMPTOTIC:
         scale, edge = 1.0, 0.0
@@ -288,4 +286,4 @@ def renyi_unequal_small(alpha, r: float, s_vec) -> float:
         raise ValueError("squeezing vector is empty")
     if not np.all(np.isfinite(s)):
         raise ValueError("squeezing strengths must be finite")
-    return alpha / (alpha - 1.0) * r * (1.0 - r) * float(np.sum(s**2))
+    return page_limit(alpha, "small", r)[0] * float(np.sum(s**2))

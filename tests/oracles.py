@@ -60,7 +60,6 @@ traces from a second draw of the same samples (``_trace_powers``), and one
 """
 
 import functools
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -589,14 +588,23 @@ def page_average_two_pass(alpha, n, s: float, r: float,
 
 
 def _mode_entropy_mpmath(alpha: int, sinh2, t):
-    """Order-alpha entropy of one mode with nu^2 = 1 + sinh2 t, in mpmath."""
+    """Order-alpha entropy of one mode with nu^2 = 1 + sinh2 t, in mpmath, from positive terms.
+
+    With a = (nu - 1)/2, formed without cancellation, (nu + 1)/2 = 1 + a and
+    ((nu+1)^alpha - (nu-1)^alpha) / 2^alpha = sum_{j<alpha} (1 + a)^(alpha-1-j) a^j,
+    which less 1 is expm1((alpha - 1) log1p(a)) plus the terms j >= 1; order
+    1 is ln(1 + a) + a ln(1 + 1/a). Nothing cancels at weak or at strong
+    squeezing, so the working precision needs no further digits.
+    """
     nu = mpmath.sqrt(1 + sinh2 * t)
-    plus, minus = nu + 1, sinh2 * t / (nu + 1)  # nu + 1, and nu - 1 without cancellation
+    a = sinh2 * t / (2 * (nu + 1))
     if alpha > 1:
-        return mpmath.log((plus**alpha - minus**alpha) / 2**alpha) / (alpha - 1)
-    if minus == 0:
+        rest = mpmath.expm1((alpha - 1) * mpmath.log1p(a)) + mpmath.fsum(
+            (1 + a) ** (alpha - 1 - j) * a**j for j in range(1, alpha))
+        return mpmath.log1p(rest) / (alpha - 1)
+    if a == 0:
         return mpmath.mpf(0)
-    return plus / 2 * mpmath.log(plus / 2) - minus / 2 * mpmath.log(minus / 2)
+    return mpmath.log1p(a) + a * mpmath.log1p(1 / a)
 
 
 def page_average_mpmath(alpha, n, s: float, r: float, dps: int = 50):
@@ -604,14 +612,14 @@ def page_average_mpmath(alpha, n, s: float, r: float, dps: int = 50):
 
     E S = n int f(l) rho(l) dl - [f(0) - f(c)]/4, per mode for
     n = ASYMPTOTIC, at the realized k/n as an exact fraction; f is the
-    closed per-mode entropy at nu(l), evaluated with the about 0.9 |s|
-    further digits that its terms cancel at strong squeezing. The integral
+    closed per-mode entropy at nu(l) as a sum of positive terms, so no
+    further digits are needed at strong squeezing. The integral
     runs in w = ln phi, phi = pi - theta, so that 1 - l = g^2 + c sin^2(phi/2):
     the layer of width about 2/sinh(2s) in which nu -> 1 at r = 1/2 is an
     interval of length one in w, and tanh-sinh takes the w range in pieces
     of length about 6. Returns an mpmath number.
     """
-    with mpmath.workdps(dps + math.ceil(0.9 * abs(s))):
+    with mpmath.workdps(dps):
         if n is ASYMPTOTIC:
             rq = mpmath.mpf(min(r, 1.0 - r))
         else:

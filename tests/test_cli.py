@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 import types
 
+import numpy as np
 import pytest
 from oracles import householder_frame, out_of_range_bidiagonal_squares
 
@@ -26,6 +27,7 @@ from gbs_page.cli import (
     main,
     run_figure,
 )
+from gbs_page.entropy import _FLOAT_MAX, _MAX_SQUEEZING
 from gbs_page.haar import _ginibre
 from gbs_page.pagecurve import DEFAULT_TOL, page_limit
 
@@ -532,28 +534,74 @@ def test_simulate_an_empty_side_answers_zero(capsys, cut):
 
 
 def test_squeezing_beyond_float64_range_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "analytic", "--alpha", "1", "--s", "178", "--n", "400",
-                           "--r-grid", "0.5:0.5:1")
-    assert code == EXIT_USAGE and "177.79" in err
+    # The average forms only the shift roots: it answers at s = 178 and ends
+    # at 345.58 for order 1 and 355.24 above; the Monte Carlo at 168.14.
+    analytic = ("analytic", "--n", "400", "--r-grid", "0.5:0.5:1")
+    code, _, err = run_cli(capsys, *analytic, "--alpha", "1,2", "--s", "178")
+    assert code == EXIT_OK, err
+    for alpha, s, limit in (("1", "345.6", "345.58"), ("2", "355.3", "355.24")):
+        code, _, err = run_cli(capsys, *analytic, "--alpha", alpha, "--s", s)
+        assert code == EXIT_USAGE and f"above |s| = {limit}" in err
     code, _, err = run_cli(capsys, "simulate", "--n", "8", "--k", "4", "--s", "175",
                            "--alphas", "1,2", "--samples", "2", "--seed", "1", "--threads", "1")
     assert code == EXIT_USAGE and "168.14" in err
 
 
 def test_a_mode_count_beyond_a_route_is_a_usage_error(capsys):
-    # Each once exited 1 (an uncaught OverflowError) or 4: r n beyond float64,
-    # or |n - 2k| beyond 2**63 - 1. Just inside, a run answers.
-    huge = "1" + "0" * 400
+    # Each once exited 1 (an uncaught OverflowError): r n beyond float64.
+    # Every route takes n up to the largest float64 and names a larger one by
+    # its bit length; |n - 2k| beyond 2**63 - 1, once refused, answers.
+    huge = str(10**400)
     common = ("--s", "0.5", "--alphas", "1,2", "--samples", "2", "--seed", "1")
     for argv in (("analytic", "--alpha", "2", "--s", "0.5", "--n", huge, "--r-grid", "0.5:0.5:1"),
                  ("simulate", "--n", huge, "--r", "0.5", *common),
-                 ("simulate", "--n", "9223372036854775814", "--k", "3", *common)):
+                 ("simulate", "--n", huge, "--k", "3", *common)):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
-        assert err.startswith(f"error: mode count n={argv[argv.index('--n') + 1]} is beyond")
-    for n in ("9223372036854775808", "9223372036854775813"):
+        assert err.startswith("error: mode count n of 1329 bits is beyond float64")
+    for n in ("9223372036854775808", "9223372036854775813", "9223372036854775814",
+              str(int(_FLOAT_MAX))):
         code, _, err = run_cli(capsys, "simulate", "--n", n, "--k", "3", *common)
         assert code == EXIT_OK, err
+
+
+def test_per_mode_squeezing_beyond_its_range_is_usage_error(capsys):
+    # Every |s_i| up to 177.79 (nu^2 <= cosh^2(2 s_i) finite) answers; one
+    # beyond it is refused before any sample runs. Such plans once ran, and
+    # --s=178,0,0,0 failed its first sample with exit 4.
+    common = ("simulate", "--n", "4", "--k", "2", "--alphas", "1,2", "--samples", "2",
+              "--seed", "1", "--threads", "1")
+    code, _, err = run_cli(capsys, *common, f"--s={_MAX_SQUEEZING!r},{-_MAX_SQUEEZING!r},"
+                                            f"{_MAX_SQUEEZING!r},{-_MAX_SQUEEZING!r}")
+    assert code == EXIT_OK, err
+    beyond = repr(float(np.nextafter(_MAX_SQUEEZING, np.inf)))
+    for s in ("178,0,0,0", "178,178,178,178", "0.5,0.5,0.5,-1e10", f"0,{beyond},0,0"):
+        code, out, err = run_cli(capsys, *common, f"--s={s}")
+        assert code == EXIT_USAGE and out == ""
+        assert "above |s| = 177.79" in err and "sample" not in err
+
+
+def test_a_request_larger_than_memory_is_usage_error(capsys, monkeypatch):
+    # Each once exited 1 with numpy's traceback: a sample table of 10**12
+    # rows (7.3 TiB) and order 10**11's rule of 5 * 10**10 shifts (373 GiB).
+    # Here numpy refuses any array of more than 2**23 items (64 MiB of
+    # float64) before allocating it, as it refuses one that does not fit.
+    def bounded(allocate, size):
+        def call(*args, **kwargs):
+            if size(*args) > 1 << 23:
+                raise MemoryError(f"Unable to allocate an array of {size(*args)} items")
+            return allocate(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np, "empty", bounded(np.empty, lambda shape, *_: math.prod(np.atleast_1d(shape))))
+    monkeypatch.setattr(np, "arange", bounded(np.arange, lambda *args: len(range(*args))))
+    for argv in (("simulate", "--n", "4", "--k", "2", "--s", "0.5", "--alphas", "2",
+                  "--samples", "1000000000000", "--seed", "1"),
+                 ("analytic", "--alpha", "100000000000", "--s", "0.5", "--n", "100",
+                  "--r-grid", "0.5:0.5:1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: not enough memory: Unable to allocate") and "Trace" not in err
 
 
 def test_simulate_answers_just_inside_the_float64_range(capsys):

@@ -7,7 +7,8 @@ import pytest
 from oracles import bidiagonal_entropies_mpmath, renyi_entropy_factored
 
 from gbs_page import ExperimentPlan, renyi_entropy, renyi_mode_entropy, run_experiment
-from gbs_page.entropy import _shift_rule, bidiagonal_entropies, spectrum_entropies
+from gbs_page.entropy import (_shift_rule, _squeezing_limit, bidiagonal_entropies,
+                              spectrum_entropies)
 from gbs_page.haar import _bidiagonal_squares
 
 
@@ -243,6 +244,31 @@ def test_shift_rule_floats_are_those_built_per_call():
             g = np.gcd(j, alpha)
             assert np.array_equal(shifts, c * np.sin(np.pi * (j // g) / (alpha // g)) ** 2)
             assert np.array_equal(got_weights, np.where(2 * j == alpha, 0.5, 1.0) / (alpha - 1))
+
+
+@pytest.mark.parametrize("orders", [(2,), (3,), (2, 15), (1,), (1, 2)], ids=repr)
+def test_shift_rule_refuses_exactly_the_strengths_whose_shifts_overflow(orders):
+    # The limit is decided before any shift is formed; at the limit and three
+    # floats on either side it refuses exactly where the largest shift,
+    # (sinh(2s) cosh 20)^2 with order 1 and sinh^2(2s) without, overflows.
+    limit = _squeezing_limit(2, 1 in orders)
+    assert f"{limit:.2f}" == ("168.14" if 1 in orders else "177.79")
+    below = above = limit
+    strengths = [limit]
+    for _ in range(3):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+        strengths += [float(below), float(above)]
+    finite = []
+    for s in strengths + [-x for x in strengths]:
+        with np.errstate(over="ignore"):
+            largest = (np.sinh(2.0 * s) * (np.cosh(20.0) if 1 in orders else 1.0)) ** 2
+        finite.append(bool(np.isfinite(largest)))
+        if finite[-1]:
+            assert all(np.isfinite(shifts).all() for shifts, _ in _shift_rule(s, orders))
+        else:
+            with pytest.raises(ValueError, match=rf"above \|s\| = {limit:.2f}$"):
+                _shift_rule(s, orders)
+    assert finite == [abs(s) <= limit for s in strengths] * 2
 
 
 @pytest.mark.parametrize("s", [1e-5, 0.05, 0.5, 3.0])

@@ -1,3 +1,4 @@
+import math
 import re
 import sys
 import tracemalloc
@@ -25,13 +26,15 @@ from gbs_page import (
     page_average,
     reduced_covariance_general,
     renyi_entropy,
+    renyi_mode_entropy,
     run_experiment,
     s2_variance_identity,
     symplectic_eigenvalues,
     variance_trend,
 )
 from gbs_page import montecarlo
-from gbs_page.entropy import bidiagonal_entropies, spectrum_entropies
+from gbs_page.entropy import (_FLOAT_MAX, _MAX_SQUEEZING, bidiagonal_entropies,
+                              spectrum_entropies)
 from gbs_page.haar import _bidiagonal_squares, _ginibre
 from gbs_page.symplectic import _gram_spectrum
 
@@ -892,18 +895,60 @@ def test_plan_validation():
 
 
 def test_plan_refuses_a_mode_count_beyond_the_draws_range():
-    # The samplers take |n - 2k| up to 2**63 - 1, and from_ratio forms r n
-    # as a float64. Up to that bound a sample answers, also where the Jacobi
-    # draw's int64 parameters once wrapped (n = 2**63 + 5, k = 3) or could
-    # not be formed (k = 0 and 1).
+    # The Jacobi draw forms its Beta parameters as exact Python-int quotients,
+    # and from_ratio forms r n as a float64, so a plan takes every n up to the
+    # largest float64. Beyond it the message gives n's bit length (the digits
+    # of 10**5000 once exceeded Python's int-to-str limit). Within it a
+    # sample answers, also past the former int64 bound |n - 2k| <= 2**63 - 1
+    # (n = 2**63 + 6, k = 3) and where int64 parameters once wrapped or could
+    # not be formed (2**63 + 5 with k = 3; k = 0 and 1).
+    top = int(_FLOAT_MAX)
+    for n in (top + 1, 10**400, 10**5000):
+        message = rf"^mode count n of {n.bit_length()} bits is beyond float64"
+        with pytest.raises(ValueError, match=message):
+            ExperimentPlan(n=n, k=3, squeezing=0.5)
+        with pytest.raises(ValueError, match=message):
+            ExperimentPlan.from_ratio(n=n, r=0.5, squeezing=0.5)
     limit = 2**63 - 1
-    with pytest.raises(ValueError, match=rf"^mode count n={limit + 7} is beyond"):
-        ExperimentPlan(n=limit + 7, k=3, squeezing=0.5)
-    with pytest.raises(ValueError, match=r"^mode count n=10{400} is beyond float64"):
-        ExperimentPlan.from_ratio(n=10**400, r=0.5, squeezing=0.5)
-    for n, k in ((limit + 6, 3), (limit, 0), (limit + 1, 1), (limit + 1, 3)):
+    for n, k in ((limit + 6, 3), (limit + 7, 3), (limit, 0), (limit + 1, 1), (limit + 1, 3),
+                 (top, 3), (top, 0)):
         table, _ = run_experiment(ExperimentPlan(n=n, k=k, squeezing=0.5, n_samples=2))
         assert np.isfinite(table).all() and (table > 0).all() == (k > 0)
+
+
+@pytest.mark.parametrize("n", [2**63 + 6, 10**300], ids=["2**63+6", "10**300"])
+def test_a_vast_mode_count_transmits_its_three_modes_whole(n):
+    # At k = 3 with |n - 2k| this large every squared bidiagonal entry is 1.0
+    # or 0.0 in float: each T_j = 1 and nu_j = cosh(2s), so each order is 3
+    # single-mode entropies to a few ulps, in the Monte Carlo and the average.
+    diag, sup = _bidiagonal_squares(n, 3, 2, range(4))
+    assert np.all(diag == 1.0) and np.all(sup == 0.0)
+    s, alphas = 0.5, (1, 2, 3, 15)
+    table, _ = run_experiment(ExperimentPlan(n=n, k=3, squeezing=s, alphas=alphas,
+                                             n_samples=4, master_seed=2))
+    for column, alpha in zip(table.T, alphas):
+        want = 3 * renyi_mode_entropy(math.cosh(2 * s), alpha)
+        assert column.tolist() == pytest.approx([want] * 4, rel=1e-15, abs=0)
+        assert page_average(alpha, n, s, 3 / n).value == pytest.approx(want, rel=1e-15, abs=0)
+
+
+def test_per_mode_squeezing_is_refused_beyond_the_float64_range():
+    # The largest eigenvalue of A^T A, nu^2 <= cosh^2(2 s_i), is a float up to
+    # |s_i| = 177.79 (``_MAX_SQUEEZING``): there a plan answers, with equal
+    # strengths and with alternating signs. From the next float, in any one
+    # entry, the plan is refused before any sample runs.
+    beyond = float(np.nextafter(_MAX_SQUEEZING, np.inf))
+    for n, k in ((6, 3), (9, 2)):
+        for signs in (np.ones(n), (-1.0) ** np.arange(n)):
+            squeezing = tuple(_MAX_SQUEEZING * signs)
+            table, _ = run_experiment(ExperimentPlan(n=n, k=k, squeezing=squeezing,
+                                                     alphas=(1, 2, 3), n_samples=4,
+                                                     master_seed=4))
+            assert np.isfinite(table).all() and (table > 0).all()
+            bad = (0.0,) * (n - 1) + (beyond * float(signs[-1]),)
+            with pytest.raises(ValueError, match=rf"^squeezing strength {re.escape(repr(bad[-1]))} "
+                                                 r"is beyond .* above \|s\| = 177\.79$"):
+                ExperimentPlan(n=n, k=k, squeezing=bad)
 
 
 def test_from_ratio_reads_n_by_the_integer_rule():

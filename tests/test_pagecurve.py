@@ -31,7 +31,7 @@ from gbs_page import (
     run_experiment,
     symplectic_eigenvalues,
 )
-from gbs_page.entropy import _von_neumann_count
+from gbs_page.entropy import _FLOAT_MAX, _squeezing_limit, _von_neumann_count
 
 
 def test_expected_trW_trivial():
@@ -245,12 +245,47 @@ def test_strong_squeezing_steps_add_the_large_s_law():
 
 
 def test_squeezing_beyond_float64_range_is_named():
-    # sinh^2(2s) is finite up to |s| = 177.79; there the strong law still holds.
-    near = page_average(2, ASYMPTOTIC, 177.7, 0.5).value
-    assert abs(near - page_average(2, ASYMPTOTIC, 100.0, 0.5).value - 77.7) <= 1e-9
-    for s in (177.8, -178.0, 400.0):
-        with pytest.raises(ValueError, match=r"above \|s\| = 177\.79"):
-            page_average(1, 400, s, 0.5)
+    # The sums take only the shift roots sinh(2s) a_j, finite up to |s| = 355.24
+    # at orders >= 2 and 345.58 at order 1 (last root sinh(2s) cosh 20); there
+    # the strong law still holds. Beyond, the refusal names the limit, also at
+    # an empty side.
+    for alpha, near, limit, beyond in ((2, 355.2, "355.24", (355.3, -356.0, 400.0)),
+                                       (1, 345.5, "345.58", (345.6, -350.0, 355.0))):
+        value = page_average(alpha, ASYMPTOTIC, near, 0.5).value
+        assert abs(value - page_average(alpha, ASYMPTOTIC, 100.0, 0.5).value
+                   - (near - 100.0)) <= 1e-9
+        for s in beyond:
+            for r in (0.5, 0.0):
+                with pytest.raises(ValueError, match=rf"above \|s\| = {limit}$"):
+                    page_average(alpha, 400, s, r)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 15, 50])
+def test_answers_up_to_the_float64_range_of_its_roots(alpha):
+    # At the limit and the float below it the roots are finite (a warning
+    # would fail the test) and the value lies on the strong-squeezing law
+    # 2 rq s n; at the next float they overflow, and s is refused. Orders 2
+    # and 15 sum in Python floats, 50 and 1 in numpy.
+    limit = _squeezing_limit(1, alpha == 1)
+    for s in (limit, float(np.nextafter(limit, 0.0)), -limit):
+        res = page_average(alpha, 400, s, 0.3)
+        assert res.value / (2 * 0.3 * abs(s) * 400) == pytest.approx(1.0, abs=3e-3)
+    beyond = float(np.nextafter(limit, np.inf))
+    try:
+        largest_root = math.sinh(2.0 * beyond) * (math.cosh(20.0) if alpha == 1 else 1.0)
+    except OverflowError:
+        largest_root = math.inf
+    assert largest_root == math.inf
+    with pytest.raises(ValueError, match=rf"above \|s\| = {limit:.2f}$"):
+        page_average(alpha, 400, beyond, 0.3)
+
+
+def test_matches_mpmath_beyond_the_monte_carlo_range():
+    # s = 300: c = sinh^2(2s) overflows, its square root does not.
+    for alpha in (1, 2):
+        res = page_average(alpha, 400, 300.0, 0.3)
+        exact = page_average_mpmath(alpha, 400, 300.0, 0.3, dps=20)
+        assert abs(res.value - exact) <= min(res.trunc_err, 1e-13 * abs(exact))
 
 
 def test_vn_below_old_gate_follows_small_s_law():
@@ -349,15 +384,21 @@ def test_single_pass_matches_two_pass_oracle_at_edges(args, kwargs, oracle_nodes
     ((2, 400, 0.5, 0.3), {"tol": 1e-16}),
     ((1, 400, 177.8, 0.5), {}),
     ((1, 10000, 10, 0.5), {}),
+    ((1, 400, 345.6, 0.5), {}),
+    ((2, 100, -400.0, 0.3), {}),
 ])
 def test_refusals_match_two_pass_oracle(args, kwargs):
     # A refusal at a float64 limit stands, for the same cause. Where the
     # quadrature did not settle (r = 1/2 under strong squeezing: nu -> 1 in a
     # layer of width about 2/sinh(2s), which Gauss-Legendre nodes in theta do
-    # not reach), the closed form answers at the mpmath value.
+    # not reach), or its sinh^2(2s) overflows (from |s| = 177.79) within the
+    # range of the closed form's roots sinh(2s) a_j, the closed form answers
+    # at the mpmath value.
     with pytest.raises(ValueError) as old:
         page_average_two_pass(*args, **kwargs)
-    if "did not settle" in str(old.value):
+    alpha, _, s, _ = args
+    within = abs(s) <= _squeezing_limit(1, alpha == 1)
+    if "did not settle" in str(old.value) or ("float64 range" in str(old.value) and within):
         res = page_average(*args, **kwargs)
         exact = page_average_mpmath(*args)
         assert abs(res.value - exact) <= min(res.trunc_err, 1e-13 * abs(exact))
@@ -365,7 +406,7 @@ def test_refusals_match_two_pass_oracle(args, kwargs):
     with pytest.raises(ValueError) as new:
         page_average(*args, **kwargs)
     if "float64 range" in str(old.value):
-        assert str(new.value) == str(old.value)
+        assert "float64 range" in str(new.value)
     else:
         assert "float64 resolution" in str(old.value) and "float64 resolution" in str(new.value)
 
@@ -384,17 +425,17 @@ def _outcomes(cells):
 # Orders whose rules page_average sums in Python floats: alpha // 2 shifts.
 FLOAT_ORDERS = range(2, 2 * pagecurve._FLOAT_SHIFTS + 2)
 
-# The ends of the strength range (s = +-177.7, and 177.8 beyond it), shifts
+# The ends of the strength range (s = +-355.2, and 355.3 beyond it), shifts
 # that underflow (1e-200) or put nu within a few floats of 1 (1e-8), r = 1/2
 # (g = 0) and small r, odd n, n up to 10^4 and the per-mode curve, and
 # tolerances below the value's resolution.
 FLOAT_EDGE_CELLS = [
     ((n, s, r), kwargs)
-    for s in (177.7, -177.7, 1e-200, 1e-8, 10.0)
+    for s in (355.2, -355.2, 1e-200, 1e-8, 10.0)
     for r in (0.005, 0.5)
     for n in (101, 400, 10000, ASYMPTOTIC)
     for kwargs in ({}, {"tol": 1e-16})
-] + [((400, 177.8, 0.5), {}), ((10000, 6.0, 0.5), {"tol": 1e-9})]
+] + [((400, 355.3, 0.5), {}), ((10000, 6.0, 0.5), {"tol": 1e-9})]
 
 
 @pytest.fixture
@@ -408,7 +449,7 @@ def memo():
 def _memo_key(alpha, n, s, r):
     """The memo key of a cell that reaches the sums, else None."""
     rq = pagecurve._realized_ratio(n, r)[1]
-    if s == 0 or rq == 0 or abs(s) > pagecurve._MAX_SQUEEZING:
+    if abs(s) > _squeezing_limit(1, alpha == 1) or s == 0 or rq == 0:
         return None
     return alpha, abs(math.sinh(2.0 * s)), rq
 
@@ -494,7 +535,8 @@ def test_memo_shares_mirrored_and_resized_cells(memo):
 
 def test_memo_stores_no_refusal(memo):
     # Refused before the sums: no entry, and the same error again.
-    for args in [(1, 400, 177.8, 0.5), (2, 100, -200.0, 0.3), (0, 100, 0.5, 0.3),
+    for args in [(1, 400, 345.6, 0.5), (2, 100, -400.0, 0.3), (2, 100, 400.0, 0.0),
+                 (0, 100, 0.5, 0.3),
                  (2.5, 100, 0.5, 0.3), (2, 100, 0.5, 1.5), (2, 100, 0.5, None)]:
         for _ in range(2):
             with pytest.raises(ValueError):
@@ -600,6 +642,19 @@ def test_unequal_small_formula():
     assert renyi_unequal_small(2, 0.5, np.zeros(5)) == 0.0
 
 
+def test_unequal_small_law_is_the_page_limit_coefficient():
+    # One copy of the weak-squeezing coefficient: page_limit's, which gives
+    # alpha/(alpha-1) r (1-r) sum s_i^2 to the bit.
+    svec = [0.01, -0.02, 0.03, 0.005]
+    total = float(np.sum(np.square(svec)))
+    for alpha in (2, 3, 4, 7, 15, 50):
+        for r in np.linspace(0.0, 1.0, 23):
+            r = float(r)
+            value = renyi_unequal_small(alpha, r, svec)
+            assert value == page_limit(alpha, "small", r)[0] * total
+            assert value == alpha / (alpha - 1.0) * r * (1.0 - r) * total
+
+
 def test_unequal_small_monte_carlo_quick():
     rng = np.random.default_rng(60)
     n, k, n_samples = 40, 20, 600
@@ -629,10 +684,16 @@ def test_page_limit_reproduces_the_four_laws():
 
 
 def test_a_mode_count_beyond_float64_is_refused():
-    # k = round(r n) needs r n as a float64: n = 10**400 is named, 10**308 answers.
-    with pytest.raises(ValueError, match=r"^mode count n=10{400} is beyond float64"):
-        page_average(2, 10**400, 0.5, 0.5)
-    assert page_average(2, 10**308, 0.5, 0.5, tol=1e300).realized_r == 0.5
+    # k = round(r n) needs r n as a float64: an n beyond the largest float64
+    # is named by its bit length (the digits of 10**5000 once exceeded
+    # Python's int-to-str limit), and the largest answers.
+    top = int(_FLOAT_MAX)
+    for n in (top + 1, 10**400, 10**5000):
+        with pytest.raises(ValueError, match=rf"^mode count n of {n.bit_length()} bits is "
+                                             r"beyond float64"):
+            page_average(2, n, 0.5, 0.5)
+    for n in (10**308, top):
+        assert page_average(2, n, 0.5, 0.5, tol=1e300).realized_r == 0.5
 
 
 def test_validation():
