@@ -2,9 +2,9 @@
 
 Analytic averages of the Renyi-alpha entanglement entropies (any integer
 alpha >= 1, where order 1 is the von Neumann entropy) over Haar-random
-passive circuits acting on squeezed-vacuum inputs, the corresponding
-small/large squeezing limits, and a seeded Monte-Carlo pipeline that
-cross-validates the formulas. All entropies are in nats.
+passive circuits acting on squeezed-vacuum inputs, the leading term of
+their variance, the corresponding small/large squeezing limits, and a
+seeded Monte-Carlo pipeline that cross-validates the formulas. All entropies are in nats.
 
 The public names, listed once by submodule in ``_EXPORTS``, are imported
 from their submodules on first use, so
@@ -20,16 +20,9 @@ _EXPORTS = {
     "symplectic": ("symplectic_eigenvalues",),
     "entropy": ("renyi_entropy", "renyi_mode_entropy"),
     "pagecurve": ("ASYMPTOTIC", "PageCurveValue", "page_average", "page_limit",
-                  "renyi_unequal_small"),
-    "montecarlo": (
-        "ExperimentPlan",
-        "SampleFailure",
-        "Summary",
-        "estimate_Vd",
-        "run_experiment",
-        "s2_variance_identity",
-        "variance_trend",
-    ),
+                  "page_variance", "renyi_unequal_small"),
+    "montecarlo": ("ExperimentPlan", "SampleFailure", "Summary", "run_experiment",
+                   "variance_trend"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_SOURCE)

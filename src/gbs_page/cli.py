@@ -34,7 +34,8 @@ parameter. Exit codes: 0 success, 2 invalid flags, config or parameter (any
 ``ValueError``, such as a non-finite ``--s``, a squeezing or mode count
 beyond the float64 range of its route, or a ``--tol`` below the float64
 error bound), a request larger than memory (a ``MemoryError``, such as a
-sample table or an order's shift rule that cannot be allocated) or an
+sample table, a sample's draw or an order's shift rule that cannot be
+allocated) or an
 unwritable output path, 4 only a numerical failure inside a sample.
 Numeric output is full-precision (17 significant digits); identical
 invocations produce byte-identical files.

@@ -19,10 +19,8 @@ at a time, in index order (``_fill``), and the first sample that fails
 alone aborts the whole experiment as a ``SampleFailure`` naming its
 index: the constructions are physically guaranteed to be valid states, so
 a failure indicates a bug, and silently skipping it would bias the means.
-The table holds entropies only; the variance diagnostics take Tr W^i from
-the same draws as traces of banded powers of the tridiagonal I - B^T B
-(``_trace_powers``), again with no eigensolve, and ``s2_variance_identity``
-takes both from one draw per block.
+A request larger than memory is not such a failure: its ``MemoryError``
+passes unwrapped.
 """
 
 import os
@@ -45,9 +43,7 @@ __all__ = [
     "SampleFailure",
     "Summary",
     "VarianceEstimate",
-    "estimate_Vd",
     "run_experiment",
-    "s2_variance_identity",
     "variance_trend",
 ]
 
@@ -60,9 +56,14 @@ _MONOTONE_TOL = 1e-9
 # shifts, about 90 shifts) stay a few tens of kB.
 _BLOCK_SAMPLES = 64
 
-# Indices per stacked run of bootstrap resamples: the traces they gather are
-# a few MB at the usual 11 powers.
+# Indices per stacked run of bootstrap resamples: the values they gather
+# take 512 kB.
 _BOOT_INDICES = 1 << 16
+
+# Longest float64 array numpy can make: a sample's bidiagonal row of
+# min(k, n - k) entries must fit, so that a longer one fails to allocate
+# (MemoryError) instead of failing numpy's size check.
+_LONGEST_ROW = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 # Per-mode samples per block. Two 2m x 2m Gram matrices make one stacked
 # eigvalsh of 4m values, which numpy runs without the interpreter lock from
@@ -99,8 +100,9 @@ class ExperimentPlan:
     von Neumann entropy; the plan keeps them sorted and distinct, the column
     order of ``run_experiment``'s table. The integer fields take integral
     values only (6 or 6.0, not 6.7 or True), ``master_seed`` must be >= 0,
-    n at most the largest float64 and 0 <= k <= n; an empty side (k = 0 or
-    n) has every entropy 0. The squeezing must be finite and within float64:
+    n at most the largest float64 and 0 <= k <= n, with min(k, n - k) at
+    most 2^60 - 1 (``_LONGEST_ROW``); an empty side (k = 0 or n) has every
+    entropy 0. The squeezing must be finite and within float64:
     |s| <= 168.14 with order 1 and 177.79 without at equal squeezing (the
     shifts), every |s_i| <= 177.79 per mode (nu^2 <= cosh^2(2 s_i)).
     Known limit: per-mode plans with one input squeezed to s_0 >= 12.75 and
@@ -119,6 +121,10 @@ class ExperimentPlan:
         for name, minimum in (("n", 1), ("k", None), ("n_samples", 1), ("master_seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         _check_shape(self.n, self.k)
+        m = min(self.k, self.n - self.k)
+        if m > _LONGEST_ROW:
+            raise ValueError(f"the smaller side of the cut, min(k, n - k) of {m.bit_length()} "
+                             f"bits, is beyond the longest float64 array numpy can make")
         if np.ndim(self.alphas) != 1 or len(self.alphas) == 0:
             raise ValueError(f"alphas must be a non-empty sequence of Renyi orders, "
                              f"got {self.alphas!r}")
@@ -222,17 +228,14 @@ def _per_mode_rows(plan: ExperimentPlan, block: range) -> np.ndarray:
     return rows
 
 
-def _squares(plan: ExperimentPlan, block: range) -> tuple[np.ndarray, np.ndarray]:
-    """The block's squared bidiagonals; ``ValueError`` unless every entry lies in [0, 1]."""
+def _equal_rows(plan: ExperimentPlan, block: range) -> np.ndarray:
+    """Checked entropies of the block's squared bidiagonals, one row each.
+
+    Raises ``ValueError`` unless every squared entry lies in [0, 1].
+    """
     diag, sup = _bidiagonal_squares(plan.n, plan.k, plan.master_seed, block)
     if not (np.all((diag >= 0) & (diag <= 1)) and np.all((sup >= 0) & (sup <= 1))):
         raise ValueError("squared bidiagonal entries must be finite and in [0, 1]")
-    return diag, sup
-
-
-def _equal_rows(plan: ExperimentPlan, squares) -> np.ndarray:
-    """Checked entropies of the samples whose ``_squares`` are given, one row each."""
-    diag, sup = squares
     with np.errstate(all="ignore"):  # a row that comes out unphysical fails its check
         rows = bidiagonal_entropies(diag, sup, plan.squeezing, plan.alphas)
     _check_rows(rows)
@@ -264,8 +267,9 @@ def _fill(plan: ExperimentPlan, width: int, rows_of, threads: int = 1) -> np.nda
 
     A sample's row must not depend on its block (``_blocks``). A block that
     raises runs again one sample at a time, in index order, and the first
-    sample that raises alone is the ``SampleFailure``, the only one built;
-    if none does, the replayed rows stand. The one thread rule: per-mode
+    sample that raises alone is the ``SampleFailure``, the only one built,
+    unless it raised ``MemoryError``, which passes unwrapped; if none
+    raises, the replayed rows stand. The one thread rule: per-mode
     plans run on min(threads, usable CPUs, blocks) workers, and equal
     squeezing, like a single worker, on the calling thread.
     """
@@ -278,6 +282,8 @@ def _fill(plan: ExperimentPlan, width: int, rows_of, threads: int = 1) -> np.nda
             for index in block:
                 try:
                     table[index] = rows_of(range(index, index + 1))
+                except MemoryError:
+                    raise
                 except Exception as exc:
                     raise SampleFailure(index, exc)
 
@@ -294,7 +300,7 @@ def _fill(plan: ExperimentPlan, width: int, rows_of, threads: int = 1) -> np.nda
 
 def _entropy_rows(plan: ExperimentPlan, indices: range) -> np.ndarray:
     """Checked entropies of the samples at ``indices`` (one sample too), one row each."""
-    return (_equal_rows(plan, _squares(plan, indices)) if plan.equal_squeezing
+    return (_equal_rows(plan, indices) if plan.equal_squeezing
             else _per_mode_rows(plan, indices))
 
 
@@ -343,10 +349,9 @@ def _bootstrap_ci(statistic, m: int, n_boot: int, rng: np.random.Generator) -> n
 
     Each resample draws its m indices with one ``rng.integers`` call, in
     turn. ``statistic`` maps a stack of resamples, an index array of shape
-    (resamples, m), to one value or one vector of values per resample; it
-    sees the resamples in runs of at most ``_BOOT_INDICES`` indices. The
-    result has two rows, the 2.5th and 97.5th percentiles, and one column
-    per value.
+    (resamples, m), to one value per resample; it sees the resamples in
+    runs of at most ``_BOOT_INDICES`` indices. The result is the 2.5th and
+    97.5th percentiles.
     """
     draws = [rng.integers(0, m, m) for _ in range(n_boot)]
     run = max(1, _BOOT_INDICES // m)
@@ -388,148 +393,3 @@ def variance_trend(ns, r: float, s: float, alpha: int, n_samples: int, seed: int
                                     ci_low=float(lo), ci_high=float(hi)))
     return out
 
-
-def _block_trace_powers(plan: ExperimentPlan, squares, max_power: int) -> np.ndarray:
-    """Tr W^i, i = 1..max_power, of a block's samples from its ``_squares``.
-
-    W has the eigenvalues of M = I - B11^T B11 and k - m ones. M is
-    tridiagonal: diagonal 1 - diag_i - sup_{i-1}, off-diagonal
-    -sqrt(diag_i sup_i). So M^q is symmetric with bandwidth q, kept as its
-    upper band, ``band[:, j, i] = (M^q)_{i, i+j}`` (zero past the matrix),
-    and one product with M is four updates over the block's rows. Then
-    Tr M^{2q} = <M^q, M^q>_F and Tr M^{2q-1} = <M^{q-1}, M^q>_F for
-    q <= ceil(max_power / 2): O(m max_power^2) per sample, no eigenvalues.
-    """
-    diag, sup = squares
-    rows, m = diag.shape
-    width = (max_power + 1) // 2 + 1  # diagonals of M^ceil(max_power / 2)
-    # M's diagonal alpha_i and off-diagonal beta_i = M_{i-1, i}, zero outside
-    # 0 <= i < m (beta_0 too), seen as windows: window j holds x_{i+j} at i.
-    alpha, beta = np.zeros((2, rows, m + width))
-    alpha[:, :m] = 1.0 - diag
-    alpha[:, 1:m] -= sup
-    beta[:, 1:m] = -np.sqrt(diag[:, :-1] * sup)
-    alpha, beta = (np.lib.stride_tricks.sliding_window_view(x, m, axis=1) for x in (alpha, beta))
-
-    def frobenius(a, b):
-        terms = (a * b).sum(axis=-1)
-        return terms[:, 0] + 2.0 * terms[:, 1:].sum(axis=-1)
-
-    out = np.empty((rows, max_power))
-    band = np.zeros((rows, width, m))
-    band[:, 0] = 1.0
-    for q in range(1, width):
-        prev = band  # M^{q-1}, whose top diagonal is zero
-        band = prev * alpha[:, :width]
-        band[:, 1:] += prev[:, :-1] * beta[:, 1:width]
-        band[:, :-1] += prev[:, 1:] * beta[:, 1:width]
-        band[:, 0, 1:] += prev[:, 1, :-1] * beta[:, 0, 1:]
-        out[:, 2 * q - 2] = frobenius(prev, band)
-        if 2 * q <= max_power:
-            out[:, 2 * q - 1] = frobenius(band, band)
-    return out + (plan.k - m)
-
-
-def _trace_powers(plan: ExperimentPlan, max_power: int) -> np.ndarray:
-    """Tr W^i, i = 1..max_power, of every sample of the plan: shape (n_samples, max_power).
-
-    Tr W^i does not depend on squeezing. Each block draws its squared
-    bidiagonals as an equal-squeezing block does.
-    """
-    return _fill(plan, max_power, lambda indices: _block_trace_powers(
-        plan, _squares(plan, indices), max_power))
-
-
-def _trace_cov(trw: np.ndarray) -> np.ndarray:
-    """Unbiased covariance of the traces, shape (..., N, D) -> (..., D, D).
-
-    Each stacked set of N samples is centred on its own mean and multiplied
-    by its transpose in one stacked product: the operations of
-    ``np.cov(trw, rowvar=False)``, so each set gets the floats it gives.
-    """
-    centred = trw - trw.mean(axis=-2, keepdims=True)
-    cov = np.matmul(centred.swapaxes(-1, -2), centred)
-    cov *= 1.0 / (trw.shape[-2] - 1)
-    return cov
-
-
-def _vd_from_cov(cov: np.ndarray, d_max: int) -> np.ndarray:
-    """Plug-in V_d, d = 2..d_max, of stacked trace covariances (..., d_max-1, d_max-1).
-
-    V_d adds cov(Tr W^ell, Tr W^{d-ell}) / (ell (d - ell)) in rising ell,
-    over the whole stack at once.
-    """
-    out = np.zeros(cov.shape[:-2] + (d_max - 1,))
-    for d in range(2, d_max + 1):
-        for ell in range(1, d):
-            out[..., d - 2] += cov[..., ell - 1, d - ell - 1] / (ell * (d - ell))
-    return out
-
-
-def estimate_Vd(d_max: int, n: int, r: float, n_samples: int, seed: int) -> np.ndarray:
-    """Monte-Carlo estimates of the trace-covariance constants V_d, d = 2..d_max.
-
-    V_d = sum_{ell=1}^{d-1} cov(Tr W^ell, Tr W^{d-ell}) / (ell (d-ell)),
-    estimated with unbiased sample covariances from ``n_samples >= 2``
-    draws. Independent of squeezing. At an empty side (k = round(r n) = 0
-    or n) every V_d is zero.
-    """
-    d_max = _integer("d_max", d_max, 2)
-    plan = ExperimentPlan.from_ratio(n, r, squeezing=0.0, master_seed=seed,
-                                     n_samples=_integer("n_samples", n_samples, 2))
-    return _vd_from_cov(_trace_cov(_trace_powers(plan, d_max - 1)), d_max)
-
-
-def s2_variance_identity(n: int, r: float, s: float, d_max: int, n_samples: int,
-                         seed: int, n_boot: int = 2000) -> dict:
-    """Compare Var(S_2) against its trace-covariance expansion on one run.
-
-    The exact per-sample identity S_2 = sum_i tanh^{2i}(2s)/(2i) (k - Tr W^i)
-    implies Var(S_2) = (1/4) sum_{d>=2} tanh^{2d}(2s) V_d. Both sides are
-    estimated from the same samples, each block drawn once for its S_2
-    (``run_experiment``'s blocks, entropies and row checks) and its traces,
-    each with its own percentile bootstrap CI, and ``consistent`` reports
-    whether the two intervals overlap. The resamples' trace covariances
-    come from stacked products (``_trace_cov``). The
-    d_max cut biases the model low by a relative O(tanh^{2(d_max+1)}(2s)),
-    far inside the CI widths at the intended sample counts (a paired
-    difference test would resolve that truncation bias and is deliberately
-    not used). At an empty side (k = round(r n) = 0 or n) the variance and
-    the model are 0.
-    """
-    d_max = _integer("d_max", d_max, 2)
-    n_boot = _integer("n_boot", n_boot, 1)
-    s = _real("squeezing strength", s)
-    plan = ExperimentPlan.from_ratio(n, r, squeezing=s, alphas=(2,), master_seed=seed,
-                                     n_samples=_integer("n_samples", n_samples, 2))
-
-    def draw(indices):
-        squares = _squares(plan, indices)
-        return np.hstack([_equal_rows(plan, squares),
-                          _block_trace_powers(plan, squares, d_max - 1)])
-
-    table = _fill(plan, d_max, draw)
-    s2, trw = table[:, 0], table[:, 1:]
-    t2 = np.tanh(2.0 * plan.squeezing) ** 2
-    weights = 0.25 * t2 ** np.arange(2, d_max + 1)
-
-    var_s2 = float(s2.var(ddof=1))
-    model_full = float(weights @ _vd_from_cov(_trace_cov(trw), d_max))
-
-    def resampled(idx):
-        vd = _vd_from_cov(_trace_cov(trw[idx]), d_max)
-        # One dot product per resample, the one the full sample takes.
-        return np.column_stack([s2[idx].var(axis=1, ddof=1), [weights @ row for row in vd]])
-
-    brng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(plan.master_seed, spawn_key=(0xD1FF,)))
-    )
-    var_ci, model_ci = (tuple(float(x) for x in ci) for ci in _bootstrap_ci(
-        resampled, plan.n_samples, n_boot, brng).T)
-    return {
-        "variance": var_s2,
-        "model": model_full,
-        "variance_ci": var_ci,
-        "model_ci": model_ci,
-        "consistent": var_ci[0] <= model_ci[1] and model_ci[0] <= var_ci[1],
-    }

@@ -18,7 +18,8 @@ of mass exactly rq, with no atom at l = 0. This is the paper's series
 sum_i c_i(s) (n G_i(r) - H_i(r)), with sum_i c_i x^i = f(0) - f(x), summed:
 G_i = rq - int l^i rho and H_i = c^i / 4. ``page_average`` evaluates it at
 any order, and ``page_limit`` gives its leading weak and strong squeezing
-laws.
+laws. ``page_variance`` gives the n-independent leading term of the
+entropy's variance over the same shifts.
 
 Derivation
 ----------
@@ -39,7 +40,8 @@ sum_j w_j ln((1 + x_j) / (1 + g^2 x_j)).
 No form cancels. While some shift is below 1, ln A = log1p((p x + S - 1)/2)
 with S - 1 = x (1 + g^2 + g^2 x)/(S + 1), and the edge logarithm is
 log1p(c x / (1 + g^2 x)). Once every shift is 1 or more, the sum is taken
-in log space, from y = sqrt(x), v = 1/y, h_1 = hypot(1, v), h_g = hypot(g, v):
+in log space, from y = sqrt(x), v = 1/y, h_1 = hypot(1, v), h_g = hypot(g, v)
+(``_root_terms``, which ``page_variance`` reads too):
 
     ln A = 2 ln y + ln((v^2 + p + h_1 h_g)/2),
     rq^2 x / B = 2 rq^2 / (v^2 + g + h_1 h_g),
@@ -89,6 +91,7 @@ __all__ = [
     "PageCurveValue",
     "page_average",
     "page_limit",
+    "page_variance",
     "renyi_unequal_small",
 ]
 
@@ -117,7 +120,8 @@ class PageCurveValue(NamedTuple):
     """Result of one analytic average, a named tuple of four fields.
 
     ``value`` is the total entropy in nats for finite n, or the per-mode
-    entropy for an asymptotic query. ``nodes`` is the order-1 rule's t-node
+    entropy for an asymptotic query; from ``page_variance``, the variance's
+    leading term in nats^2. ``nodes`` is the order-1 rule's t-node
     count: 0 for alpha >= 2, whose rule is exact, and at s = 0 or an empty
     side (r n rounding to 0 or n). ``trunc_err`` bounds the float64 error of
     ``value`` (``ROUNDING``). ``realized_r`` is k/n with k = round(r n) for
@@ -154,6 +158,17 @@ def _rule_constants(smallest_root, rq, g, c):
     return smallest_root < 1.0, 1.0 - 0.5 * c, g, g * g, 2.0 * rq * rq, c
 
 
+def _root_terms(y, g, lib):
+    """h_1 = hypot(1, v), h_g = hypot(g, v) and v^2 + h_1 h_g at the shift roots y, v = 1/y.
+
+    ``lib`` is ``math`` for a Python float ``y`` and ``numpy`` for an array.
+    """
+    v = 1.0 / y
+    h_1 = lib.hypot(1.0, v)
+    h_g = lib.hypot(g, v)
+    return h_1, h_g, v * v + h_1 * h_g
+
+
 def _shift_logs(y, constants, lib):
     """ln A, ln(1 + rq^2 x / B) and ln((1 + x) / (1 + g^2 x)) at the shift roots y = sqrt(x).
 
@@ -168,10 +183,7 @@ def _shift_logs(y, constants, lib):
         return (lib.log1p(0.5 * x * (p + (one_g2x + g2) / s_plus)),
                 lib.log1p(q * x / (s_plus + g * x)),
                 lib.log1p(c * x / one_g2x))
-    v = 1.0 / y
-    h_1 = lib.hypot(1.0, v)
-    h_g = lib.hypot(g, v)
-    vs = v * v + h_1 * h_g
+    h_1, h_g, vs = _root_terms(y, g, lib)
     return (2.0 * lib.log(y) + lib.log(0.5 * (vs + p)),
             lib.log1p(q / (vs + g)),
             2.0 * lib.log1p(c / (h_g * (h_1 + h_g))))
@@ -212,7 +224,7 @@ def _cell_terms(alpha: int, sinh: float, rq: float) -> tuple[float, float, int]:
         log_a, log_ratio, edge = _float_terms(pairs, sinh, rq, g, c)
     else:
         log_a, log_ratio, edge = _array_terms(factors, weights, sinh, rq, g, c)
-    return rq * log_a + g * log_ratio, edge, len(pairs) if alpha == 1 else 0
+    return float(rq * log_a + g * log_ratio), edge, len(pairs) if alpha == 1 else 0
 
 
 def page_average(alpha, n, s: float, r: float, tol: float = DEFAULT_TOL) -> PageCurveValue:
@@ -223,8 +235,9 @@ def page_average(alpha, n, s: float, r: float, tol: float = DEFAULT_TOL) -> Page
     float(), and one that float() cannot read raises ValueError naming it.
     Raises ValueError too for an s that is not finite or whose roots
     sinh(2s) a_j overflow (|s| above 355.24, 345.58 at order 1, checked also
-    at an empty side), and for a ``tol`` below the
-    value's float64 error bound ``trunc_err``. The sums behind the value
+    at an empty side), for an n whose n times per-mode value is beyond
+    float64, and for a ``tol`` below the value's float64 error bound
+    ``trunc_err``. The sums behind the value
     are memoised on (alpha, |sinh(2s)|, min(k, n - k)/n), at most
     ``_MEMO_SIZE`` of them; every check and refusal is made on each call,
     and no refusal is stored (module docstring, "Evaluation").
@@ -242,11 +255,70 @@ def page_average(alpha, n, s: float, r: float, tol: float = DEFAULT_TOL) -> Page
     else:
         scale = float(n)
     value = scale * per_mode - 0.25 * edge
+    if math.isinf(value):
+        raise ValueError(f"the average at n = {scale:.6g} is beyond float64: "
+                         f"n times its per-mode value {per_mode:.6g} overflows")
     err = ROUNDING * (scale * per_mode + 0.25 * edge)
     if tol < err:
         raise ValueError(f"tolerance {tol:.3g} is below the float64 resolution of this value "
                          f"({value:.6g}, error bound {err:.3g}): request a larger one")
     return PageCurveValue(float(value), nodes, float(err), realized)
+
+
+def page_variance(alpha, s: float, r: float) -> PageCurveValue:
+    """Variance of the order-alpha entropy (1 = von Neumann): its n-independent leading term.
+
+    The entropy is a linear statistic of the beta = 1 Jacobi spectrum, so its
+    variance tends to a finite limit as n grows at fixed r (Johansson, Duke
+    Math. J. 91 (1998) 151; Dumitriu & Paquette, RMTA 1 (2012) 1250013):
+
+        Var S_alpha -> -2 sum_{j,k} w_j w_k ln(1 - rho_j rho_k),
+
+    over the shift rule of ``page_average``, with rho = c x / (4A) at each
+    shift x (module docstring). The value is that limit; it leaves out the
+    finite-n corrections. Away from r = 1/2 it stays bounded as s grows,
+    tending to (1/2) ln((1 - rq)^2 / (1 - 2 rq)); at r = 1/2 it grows like
+    s without bound, while the variance at a finite n saturates.
+
+    Each rho and 1 - rho is taken from the roots y = sinh(2s) a_j,
+    v = 1/y (``_root_terms``), with no cancellation:
+
+        rho = c / (2 (v^2 + p + h_1 h_g)),
+        1 - rho = (v^2 + g^2 + h_1 h_g) / (v^2 + p + h_1 h_g),
+
+    and ln(1 - rho_j rho_k) is log1p(-rho_j rho_k) while rho_j rho_k <= 1/2,
+    ln((1 - rho_j) + rho_j (1 - rho_k)) above that. Parameters are read as
+    by ``page_average``, with the same range: ValueError for an s that is
+    not finite or above |s| = 355.24 (345.58 at order 1). The value is
+    zero at s = 0 and at r in {0, 1}; ``trunc_err`` bounds its float64
+    error (``ROUNDING``), ``nodes`` is the order-1 node count and
+    ``realized_r`` is r. It holds arrays of the rule's length squared:
+    alpha^2 / 4 floats, and at order 1 81^2 from s = 0.44 up and 1555^2 at
+    s = 1e-160.
+    """
+    alpha = _check_alpha(alpha)
+    r = _check_ratio(r)
+    s = _check_squeezing(s, _squeezing_limit(1, alpha == 1))
+    rq = min(r, 1.0 - r)
+    if s == 0 or rq == 0:
+        return PageCurveValue(0.0, 0, 0.0, r)
+    sinh = abs(math.sinh(2.0 * s))
+    factors, weights, _ = _order_rule(alpha, sinh * sinh)
+    g = 1.0 - 2.0 * rq
+    c = 4.0 * rq * (1.0 - rq)  # 1 - g^2
+    p = 1.0 - 0.5 * c  # (1 + g^2) / 2
+    # A root below 7.5e-155 (or 0) overflows v^2 and has rho = 0, and the
+    # branch that np.where leaves out may take the log of 0: neither reaches
+    # the value.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        _, _, vs = _root_terms(sinh * factors, g, np)
+        rho = c / (2.0 * (vs + p))
+        comp = (vs + g * g) / (vs + p)  # 1 - rho
+        prod = np.multiply.outer(rho, rho)
+        logs = np.where(prod <= 0.5, np.log1p(-prod),
+                        np.log(comp[:, None] + rho[:, None] * comp))
+    value = 0.0 - 2.0 * float(weights @ logs @ weights)  # +0.0 where every log is 0
+    return PageCurveValue(value, len(factors) if alpha == 1 else 0, float(ROUNDING * value), r)
 
 
 LIMIT_REGIMES = ("small", "large")

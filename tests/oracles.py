@@ -29,8 +29,7 @@ cross-checks of the Cholesky and symmetric-eigensolve route of
 eigenvalues T = 1 - lambda of the sampler's own Jacobi draw from a dense
 eigensolve of its tridiagonal B11^T B11, the Monte Carlo's agreement
 oracle; ``jacobi_trace_powers`` takes the ``power_sums`` of 1 - T, the
-check of the variance diagnostics' Tr W^i, which the package takes from
-banded powers of I - B11^T B11; ``frame_transmissions`` takes the T from
+traces Tr W^i of the sampler's own draws; ``frame_transmissions`` takes the T from
 the W block of a Haar frame, the law that draw follows.
 ``full_covariance_general`` builds the whole 2n x 2n pure state, which
 ``reduce_modes`` restricts to a mode set; ``purity_symmetry_check`` uses
@@ -53,10 +52,12 @@ in closed form: rules of 32, 64, ... nodes compared pairwise until two
 differ by at most ``tol`` (``trunc_err``), with its own rule and node
 constants. ``page_average_mpmath`` is the same integral of the closed
 per-mode entropies in mpmath arithmetic throughout.
-``s2_variance_identity_loop`` is ``montecarlo.s2_variance_identity`` as it
-was before its bootstrap was stacked: S_2 from ``run_experiment`` and the
-traces from a second draw of the same samples (``_trace_powers``), and one
-``np.cov`` and Python sum per resample (``vd_from_trw_loop``).
+``s2_variance_identity_loop`` compares Var(S_2) with its expansion in the
+trace covariances V_d on one run: S_2 from ``run_experiment``, the traces
+of the same samples from ``jacobi_trace_powers``, and one ``np.cov`` and
+Python sum per resample (``vd_from_trw_loop``). ``page_variance_dct`` is
+the variance's leading term from the cosine coefficients of the entropy's
+integrand, a second route to ``pagecurve.page_variance``.
 """
 
 import functools
@@ -65,16 +66,18 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+import scipy.fft
 
 from gbs_page.entropy import (
     _MAX_SQUEEZING,
     _as_spectrum,
     _check_alpha,
+    _order_rule,
     renyi_entropy,
     renyi_mode_entropy,
 )
 from gbs_page.haar import _bidiagonal_squares, _ginibre, haar_frame
-from gbs_page.montecarlo import ExperimentPlan, _trace_powers, run_experiment
+from gbs_page.montecarlo import ExperimentPlan, run_experiment
 from gbs_page.pagecurve import (
     ASYMPTOTIC,
     DEFAULT_TOL,
@@ -659,11 +662,19 @@ def vd_from_trw_loop(trw: np.ndarray, d_max: int) -> np.ndarray:
 
 def s2_variance_identity_loop(n: int, r: float, s: float, d_max: int, n_samples: int,
                               seed: int, n_boot: int = 2000) -> dict:
-    """``s2_variance_identity`` with two draws per sample and a loop over resamples."""
+    """Compare Var(S_2) against its trace-covariance expansion on one run.
+
+    The exact per-sample identity S_2 = sum_i tanh^{2i}(2s)/(2i) (k - Tr W^i)
+    implies Var(S_2) = (1/4) sum_{d>=2} tanh^{2d}(2s) V_d. Both sides are
+    estimated from the same samples, each with its own percentile bootstrap
+    CI (``n_boot`` resamples), and ``consistent`` reports whether the two
+    intervals overlap. The d_max cut biases the model low by a relative
+    O(tanh^{2(d_max+1)}(2s)).
+    """
     plan = ExperimentPlan.from_ratio(n=n, r=r, squeezing=float(s), alphas=(2,),
                                      n_samples=n_samples, master_seed=seed)
     s2 = run_experiment(plan)[0][:, 0]
-    trw = _trace_powers(plan, d_max - 1)
+    trw = jacobi_trace_powers(plan, d_max - 1)
     weights = 0.25 * (np.tanh(2.0 * s) ** 2) ** np.arange(2, d_max + 1)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0xD1FF,))))
     stats = []
@@ -679,3 +690,23 @@ def s2_variance_identity_loop(n: int, r: float, s: float, d_max: int, n_samples:
         "model_ci": model_ci,
         "consistent": var_ci[0] <= model_ci[1] and model_ci[0] <= var_ci[1],
     }
+
+
+def page_variance_dct(alpha, s: float, r: float, nodes: int = 4096) -> float:
+    """The variance's leading term, (1/2) sum_k k a_k^2, from a cosine transform.
+
+    a_k are the cosine coefficients of f(theta) = sum_j w_j ln(1 + x_j (1 - l))
+    at l = c (1 - cos theta)/2, the entropy as a function of one eigenvalue of
+    the limiting law, taken by a type-II DCT at ``nodes`` midpoints; (1/2)
+    sum_k k a_k^2 is the beta = 1 Jacobi linear-statistics variance
+    (Johansson, Duke Math. J. 91 (1998) 151).
+    """
+    rq = min(r, 1.0 - r)
+    c = 4.0 * rq * (1.0 - rq)
+    sinh = abs(np.sinh(2.0 * s))
+    factors, weights, _ = _order_rule(alpha, sinh * sinh)
+    theta = np.pi * (np.arange(nodes) + 0.5) / nodes
+    shifts = (sinh * factors) ** 2
+    f = np.log1p(np.multiply.outer(1.0 - 0.5 * c * (1.0 - np.cos(theta)), shifts)) @ weights
+    a = scipy.fft.dct(f, type=2) / nodes
+    return 0.5 * float(np.arange(1, nodes) @ a[1:] ** 2)

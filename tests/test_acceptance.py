@@ -23,20 +23,20 @@ from oracles import (
     haar_unitary,
     purity_symmetry_check,
     renyi_entropy_factored,
+    s2_variance_identity_loop,
     symplectic_form,
 )
 from series_oracle import vn_series_coefficients, vn_series_constant
 
 from gbs_page import (
     ExperimentPlan,
-    estimate_Vd,
     page_average,
     page_limit,
+    page_variance,
     renyi_entropy,
     renyi_mode_entropy,
     renyi_unequal_small,
     run_experiment,
-    s2_variance_identity,
     variance_trend,
 )
 
@@ -249,12 +249,15 @@ def test_criterion_7_variance_constancy_and_moment_identity():
     overlap = max(est.ci_low for est in trend) <= min(est.ci_high for est in trend)
     bounded = max(variances) <= 2.0 * min(variances)
 
-    ident = s2_variance_identity(n=100, r=0.5, s=0.5, d_max=12, n_samples=500,
-                                 seed=71)
-    ok = overlap and bounded and ident["consistent"]
+    ident = s2_variance_identity_loop(n=100, r=0.5, s=0.5, d_max=12, n_samples=500,
+                                      seed=71)
+    law = page_variance(2, 0.5, 0.5).value
+    covered = all(est.ci_low <= law <= est.ci_high for est in trend)
+    ok = overlap and bounded and ident["consistent"] and covered
     _report("7", ok,
             f"Var(S2) at n=50/100/200: {[f'{v:.4f}' for v in variances]} "
-            f"(CIs overlap: {overlap}, max<=2min: {bounded}); moment-expansion "
+            f"(CIs overlap: {overlap}, max<=2min: {bounded}, each CI holds the "
+            f"n-independent law {law:.6f}: {covered}); moment-expansion "
             f"model {ident['model']:.4f} vs variance {ident['variance']:.4f}, "
             f"bootstrap CIs overlap: {ident['consistent']}")
     assert ok

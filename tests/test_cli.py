@@ -604,6 +604,68 @@ def test_a_request_larger_than_memory_is_usage_error(capsys, monkeypatch):
         assert err.startswith("error: not enough memory: Unable to allocate") and "Trace" not in err
 
 
+def test_a_sample_larger_than_memory_is_usage_error(capsys, monkeypatch):
+    # A MemoryError passes the one-sample replay unwrapped, as exit 2: it
+    # once became a SampleFailure and exit 4.
+    def draw(*args):
+        raise MemoryError("Unable to allocate the bidiagonal")
+
+    monkeypatch.setattr(montecarlo, "_bidiagonal_squares", draw)
+    plan = montecarlo.ExperimentPlan(n=4, k=2, squeezing=0.5, alphas=(2,), n_samples=3)
+    with pytest.raises(MemoryError) as exc:
+        montecarlo.run_experiment(plan)
+    assert not isinstance(exc.value, montecarlo.SampleFailure)
+    code, out, err = run_cli(capsys, "simulate", "--n", "4", "--k", "2", "--s", "0.5",
+                             "--alphas", "2", "--samples", "3", "--seed", "1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: not enough memory: Unable to allocate the bidiagonal\n"
+
+
+def test_a_side_beyond_every_numpy_array_is_usage_error(capsys):
+    # Once "sample 0 failed: Maximum allowed dimension exceeded" and exit 4.
+    code, out, err = run_cli(capsys, "simulate", "--n", "1000000000000000000000", "--r", "0.5",
+                             "--s", "0.5", "--alphas", "2", "--samples", "2", "--seed", "1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: the smaller side of the cut, min(k, n - k) of 69 bits, is "
+                          "beyond the longest float64 array numpy can make")
+
+
+def test_the_workflow_smoke_commands(tmp_path):
+    # The console-script smoke step of .github/workflows/tier1.yml, run as
+    # python -m gbs_page.cli: the same calls, exit codes, cmp and diff -r.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gbs_page.__file__))}
+
+    def gbs_page_cli(*argv, cwd=tmp_path):
+        return subprocess.run([sys.executable, "-m", "gbs_page.cli", *argv], cwd=cwd, env=env,
+                              capture_output=True, timeout=120).returncode
+
+    common = ("--alphas", "1,2", "--samples", "2", "--seed", "1")
+    for argv in (("--help",),
+                 ("analytic", "--alpha", "1,2", "--s", "0.5", "--n", "100", "--r-grid",
+                  "0:1:0.5"),
+                 ("simulate", "--n", "10", "--k", "0", "--s", "0.5", *common),
+                 ("simulate", "--n", "4", "--k", "2", "--s=-0.1,0.2,0.3,0.4", *common),
+                 ("simulate", "--n", "9223372036854775814", "--k", "3", "--s", "0.5", *common)):
+        assert gbs_page_cli(*argv) == EXIT_OK, argv
+    assert gbs_page_cli("simulate", "--n", "4", "--k", "2", "--s=178,0,0,0", *common) == EXIT_USAGE
+    (tmp_path / "per_mode.json").write_text(json.dumps(
+        {"n": 40, "k": 17, "s": [0.02 * i for i in range(40)], "alphas": [1, 2, 3],
+         "samples": 20, "seed": 3, "out_prefix": "run"}))
+    for threads in ("1", "2"):
+        (tmp_path / f"t{threads}").mkdir()
+        assert gbs_page_cli("simulate", "--config", "../per_mode.json", "--threads", threads,
+                            cwd=tmp_path / f"t{threads}") == EXIT_OK
+    assert ((tmp_path / "t1" / "run_samples.csv").read_bytes()
+            == (tmp_path / "t2" / "run_samples.csv").read_bytes())
+    trees = []
+    for out_dir in ("fig1_a", "fig1_b"):
+        assert gbs_page_cli("figure", "fig1", "--scale", "desk", "--out-dir", out_dir) == EXIT_OK
+        root = tmp_path / out_dir
+        trees.append({path.relative_to(root): path.read_bytes()
+                      for path in sorted(root.rglob("*")) if path.is_file()})
+    assert trees[0] and trees[0] == trees[1]
+
+
 def test_simulate_answers_just_inside_the_float64_range(capsys):
     # Both once exited 4: a pivot recurrence that overflowed below the limits.
     for n, k, s, alphas, samples in (("8", "4", "168.1", "1,2", "4"),

@@ -20,10 +20,10 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 # dir(gbs_page) without the underscore names, as it was when the package
 # imported its submodules eagerly.
 PUBLIC_DIR = [
-    "ASYMPTOTIC", "ExperimentPlan", "PageCurveValue", "SampleFailure", "Summary", "entropy", "estimate_Vd", "haar", "haar_frame",
-    "montecarlo", "page_average", "page_limit", "pagecurve", "reduced_covariance_general",
-    "renyi_entropy", "renyi_mode_entropy", "renyi_unequal_small", "run_experiment",
-    "s2_variance_identity", "sample_generator", "states", "symplectic",
+    "ASYMPTOTIC", "ExperimentPlan", "PageCurveValue", "SampleFailure", "Summary", "entropy",
+    "haar", "haar_frame", "montecarlo", "page_average", "page_limit", "page_variance",
+    "pagecurve", "reduced_covariance_general", "renyi_entropy", "renyi_mode_entropy",
+    "renyi_unequal_small", "run_experiment", "sample_generator", "states", "symplectic",
     "symplectic_eigenvalues", "variance_trend",
 ]
 
@@ -56,7 +56,7 @@ print(json.dumps({"all": gbs_page.__all__, "star": sorted(names), "same": same,
 """
     out = run_python(code)
     assert out["star"] == sorted(out["all"]) == sorted(gbs_page.__all__)
-    assert len(out["all"]) == 18 and out["same"]
+    assert len(out["all"]) == 17 and out["same"]
     assert out["dir"] == PUBLIC_DIR
     # here, where other tests have imported more (gbs_page.cli), too
     assert gbs_page.page_average is gbs_page.pagecurve.page_average

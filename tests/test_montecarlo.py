@@ -1,7 +1,6 @@
 import math
 import re
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,20 +14,17 @@ from oracles import (
     out_of_range_bidiagonal_squares,
     purity_symmetry_check,
     s2_variance_identity_loop,
-    vd_from_trw_loop,
 )
 
 from gbs_page import (
     ExperimentPlan,
     SampleFailure,
-    estimate_Vd,
     haar_frame,
     page_average,
     reduced_covariance_general,
     renyi_entropy,
     renyi_mode_entropy,
     run_experiment,
-    s2_variance_identity,
     symplectic_eigenvalues,
     variance_trend,
 )
@@ -178,9 +174,10 @@ def test_mean_matches_analytic():
 
 
 def test_trace_powers_fall_with_the_power():
+    # The traces of the moment identity (oracles.s2_variance_identity_loop).
     plan = ExperimentPlan(n=12, k=6, squeezing=0.5, alphas=(2,), n_samples=3,
                           master_seed=13)
-    trw = montecarlo._trace_powers(plan, 4)
+    trw = jacobi_trace_powers(plan, 4)
     assert trw.shape == (3, 4)
     # Tr W^i decreasing in i (eigenvalues in [0, 1])
     assert np.all(trw[:, 1:] <= trw[:, :-1] + 1e-12)
@@ -190,15 +187,22 @@ def test_trace_powers_fall_with_the_power():
 @pytest.mark.parametrize("n,k", [(12, 12), (40, 39), (41, 20), (9, 6), (13, 7), (40, 17),
                                  (400, 200)])
 def test_equal_trw_are_power_sums_of_the_sample_draw(n, k, max_power):
-    # Tr W^i come from each sample's own draw, the one its entropies use:
-    # the power sums of lambda = 1 - T, padded with k - m ones, with T from
-    # the oracle's dense eigensolve. m = 0, m = 1, odd n, k > n/2 (m = 3 < 6
-    # at (9, 6)) and n = 400; 70 samples make two blocks.
+    # The oracle's Tr W^i are those of each sample's own draw, the one its
+    # entropies use: S_2 = sum_i t^i/(2i) (k - Tr W^i) with t = tanh^2(2s),
+    # and each term lies in [0, m t^i/(2i)], so the sum cut at P powers
+    # falls short of S_2 by at most m t^(P+1) / (2 (P+1) (1 - t)). m = 0,
+    # m = 1, odd n, k > n/2 (m = 3 < 6 at (9, 6)) and n = 400; 70 samples
+    # make two blocks.
     plan = ExperimentPlan(n=n, k=k, squeezing=0.3, alphas=(2,), n_samples=70,
                           master_seed=21)
-    trw = montecarlo._trace_powers(plan, max_power)
+    trw = jacobi_trace_powers(plan, max_power)
     assert trw.shape == (70, max_power)
-    assert np.allclose(trw, jacobi_trace_powers(plan, max_power), rtol=1e-12, atol=0)
+    powers = np.arange(1, max_power + 1)
+    t = np.tanh(0.6) ** 2
+    cut = (k - trw) @ (t**powers / (2 * powers))
+    tail = min(k, n - k) * t ** (max_power + 1) / (2 * (max_power + 1) * (1 - t))
+    s2 = run_experiment(plan)[0][:, 0]
+    assert np.all(cut <= s2 + 1e-11) and np.all(s2 <= cut + tail + 1e-11)
 
 
 def test_variance_diagnostics_take_no_eigenvalues(monkeypatch):
@@ -206,29 +210,7 @@ def test_variance_diagnostics_take_no_eigenvalues(monkeypatch):
         raise AssertionError("the variance diagnostics called eigvalsh")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    assert estimate_Vd(6, 41, 0.5, 70, 2)[0] > 0
-    assert s2_variance_identity(41, 0.5, 0.5, 6, 70, 2, n_boot=20)["model"] > 0
-
-
-@pytest.mark.parametrize("bad", [[5], [montecarlo._BLOCK_SAMPLES + 2], [70, 9]])
-def test_bad_draw_in_the_trace_route_names_its_sample(monkeypatch, bad):
-    # Out-of-range squared entries (a NaN, or a value above one) in any
-    # block: the trace route, and estimate_Vd through it, name the first
-    # bad index.
-    def draw(n, k, seed, index):
-        diag, sup = _bidiagonal_squares(n, k, seed, index)
-        diag[np.isin(index, bad), 0] = np.nan
-        sup[np.isin(index, bad[1:]), 0] = 1.5
-        return diag, sup
-
-    monkeypatch.setattr(montecarlo, "_bidiagonal_squares", draw)
-    plan = ExperimentPlan(n=40, k=20, squeezing=0.5, n_samples=100, master_seed=1)
-    for run in (lambda: montecarlo._trace_powers(plan, 3),
-                lambda: estimate_Vd(4, 40, 0.5, 100, seed=1)):
-        with pytest.raises(SampleFailure, match="in \\[0, 1\\]") as err:
-            run()
-        assert err.value.sample_index == min(bad) and isinstance(err.value.cause, ValueError)
-        assert err.value.__cause__ is err.value.cause
+    assert variance_trend([41], 0.5, 0.5, 2, 70, 2, n_boot=20)[0].variance > 0
 
 
 def test_unequal_sample_is_the_frame_covariance():
@@ -339,153 +321,47 @@ def test_variance_trend_constancy_alpha3():
     assert lo <= hi
 
 
-def test_estimate_Vd_degenerate_partitions():
-    assert np.allclose(estimate_Vd(6, 20, 0.0, 50, seed=1), 0.0)
-    assert np.allclose(estimate_Vd(6, 20, 1.0, 50, seed=1), 0.0)
-
-
-def test_estimate_Vd_positive_at_half():
-    vd = estimate_Vd(4, 30, 0.5, 400, seed=23)
-    assert vd.shape == (3,)
-    assert vd[0] > 0  # V_2 = Var(Tr W) > 0
-
-
 def test_s2_variance_identity_quick():
-    out = s2_variance_identity(n=60, r=0.5, s=0.5, d_max=12, n_samples=300,
-                               seed=29, n_boot=500)
+    out = s2_variance_identity_loop(n=60, r=0.5, s=0.5, d_max=12, n_samples=300,
+                                    seed=29, n_boot=500)
     assert out["consistent"]
     assert out["model"] == pytest.approx(out["variance"], rel=0.5)
 
 
 def test_variance_diagnostics_keep_their_values():
-    # Values of the banded trace route; each is within 1e-12 of the dense
-    # eigensolve's (5e-15 when pinned). Var(S_2) moves in the last bits
-    # with the log-determinant recurrence.
-    vd = estimate_Vd(6, 400, 0.5, 256, seed=3)
-    assert [x.hex() for x in vd] == ["0x1.ebd96e310fe2cp-4", "0x1.e8675032c2c41p-4",
-                                     "0x1.b6f63e88f403ep-4", "0x1.86b1d58d72c23p-4",
-                                     "0x1.5dbf030fb739fp-4"]
-    plan = ExperimentPlan(n=400, k=200, squeezing=0.0, n_samples=256, master_seed=3)
-    assert np.allclose(vd, vd_from_trw_loop(jacobi_trace_powers(plan, 5), 6), rtol=1e-12, atol=0)
-    out = s2_variance_identity(60, 0.5, 0.5, 12, 300, 29, n_boot=500)
-    assert out["model"] == 0.019717439650402454
-    assert out["model_ci"] == (0.016897745062776245, 0.022794861118164093)
-    weights = 0.25 * (np.tanh(1.0) ** 2) ** np.arange(2, 13)
-    plan = ExperimentPlan(n=60, k=30, squeezing=0.0, n_samples=300, master_seed=29)
-    assert out["model"] == pytest.approx(
-        weights @ vd_from_trw_loop(jacobi_trace_powers(plan, 11), 12), rel=1e-12)
+    # The values the package's banded trace powers gave: with the oracle's
+    # dense eigensolve Var(S_2) is the same run_experiment column, and the
+    # model moves in the last bits.
+    out = s2_variance_identity_loop(60, 0.5, 0.5, 12, 300, 29, n_boot=500)
     assert out["variance"] == pytest.approx(0.01974010483604088, rel=1e-12)
     assert out["variance_ci"] == pytest.approx((0.01691655369397683, 0.022820786308927705),
                                                rel=1e-12)
+    assert out["model"] == pytest.approx(0.019717439650402454, rel=1e-12)
+    assert out["model_ci"] == pytest.approx((0.016897745062776245, 0.022794861118164093),
+                                            rel=1e-12)
     assert out["consistent"]
 
 
-def test_trace_route_memory_is_bounded():
-    # A 64-sample block at n = 1000 once stacked 64 dense 500 x 500
-    # tridiagonals (128 MB), and later solved them in chunks of 16 MiB. The
-    # banded powers of three 64 x 500 diagonals peak near 3.2 MiB. The
-    # values are within 1.6e-14 of the dense eigensolve's.
-    tracemalloc.start()
-    try:
-        vd = estimate_Vd(4, 1000, 0.5, 64, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert [x.hex() for x in vd] == ["0x1.bba8745b59054p-4", "0x1.b2ed7e4650b46p-4",
-                                     "0x1.880616f4fc876p-4"]
-    assert peak < 6 << 20
-
-
 @pytest.mark.parametrize("diagnostic,zeros", [
-    (lambda r: estimate_Vd(4, 10, r, 20, 1).tolist(), [0.0, 0.0, 0.0]),
     (lambda r: [(est.variance, est.ci_low, est.ci_high)
                 for est in variance_trend([10, 11], r, 0.5, 2, 20, 1, n_boot=50)],
      [(0.0, 0.0, 0.0)] * 2),
-    (lambda r: s2_variance_identity(10, r, 0.5, 4, 20, 1, n_boot=50),
-     {"variance": 0.0, "model": 0.0, "variance_ci": (0.0, 0.0), "model_ci": (0.0, 0.0),
-      "consistent": True}),
-], ids=["estimate_Vd", "variance_trend", "s2_variance_identity"])
+], ids=["variance_trend"])
 def test_variance_diagnostics_mirror_an_empty_side(diagnostic, zeros):
     # Both empty sides, r n rounding to k = 0 and r = 1, answer zeros.
     assert diagnostic(0.0) == diagnostic(0.04) == diagnostic(1.0) == zeros
 
 
-@pytest.mark.parametrize("args", [
-    (60, 0.5, 0.5, 12, 300, 29, 500),
-    (41, 0.3, 1.0, 5, 77, 3, 301),  # odd n, a run of resamples shorter than n_boot
-    (30, 0.5, 0.2, 2, 50, 5, 100),  # one trace power
-])
-def test_s2_variance_identity_matches_its_loop_oracle(args):
-    # The stacked bootstrap does the loop's arithmetic: the same floats.
-    assert s2_variance_identity(*args) == s2_variance_identity_loop(*args)
-
-
-def test_stacked_vd_matches_the_loop_on_each_resample():
-    trw = montecarlo._trace_powers(ExperimentPlan(n=30, k=12, squeezing=0.0, n_samples=40,
-                                                  master_seed=8), 7)
-    idx = np.random.default_rng(2).integers(0, 40, (5, 40))
-    stacked = montecarlo._vd_from_cov(montecarlo._trace_cov(trw[idx]), 8)
-    for row, resample in zip(stacked, idx):
-        assert row.tolist() == vd_from_trw_loop(trw[resample], 8).tolist()
-
-
-def test_s2_variance_identity_draws_each_block_once(monkeypatch):
-    # 150 samples make three blocks; each is drawn once for S_2 and the
-    # traces, and S_2 is run_experiment's column.
-    plan = ExperimentPlan.from_ratio(n=30, r=0.5, squeezing=0.5, alphas=(2,), n_samples=150,
-                                     master_seed=12)
-    want = float(run_experiment(plan)[0][:, 0].var(ddof=1))
-    draws = []
-
-    def draw(n, k, seed, index):
-        draws.append(index)
-        return _bidiagonal_squares(n, k, seed, index)
-
-    monkeypatch.setattr(montecarlo, "_bidiagonal_squares", draw)
-    out = s2_variance_identity(30, 0.5, 0.5, 6, 150, 12, n_boot=50)
-    assert draws == montecarlo._blocks(plan) and len(draws) == 3
-    assert out["variance"] == want
-
-
-def test_s2_variance_identity_names_a_bad_sample(monkeypatch):
-    bad = montecarlo._BLOCK_SAMPLES + 5
-
-    def draw(n, k, seed, index):
-        diag, sup = _bidiagonal_squares(n, k, seed, index)
-        diag[np.isin(index, [bad, bad + 1]), 0] = 1.5
-        return diag, sup
-
-    monkeypatch.setattr(montecarlo, "_bidiagonal_squares", draw)
-    with pytest.raises(SampleFailure, match="in \\[0, 1\\]") as err:
-        s2_variance_identity(30, 0.5, 0.5, 6, 150, 12, n_boot=50)
-    assert err.value.sample_index == bad and isinstance(err.value.cause, ValueError)
-
-
 @pytest.mark.parametrize("function,args,message", [
-    (estimate_Vd, (4, 20, np.inf, 10, 1), "^partition ratio must lie in"),
-    (estimate_Vd, (4, 20, np.nan, 10, 1), "^partition ratio must lie in"),
-    (estimate_Vd, (4, 0, 0.5, 10, 1), "^n must be >= 1"),
-    (estimate_Vd, (4, 20, 0.0, 10, -1), "^master_seed must be >= 0"),
-    (estimate_Vd, (4, 20, 0.5, 1, 1), "^n_samples must be >= 2"),
-    (estimate_Vd, (1, 20, 0.5, 10, 1), "^d_max must be >= 2"),
-    (estimate_Vd, (4.5, 20, 0.5, 10, 1), "^d_max must be an integer"),
-    (s2_variance_identity, (20, 0.5, 0.5, 1, 10, 1), "^d_max must be >= 2"),
-    (s2_variance_identity, (20, 0.5, 0.5, 4.5, 10, 1), "^d_max must be an integer"),
-    (s2_variance_identity, (20, 0.5, 0.5, 4, 1, 1), "^n_samples must be >= 2"),
-    (s2_variance_identity, (20, np.nan, 0.5, 4, 10, 1), "^partition ratio must lie in"),
     (variance_trend, ([10], 0.5, 0.5, 1, 10, 1), "^Renyi order must be >= 2"),
     (variance_trend, ([10], 0.5, 0.5, "x", 10, 1), "^Renyi order must be an integer"),
     (variance_trend, ([10], 0.5, 0.5, 2, 1, 1), "^n_samples must be >= 2"),
     (variance_trend, (10, 0.5, 0.5, 2, 10, 1), "^ns must be a one-dimensional sequence"),
     (variance_trend, (None, 0.5, 0.5, 2, 10, 1), "^ns must be a one-dimensional sequence"),
-    (s2_variance_identity, (20, 0.5, None, 4, 10, 1), "^squeezing strength must be a real"),
-    (s2_variance_identity, (20, 0.5, "x", 4, 10, 1), "^squeezing strength must be a real"),
     (variance_trend, ([10], 0.5, None, 2, 10, 1), "^squeezing strength must be a real"),
     (variance_trend, ([10], 0.5, "x", 2, 10, 1), "^squeezing strength must be a real"),
-], ids=["Vd-r-inf", "Vd-r-nan", "Vd-n-0", "Vd-seed", "Vd-samples", "Vd-d_max", "Vd-d_max-frac",
-        "s2-d_max", "s2-d_max-frac", "s2-samples", "s2-r-nan", "trend-alpha", "trend-alpha-x",
-        "trend-samples", "trend-ns-int", "trend-ns-none", "s2-s-none", "s2-s-x", "trend-s-none",
-        "trend-s-x"])
+], ids=["trend-alpha", "trend-alpha-x", "trend-samples", "trend-ns-int", "trend-ns-none",
+        "trend-s-none", "trend-s-x"])
 def test_variance_functions_check_their_inputs(function, args, message):
     # The package rules, before any shortcut: k = 0 or a vacuum run would
     # otherwise return zeros for a bad n or seed.
@@ -498,30 +374,21 @@ def test_variance_functions_refuse_a_non_finite_s():
     for s in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="^squeezing strength must be finite"):
             variance_trend([10], 0.5, s, 2, 10, 1, n_boot=5)
-        with pytest.raises(ValueError, match="^squeezing strength must be finite"):
-            s2_variance_identity(20, 0.5, s, 4, 10, 1, n_boot=5)
 
 
 def test_variance_functions_name_a_failing_sample_0(monkeypatch):
     monkeypatch.setattr(montecarlo, "_bidiagonal_squares", out_of_range_bidiagonal_squares)
-    for diagnostic in (lambda: variance_trend([10], 0.5, 0.5, 2, 10, 1, n_boot=5),
-                       lambda: s2_variance_identity(20, 0.5, 0.5, 4, 10, 1, n_boot=5),
-                       lambda: estimate_Vd(4, 20, 0.5, 10, 1)):
-        with pytest.raises(SampleFailure, match="^sample 0 failed") as err:
-            diagnostic()
-        assert err.value.sample_index == 0
+    with pytest.raises(SampleFailure, match="^sample 0 failed") as err:
+        variance_trend([10], 0.5, 0.5, 2, 10, 1, n_boot=5)
+    assert err.value.sample_index == 0
 
 
 def test_variance_functions_check_n_boot():
     for n_boot in (0, -1, 1.5, True):
         with pytest.raises(ValueError, match="^n_boot must be"):
             variance_trend([10], 0.5, 0.5, 2, 10, 1, n_boot=n_boot)
-        with pytest.raises(ValueError, match="^n_boot must be"):
-            s2_variance_identity(20, 0.5, 0.5, 4, 10, 1, n_boot=n_boot)
     (trend,) = variance_trend([10], 0.5, 0.5, 2, 10, 1, n_boot=2.0)
     assert trend.ci_low <= trend.ci_high
-    out = s2_variance_identity(20, 0.5, 0.5, 4, 10, 1, n_boot=2.0)
-    assert out["variance_ci"][0] <= out["variance_ci"][1]
 
 
 @pytest.mark.parametrize("ten", [10, 10.0, "10", np.int64(10)], ids=repr)
@@ -530,8 +397,6 @@ def test_variance_functions_take_the_plan_integers(ten):
     (trend,) = variance_trend([ten], 0.5, 0.5, 2, 10, ten, n_boot=50)
     assert type(trend.n) is int
     assert trend == variance_trend([10], 0.5, 0.5, 2, 10, 10, n_boot=50)[0]
-    assert (s2_variance_identity(ten, 0.5, 0.5, 4, 10, ten, n_boot=50)
-            == s2_variance_identity(10, 0.5, 0.5, 4, 10, 10, n_boot=50))
 
 
 def test_weak_typicality_proxy():
@@ -616,8 +481,8 @@ def test_failure_inside_a_block_names_its_sample(monkeypatch, threads):
 
 
 def test_a_draw_that_raises_names_its_sample(monkeypatch):
-    # The draw raises for any block that holds index 5: the entropies and
-    # both trace routes name sample 5, not the first index of its block.
+    # The draw raises for any block that holds index 5: the entropies name
+    # sample 5, not the first index of its block.
     def draw(n, k, seed, index):
         if 5 in index:
             raise FloatingPointError("draw failed")
@@ -625,13 +490,10 @@ def test_a_draw_that_raises_names_its_sample(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_bidiagonal_squares", draw)
     plan = ExperimentPlan(n=20, k=9, squeezing=0.5, alphas=(1, 2), n_samples=10, master_seed=1)
-    for run in (lambda: run_experiment(plan),
-                lambda: estimate_Vd(4, 20, 0.45, 10, 1),
-                lambda: s2_variance_identity(20, 0.45, 0.5, 4, 10, 1, n_boot=5)):
-        with pytest.raises(SampleFailure, match="^sample 5 failed: draw failed$") as err:
-            run()
-        assert err.value.sample_index == 5
-        assert isinstance(err.value.cause, FloatingPointError)
+    with pytest.raises(SampleFailure, match="^sample 5 failed: draw failed$") as err:
+        run_experiment(plan)
+    assert err.value.sample_index == 5
+    assert isinstance(err.value.cause, FloatingPointError)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -914,6 +776,22 @@ def test_plan_refuses_a_mode_count_beyond_the_draws_range():
                  (top, 3), (top, 0)):
         table, _ = run_experiment(ExperimentPlan(n=n, k=k, squeezing=0.5, n_samples=2))
         assert np.isfinite(table).all() and (table > 0).all() == (k > 0)
+
+
+def test_plan_refuses_a_side_beyond_every_numpy_array():
+    # n = 10**21 at r = 1/2 once failed its sample 0 ("Maximum allowed
+    # dimension exceeded"), as a numerical failure. A side of 2**60 - 1,
+    # whose row of floats numpy can size, is planned; a larger one is not.
+    message = (r"^the smaller side of the cut, min\(k, n - k\) of 69 bits, is beyond the "
+               r"longest float64 array numpy can make$")
+    with pytest.raises(ValueError, match=message):
+        ExperimentPlan.from_ratio(n=10**21, r=0.5, squeezing=0.5)
+    longest = montecarlo._LONGEST_ROW
+    assert longest == 2**60 - 1
+    assert ExperimentPlan(n=2 * longest + 1, k=longest, squeezing=0.5).k == longest
+    for n, k in ((2 * longest + 2, longest + 1), (10**300, 10**299)):
+        with pytest.raises(ValueError, match="beyond the longest float64 array"):
+            ExperimentPlan(n=n, k=k, squeezing=0.5)
 
 
 @pytest.mark.parametrize("n", [2**63 + 6, 10**300], ids=["2**63+6", "10**300"])

@@ -8,6 +8,7 @@ from oracles import (
     haar_unitary,
     page_average_mpmath,
     page_average_two_pass,
+    page_variance_dct,
     reduced_covariance_equal,
     trW_moments,
 )
@@ -25,6 +26,7 @@ from gbs_page import (
     entropy,
     page_average,
     page_limit,
+    page_variance,
     pagecurve,
     renyi_entropy,
     renyi_unequal_small,
@@ -696,6 +698,17 @@ def test_a_mode_count_beyond_float64_is_refused():
         assert page_average(2, n, 0.5, 0.5, tol=1e300).realized_r == 0.5
 
 
+def test_an_average_beyond_float64_is_named():
+    # n times the per-mode value overflows before the tolerance is compared:
+    # this once read "tolerance 1e+300 is below the float64 resolution".
+    top = int(_FLOAT_MAX)
+    for alpha in (1, 2):  # numpy sums and Python floats; a warning fails the test
+        with pytest.raises(ValueError, match=r"^the average at n = 1\.79769e\+308 is beyond "
+                                             r"float64: n times its per-mode value"):
+            page_average(alpha, top, 3.0, 0.5, tol=1e300)
+    assert page_average(2, top, 0.5, 0.5, tol=1e300).value == pytest.approx(2.16e307, rel=1e-3)
+
+
 def test_validation():
     # Order 1 is the von Neumann average, to the bit, under any integral
     # spelling of 1 (the 50-digit integrals are 19.58796838711631644 and
@@ -759,3 +772,115 @@ def test_page_curve_value_is_a_read_only_tuple():
     oracle = page_average_two_pass(2, 100, 0.5, 0.3)
     assert type(oracle) is PageCurveValue and oracle.nodes > 0
     assert page_average_two_pass(2, ASYMPTOTIC, 0.0, 0.3) == PageCurveValue(0.0, 0, 0.0, 0.3)
+
+
+# The last cell takes ln((1 - rho_j) + rho_j (1 - rho_k)) at g != 0.
+VARIANCE_CELLS = [(1, 0.5, 0.3), (2, 0.5, 0.5), (3, 1.0, 0.3), (2, 1.5, 0.5), (15, 0.3, 0.2),
+                  (2, 2.0, 0.45)]
+
+
+@pytest.mark.parametrize("alpha,s,r", VARIANCE_CELLS)
+def test_variance_matches_the_cosine_transform(alpha, s, r):
+    # Two routes to (1/2) sum_k k a_k^2: the closed form in rho and a
+    # 4096-node DCT of the entropy's integrand.
+    res = page_variance(alpha, s, r)
+    assert res.value == pytest.approx(page_variance_dct(alpha, s, r), rel=1e-13)
+    assert res.trunc_err == float(pagecurve.ROUNDING * res.value) > 0
+
+
+def test_variance_weak_squeezing_laws():
+    # Twice the squared per-mode mean's law: 2 [alpha/(alpha-1) r(1-r) s^2]^2
+    # at order 2, approached as 1 - O(s^2), and 2 [r(1-r) s^2 ln(1/s^2)]^2 at
+    # order 1, approached logarithmically, like the mean.
+    r = 0.3
+
+    def ratio(alpha, s):
+        law = page_limit(alpha, "small", r)[0] * s * s
+        return page_variance(alpha, s, r).value / (2 * (law * (math.log(1 / s**2) if alpha == 1
+                                                                 else 1.0)) ** 2)
+
+    assert ratio(2, 1e-2) == pytest.approx(0.99980, abs=5e-6)
+    for s in (1e-6, 1e-10, 1e-30, 1e-50):
+        assert ratio(2, s) == pytest.approx(1.0, abs=1e-9)
+    for s, want, digits in ((1e-2, 1.141, 5e-4), (1e-6, 1.046, 5e-4), (1e-50, 1.0054, 5e-5)):
+        assert ratio(1, s) == pytest.approx(want, abs=digits)
+
+
+def test_variance_strong_squeezing_laws():
+    # r = 1/2: s + C_alpha, with C_2 = -(3/2) ln 2 exactly and the other
+    # constants to their six decimals. r != 1/2: every rule's weights sum to
+    # 1/2, so each order tends to (1/2) ln((1 - rq)^2 / (1 - 2 rq)).
+    for s in (20.0, 50.0):
+        assert page_variance(2, s, 0.5).value - s == pytest.approx(-1.5 * math.log(2), abs=1e-13)
+        for alpha, constant in ((1, -0.906571), (3, -1.111641), (15, -1.321893)):
+            assert page_variance(alpha, s, 0.5).value - s == pytest.approx(constant, abs=6e-7)
+    def law(r):
+        rq = min(r, 1 - r)
+        return 0.5 * math.log((1 - rq) ** 2 / (1 - 2 * rq))
+
+    for r, value in ((0.1, 0.0062113), (0.25, 0.0588915), (0.4, 0.2938933)):
+        assert law(r) == pytest.approx(value, abs=5e-8)
+    for r in (0.1, 0.25, 0.4, 0.45, 0.75):  # from 0.42 up, rho_j rho_k passes 1/2
+        for alpha in (1, 2, 3):
+            assert page_variance(alpha, 30.0, r).value == pytest.approx(law(r), rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [5e-324, 1e-160, 1e-50, 1e-6, 10.0, 50.0, 300.0])
+def test_variance_is_finite_and_non_negative(s):
+    # Both branches of ln(1 - rho_j rho_k) at weak and strong squeezing, at r
+    # = 1/2 where rho rounds to 1 from s = 20, and roots whose v^2 overflows
+    # or that are zero: a RuntimeWarning fails the test.
+    for alpha in (1, 2, 3, 15, 50):
+        for r in (0.3, 0.5):
+            res = page_variance(alpha, s, r)
+            assert math.isfinite(res.value) and math.copysign(1.0, res.value) == 1.0
+            assert 0.0 <= res.trunc_err < math.inf
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 15])
+def test_variance_answers_where_the_average_does(alpha):
+    limit = _squeezing_limit(1, alpha == 1)
+    for s in (limit, -limit):
+        res = page_variance(alpha, s, 0.5)
+        assert res.value - abs(s) == pytest.approx(page_variance(alpha, 50.0, 0.5).value - 50.0,
+                                                   abs=1e-9)
+    for r in (0.5, 0.0):
+        with pytest.raises(ValueError, match=rf"above \|s\| = {limit:.2f}$"):
+            page_variance(alpha, float(np.nextafter(limit, np.inf)), r)
+
+
+def test_variance_reads_parameters_as_the_average_does():
+    assert page_variance(2, 0.0, 0.3) == PageCurveValue(0.0, 0, 0.0, 0.3)
+    for r in (0.0, 1.0):
+        assert page_variance(1, 0.5, r) == PageCurveValue(0.0, 0, 0.0, r)
+    assert page_variance(2, -0.5, 0.3) == page_variance(2, 0.5, 0.3)
+    assert page_variance(2, 0.5, 0.7).value == pytest.approx(page_variance(2, 0.5, 0.3).value,
+                                                             rel=1e-14)
+    assert page_variance("2", "0.5", "0.3") == page_variance(2, 0.5, 0.3)
+    for s in (0.01, 0.5, 3.0):
+        assert page_variance(1, s, 0.3).nodes == page_average(1, ASYMPTOTIC, s, 0.3).nodes > 0
+        assert page_variance(3, s, 0.3).nodes == 0
+    for alpha in (np.True_, 0, 2.5):
+        with pytest.raises(ValueError, match="Renyi order"):
+            page_variance(alpha, 0.5, 0.5)
+    for r in (1.2, float("nan")):
+        with pytest.raises(ValueError, match=r"partition ratio must lie in \[0, 1\]"):
+            page_variance(2, 0.5, r)
+    with pytest.raises(ValueError, match="squeezing strength must be finite"):
+        page_variance(2, float("inf"), 0.5)
+    with pytest.raises(ValueError, match="squeezing strength must be a real number"):
+        page_variance(2, None, 0.5)
+
+
+@pytest.mark.parametrize("n,r,s", [(200, 0.5, 0.5), (200, 0.3, 0.5), (100, 0.5, 1.5),
+                                   (400, 0.25, 3.0), (401, 0.3, 1.0)])
+def test_variance_matches_monte_carlo(n, r, s):
+    # 4000 samples, normal-theory se v sqrt(2/(N - 1)) of the sample variance,
+    # at the realized k/n.
+    plan = ExperimentPlan.from_ratio(n=n, r=r, squeezing=s, alphas=(1, 2, 3), n_samples=4000,
+                                     master_seed=5)
+    _, summary = run_experiment(plan)
+    for alpha, stats in summary.per_alpha.items():
+        law = page_variance(alpha, s, plan.realized_r).value
+        se = stats.variance * math.sqrt(2 / (plan.n_samples - 1))
+        assert abs(stats.variance - law) <= 3 * se, (alpha, stats.variance, law)
