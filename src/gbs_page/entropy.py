@@ -38,13 +38,15 @@ an integrand analytic in the strip |Im t| < pi/2 for every c and T_j; the
 trapezoidal rule converges geometrically there (``_von_neumann_count``).
 Each order's shifts and weights come from its own cached pattern
 (``_pattern``, cut at c by ``_order_rule``), which the analytic average
-reads too, as arrays or as Python float pairs. One ``_log_dets`` pass takes
-every order's shifts, and each order sums its own.
+reads too, as Python float pairs or as arrays with the rule's node
+constants (1/a_j and the sums of w_j and of w_j ln a_j). One
+``_log_dets`` pass takes every order's shifts, and each order sums its own.
 """
 
 import math
 import numbers
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -224,17 +226,49 @@ def _von_neumann_count(c: float) -> int:
     return math.ceil((start + _VN_REACH) / _VN_STEP) + 1
 
 
+class _Rule(NamedTuple):
+    """An order's shift rule (``_pattern``), cut at c by ``_order_rule``. Read-only.
+
+    ``factors`` a_j (ascending) and ``weights`` w_j are arrays; ``pairs``
+    holds them again as Python float pairs (a_j, w_j) and ``reciprocals``
+    holds 1/a_j. ``sums`` has one row (sum_j w_j, sum_j w_j ln a_j) for
+    each node count the rule may be cut to, its own count last.
+    """
+
+    factors: np.ndarray
+    weights: np.ndarray
+    pairs: tuple[tuple[float, float], ...]
+    reciprocals: np.ndarray
+    sums: np.ndarray
+
+
+def _running_sums(terms: np.ndarray) -> np.ndarray:
+    """Running sums of ``terms``, each within about an ulp of the exact sum.
+
+    ``np.cumsum`` adds in order, and its rounding errors drift; TwoSum
+    (Knuth) gives each addition's error exactly, and the running sum of
+    those errors corrects each sum.
+    """
+    sums = np.cumsum(terms)
+    before, after = sums[:-1], sums[1:]
+    back = after - before
+    errors = (before - (after - back)) + (terms[1:] - back)
+    sums[1:] += np.cumsum(errors)
+    return sums
+
+
 @lru_cache(maxsize=128)
-def _pattern(alpha: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[float, float], ...]]:
-    """Read-only ascending factors a_j and weights w_j of order alpha's shift rule.
+def _pattern(alpha: int) -> _Rule:
+    """Order alpha's shift rule at every c, with its node constants (``_Rule``).
 
     Orders alpha >= 2: a_j = sin(pi j/alpha), 1 <= j <= alpha/2, and shifts
-    c a_j^2. Order 1: a_j = cosh t_j at every node any c > 0 takes, of which
-    the rule at c has the first ``_von_neumann_count(c)``, with shifts
-    (sinh(2s) a_j)^2. The third item is the same rule as Python float pairs
-    (a_j, w_j). ``_order_rule`` cuts the rule at c; ``_shift_rule`` reads
-    its arrays, one order at a time, and ``pagecurve.page_average`` its
-    arrays or, for a short rule, its pairs.
+    c a_j^2; the rule is never cut, so ``sums`` has one row. Order 1:
+    a_j = cosh t_j at every node any c > 0 takes, of which the rule at c has
+    the first ``_von_neumann_count(c)``, with shifts (sinh(2s) a_j)^2, and
+    ``sums`` has one row per node count. ``_order_rule`` cuts the rule at
+    c; ``_shift_rule`` reads its factors and weights, one order at a time,
+    and ``pagecurve.page_average`` its pairs or, for a long rule, its arrays
+    and sums.
     """
     if alpha == 1:
         t = _VN_STEP * np.arange(_von_neumann_count(np.finfo(float).smallest_subnormal))
@@ -251,18 +285,25 @@ def _pattern(alpha: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[float, flo
         g = np.gcd(j, alpha)
         factors = np.sin(np.pi * (j // g) / (alpha // g))
         weights = np.where(2 * j == alpha, 0.5, 1.0) / (alpha - 1)
-    factors.flags.writeable = False
-    weights.flags.writeable = False
-    return factors, weights, tuple(zip(factors.tolist(), weights.tolist()))
+    # order 1 is cut at each node count (``_order_rule``), the others never
+    kept = slice(None) if alpha == 1 else slice(-1, None)
+    sums = np.stack((_running_sums(weights)[kept],
+                     _running_sums(weights * np.log(factors))[kept]), axis=1)
+    reciprocals = 1.0 / factors
+    for array in (factors, weights, reciprocals, sums):
+        array.flags.writeable = False
+    return _Rule(factors, weights, tuple(zip(factors.tolist(), weights.tolist())), reciprocals,
+                 sums)
 
 
-def _order_rule(alpha: int, c: float) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Factors, weights and float pairs of order alpha's rule at c = sinh^2(2s) (``_pattern``)."""
-    factors, weights, pairs = rule = _pattern(alpha)
+def _order_rule(alpha: int, c: float) -> _Rule:
+    """Order alpha's rule at c = sinh^2(2s): ``_pattern``, cut to its first nodes at order 1."""
+    rule = _pattern(alpha)
     if alpha > 1:
         return rule
     count = _von_neumann_count(c)
-    return factors[:count], weights[:count], pairs[:count]
+    return _Rule(rule.factors[:count], rule.weights[:count], rule.pairs[:count],
+                 rule.reciprocals[:count], rule.sums[:count])
 
 
 def _shift_rule(s: float, orders) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -274,9 +315,10 @@ def _shift_rule(s: float, orders) -> list[tuple[np.ndarray, np.ndarray]]:
     s = _check_squeezing(s, _squeezing_limit(2, 1 in orders))
     sinh = float(np.sinh(2.0 * s))
     c = sinh * sinh
-    rules = [(alpha, *_order_rule(alpha, c)) for alpha in orders]
-    # factors a_j, weights w_j; shifts c cosh^2 t at order 1, c sin^2(pi j/alpha) above
-    return [((sinh * a) ** 2 if alpha == 1 else c * a**2, w) for alpha, a, w, _ in rules]
+    rules = [(alpha, _order_rule(alpha, c)) for alpha in orders]
+    # shifts c cosh^2 t at order 1, c sin^2(pi j/alpha) above
+    return [((sinh * rule.factors) ** 2 if alpha == 1 else c * rule.factors**2, rule.weights)
+            for alpha, rule in rules]
 
 
 def _log_dets(diag: np.ndarray, sup: np.ndarray, shifts: np.ndarray) -> np.ndarray:

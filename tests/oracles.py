@@ -58,9 +58,20 @@ of the same samples from ``jacobi_trace_powers``, and one ``np.cov`` and
 Python sum per resample (``vd_from_trw_loop``). ``page_variance_dct`` is
 the variance's leading term from the cosine coefficients of the entropy's
 integrand, a second route to ``pagecurve.page_variance``.
+``page_average_shift_logs`` is the closed-form average as ``pagecurve``
+evaluated it before its evaluators read the rule's node constants: one
+formula body per shift (``shift_logs``), summed over Python float pairs
+(``float_terms``) or numpy arrays (``array_terms``) whose large-root
+branch forms 1/y and ln y at every node, with the same checks and
+refusal messages and no memo. ``realized_ratio`` is the (k/n, reduced
+ratio) pair of a query, which that average and the quadrature read.
+``page_variance_full`` is ``pagecurve.page_variance`` with every pair
+(j, k) of the rule in one array, before it took them a block of rows at a
+time and skipped the values that underflow.
 """
 
 import functools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -72,7 +83,11 @@ from gbs_page.entropy import (
     _MAX_SQUEEZING,
     _as_spectrum,
     _check_alpha,
+    _check_squeezing,
+    _mode_count,
     _order_rule,
+    _side,
+    _squeezing_limit,
     renyi_entropy,
     renyi_mode_entropy,
 )
@@ -81,10 +96,10 @@ from gbs_page.montecarlo import ExperimentPlan, run_experiment
 from gbs_page.pagecurve import (
     ASYMPTOTIC,
     DEFAULT_TOL,
+    ROUNDING,
     PageCurveValue,
     _check_ratio,
     _check_tol,
-    _realized_ratio,
 )
 from gbs_page.symplectic import SYMMETRY_TOL, _physical_spectrum, symplectic_eigenvalues
 
@@ -548,7 +563,7 @@ def page_average_two_pass(alpha, n, s: float, r: float,
     tol = _check_tol(tol)
     if not np.isfinite(s):
         raise ValueError(f"squeezing strength must be finite, got {s!r}")
-    realized, rq = _realized_ratio(n, r)
+    realized, rq = realized_ratio(n, r)
     if s == 0 or rq == 0:
         return PageCurveValue(0.0, 0, 0.0, realized)
     with np.errstate(over="ignore"):
@@ -704,9 +719,128 @@ def page_variance_dct(alpha, s: float, r: float, nodes: int = 4096) -> float:
     rq = min(r, 1.0 - r)
     c = 4.0 * rq * (1.0 - rq)
     sinh = abs(np.sinh(2.0 * s))
-    factors, weights, _ = _order_rule(alpha, sinh * sinh)
+    rule = _order_rule(alpha, sinh * sinh)
+    factors, weights = rule.factors, rule.weights
     theta = np.pi * (np.arange(nodes) + 0.5) / nodes
     shifts = (sinh * factors) ** 2
     f = np.log1p(np.multiply.outer(1.0 - 0.5 * c * (1.0 - np.cos(theta)), shifts)) @ weights
     a = scipy.fft.dct(f, type=2) / nodes
     return 0.5 * float(np.arange(1, nodes) @ a[1:] ** 2)
+
+
+def realized_ratio(n, r: float) -> tuple[float, float]:
+    """Requested ratio -> (realized k/n, reduced min(k, n-k)/n), the latter from the integers."""
+    if n is ASYMPTOTIC:
+        return r, min(r, 1.0 - r)
+    n = _mode_count(n)
+    k = _side(r, n)
+    return k / n, min(k, n - k) / n
+
+
+def _rule_constants(smallest_root, rq, g, c):
+    return smallest_root < 1.0, 1.0 - 0.5 * c, g, g * g, 2.0 * rq * rq, c
+
+
+def _root_terms(y, g, lib):
+    v = 1.0 / y
+    h_1 = lib.hypot(1.0, v)
+    h_g = lib.hypot(g, v)
+    return h_1, h_g, v * v + h_1 * h_g
+
+
+def shift_logs(y, constants, lib):
+    """ln A, ln(1 + rq^2 x / B) and ln((1 + x) / (1 + g^2 x)) at the shift roots y = sqrt(x).
+
+    ``y`` is a Python float with ``lib = math`` or an array with ``lib = numpy``.
+    """
+    small, p, g, g2, q, c = constants
+    if small:
+        x = y * y
+        one_g2x = 1.0 + g2 * x
+        s_plus = lib.sqrt((1.0 + x) * one_g2x) + 1.0  # S + 1
+        return (lib.log1p(0.5 * x * (p + (one_g2x + g2) / s_plus)),
+                lib.log1p(q * x / (s_plus + g * x)),
+                lib.log1p(c * x / one_g2x))
+    h_1, h_g, vs = _root_terms(y, g, lib)
+    return (2.0 * lib.log(y) + lib.log(0.5 * (vs + p)),
+            lib.log1p(q / (vs + g)),
+            2.0 * lib.log1p(c / (h_g * (h_1 + h_g))))
+
+
+def array_terms(factors, weights, sinh, rq, g, c):
+    """The three weighted sums of ``shift_logs`` over the rule's arrays, in numpy."""
+    y = sinh * factors
+    logs = shift_logs(y, _rule_constants(y[0], rq, g, c), np)
+    return tuple(weights.dot(term) for term in logs)
+
+
+def float_terms(pairs, sinh, rq, g, c):
+    """``array_terms`` shift by shift over the rule's (a_j, w_j) float pairs, in ``math``."""
+    constants = _rule_constants(sinh * pairs[0][0], rq, g, c)
+    log_a = log_ratio = edge = 0.0
+    for a, w in pairs:
+        term_a, term_ratio, term_edge = shift_logs(sinh * a, constants, math)
+        log_a += w * term_a
+        log_ratio += w * term_ratio
+        edge += w * term_edge
+    return log_a, log_ratio, edge
+
+
+# Longest rule that ``page_average_shift_logs`` sums in Python floats.
+FLOAT_SHIFTS = 24
+
+
+def page_average_shift_logs(alpha, n, s: float, r: float,
+                            tol: float = DEFAULT_TOL) -> PageCurveValue:
+    """``pagecurve.page_average`` through ``float_terms`` and ``array_terms``, unmemoised."""
+    alpha = _check_alpha(alpha)
+    r = _check_ratio(r)
+    tol = _check_tol(tol)
+    s = _check_squeezing(s, _squeezing_limit(1, alpha == 1))
+    realized, rq = realized_ratio(n, r)
+    if s == 0 or rq == 0:
+        return PageCurveValue(0.0, 0, 0.0, realized)
+    sinh = abs(math.sinh(2.0 * s))
+    rule = _order_rule(alpha, sinh * sinh)
+    g = 1.0 - 2.0 * rq
+    c = 4.0 * rq * (1.0 - rq)
+    if len(rule.pairs) <= FLOAT_SHIFTS:
+        log_a, log_ratio, edge = float_terms(rule.pairs, sinh, rq, g, c)
+    else:
+        log_a, log_ratio, edge = array_terms(rule.factors, rule.weights, sinh, rq, g, c)
+    per_mode = float(rq * log_a + g * log_ratio)
+    nodes = len(rule.pairs) if alpha == 1 else 0
+    if n is ASYMPTOTIC:
+        scale, edge = 1.0, 0.0
+    else:
+        scale = float(n)
+    value = scale * per_mode - 0.25 * edge
+    if math.isinf(value):
+        raise ValueError(f"the average at n = {scale:.6g} is beyond float64: "
+                         f"n times its per-mode value {per_mode:.6g} overflows")
+    err = ROUNDING * (scale * per_mode + 0.25 * edge)
+    if tol < err:
+        raise ValueError(f"tolerance {tol:.3g} is below the float64 resolution of this value "
+                         f"({value:.6g}, error bound {err:.3g}): request a larger one")
+    return PageCurveValue(float(value), nodes, float(err), realized)
+
+
+def page_variance_full(alpha, s: float, r: float) -> float:
+    """The variance's leading term -2 w^T L w, L_jk = ln(1 - rho_j rho_k), with L formed whole."""
+    alpha = _check_alpha(alpha)
+    rq = min(r, 1.0 - r)
+    if s == 0 or rq == 0:
+        return 0.0
+    sinh = abs(math.sinh(2.0 * s))
+    rule = _order_rule(alpha, sinh * sinh)
+    g = 1.0 - 2.0 * rq
+    c = 4.0 * rq * (1.0 - rq)
+    p = 1.0 - 0.5 * c
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        _, _, vs = _root_terms(sinh * rule.factors, g, np)
+        rho = c / (2.0 * (vs + p))
+        comp = (vs + g * g) / (vs + p)
+        prod = np.multiply.outer(rho, rho)
+        logs = np.where(prod <= 0.5, np.log1p(-prod),
+                        np.log(comp[:, None] + rho[:, None] * comp))
+    return 0.0 - 2.0 * float(rule.weights @ logs @ rule.weights)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -7,8 +8,11 @@ from oracles import (
     MAX_NODES,
     haar_unitary,
     page_average_mpmath,
+    page_average_shift_logs,
     page_average_two_pass,
     page_variance_dct,
+    page_variance_full,
+    realized_ratio,
     reduced_covariance_equal,
     trW_moments,
 )
@@ -450,7 +454,7 @@ def memo():
 
 def _memo_key(alpha, n, s, r):
     """The memo key of a cell that reaches the sums, else None."""
-    rq = pagecurve._realized_ratio(n, r)[1]
+    rq = realized_ratio(n, r)[1]
     if abs(s) > _squeezing_limit(1, alpha == 1) or s == 0 or rq == 0:
         return None
     return alpha, abs(math.sinh(2.0 * s)), rq
@@ -499,6 +503,59 @@ def test_float_terms_match_array_terms(monkeypatch, memo):
         assert new.trunc_err == pytest.approx(old.trunc_err, rel=1e-12, abs=0.0), cell
         assert (new.nodes, new.realized_r) == (old.nodes, old.realized_r) == (0, old.realized_r)
     assert refused >= 2 * len(FLOAT_ORDERS)
+
+
+# The benchmark's sweep grid, and edge cells: weak squeezing down to shifts
+# that underflow, the branch change at sinh(2s) a_1 = 1 (0.4407 at order 1),
+# both ends of the strength range and beyond them, both signs, the ends of r
+# and small sides, odd and single-mode n, and a tolerance at the resolution.
+SWEEP_CELLS = [((alpha, n, round(0.05 + i * 0.05, 12), round(0.05 + j * 0.05, 12)), {})
+               for alpha in (1, 2, 3, 15) for i in range(60) for j in range(19)
+               for n in (100, 400, ASYMPTOTIC)]
+EDGE_S = (1e-200, 1e-160, 1e-20, 1e-8, 1e-5, 0.05, 0.44, 0.4407, 0.5, 1.0, 3.0, 10.0, 177.7,
+          345.58, 345.6, 355.2, 355.3)
+EDGE_CELLS = [((alpha, n, sign * s, r), kwargs)
+              for alpha in (1, 2, 3, 15, 49, 50, 2000) for s in EDGE_S for sign in (1, -1)
+              for r in (0.0, 0.005, 0.3, 0.5, 0.7, 0.995, 1.0)
+              for n in (1, 100, 101, 400, 2000, ASYMPTOTIC)
+              for kwargs in (({}, {"tol": 1e-12}) if r == 0.3 else ({},))]
+# Each parameter in another type, or out of its range, the others valid: the
+# readers convert or refuse it as they did before the fast paths past them.
+_OTHER_VALUES = {
+    0: (True, 0, -1, 1.0, 1.5, np.int64(1), np.int64(15), "2", None),
+    1: (True, 0, 10.5, 100.0, np.int64(101), float("inf"), float("nan"), 10**400, "100"),
+    2: (0, 1, np.float64(0.5), -0.0, float("nan"), float("inf"), 345.6, 355.3, "0.5", None),
+    3: (0, 1, np.float64(0.3), -0.1, 1.1, float("nan"), "0.3", None),
+    4: (1, np.float64(1e-3), 0.0, -1e-3, float("nan"), float("inf"), 1e-16, "x", None),
+}
+TYPE_CELLS = [((*base[:i], value, *base[i + 1:]), {})
+              for base in ((1, 100, 0.5, 0.3, 1e-3), (15, ASYMPTOTIC, 0.5, 0.3, 1e-3))
+              for i, values in _OTHER_VALUES.items() for value in values]
+
+
+def test_node_constants_match_the_shift_logs_oracle(memo):
+    # The evaluators before the rule's node constants (tests/oracles.py): rules
+    # summed in Python floats (orders 2 to 49) give the same bits, rules
+    # summed in numpy (order 1, orders >= 50) agree within 0.05 trunc_err,
+    # and every refusal has the same message.
+    cells = SWEEP_CELLS + EDGE_CELLS + TYPE_CELLS
+    new = _outcomes(cells)
+    old = []
+    for args, kwargs in cells:
+        try:
+            old.append(page_average_shift_logs(*args, **kwargs))
+        except ValueError as exc:
+            old.append(str(exc))
+    refused = 0
+    for (args, _), a, b in zip(cells, new, old):
+        if isinstance(b, str) or 2 <= int(args[0]) <= 49:
+            refused += isinstance(b, str)
+            assert a == b, args
+            continue
+        assert abs(a.value - b.value) <= 0.05 * b.trunc_err, args
+        assert a.trunc_err == pytest.approx(b.trunc_err, rel=1e-12, abs=0.0), args
+        assert (a.nodes, a.realized_r) == (b.nodes, b.realized_r), args
+    assert refused > 1000
 
 
 def test_memo_answers_as_a_fresh_evaluation(memo):
@@ -712,10 +769,11 @@ def test_an_average_beyond_float64_is_named():
 def test_validation():
     # Order 1 is the von Neumann average, to the bit, under any integral
     # spelling of 1 (the 50-digit integrals are 19.58796838711631644 and
-    # 0.7186807897261933667).
+    # 0.7186807897261933667: the pinned values are 7.6e-15 below the first
+    # and 5.9e-17 above the second).
     for one in (1, 1.0, np.int64(1)):
-        assert page_average(one, 100, 0.5, 0.5).value == 19.587968387116305
-        assert page_average(one, ASYMPTOTIC, 1.5, 0.3).value == 0.7186807897261933
+        assert page_average(one, 100, 0.5, 0.5).value == 19.58796838711631
+        assert page_average(one, ASYMPTOTIC, 1.5, 0.3).value == 0.7186807897261934
     for n in (True, float("inf"), float("nan"), 10.5, 0):
         with pytest.raises(ValueError, match="mode count"):
             page_average(2, n, 0.5, 0.5)
@@ -835,6 +893,42 @@ def test_variance_is_finite_and_non_negative(s):
             res = page_variance(alpha, s, r)
             assert math.isfinite(res.value) and math.copysign(1.0, res.value) == 1.0
             assert 0.0 <= res.trunc_err < math.inf
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 50, 2000])
+def test_variance_matches_the_whole_pair_array(alpha):
+    # Rules of up to 256 shifts are one block, longer ones (order 2000,
+    # order 1 below s = 1e-19) several: every value has the bits of L formed
+    # whole. Both give 0.0 where the value underflows, from s = 1e-82 down at
+    # order 1 and 1e-81 at the others, and the same subnormals just above.
+    for s in (1e-200, 1e-160, 1e-120, 1e-82, 1e-81, 1e-80, 1e-79, 1e-40, 1e-19, 1e-5, 0.5,
+              3.0, 30.0):
+        for r in (0.05, 0.3, 0.5):
+            assert page_variance(alpha, s, r).value == page_variance_full(alpha, s, r), (s, r)
+    assert page_variance(1, 1e-82, 0.3).value == 0.0 < page_variance(1, 1e-81, 0.3).value
+
+
+def test_variance_memory_is_bounded():
+    # With every pair (j, k) in one array the temporaries held about four
+    # rule-length-squared arrays: 76 MiB (tracemalloc) for order 1 at
+    # s = 1e-160, a rule of 1555 nodes whose value underflows, and 32 MiB for
+    # the 1000 shifts of order 2000. Now L alone is whole, beside a few blocks
+    # of 2^16 pairs, and no pair is formed where the value underflows.
+    assert pagecurve._VARIANCE_BLOCK == 1 << 16
+    block_bytes = 8 * pagecurve._VARIANCE_BLOCK
+    for args, underflows in [((1, 1e-160, 0.3), True), ((2000, 1e-100, 0.5), True),
+                             ((1, 1e-40, 0.5), False), ((2000, 0.5, 0.3), False)]:
+        expected = page_variance(*args)  # the rule is built outside the measurement
+        shifts = len(entropy._order_rule(args[0], math.sinh(2 * args[1]) ** 2).pairs)
+        tracemalloc.start()
+        try:
+            res = page_variance(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res == expected
+        assert (res.value == 0.0) == underflows, args
+        assert peak < (2**20 if underflows else 8 * shifts**2 + 6 * block_bytes), (args, peak)
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 15])
