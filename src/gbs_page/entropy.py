@@ -36,10 +36,11 @@ u = tanh(t)
 
 an integrand analytic in the strip |Im t| < pi/2 for every c and T_j; the
 trapezoidal rule converges geometrically there (``_von_neumann_count``).
-Each order's shifts and weights come from its own cached pattern
-(``_pattern``, cut at c by ``_order_rule``), which the analytic average
-reads too, as Python float pairs or as arrays with the rule's node
-constants (1/a_j and the sums of w_j and of w_j ln a_j). One
+Each shift rule is built once per (order, node count) and cached
+(``_rule``), and ``_order_rule`` looks up the one at c. The analytic
+average reads the same rules, as Python float pairs if short enough for a
+float loop (``_FLOAT_SHIFTS``), else as arrays with their node constants
+(1/a_j and the sums of w_j and of w_j ln a_j). One
 ``_log_dets`` pass takes every order's shifts, and each order sums its own.
 """
 
@@ -63,6 +64,12 @@ _VN_STEP = 0.25
 _VN_REACH = 20.0
 
 _FLOAT_MAX = float(np.finfo(float).max)  # where every input range of the package ends
+
+# Longest shift rule that ``pagecurve.page_average`` sums in Python floats,
+# and so the longest that keeps float pairs (``_Rule``); longer ones go
+# through numpy. Set where the two evaluators cross, both about 10 us a cell
+# (README; BENCH_analytic.json, "node_constants", "crossover").
+_FLOAT_SHIFTS = 24
 
 
 @lru_cache(maxsize=None)
@@ -227,19 +234,21 @@ def _von_neumann_count(c: float) -> int:
 
 
 class _Rule(NamedTuple):
-    """An order's shift rule (``_pattern``), cut at c by ``_order_rule``. Read-only.
+    """An order's shift rule at one node count (``_rule``), with its node constants. Read-only.
 
-    ``factors`` a_j (ascending) and ``weights`` w_j are arrays; ``pairs``
-    holds them again as Python float pairs (a_j, w_j) and ``reciprocals``
-    holds 1/a_j. ``sums`` has one row (sum_j w_j, sum_j w_j ln a_j) for
-    each node count the rule may be cut to, its own count last.
+    ``factors`` a_j (ascending), ``weights`` w_j and ``reciprocals`` 1/a_j
+    are arrays, and ``weight_sum`` and ``log_sum`` are sum_j w_j and
+    sum_j w_j ln a_j. ``pairs`` holds (a_j, w_j) again as Python floats
+    for a rule of at most ``_FLOAT_SHIFTS`` shifts, the only ones summed
+    shift by shift in floats, and is None for a longer one.
     """
 
     factors: np.ndarray
     weights: np.ndarray
-    pairs: tuple[tuple[float, float], ...]
+    pairs: tuple[tuple[float, float], ...] | None
     reciprocals: np.ndarray
-    sums: np.ndarray
+    weight_sum: float
+    log_sum: float
 
 
 def _running_sums(terms: np.ndarray) -> np.ndarray:
@@ -258,20 +267,17 @@ def _running_sums(terms: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _pattern(alpha: int) -> _Rule:
-    """Order alpha's shift rule at every c, with its node constants (``_Rule``).
+def _rule(alpha: int, count: int) -> _Rule:
+    """Order alpha's shift rule of ``count`` nodes, with its node constants (``_Rule``).
 
-    Orders alpha >= 2: a_j = sin(pi j/alpha), 1 <= j <= alpha/2, and shifts
-    c a_j^2; the rule is never cut, so ``sums`` has one row. Order 1:
-    a_j = cosh t_j at every node any c > 0 takes, of which the rule at c has
-    the first ``_von_neumann_count(c)``, with shifts (sinh(2s) a_j)^2, and
-    ``sums`` has one row per node count. ``_order_rule`` cuts the rule at
-    c; ``_shift_rule`` reads its factors and weights, one order at a time,
-    and ``pagecurve.page_average`` its pairs or, for a long rule, its arrays
-    and sums.
+    Orders alpha >= 2: a_j = sin(pi j/alpha), 1 <= j <= alpha/2 = ``count``,
+    and shifts c a_j^2. Order 1: a_j = cosh t_j at the nodes
+    t_j = j * _VN_STEP, j < ``count``, and shifts (sinh(2s) a_j)^2.
+    ``_shift_rule`` reads its factors and weights, and
+    ``pagecurve.page_average`` its pairs or its arrays and node sums.
     """
     if alpha == 1:
-        t = _VN_STEP * np.arange(_von_neumann_count(np.finfo(float).smallest_subnormal))
+        t = _VN_STEP * np.arange(count)
         sech = 1.0 / np.cosh(t)
         weights = 0.5 * _VN_STEP * sech * sech
         weights[0] *= 0.5
@@ -281,29 +287,21 @@ def _pattern(alpha: int) -> _Rule:
         # whatever order it comes from, in the sampler and in
         # ``page_average`` alike. From order 36 up the unreduced j/alpha
         # rounds to other floats: an ulp off at 623 of the orders 2-1000.
-        j = np.arange(1, alpha // 2 + 1)
+        j = np.arange(1, count + 1)
         g = np.gcd(j, alpha)
         factors = np.sin(np.pi * (j // g) / (alpha // g))
         weights = np.where(2 * j == alpha, 0.5, 1.0) / (alpha - 1)
-    # order 1 is cut at each node count (``_order_rule``), the others never
-    kept = slice(None) if alpha == 1 else slice(-1, None)
-    sums = np.stack((_running_sums(weights)[kept],
-                     _running_sums(weights * np.log(factors))[kept]), axis=1)
     reciprocals = 1.0 / factors
-    for array in (factors, weights, reciprocals, sums):
+    for array in (factors, weights, reciprocals):
         array.flags.writeable = False
-    return _Rule(factors, weights, tuple(zip(factors.tolist(), weights.tolist())), reciprocals,
-                 sums)
+    pairs = tuple(zip(factors.tolist(), weights.tolist())) if count <= _FLOAT_SHIFTS else None
+    return _Rule(factors, weights, pairs, reciprocals, float(_running_sums(weights)[-1]),
+                 float(_running_sums(weights * np.log(factors))[-1]))
 
 
 def _order_rule(alpha: int, c: float) -> _Rule:
-    """Order alpha's rule at c = sinh^2(2s): ``_pattern``, cut to its first nodes at order 1."""
-    rule = _pattern(alpha)
-    if alpha > 1:
-        return rule
-    count = _von_neumann_count(c)
-    return _Rule(rule.factors[:count], rule.weights[:count], rule.pairs[:count],
-                 rule.reciprocals[:count], rule.sums[:count])
+    """Order alpha's rule at c = sinh^2(2s), of ``_von_neumann_count(c)`` nodes at order 1."""
+    return _rule(alpha, _von_neumann_count(c) if alpha == 1 else alpha // 2)
 
 
 def _shift_rule(s: float, orders) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -53,11 +53,12 @@ so the sums need only the roots sinh(2s) a_j: they answer up to |s| = 355.24
 
 Evaluation
 ----------
-Two evaluators form the three sums over the shifts (of w ln A, of
-w ln(1 + rq^2 x / B) and the edge term), each picking its branch once per
-rule, at the smallest root. ``_float_terms`` loops over a rule of at most
-``_FLOAT_SHIFTS`` shifts (orders 2 to 49) in Python floats with ``math``,
-one shift at a time with no call per shift. ``_array_terms`` takes longer
+Two evaluators form the three sums (of w ln A, of w ln(1 + rq^2 x / B) and
+the edge term) over the shifts of the rule cached per (order, node count)
+(``entropy._order_rule``), each picking its branch once per rule, at the
+smallest root. ``_float_terms`` loops over the float pairs that only a
+rule of at most ``_FLOAT_SHIFTS`` shifts (orders 2 to 49) keeps, in
+``math``, with no call per shift. ``_array_terms`` takes longer
 rules, order 1's 81 to 128 t-nodes among them and orders from 50, in
 numpy: about 20 calls, whose fixed cost equals about 24 shifts of the loop
 (README). Its log-space branch reads the rule's node constants
@@ -88,8 +89,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import (_FLOAT_MAX, _check_alpha, _check_ratio, _check_squeezing, _mode_count,
-                      _order_rule, _real, _squeezing_limit)
+from .entropy import (_FLOAT_MAX, _FLOAT_SHIFTS, _check_alpha, _check_ratio, _check_squeezing,
+                      _mode_count, _order_rule, _real, _squeezing_limit)
 
 __all__ = [
     "ASYMPTOTIC",
@@ -114,13 +115,6 @@ ROUNDING = 128 * float(np.finfo(float).eps)
 # Largest |s| whose roots sinh(2s) a_j are finite: order 1, the other orders.
 _VN_LIMIT = _squeezing_limit(1, True)
 _LIMIT = _squeezing_limit(1, False)
-
-# Longest shift rule that ``page_average`` sums in Python floats; longer
-# ones go through numpy, whose per-call cost is then shared by more shifts.
-# Set at the measured crossover of the two evaluators, where both take about
-# 10 us to evaluate a cell's sums (README; BENCH_analytic.json,
-# "node_constants", "crossover").
-_FLOAT_SHIFTS = 24
 
 # Entries of the per-mode sums memo (``_cell_terms``): about 290 B each,
 # so it holds under 5 MB (README; BENCH_analytic.json, "memo").
@@ -180,7 +174,7 @@ def _array_terms(rule, sinh, rq, g, c):
     """
     weights = rule.weights
     p = 1.0 - 0.5 * c  # (1 + g^2) / 2
-    if sinh * rule.pairs[0][0] < 1.0:
+    if sinh * rule.factors[0] < 1.0:
         # In place: a rule of 500,000 shifts (order 10^6) holds four arrays
         # of its length here, besides its own.
         x = sinh * rule.factors
@@ -204,10 +198,10 @@ def _array_terms(rule, sinh, rq, g, c):
         term /= one_g2x
         return log_a, log_ratio, weights.dot(np.log1p(term, out=term))
     u = _root_term(rule.reciprocals * (1.0 / sinh), g)
-    weight_sum, log_sum = rule.sums[-1].tolist()
     term = u + p
     term *= 0.5
-    log_a = 2.0 * (weight_sum * math.log(sinh) + log_sum) + weights.dot(np.log(term, out=term))
+    log_a = (2.0 * (rule.weight_sum * math.log(sinh) + rule.log_sum)
+             + weights.dot(np.log(term, out=term)))
     np.add(u, g, out=term)
     np.divide(2.0 * rq * rq, term, out=term)
     log_ratio = weights.dot(np.log1p(term, out=term))
@@ -258,7 +252,7 @@ def _cell_terms(alpha: int, sinh: float, rq: float) -> tuple[float, float, int]:
     rule = _order_rule(alpha, sinh * sinh)
     g = 1.0 - 2.0 * rq
     c = 4.0 * rq * (1.0 - rq)  # 1 - g^2
-    shifts = len(rule.pairs)
+    shifts = len(rule.weights)
     if shifts <= _FLOAT_SHIFTS:
         log_a, log_ratio, edge = _float_terms(rule.pairs, sinh, rq, g, c)
     else:
@@ -341,10 +335,11 @@ def page_variance(alpha, s: float, r: float) -> PageCurveValue:
     not finite or above |s| = 355.24 (345.58 at order 1). The value is
     zero at s = 0 and at r in {0, 1}; ``trunc_err`` bounds its float64
     error (``ROUNDING``), ``nodes`` is the order-1 node count and
-    ``realized_r`` is r. It holds the rule's length squared of logarithms,
-    alpha^2 / 4 floats and at order 1 81^2 from s = 0.44 up, formed a block
-    of at most ``_VARIANCE_BLOCK`` (2^16) at a time, and none where a bound
-    on the value is below the float64 range: there it is 0.
+    ``realized_r`` is r. It forms the rule's length squared of logarithms,
+    alpha^2 / 4 and at order 1 81^2 from s = 0.44 up, a block of at most
+    ``_VARIANCE_BLOCK`` (2^16) at a time, and holds one block and the
+    rule's length of column sums; it forms none where a bound on the value
+    is below the float64 range: there it is 0.
     """
     alpha = _check_alpha(alpha)
     r = _check_ratio(r)
@@ -372,16 +367,17 @@ def page_variance(alpha, s: float, r: float) -> PageCurveValue:
         # (NaN where v^2 overflows at every root: every rho is 0, and so is the value.)
         if not float(weights @ rho) >= _UNDERFLOW_ROOT * math.sqrt(comp[-1] * (1.0 + rho[-1])):
             return PageCurveValue(0.0, nodes, 0.0, r)
-        # L_jk = ln(1 - rho_j rho_k), formed a block of rows at a time: each
-        # entry and the one product w^T L w are those of L formed whole.
-        logs = np.empty((len(rho), len(rho)))
+        # w^T L, L_jk = ln(1 - rho_j rho_k), summed a block of rows of L at a
+        # time: a rule of up to 256 shifts is one block, whose value has the
+        # bits of L formed whole; a longer one's is within 1e-14 of it.
+        column_sums = np.zeros(len(rho))
         rows = max(1, _VARIANCE_BLOCK // len(rho))
         for start in range(0, len(rho), rows):
             block = slice(start, start + rows)
             prod = np.multiply.outer(rho[block], rho)
-            logs[block] = np.where(prod <= 0.5, np.log1p(-prod),
-                                   np.log(comp[block, None] + rho[block, None] * comp))
-    value = 0.0 - 2.0 * float(weights @ logs @ weights)  # +0.0 where every log is 0
+            column_sums += weights[block] @ np.where(
+                prod <= 0.5, np.log1p(-prod), np.log(comp[block, None] + rho[block, None] * comp))
+    value = 0.0 - 2.0 * float(column_sums @ weights)  # +0.0 where every log is 0
     return PageCurveValue(value, nodes, ROUNDING * value, r)
 
 

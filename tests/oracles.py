@@ -66,8 +66,11 @@ branch forms 1/y and ln y at every node, with the same checks and
 refusal messages and no memo. ``realized_ratio`` is the (k/n, reduced
 ratio) pair of a query, which that average and the quadrature read.
 ``page_variance_full`` is ``pagecurve.page_variance`` with every pair
-(j, k) of the rule in one array, before it took them a block of rows at a
-time and skipped the values that underflow.
+(j, k) of the rule in one array and w^T L w taken once, before it summed
+w^T L a block of rows at a time and skipped the values that underflow.
+``master_rule`` is an order's shift rule as ``entropy`` built it before it
+built one rule per node count: order 1 as one master table of every node
+any c takes, with running node sums at every count, cut at c.
 """
 
 import functools
@@ -80,14 +83,18 @@ import numpy as np
 import scipy.fft
 
 from gbs_page.entropy import (
+    _FLOAT_SHIFTS,
     _MAX_SQUEEZING,
+    _VN_STEP,
     _as_spectrum,
     _check_alpha,
     _check_squeezing,
     _mode_count,
     _order_rule,
+    _running_sums,
     _side,
     _squeezing_limit,
+    _von_neumann_count,
     renyi_entropy,
     renyi_mode_entropy,
 )
@@ -804,12 +811,12 @@ def page_average_shift_logs(alpha, n, s: float, r: float,
     rule = _order_rule(alpha, sinh * sinh)
     g = 1.0 - 2.0 * rq
     c = 4.0 * rq * (1.0 - rq)
-    if len(rule.pairs) <= FLOAT_SHIFTS:
+    if len(rule.weights) <= FLOAT_SHIFTS:
         log_a, log_ratio, edge = float_terms(rule.pairs, sinh, rq, g, c)
     else:
         log_a, log_ratio, edge = array_terms(rule.factors, rule.weights, sinh, rq, g, c)
     per_mode = float(rq * log_a + g * log_ratio)
-    nodes = len(rule.pairs) if alpha == 1 else 0
+    nodes = len(rule.weights) if alpha == 1 else 0
     if n is ASYMPTOTIC:
         scale, edge = 1.0, 0.0
     else:
@@ -840,7 +847,38 @@ def page_variance_full(alpha, s: float, r: float) -> float:
         _, _, vs = _root_terms(sinh * rule.factors, g, np)
         rho = c / (2.0 * (vs + p))
         comp = (vs + g * g) / (vs + p)
-        prod = np.multiply.outer(rho, rho)
-        logs = np.where(prod <= 0.5, np.log1p(-prod),
-                        np.log(comp[:, None] + rho[:, None] * comp))
+        # L filled a row at a time, each entry the float of L formed in one
+        # expression, so that an order of thousands holds L and no more.
+        logs = np.empty((len(rho), len(rho)))
+        for j, (rho_j, comp_j) in enumerate(zip(rho, comp)):
+            prod = rho_j * rho
+            logs[j] = np.where(prod <= 0.5, np.log1p(-prod), np.log(comp_j + rho_j * comp))
     return 0.0 - 2.0 * float(rule.weights @ logs @ rule.weights)
+
+
+def master_rule(alpha, c: float):
+    """(factors, weights, pairs, reciprocals, weight_sum, log_sum) of order alpha's rule at c.
+
+    Order 1 is cut at ``_von_neumann_count(c)`` nodes from the master table
+    of every node count down to c = 5e-324, whose node sums are the running
+    sums at each count; the other orders are built whole.
+    """
+    if alpha == 1:
+        t = _VN_STEP * np.arange(_von_neumann_count(np.finfo(float).smallest_subnormal))
+        sech = 1.0 / np.cosh(t)
+        weights = 0.5 * _VN_STEP * sech * sech
+        weights[0] *= 0.5
+        factors = np.cosh(t)
+        count = _von_neumann_count(c)
+    else:
+        j = np.arange(1, alpha // 2 + 1)
+        g = np.gcd(j, alpha)
+        factors = np.sin(np.pi * (j // g) / (alpha // g))
+        weights = np.where(2 * j == alpha, 0.5, 1.0) / (alpha - 1)
+        count = len(factors)
+    weight_sums = _running_sums(weights)
+    log_sums = _running_sums(weights * np.log(factors))
+    factors, weights = factors[:count], weights[:count]
+    pairs = tuple(zip(factors.tolist(), weights.tolist())) if count <= _FLOAT_SHIFTS else None
+    return (factors, weights, pairs, 1.0 / factors, float(weight_sums[count - 1]),
+            float(log_sums[count - 1]))

@@ -632,8 +632,10 @@ def test_a_side_beyond_every_numpy_array_is_usage_error(capsys):
 
 def test_the_workflow_smoke_commands(tmp_path):
     # The console-script smoke step of .github/workflows/tier1.yml, run as
-    # python -m gbs_page.cli: the same calls, exit codes, cmp and diff -r.
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gbs_page.__file__))}
+    # python -m gbs_page.cli: the same calls, exit codes, cmp and diff -r,
+    # with a RuntimeWarning an error.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gbs_page.__file__)),
+           "PYTHONWARNINGS": "error::RuntimeWarning"}
 
     def gbs_page_cli(*argv, cwd=tmp_path):
         return subprocess.run([sys.executable, "-m", "gbs_page.cli", *argv], cwd=cwd, env=env,
@@ -643,6 +645,10 @@ def test_the_workflow_smoke_commands(tmp_path):
     for argv in (("--help",),
                  ("analytic", "--alpha", "1,2", "--s", "0.5", "--n", "100", "--r-grid",
                   "0:1:0.5"),
+                 ("analytic", "--alpha", "1,2,15,50", "--s", "345", "--asymptotic", "--r-grid",
+                  "0:1:0.25"),
+                 ("analytic", "--alpha", "1,50", "--s", "1e-5", "--n", "101", "--r-grid",
+                  "0:1:0.25"),
                  ("simulate", "--n", "10", "--k", "0", "--s", "0.5", *common),
                  ("simulate", "--n", "4", "--k", "2", "--s=-0.1,0.2,0.3,0.4", *common),
                  ("simulate", "--n", "9223372036854775814", "--k", "3", "--s", "0.5", *common)):

@@ -1,14 +1,15 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from oracles import bidiagonal_entropies_mpmath, renyi_entropy_factored
+from oracles import bidiagonal_entropies_mpmath, master_rule, renyi_entropy_factored
 
 from gbs_page import ExperimentPlan, renyi_entropy, renyi_mode_entropy, run_experiment
-from gbs_page.entropy import (_shift_rule, _squeezing_limit, bidiagonal_entropies,
-                              spectrum_entropies)
+from gbs_page.entropy import (_FLOAT_SHIFTS, _order_rule, _rule, _shift_rule, _squeezing_limit,
+                              _von_neumann_count, bidiagonal_entropies, spectrum_entropies)
 from gbs_page.haar import _bidiagonal_squares
 
 
@@ -220,7 +221,7 @@ def test_bidiagonal_entropies_match_mpmath(n, k):
 
 
 def test_shift_rule_floats_are_those_built_per_call():
-    # The cached patterns give the floats of the rule built from scratch:
+    # The cached rules give the floats of the rule built from scratch:
     # (sinh(2s) cosh t)^2 at the trapezoid nodes, and c sin^2(pi j/alpha)
     # with j/alpha in lowest terms, one (shifts, weights) pair per order in
     # the order given.
@@ -244,6 +245,56 @@ def test_shift_rule_floats_are_those_built_per_call():
             g = np.gcd(j, alpha)
             assert np.array_equal(shifts, c * np.sin(np.pi * (j // g) / (alpha // g)) ** 2)
             assert np.array_equal(got_weights, np.where(2 * j == alpha, 0.5, 1.0) / (alpha - 1))
+
+
+# c = 0 (one node), the 81 nodes from c = 1 up, the 128 at s = 1e-5 and the
+# 1573 at the smallest subnormal c; orders with one shift, the longest rule
+# kept in float pairs, the shortest that is not, and a long one.
+MASTER_CELLS = [(1, 0.0, 1), (1, 1.0, 81), (1, math.sinh(2e-5) ** 2, 128), (1, 5e-324, 1573),
+                (2, 1.0, 1), (3, 1.0, 1), (49, 1.0, 24), (50, 1.0, 25), (2000, 1.0, 1000)]
+
+
+@pytest.mark.parametrize("alpha,c,count", MASTER_CELLS)
+def test_rules_have_the_bits_of_the_master_table(alpha, c, count):
+    # Each rule is built at its own node count, and every array and node sum
+    # has the bits of the master table cut at c.
+    rule = _order_rule(alpha, c)
+    factors, weights, pairs, reciprocals, weight_sum, log_sum = master_rule(alpha, c)
+    assert len(rule.weights) == count
+    for got, want in ((rule.factors, factors), (rule.weights, weights),
+                      (rule.reciprocals, reciprocals)):
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    assert (rule.pairs, rule.weight_sum, rule.log_sum) == (pairs, weight_sum, log_sum)
+
+
+def test_an_order_one_rule_is_built_once_per_node_count():
+    # Every c from 1 up takes 81 nodes, and reads one cached rule.
+    assert _von_neumann_count(1.0) == _von_neumann_count(4.0) == 81
+    assert _order_rule(1, 1.0) is _order_rule(1, 4.0)
+    assert _order_rule(1, 0.01) is not _order_rule(1, 1.0)
+    assert _order_rule(15, 0.01) is _order_rule(15, 1.0)
+
+
+def test_only_a_rule_summed_in_floats_keeps_float_pairs():
+    assert len(_order_rule(2 * _FLOAT_SHIFTS + 1, 1.0).pairs) == _FLOAT_SHIFTS
+    for alpha in (2 * _FLOAT_SHIFTS + 2, 1, 2000):
+        rule = _order_rule(alpha, 1.0)
+        assert len(rule.weights) > _FLOAT_SHIFTS and rule.pairs is None
+
+
+def test_a_long_rule_holds_its_arrays_alone():
+    # Order 10^5 has 50,000 shifts: three arrays of 0.4 MB. Its float pairs
+    # would hold 5.6 MB more.
+    _rule.cache_clear()
+    tracemalloc.start()
+    try:
+        rule = _order_rule(10**5, 1.0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rule.weights) == 50_000
+    assert held <= 1.5e6, held
 
 
 @pytest.mark.parametrize("orders", [(2,), (3,), (2, 15), (1,), (1, 2)], ids=repr)

@@ -429,7 +429,7 @@ def _outcomes(cells):
 
 
 # Orders whose rules page_average sums in Python floats: alpha // 2 shifts.
-FLOAT_ORDERS = range(2, 2 * pagecurve._FLOAT_SHIFTS + 2)
+FLOAT_ORDERS = range(2, 2 * entropy._FLOAT_SHIFTS + 2)
 
 # The ends of the strength range (s = +-355.2, and 355.3 beyond it), shifts
 # that underflow (1e-200) or put nu within a few floats of 1 (1e-8), r = 1/2
@@ -466,8 +466,8 @@ def test_float_terms_match_array_terms(monkeypatch, memo):
     # through numpy. Values agree within 0.1 trunc_err, refusals to the letter.
     # The memo is emptied before each pass, so the numpy pass evaluates every
     # distinct key once instead of reading the float pass's sums.
-    assert len(entropy._pattern(FLOAT_ORDERS[-1])[2]) == pagecurve._FLOAT_SHIFTS
-    assert len(entropy._pattern(FLOAT_ORDERS[-1] + 1)[2]) > pagecurve._FLOAT_SHIFTS
+    assert len(entropy._order_rule(FLOAT_ORDERS[-1], 1.0).pairs) == entropy._FLOAT_SHIFTS
+    assert len(entropy._order_rule(FLOAT_ORDERS[-1] + 1, 1.0).weights) > entropy._FLOAT_SHIFTS
     s_grid = [round(0.05 + i * 0.05, 12) for i in range(2, 60, 3)]
     r_grid = [round(0.05 + i * 0.05, 12) for i in range(1, 19, 2)]
     sweep = [((n, s, r), {}) for s in s_grid for r in r_grid for n in (100, 101, 400, ASYMPTOTIC)]
@@ -897,14 +897,20 @@ def test_variance_is_finite_and_non_negative(s):
 
 @pytest.mark.parametrize("alpha", [1, 2, 3, 50, 2000])
 def test_variance_matches_the_whole_pair_array(alpha):
-    # Rules of up to 256 shifts are one block, longer ones (order 2000,
-    # order 1 below s = 1e-19) several: every value has the bits of L formed
-    # whole. Both give 0.0 where the value underflows, from s = 1e-82 down at
-    # order 1 and 1e-81 at the others, and the same subnormals just above.
+    # Rules of up to 256 shifts are one block, and their values have the
+    # bits of L formed whole; longer ones (order 2000, order 1 below
+    # s = 1e-19) sum several blocks' column sums, within 1e-14. Both give 0.0
+    # where the value underflows, from s = 1e-82 down at order 1 and 1e-81 at
+    # the others, and the same subnormals just above.
     for s in (1e-200, 1e-160, 1e-120, 1e-82, 1e-81, 1e-80, 1e-79, 1e-40, 1e-19, 1e-5, 0.5,
               3.0, 30.0):
+        one_block = len(entropy._order_rule(alpha, math.sinh(2 * s) ** 2).weights) <= 256
         for r in (0.05, 0.3, 0.5):
-            assert page_variance(alpha, s, r).value == page_variance_full(alpha, s, r), (s, r)
+            value, whole = page_variance(alpha, s, r).value, page_variance_full(alpha, s, r)
+            if one_block:
+                assert value == whole, (s, r)
+            else:
+                assert value == pytest.approx(whole, rel=1e-14, abs=0.0), (s, r)
     assert page_variance(1, 1e-82, 0.3).value == 0.0 < page_variance(1, 1e-81, 0.3).value
 
 
@@ -912,14 +918,15 @@ def test_variance_memory_is_bounded():
     # With every pair (j, k) in one array the temporaries held about four
     # rule-length-squared arrays: 76 MiB (tracemalloc) for order 1 at
     # s = 1e-160, a rule of 1555 nodes whose value underflows, and 32 MiB for
-    # the 1000 shifts of order 2000. Now L alone is whole, beside a few blocks
-    # of 2^16 pairs, and no pair is formed where the value underflows.
+    # the 1000 shifts of order 2000. Now a few blocks of 2^16 pairs are held
+    # beside the rule's length of column sums (4.3 blocks measured), and no
+    # pair is formed where the value underflows.
     assert pagecurve._VARIANCE_BLOCK == 1 << 16
     block_bytes = 8 * pagecurve._VARIANCE_BLOCK
     for args, underflows in [((1, 1e-160, 0.3), True), ((2000, 1e-100, 0.5), True),
                              ((1, 1e-40, 0.5), False), ((2000, 0.5, 0.3), False)]:
         expected = page_variance(*args)  # the rule is built outside the measurement
-        shifts = len(entropy._order_rule(args[0], math.sinh(2 * args[1]) ** 2).pairs)
+        shifts = len(entropy._order_rule(args[0], math.sinh(2 * args[1]) ** 2).weights)
         tracemalloc.start()
         try:
             res = page_variance(*args)
@@ -928,7 +935,25 @@ def test_variance_memory_is_bounded():
             tracemalloc.stop()
         assert res == expected
         assert (res.value == 0.0) == underflows, args
-        assert peak < (2**20 if underflows else 8 * shifts**2 + 6 * block_bytes), (args, peak)
+        assert peak < (2**20 if underflows else 6 * block_bytes + 64 * shifts), (args, peak)
+
+
+def test_variance_of_a_long_rule_holds_blocks_not_the_pair_array():
+    # Order 8000 has 4000 shifts: L whole is 122 MiB, and holding it peaked
+    # at 124 MiB. Summed a block of rows at a time, it peaks at 2.2 MiB,
+    # within 1e-14 of L formed whole; at r = 0.45 and s = 3 some products
+    # rho_j rho_k pass 1/2, so both forms of ln(1 - rho_j rho_k) are summed.
+    for s, r in ((0.5, 0.3), (3.0, 0.45)):
+        whole = page_variance_full(8000, s, r)
+        page_variance(8000, s, r)  # the rule is built outside the measurement
+        tracemalloc.start()
+        try:
+            res = page_variance(8000, s, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.value == pytest.approx(whole, rel=1e-14, abs=0.0), (s, r)
+        assert peak <= 8 * 2**20, (s, r, peak)
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 15])
