@@ -36,12 +36,14 @@ u = tanh(t)
 
 an integrand analytic in the strip |Im t| < pi/2 for every c and T_j; the
 trapezoidal rule converges geometrically there (``_von_neumann_count``).
-Each shift rule is built once per (order, node count) and cached
-(``_rule``), and ``_order_rule`` looks up the one at c. The analytic
-average reads the same rules, as Python float pairs if short enough for a
-float loop (``_FLOAT_SHIFTS``), else as arrays with their node constants
-(1/a_j and the sums of w_j and of w_j ln a_j). One
-``_log_dets`` pass takes every order's shifts, and each order sums its own.
+A shift rule (``_Rule``) is its factors a_j and weights w_j, with the
+exactly rounded sums of w_j and of w_j ln a_j. ``_order_rule`` gives the
+one at c, built once per (order, node count) and cached (``_rule``), except
+a rule of more than ``_CACHED_SHIFTS`` shifts, which is built for its call
+alone. The analytic average reads the same rules; a rule of at most
+``_FLOAT_SHIFTS`` shifts also keeps its (a_j, w_j) as Python float pairs,
+and ``pagecurve`` sums exactly those in a float loop. One ``_log_dets``
+pass takes every order's shifts, and each order sums its own.
 """
 
 import math
@@ -65,11 +67,15 @@ _VN_REACH = 20.0
 
 _FLOAT_MAX = float(np.finfo(float).max)  # where every input range of the package ends
 
-# Longest shift rule that ``pagecurve.page_average`` sums in Python floats,
-# and so the longest that keeps float pairs (``_Rule``); longer ones go
-# through numpy. Set where the two evaluators cross, both about 10 us a cell
+# Longest shift rule that keeps float pairs (``_Rule``), which
+# ``pagecurve.page_average`` sums in Python floats; longer ones go through
+# numpy. Set where the two evaluators cross, both about 10 us a cell
 # (README; BENCH_analytic.json, "node_constants", "crossover").
 _FLOAT_SHIFTS = 24
+
+# Longest shift rule that is cached (``_order_rule``): from order 131,074
+# up a rule is built for its call alone, so no large order stays in memory.
+_CACHED_SHIFTS = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -234,47 +240,31 @@ def _von_neumann_count(c: float) -> int:
 
 
 class _Rule(NamedTuple):
-    """An order's shift rule at one node count (``_rule``), with its node constants. Read-only.
+    """An order's shift rule at one node count (``_rule``). Read-only.
 
-    ``factors`` a_j (ascending), ``weights`` w_j and ``reciprocals`` 1/a_j
-    are arrays, and ``weight_sum`` and ``log_sum`` are sum_j w_j and
-    sum_j w_j ln a_j. ``pairs`` holds (a_j, w_j) again as Python floats
-    for a rule of at most ``_FLOAT_SHIFTS`` shifts, the only ones summed
-    shift by shift in floats, and is None for a longer one.
+    ``factors`` a_j (ascending) and ``weights`` w_j are arrays, and
+    ``weight_sum`` and ``log_sum`` are sum_j w_j and sum_j w_j ln a_j,
+    each exactly rounded (``math.fsum``). ``pairs`` holds (a_j, w_j) again
+    as Python floats for a rule of at most ``_FLOAT_SHIFTS`` shifts, the
+    only ones summed shift by shift in floats, and is None for a longer one.
     """
 
     factors: np.ndarray
     weights: np.ndarray
     pairs: tuple[tuple[float, float], ...] | None
-    reciprocals: np.ndarray
     weight_sum: float
     log_sum: float
 
 
-def _running_sums(terms: np.ndarray) -> np.ndarray:
-    """Running sums of ``terms``, each within about an ulp of the exact sum.
-
-    ``np.cumsum`` adds in order, and its rounding errors drift; TwoSum
-    (Knuth) gives each addition's error exactly, and the running sum of
-    those errors corrects each sum.
-    """
-    sums = np.cumsum(terms)
-    before, after = sums[:-1], sums[1:]
-    back = after - before
-    errors = (before - (after - back)) + (terms[1:] - back)
-    sums[1:] += np.cumsum(errors)
-    return sums
-
-
 @lru_cache(maxsize=128)
 def _rule(alpha: int, count: int) -> _Rule:
-    """Order alpha's shift rule of ``count`` nodes, with its node constants (``_Rule``).
+    """Order alpha's shift rule of ``count`` nodes (``_Rule``).
 
     Orders alpha >= 2: a_j = sin(pi j/alpha), 1 <= j <= alpha/2 = ``count``,
     and shifts c a_j^2. Order 1: a_j = cosh t_j at the nodes
     t_j = j * _VN_STEP, j < ``count``, and shifts (sinh(2s) a_j)^2.
     ``_shift_rule`` reads its factors and weights, and
-    ``pagecurve.page_average`` its pairs or its arrays and node sums.
+    ``pagecurve.page_average`` its pairs or its arrays and sums.
     """
     if alpha == 1:
         t = _VN_STEP * np.arange(count)
@@ -291,17 +281,20 @@ def _rule(alpha: int, count: int) -> _Rule:
         g = np.gcd(j, alpha)
         factors = np.sin(np.pi * (j // g) / (alpha // g))
         weights = np.where(2 * j == alpha, 0.5, 1.0) / (alpha - 1)
-    reciprocals = 1.0 / factors
-    for array in (factors, weights, reciprocals):
-        array.flags.writeable = False
+    factors.flags.writeable = weights.flags.writeable = False
     pairs = tuple(zip(factors.tolist(), weights.tolist())) if count <= _FLOAT_SHIFTS else None
-    return _Rule(factors, weights, pairs, reciprocals, float(_running_sums(weights)[-1]),
-                 float(_running_sums(weights * np.log(factors))[-1]))
+    return _Rule(factors, weights, pairs, math.fsum(weights), math.fsum(weights * np.log(factors)))
 
 
 def _order_rule(alpha: int, c: float) -> _Rule:
-    """Order alpha's rule at c = sinh^2(2s), of ``_von_neumann_count(c)`` nodes at order 1."""
-    return _rule(alpha, _von_neumann_count(c) if alpha == 1 else alpha // 2)
+    """Order alpha's rule at c = sinh^2(2s), of ``_von_neumann_count(c)`` nodes at order 1.
+
+    A rule of more than ``_CACHED_SHIFTS`` shifts is built uncached.
+    """
+    count = _von_neumann_count(c) if alpha == 1 else alpha // 2
+    if count > _CACHED_SHIFTS:
+        return _rule.__wrapped__(alpha, count)
+    return _rule(alpha, count)
 
 
 def _shift_rule(s: float, orders) -> list[tuple[np.ndarray, np.ndarray]]:

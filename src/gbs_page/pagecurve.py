@@ -54,19 +54,20 @@ so the sums need only the roots sinh(2s) a_j: they answer up to |s| = 355.24
 Evaluation
 ----------
 Two evaluators form the three sums (of w ln A, of w ln(1 + rq^2 x / B) and
-the edge term) over the shifts of the rule cached per (order, node count)
-(``entropy._order_rule``), each picking its branch once per rule, at the
-smallest root. ``_float_terms`` loops over the float pairs that only a
-rule of at most ``_FLOAT_SHIFTS`` shifts (orders 2 to 49) keeps, in
-``math``, with no call per shift. ``_array_terms`` takes longer
-rules, order 1's 81 to 128 t-nodes among them and orders from 50, in
-numpy: about 20 calls, whose fixed cost equals about 24 shifts of the loop
-(README). Its log-space branch reads the rule's node constants
-(``entropy._Rule``): it forms v = (1/a_j)(1/sinh(2s)) and takes
-sum_j w_j 2 ln y_j as 2 (ln sinh(2s) sum_j w_j + sum_j w_j ln a_j), so
-it forms no y, 1/y or ln y over the nodes. The two evaluators sum in
-different orders and agree within a few hundredths of ``trunc_err``; the
-checks, refusals and ``trunc_err`` around them are one code path.
+the edge term) over the shifts of the order's rule (``entropy._order_rule``),
+each picking its branch once per rule, at the smallest root. A rule that
+keeps float pairs goes to ``_float_terms``, a loop in ``math`` with no call
+per shift; ``entropy`` decides which rules keep them (at most
+``entropy._FLOAT_SHIFTS`` shifts: orders 2 to 49). Every other rule, order
+1's 81 to 128 t-nodes among them and orders from 50, goes to
+``_array_terms``, in numpy: about 20 calls, whose fixed cost equals about 24
+shifts of the loop (README). Its log-space branch forms
+v = (1/a_j)(1/sinh(2s)) and takes sum_j w_j 2 ln y_j as
+2 (ln sinh(2s) sum_j w_j + sum_j w_j ln a_j) from the rule's two exact sums
+(``entropy._Rule``), so it forms no y or ln y over the nodes. The two
+evaluators sum in different orders and agree within a few hundredths of
+``trunc_err``; the checks, refusals and ``trunc_err`` around them are one
+code path.
 
 The value is n times the per-mode curve less a quarter of the edge sum, and
 both depend only on the order, |sinh(2s)| and the reduced ratio
@@ -89,8 +90,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import (_FLOAT_MAX, _FLOAT_SHIFTS, _check_alpha, _check_ratio, _check_squeezing,
-                      _mode_count, _order_rule, _real, _squeezing_limit)
+from .entropy import (_FLOAT_MAX, _check_alpha, _check_ratio, _check_squeezing, _mode_count,
+                      _order_rule, _real, _squeezing_limit)
 
 __all__ = [
     "ASYMPTOTIC",
@@ -170,7 +171,7 @@ def _array_terms(rule, sinh, rq, g, c):
 
     Once every root y_j = sinh a_j is 1 or more, v_j = (1/a_j)(1/sinh) and
     sum_j w_j 2 ln y_j = 2 (ln sinh sum_j w_j + sum_j w_j ln a_j) from the
-    rule's node constants (``entropy._Rule``).
+    rule's two sums (``entropy._Rule``).
     """
     weights = rule.weights
     p = 1.0 - 0.5 * c  # (1 + g^2) / 2
@@ -197,7 +198,7 @@ def _array_terms(rule, sinh, rq, g, c):
         np.multiply(c, x, out=term)
         term /= one_g2x
         return log_a, log_ratio, weights.dot(np.log1p(term, out=term))
-    u = _root_term(rule.reciprocals * (1.0 / sinh), g)
+    u = _root_term((1.0 / rule.factors) * (1.0 / sinh), g)
     term = u + p
     term *= 0.5
     log_a = (2.0 * (rule.weight_sum * math.log(sinh) + rule.log_sum)
@@ -252,12 +253,11 @@ def _cell_terms(alpha: int, sinh: float, rq: float) -> tuple[float, float, int]:
     rule = _order_rule(alpha, sinh * sinh)
     g = 1.0 - 2.0 * rq
     c = 4.0 * rq * (1.0 - rq)  # 1 - g^2
-    shifts = len(rule.weights)
-    if shifts <= _FLOAT_SHIFTS:
+    if rule.pairs is not None:
         log_a, log_ratio, edge = _float_terms(rule.pairs, sinh, rq, g, c)
     else:
         log_a, log_ratio, edge = _array_terms(rule, sinh, rq, g, c)
-    return float(rq * log_a + g * log_ratio), float(edge), shifts if alpha == 1 else 0
+    return float(rq * log_a + g * log_ratio), float(edge), len(rule.weights) if alpha == 1 else 0
 
 
 def page_average(alpha, n, s: float, r: float, tol: float = DEFAULT_TOL) -> PageCurveValue:

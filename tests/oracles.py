@@ -70,7 +70,11 @@ ratio) pair of a query, which that average and the quadrature read.
 w^T L a block of rows at a time and skipped the values that underflow.
 ``master_rule`` is an order's shift rule as ``entropy`` built it before it
 built one rule per node count: order 1 as one master table of every node
-any c takes, with running node sums at every count, cut at c.
+any c takes, with running node sums at every count (``running_sums``, the
+TwoSum-corrected cumulative sums ``entropy`` took before it took
+``math.fsum``), cut at c. ``reciprocal_array_terms`` is
+``pagecurve._array_terms`` as it was while each rule kept its reciprocals
+1/a_j, from which its log-space branch formed v_j = (1/a_j)(1/sinh(2s)).
 """
 
 import functools
@@ -91,7 +95,6 @@ from gbs_page.entropy import (
     _check_squeezing,
     _mode_count,
     _order_rule,
-    _running_sums,
     _side,
     _squeezing_limit,
     _von_neumann_count,
@@ -107,6 +110,7 @@ from gbs_page.pagecurve import (
     PageCurveValue,
     _check_ratio,
     _check_tol,
+    _root_term,
 )
 from gbs_page.symplectic import SYMMETRY_TOL, _physical_spectrum, symplectic_eigenvalues
 
@@ -856,8 +860,23 @@ def page_variance_full(alpha, s: float, r: float) -> float:
     return 0.0 - 2.0 * float(rule.weights @ logs @ rule.weights)
 
 
+def running_sums(terms: np.ndarray) -> np.ndarray:
+    """Running sums of ``terms``, each within about an ulp of the exact sum.
+
+    ``np.cumsum`` adds in order, and its rounding errors drift; TwoSum
+    (Knuth) gives each addition's error exactly, and the running sum of
+    those errors corrects each sum.
+    """
+    sums = np.cumsum(terms)
+    before, after = sums[:-1], sums[1:]
+    back = after - before
+    errors = (before - (after - back)) + (terms[1:] - back)
+    sums[1:] += np.cumsum(errors)
+    return sums
+
+
 def master_rule(alpha, c: float):
-    """(factors, weights, pairs, reciprocals, weight_sum, log_sum) of order alpha's rule at c.
+    """(factors, weights, pairs, weight_sum, log_sum) of order alpha's rule at c.
 
     Order 1 is cut at ``_von_neumann_count(c)`` nodes from the master table
     of every node count down to c = 5e-324, whose node sums are the running
@@ -876,9 +895,50 @@ def master_rule(alpha, c: float):
         factors = np.sin(np.pi * (j // g) / (alpha // g))
         weights = np.where(2 * j == alpha, 0.5, 1.0) / (alpha - 1)
         count = len(factors)
-    weight_sums = _running_sums(weights)
-    log_sums = _running_sums(weights * np.log(factors))
+    weight_sums = running_sums(weights)
+    log_sums = running_sums(weights * np.log(factors))
     factors, weights = factors[:count], weights[:count]
     pairs = tuple(zip(factors.tolist(), weights.tolist())) if count <= _FLOAT_SHIFTS else None
-    return (factors, weights, pairs, 1.0 / factors, float(weight_sums[count - 1]),
-            float(log_sums[count - 1]))
+    return factors, weights, pairs, float(weight_sums[count - 1]), float(log_sums[count - 1])
+
+
+def reciprocal_array_terms(rule, sinh, rq, g, c):
+    """``pagecurve._array_terms`` while each rule stored its reciprocals 1/a_j.
+
+    Its log-space branch forms v_j = (1/a_j)(1/sinh) from 1/a_j as the rule
+    built them, ``1.0 / factors``.
+    """
+    weights = rule.weights
+    p = 1.0 - 0.5 * c  # (1 + g^2) / 2
+    if sinh * rule.factors[0] < 1.0:
+        x = sinh * rule.factors
+        x *= x
+        one_g2x = g * g * x
+        one_g2x += 1.0
+        s_plus = 1.0 + x
+        s_plus *= one_g2x
+        np.sqrt(s_plus, out=s_plus)
+        s_plus += 1.0  # S + 1
+        term = one_g2x + g * g
+        term /= s_plus
+        term += p
+        term *= 0.5 * x
+        log_a = weights.dot(np.log1p(term, out=term))
+        np.multiply(g, x, out=term)
+        term += s_plus
+        np.divide(2.0 * rq * rq * x, term, out=term)
+        log_ratio = weights.dot(np.log1p(term, out=term))
+        np.multiply(c, x, out=term)
+        term /= one_g2x
+        return log_a, log_ratio, weights.dot(np.log1p(term, out=term))
+    u = _root_term((1.0 / rule.factors) * (1.0 / sinh), g)
+    term = u + p
+    term *= 0.5
+    log_a = (2.0 * (rule.weight_sum * math.log(sinh) + rule.log_sum)
+             + weights.dot(np.log(term, out=term)))
+    np.add(u, g, out=term)
+    np.divide(2.0 * rq * rq, term, out=term)
+    log_ratio = weights.dot(np.log1p(term, out=term))
+    np.add(u, g * g, out=term)
+    np.divide(c, term, out=term)
+    return log_a, log_ratio, 2.0 * weights.dot(np.log1p(term, out=term))

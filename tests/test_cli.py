@@ -649,6 +649,8 @@ def test_the_workflow_smoke_commands(tmp_path):
                   "0:1:0.25"),
                  ("analytic", "--alpha", "1,50", "--s", "1e-5", "--n", "101", "--r-grid",
                   "0:1:0.25"),
+                 ("analytic", "--alpha", "1,200001", "--s", "0.5", "--asymptotic", "--r-grid",
+                  "0:1:0.5"),
                  ("simulate", "--n", "10", "--k", "0", "--s", "0.5", *common),
                  ("simulate", "--n", "4", "--k", "2", "--s=-0.1,0.2,0.3,0.4", *common),
                  ("simulate", "--n", "9223372036854775814", "--k", "3", "--s", "0.5", *common)):

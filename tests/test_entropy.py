@@ -5,11 +5,12 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from oracles import bidiagonal_entropies_mpmath, master_rule, renyi_entropy_factored
+from oracles import bidiagonal_entropies_mpmath, master_rule, renyi_entropy_factored, running_sums
 
 from gbs_page import ExperimentPlan, renyi_entropy, renyi_mode_entropy, run_experiment
-from gbs_page.entropy import (_FLOAT_SHIFTS, _order_rule, _rule, _shift_rule, _squeezing_limit,
-                              _von_neumann_count, bidiagonal_entropies, spectrum_entropies)
+from gbs_page.entropy import (_CACHED_SHIFTS, _FLOAT_SHIFTS, _order_rule, _rule, _shift_rule,
+                              _squeezing_limit, _von_neumann_count, bidiagonal_entropies,
+                              spectrum_entropies)
 from gbs_page.haar import _bidiagonal_squares
 
 
@@ -259,13 +260,25 @@ def test_rules_have_the_bits_of_the_master_table(alpha, c, count):
     # Each rule is built at its own node count, and every array and node sum
     # has the bits of the master table cut at c.
     rule = _order_rule(alpha, c)
-    factors, weights, pairs, reciprocals, weight_sum, log_sum = master_rule(alpha, c)
+    factors, weights, pairs, weight_sum, log_sum = master_rule(alpha, c)
     assert len(rule.weights) == count
-    for got, want in ((rule.factors, factors), (rule.weights, weights),
-                      (rule.reciprocals, reciprocals)):
+    for got, want in ((rule.factors, factors), (rule.weights, weights)):
         assert got.tobytes() == want.tobytes()
         assert not got.flags.writeable
     assert (rule.pairs, rule.weight_sum, rule.log_sum) == (pairs, weight_sum, log_sum)
+
+
+def test_rule_sums_are_exactly_rounded():
+    # Every order-1 node count down to c = 5e-324, orders 2 to 1000 and some
+    # long rules: each sum is math.fsum of its terms, and has the bits of the
+    # TwoSum-corrected running sum that the rules once carried.
+    rules = [(1, count) for count in range(1, _von_neumann_count(5e-324) + 1)]
+    rules += [(alpha, alpha // 2) for alpha in (*range(2, 1001), 2001, 10**4, 10**5)]
+    for alpha, count in rules:
+        rule = _rule.__wrapped__(alpha, count)
+        logs = rule.weights * np.log(rule.factors)
+        assert rule.weight_sum == math.fsum(rule.weights) == running_sums(rule.weights)[-1]
+        assert rule.log_sum == math.fsum(logs) == running_sums(logs)[-1], (alpha, count)
 
 
 def test_an_order_one_rule_is_built_once_per_node_count():
@@ -284,8 +297,8 @@ def test_only_a_rule_summed_in_floats_keeps_float_pairs():
 
 
 def test_a_long_rule_holds_its_arrays_alone():
-    # Order 10^5 has 50,000 shifts: three arrays of 0.4 MB. Its float pairs
-    # would hold 5.6 MB more.
+    # Order 10^5 has 50,000 shifts: two arrays of 0.4 MB. Its reciprocals
+    # would hold 0.4 MB more, and its float pairs 5.6 MB more.
     _rule.cache_clear()
     tracemalloc.start()
     try:
@@ -294,7 +307,22 @@ def test_a_long_rule_holds_its_arrays_alone():
     finally:
         tracemalloc.stop()
     assert len(rule.weights) == 50_000
-    assert held <= 1.5e6, held
+    assert held <= 1.0e6, held
+
+
+def test_only_a_rule_of_at_most_cached_shifts_is_cached():
+    # Order 131,073 has 2^16 shifts, and its rule is cached; from order
+    # 131,074 up each call builds its own rule and caches none.
+    _rule.cache_clear()
+    rule = _order_rule(2 * _CACHED_SHIFTS + 1, 1.0)
+    assert len(rule.weights) == _CACHED_SHIFTS and rule is _order_rule(2 * _CACHED_SHIFTS + 1, 1.0)
+    assert _rule.cache_info().currsize == 1
+    big = _order_rule(2 * _CACHED_SHIFTS + 2, 1.0)
+    again = _order_rule(2 * _CACHED_SHIFTS + 2, 1.0)
+    assert len(big.weights) == _CACHED_SHIFTS + 1 and big is not again
+    assert big.factors.tobytes() == again.factors.tobytes()
+    assert _rule.cache_info().currsize == 1
+    _rule.cache_clear()
 
 
 @pytest.mark.parametrize("orders", [(2,), (3,), (2, 15), (1,), (1, 2)], ids=repr)

@@ -13,6 +13,7 @@ from oracles import (
     page_variance_dct,
     page_variance_full,
     realized_ratio,
+    reciprocal_array_terms,
     reduced_covariance_equal,
     trW_moments,
 )
@@ -462,10 +463,12 @@ def _memo_key(alpha, n, s, r):
 
 def test_float_terms_match_array_terms(monkeypatch, memo):
     # Every order whose rule is at most _FLOAT_SHIFTS long takes the float
-    # evaluator (the numpy one raises here); forcing the bound to 0 sends it
-    # through numpy. Values agree within 0.1 trunc_err, refusals to the letter.
-    # The memo is emptied before each pass, so the numpy pass evaluates every
-    # distinct key once instead of reading the float pass's sums.
+    # evaluator (the numpy one raises here); rules built with the bound at 0
+    # keep no float pairs, and go through numpy. Values agree within 0.1
+    # trunc_err, refusals to the letter. The memo is emptied before each
+    # pass, so the numpy pass evaluates every distinct key once instead of
+    # reading the float pass's sums, and the rule cache before and after the
+    # numpy pass, so that no rule without its pairs outlives it.
     assert len(entropy._order_rule(FLOAT_ORDERS[-1], 1.0).pairs) == entropy._FLOAT_SHIFTS
     assert len(entropy._order_rule(FLOAT_ORDERS[-1] + 1, 1.0).weights) > entropy._FLOAT_SHIFTS
     s_grid = [round(0.05 + i * 0.05, 12) for i in range(2, 60, 3)]
@@ -489,9 +492,14 @@ def test_float_terms_match_array_terms(monkeypatch, memo):
         patch.setattr(pagecurve, "_array_terms", no_arrays)
         floats = _outcomes(cells)
     memo.cache_clear()
-    monkeypatch.setattr(pagecurve, "_array_terms", counted_arrays)
-    monkeypatch.setattr(pagecurve, "_FLOAT_SHIFTS", 0)
-    arrays = _outcomes(cells)
+    entropy._rule.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(pagecurve, "_array_terms", counted_arrays)
+            patch.setattr(entropy, "_FLOAT_SHIFTS", 0)
+            arrays = _outcomes(cells)
+    finally:
+        entropy._rule.cache_clear()
     assert len(calls) == len(keys)
     refused = 0
     for cell, new, old in zip(cells, floats, arrays):
@@ -556,6 +564,45 @@ def test_node_constants_match_the_shift_logs_oracle(memo):
         assert a.trunc_err == pytest.approx(b.trunc_err, rel=1e-12, abs=0.0), args
         assert (a.nodes, a.realized_r) == (b.nodes, b.realized_r), args
     assert refused > 1000
+
+
+# Rules that numpy sums, order 1 and orders from 50, over the benchmark's s
+# and r grids, three strong strengths, odd n and the per-mode curve.
+ARRAY_CELLS = [((alpha, n, s, round(0.05 + j * 0.05, 12)), {})
+               for alpha in (1, 50, 51, 64, 100)
+               for s in [round(0.05 + i * 0.05, 12) for i in range(60)] + [10.0, 50.0, 170.0]
+               for j in range(19) for n in (100, 401, ASYMPTOTIC)]
+
+
+def test_array_terms_match_the_reciprocal_form(monkeypatch, memo):
+    # The numpy evaluator against its form with stored reciprocals 1/a_j
+    # (tests/oracles.py): forming them per call changes no bit, in either
+    # branch.
+    new = _outcomes(ARRAY_CELLS)
+    memo.cache_clear()
+    monkeypatch.setattr(pagecurve, "_array_terms", reciprocal_array_terms)
+    old = _outcomes(ARRAY_CELLS)
+    log_space = 0
+    for ((alpha, _, s, _), _), a, b in zip(ARRAY_CELLS, new, old):
+        sinh = abs(math.sinh(2.0 * s))
+        log_space += sinh * entropy._order_rule(alpha, sinh * sinh).factors[0] >= 1.0
+        assert a == b, (alpha, s)
+    assert 0 < log_space < len(ARRAY_CELLS)
+
+
+def test_a_huge_order_leaves_the_rule_cache_alone(memo):
+    # Order 10^6 has 500,000 shifts, more than entropy._CACHED_SHIFTS: its
+    # rule is built for the call and dropped, and a sweep cell repeated after
+    # it still reads its cached rule.
+    cell = (1, 400, 0.5, 0.3)
+    value = page_average(*cell)
+    memo.cache_clear()
+    before = entropy._rule.cache_info()
+    assert page_average(10**6, ASYMPTOTIC, 0.5, 0.3).value > 0.0
+    assert page_average(*cell) == value
+    after = entropy._rule.cache_info()
+    assert after.currsize == before.currsize
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_memo_answers_as_a_fresh_evaluation(memo):
