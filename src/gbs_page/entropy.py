@@ -38,9 +38,8 @@ an integrand analytic in the strip |Im t| < pi/2 for every c and T_j; the
 trapezoidal rule converges geometrically there (``_von_neumann_count``).
 A shift rule (``_Rule``) is its factors a_j and weights w_j, with the
 exactly rounded sums of w_j and of w_j ln a_j. ``_order_rule`` gives the
-one at c, built once per (order, node count) and cached (``_rule``), except
-a rule of more than ``_CACHED_SHIFTS`` shifts, which is built for its call
-alone. The analytic average reads the same rules; a rule of at most
+one at c, built once per (order, node count) and cached (``_rule``). The
+analytic average reads the same rules; a rule of at most
 ``_FLOAT_SHIFTS`` shifts also keeps its (a_j, w_j) as Python float pairs,
 and ``pagecurve`` sums exactly those in a float loop. One ``_log_dets``
 pass takes every order's shifts, and each order sums its own.
@@ -72,10 +71,6 @@ _FLOAT_MAX = float(np.finfo(float).max)  # where every input range of the packag
 # numpy. Set where the two evaluators cross, both about 10 us a cell
 # (README; BENCH_analytic.json, "node_constants", "crossover").
 _FLOAT_SHIFTS = 24
-
-# Longest shift rule that is cached (``_order_rule``): from order 131,074
-# up a rule is built for its call alone, so no large order stays in memory.
-_CACHED_SHIFTS = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -287,14 +282,8 @@ def _rule(alpha: int, count: int) -> _Rule:
 
 
 def _order_rule(alpha: int, c: float) -> _Rule:
-    """Order alpha's rule at c = sinh^2(2s), of ``_von_neumann_count(c)`` nodes at order 1.
-
-    A rule of more than ``_CACHED_SHIFTS`` shifts is built uncached.
-    """
-    count = _von_neumann_count(c) if alpha == 1 else alpha // 2
-    if count > _CACHED_SHIFTS:
-        return _rule.__wrapped__(alpha, count)
-    return _rule(alpha, count)
+    """Order alpha's rule at c = sinh^2(2s), of ``_von_neumann_count(c)`` nodes at order 1."""
+    return _rule(alpha, _von_neumann_count(c) if alpha == 1 else alpha // 2)
 
 
 def _shift_rule(s: float, orders) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -72,9 +72,7 @@ w^T L a block of rows at a time and skipped the values that underflow.
 built one rule per node count: order 1 as one master table of every node
 any c takes, with running node sums at every count (``running_sums``, the
 TwoSum-corrected cumulative sums ``entropy`` took before it took
-``math.fsum``), cut at c. ``reciprocal_array_terms`` is
-``pagecurve._array_terms`` as it was while each rule kept its reciprocals
-1/a_j, from which its log-space branch formed v_j = (1/a_j)(1/sinh(2s)).
+``math.fsum``), cut at c.
 """
 
 import functools
@@ -110,7 +108,6 @@ from gbs_page.pagecurve import (
     PageCurveValue,
     _check_ratio,
     _check_tol,
-    _root_term,
 )
 from gbs_page.symplectic import SYMMETRY_TOL, _physical_spectrum, symplectic_eigenvalues
 
@@ -901,44 +898,3 @@ def master_rule(alpha, c: float):
     pairs = tuple(zip(factors.tolist(), weights.tolist())) if count <= _FLOAT_SHIFTS else None
     return factors, weights, pairs, float(weight_sums[count - 1]), float(log_sums[count - 1])
 
-
-def reciprocal_array_terms(rule, sinh, rq, g, c):
-    """``pagecurve._array_terms`` while each rule stored its reciprocals 1/a_j.
-
-    Its log-space branch forms v_j = (1/a_j)(1/sinh) from 1/a_j as the rule
-    built them, ``1.0 / factors``.
-    """
-    weights = rule.weights
-    p = 1.0 - 0.5 * c  # (1 + g^2) / 2
-    if sinh * rule.factors[0] < 1.0:
-        x = sinh * rule.factors
-        x *= x
-        one_g2x = g * g * x
-        one_g2x += 1.0
-        s_plus = 1.0 + x
-        s_plus *= one_g2x
-        np.sqrt(s_plus, out=s_plus)
-        s_plus += 1.0  # S + 1
-        term = one_g2x + g * g
-        term /= s_plus
-        term += p
-        term *= 0.5 * x
-        log_a = weights.dot(np.log1p(term, out=term))
-        np.multiply(g, x, out=term)
-        term += s_plus
-        np.divide(2.0 * rq * rq * x, term, out=term)
-        log_ratio = weights.dot(np.log1p(term, out=term))
-        np.multiply(c, x, out=term)
-        term /= one_g2x
-        return log_a, log_ratio, weights.dot(np.log1p(term, out=term))
-    u = _root_term((1.0 / rule.factors) * (1.0 / sinh), g)
-    term = u + p
-    term *= 0.5
-    log_a = (2.0 * (rule.weight_sum * math.log(sinh) + rule.log_sum)
-             + weights.dot(np.log(term, out=term)))
-    np.add(u, g, out=term)
-    np.divide(2.0 * rq * rq, term, out=term)
-    log_ratio = weights.dot(np.log1p(term, out=term))
-    np.add(u, g * g, out=term)
-    np.divide(c, term, out=term)
-    return log_a, log_ratio, 2.0 * weights.dot(np.log1p(term, out=term))

@@ -13,7 +13,6 @@ from oracles import (
     page_variance_dct,
     page_variance_full,
     realized_ratio,
-    reciprocal_array_terms,
     reduced_covariance_equal,
     trW_moments,
 )
@@ -564,45 +563,6 @@ def test_node_constants_match_the_shift_logs_oracle(memo):
         assert a.trunc_err == pytest.approx(b.trunc_err, rel=1e-12, abs=0.0), args
         assert (a.nodes, a.realized_r) == (b.nodes, b.realized_r), args
     assert refused > 1000
-
-
-# Rules that numpy sums, order 1 and orders from 50, over the benchmark's s
-# and r grids, three strong strengths, odd n and the per-mode curve.
-ARRAY_CELLS = [((alpha, n, s, round(0.05 + j * 0.05, 12)), {})
-               for alpha in (1, 50, 51, 64, 100)
-               for s in [round(0.05 + i * 0.05, 12) for i in range(60)] + [10.0, 50.0, 170.0]
-               for j in range(19) for n in (100, 401, ASYMPTOTIC)]
-
-
-def test_array_terms_match_the_reciprocal_form(monkeypatch, memo):
-    # The numpy evaluator against its form with stored reciprocals 1/a_j
-    # (tests/oracles.py): forming them per call changes no bit, in either
-    # branch.
-    new = _outcomes(ARRAY_CELLS)
-    memo.cache_clear()
-    monkeypatch.setattr(pagecurve, "_array_terms", reciprocal_array_terms)
-    old = _outcomes(ARRAY_CELLS)
-    log_space = 0
-    for ((alpha, _, s, _), _), a, b in zip(ARRAY_CELLS, new, old):
-        sinh = abs(math.sinh(2.0 * s))
-        log_space += sinh * entropy._order_rule(alpha, sinh * sinh).factors[0] >= 1.0
-        assert a == b, (alpha, s)
-    assert 0 < log_space < len(ARRAY_CELLS)
-
-
-def test_a_huge_order_leaves_the_rule_cache_alone(memo):
-    # Order 10^6 has 500,000 shifts, more than entropy._CACHED_SHIFTS: its
-    # rule is built for the call and dropped, and a sweep cell repeated after
-    # it still reads its cached rule.
-    cell = (1, 400, 0.5, 0.3)
-    value = page_average(*cell)
-    memo.cache_clear()
-    before = entropy._rule.cache_info()
-    assert page_average(10**6, ASYMPTOTIC, 0.5, 0.3).value > 0.0
-    assert page_average(*cell) == value
-    after = entropy._rule.cache_info()
-    assert after.currsize == before.currsize
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_memo_answers_as_a_fresh_evaluation(memo):
